@@ -6,11 +6,10 @@ from .cwexpr import (CwExpression, ExpressionError, LabeledGraph,
                      parse_expression, parse_graph, serialize, serialize_graph,
                      strip_redundant_adds)
 from .fvs import FvsResult, solve_fvs
-from .partitions import Partition, PartitionError, acyclic, canonicalize, iter_partitions
+from .partitions import Partition, PartitionError, acyclic, iter_partitions
 from .sigma_rho import (DomResult, MuSet, SigmaRhoSpec, d_of,
                         mu_contains_truncated, parse_mu, preset_spec,
-                        solve_co_sigma_rho, solve_connected_sigma_rho,
-                        solve_steiner)
+                        solve_connected_sigma_rho, solve_steiner)
 from .wpsets import (MAX, MIN, WPSet, ac_reduce, acjoin, join_sets,
                      max_weight_basis, proj, query_opt, rmc)
 from .wpsets import reduce as reduce_set
@@ -22,9 +21,9 @@ __all__ = [
     "PartiallyRedundantError", "check_irredundant", "evaluate", "fixture",
     "naive_expression", "parse_expression", "parse_graph", "serialize",
     "serialize_graph", "strip_redundant_adds", "FvsResult", "solve_fvs",
-    "Partition", "PartitionError", "acyclic", "canonicalize", "iter_partitions",
+    "Partition", "PartitionError", "acyclic", "iter_partitions",
     "DomResult", "MuSet", "SigmaRhoSpec", "d_of", "mu_contains_truncated",
-    "parse_mu", "preset_spec", "solve_co_sigma_rho", "solve_connected_sigma_rho",
+    "parse_mu", "preset_spec", "solve_connected_sigma_rho",
     "solve_steiner", "MAX", "MIN", "WPSet", "ac_reduce", "acjoin", "join_sets",
     "max_weight_basis", "proj", "query_opt", "rmc", "reduce_set",
 ]

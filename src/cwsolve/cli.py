@@ -49,9 +49,7 @@ def _build_parser() -> _Parser:
     add_problem_args(ps, with_expr=True)
     ps.add_argument("--witness", action="store_true")
     ps.add_argument("--no-reduce", action="store_true",
-                    help="skip representative-set pruning (differential testing)")
-    ps.add_argument("--future-prune", action="store_true",
-                    help="co variant: drop promise pairs the remaining adds cannot realize")
+                    help="unpruned reference path: no reduction, no future filter")
     ps.add_argument("--json", action="store_true")
 
     pc = sub.add_parser("check-expr", help="validate and report redundant adds")
@@ -142,8 +140,7 @@ def _cmd_solve(args) -> int:
     else:
         spec = _spec_for(args)
         res = sigma_rho.solve_connected_sigma_rho(
-            expr, spec, with_witness=args.witness, use_reduce=use_reduce,
-            future_prune=args.future_prune)
+            expr, spec, with_witness=args.witness, use_reduce=use_reduce)
     _report(name, res.optimum, res.witness, res.stats, args.json)
     return 0
 

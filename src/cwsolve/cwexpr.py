@@ -112,6 +112,28 @@ def iter_postorder(root: Node) -> Iterator[Node]:
             stack.append((node.left, False))
 
 
+def fold(root: Node, leaf, ren, add, union):
+    """Bottom-up fold over the tree rooted at ``root``; returns the root's result.
+
+    ``leaf(node)``, ``ren(node, r)``, ``add(node, r)`` and
+    ``union(node, r_left, r_right)`` get the results of the node's children,
+    which are dropped once consumed.
+    """
+    results: dict[int, object] = {}
+    pop = results.pop
+    for node in iter_postorder(root):
+        if isinstance(node, Introduce):
+            out = leaf(node)
+        elif isinstance(node, Relabel):
+            out = ren(node, pop(id(node.child)))
+        elif isinstance(node, AddEdges):
+            out = add(node, pop(id(node.child)))
+        else:
+            out = union(node, pop(id(node.left)), pop(id(node.right)))
+        results[id(node)] = out
+    return results[id(root)]
+
+
 def iter_preorder(root: Node) -> Iterator[Node]:
     stack = [root]
     while stack:
@@ -324,51 +346,46 @@ def validate(expr: CwExpression) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation and irredundancy.
 
-def _eval_states(expr: CwExpression):
-    """Postorder stream of (node, weights, labels, classes, edges) tuples.
+def _build(expr: CwExpression, on_add=None):
+    """Fold the expression into its graph: (weights, label classes, edges).
 
-    The per-node structures are mutated in place along unary chains, so
-    consumers must not hold onto them across iterations.
+    ``on_add(node, existing, total)`` sees, at every AddEdges node, how many of
+    its ``total`` cross pairs were edges already.
     """
-    results: dict[int, tuple] = {}
-    for node in iter_postorder(expr.root):
-        if isinstance(node, Introduce):
-            state = ({node.name: node.weight}, {node.name: 1},
-                     {1: {node.name}}, set())
-        elif isinstance(node, Relabel):
-            weights, labels, classes, edges = results.pop(id(node.child))
-            moving = classes.pop(node.i, set())
-            if moving:
-                classes.setdefault(node.j, set()).update(moving)
-                for v in moving:
-                    labels[v] = node.j
-            state = (weights, labels, classes, edges)
-        elif isinstance(node, AddEdges):
-            weights, labels, classes, edges = results.pop(id(node.child))
-            for u in classes.get(node.i, ()):
-                for v in classes.get(node.j, ()):
-                    edges.add(edge_key(u, v))
-            state = (weights, labels, classes, edges)
-        else:
-            lw, ll, lc, le = results.pop(id(node.left))
-            rw, rl, rc, re_ = results.pop(id(node.right))
-            lw.update(rw)
-            ll.update(rl)
-            for lab, vs in rc.items():
-                lc.setdefault(lab, set()).update(vs)
-            le.update(re_)
-            state = (lw, ll, lc, le)
-        results[id(node)] = state
-        yield node, state
-    del results
+    def ren(node, state):
+        classes = state[1]
+        moving = classes.pop(node.i, None)
+        if moving:
+            classes.setdefault(node.j, set()).update(moving)
+        return state
+
+    def add(node, state):
+        _, classes, edges = state
+        ci, cj = classes.get(node.i, ()), classes.get(node.j, ())
+        before = len(edges)
+        edges.update(edge_key(u, v) for u in ci for v in cj)
+        if on_add is not None:
+            total = len(ci) * len(cj)
+            on_add(node, total - (len(edges) - before), total)
+        return state
+
+    def union(node, left, right):
+        weights, classes, edges = left
+        weights.update(right[0])
+        for lab, members in right[1].items():
+            classes.setdefault(lab, set()).update(members)
+        edges.update(right[2])
+        return left
+
+    return fold(expr.root,
+                lambda node: ({node.name: node.weight}, {1: {node.name}}, set()),
+                ren, add, union)
 
 
 def evaluate(expr: CwExpression) -> LabeledGraph:
     validate(expr)
-    state = None
-    for _, state in _eval_states(expr):
-        pass
-    weights, labels, _, edges = state
+    weights, classes, edges = _build(expr)
+    labels = {v: lab for lab, members in classes.items() for v in members}
     return LabeledGraph(weights=weights, edges=edges, labels=labels)
 
 
@@ -387,55 +404,18 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     while no edge between the two classes exists yet.
     """
     validate(expr)
+    found = []
+
+    def on_add(node, existing, total):
+        if existing:
+            found.append((node, "full" if existing == total else "partial"))
+
+    _build(expr, on_add)
+    if not found:
+        return []
     order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
-    issues = []
-    for node, state in _replay_with_pre_edges(expr):
-        if node is None:
-            continue
-        pre_existing, total = state
-        if total == 0 or pre_existing == 0:
-            continue
-        kind = "full" if pre_existing == total else "partial"
-        issues.append(RedundancyIssue(order[id(node)], node.i, node.j, kind))
-    return issues
-
-
-def _replay_with_pre_edges(expr: CwExpression):
-    """Yield (AddEdges node, (pre-existing cross pairs, total cross pairs))."""
-    results: dict[int, tuple] = {}
-    for node in iter_postorder(expr.root):
-        if isinstance(node, Introduce):
-            state = ({1: {node.name}}, set())
-        elif isinstance(node, Relabel):
-            classes, edges = results.pop(id(node.child))
-            moving = classes.pop(node.i, set())
-            if moving:
-                classes.setdefault(node.j, set()).update(moving)
-            state = (classes, edges)
-        elif isinstance(node, AddEdges):
-            classes, edges = results.pop(id(node.child))
-            ci = classes.get(node.i, ())
-            cj = classes.get(node.j, ())
-            total = len(ci) * len(cj)
-            existing = 0
-            for u in ci:
-                for v in cj:
-                    key = edge_key(u, v)
-                    if key in edges:
-                        existing += 1
-                    else:
-                        edges.add(key)
-            yield node, (existing, total)
-            state = (classes, edges)
-        else:
-            lc, le = results.pop(id(node.left))
-            rc, re_ = results.pop(id(node.right))
-            for lab, vs in rc.items():
-                lc.setdefault(lab, set()).update(vs)
-            le.update(re_)
-            state = (lc, le)
-        results[id(node)] = state
-    yield None, None
+    return [RedundancyIssue(order[id(node)], node.i, node.j, kind)
+            for node, kind in found]
 
 
 def strip_redundant_adds(expr: CwExpression) -> CwExpression:
@@ -450,19 +430,57 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
             "expression has partially redundant add operations")
     dead = {issue.node_index for issue in issues}
     order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
-    rebuilt: dict[int, Node] = {}
-    for node in iter_postorder(expr.root):
-        if isinstance(node, Introduce):
-            rebuilt[id(node)] = node
+    root = fold(expr.root,
+                lambda node: node,
+                lambda node, child: Relabel(node.i, node.j, child),
+                lambda node, child: (child if order[id(node)] in dead
+                                     else AddEdges(node.i, node.j, child)),
+                lambda node, left, right: Union(left, right))
+    return CwExpression(expr.k, root)
+
+
+def future_degrees(expr: CwExpression) -> dict[int, tuple[int, ...]]:
+    """Per node id: for each label, how many neighbours its class still gains.
+
+    At every add above the node that touches the class, the class gains the
+    partner class of that add.  On an irredundant expression these partner
+    classes are disjoint and hold no neighbour the class already has (either
+    would make some add re-add an edge), so the sum of their sizes counts the
+    new neighbours exactly.  Class sizes go bottom-up, the sums top-down:
+    O(|expr| * k) in all.
+    """
+    k = expr.k
+    size_at_add: dict[int, tuple[int, ...]] = {}
+
+    def ren(node, size):
+        out = list(size)
+        out[node.j - 1] += out[node.i - 1]
+        out[node.i - 1] = 0
+        return tuple(out)
+
+    def add(node, size):
+        size_at_add[id(node)] = size
+        return size
+
+    fold(expr.root, lambda node: (1,) + (0,) * (k - 1), ren, add,
+         lambda node, left, right: tuple(a + b for a, b in zip(left, right)))
+    fut = {id(expr.root): (0,) * k}
+    for node in iter_preorder(expr.root):
+        above = fut[id(node)]
+        if isinstance(node, AddEdges):
+            size = size_at_add[id(node)]
+            below = list(above)
+            below[node.i - 1] += size[node.j - 1]
+            below[node.j - 1] += size[node.i - 1]
+            fut[id(node.child)] = tuple(below)
         elif isinstance(node, Relabel):
-            rebuilt[id(node)] = Relabel(node.i, node.j, rebuilt[id(node.child)])
-        elif isinstance(node, AddEdges):
-            child = rebuilt[id(node.child)]
-            rebuilt[id(node)] = child if order[id(node)] in dead \
-                else AddEdges(node.i, node.j, child)
-        else:
-            rebuilt[id(node)] = Union(rebuilt[id(node.left)], rebuilt[id(node.right)])
-    return CwExpression(expr.k, rebuilt[id(expr.root)])
+            # the child's class i becomes part of class j here
+            below = list(above)
+            below[node.i - 1] = above[node.j - 1]
+            fut[id(node.child)] = tuple(below)
+        elif isinstance(node, Union):
+            fut[id(node.left)] = fut[id(node.right)] = above
+    return fut
 
 
 # ---------------------------------------------------------------------------

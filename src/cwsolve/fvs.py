@@ -26,12 +26,12 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .cwexpr import (AddEdges, CwExpression, Introduce, NotIrredundantError,
-                     Relabel, check_irredundant, evaluate, iter_postorder,
-                     validate)
+from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
+                     evaluate, fold, validate)
 from .partitions import Partition
 from .stats import SolveStats
-from .wpsets import MAX, WPSet, ac_reduce, acjoin, proj
+from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
+                     contrib, merge_cells, proj)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -88,31 +88,9 @@ def _edge_cell(i: int, j: int, with_witness: bool) -> WPSet:
     return cell
 
 
-def _contrib(acc: dict[State, list[WPSet]], key: State, cell: WPSet) -> None:
-    if cell.entries:
-        acc.setdefault(key, []).append(cell)
-
-
-def _finalize(acc: dict[State, list[WPSet]], k: int, use_reduce: bool,
-              stats: SolveStats) -> Table:
-    out: Table = {}
-    bound = (k + 1) << k
-    for key, cells in acc.items():
-        if len(cells) == 1:
-            merged = cells[0]
-        else:
-            merged = cells[0].copy()
-            for extra in cells[1:]:
-                merged.update(extra)
-        if use_reduce and len(merged) > 1:
-            merged = ac_reduce(merged)
-            stats.reduce_calls += 1
-        if merged.entries:
-            if use_reduce:
-                assert len(merged) <= bound
-            out[key] = merged
-            stats.observe_cell(len(merged))
-    return out
+def _bound(k: int) -> int:
+    """Entries an ``ac_reduce``-d cell can hold: (k + 1) * 2^k."""
+    return (k + 1) << k
 
 
 def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Table:
@@ -159,7 +137,7 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
         if merged.entries:
             if use_reduce:
                 # single-cell transforms cannot outgrow their reduced source
-                assert len(merged) <= (k + 1) << k
+                check_size(merged, _bound(k))
             out[target] = merged
             stats.observe_cell(len(merged))
     return out
@@ -174,7 +152,7 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT:
-            _contrib(acc, state, cell)
+            contrib(acc, state, cell)
             continue
         if b == ABSENT:
             target = list(state)
@@ -184,7 +162,7 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
             else:
                 # Rename element i to j inside every partition.
                 moved = proj(acjoin(cell, edge), 1 << i)
-            _contrib(acc, tuple(target), moved)
+            contrib(acc, tuple(target), moved)
             continue
         if a in (ONE, MANY_DONE) and b in (ONE, MANY_DONE):
             # Both classes populated and finished: the merged class is
@@ -192,15 +170,15 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_DONE
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
-            _contrib(acc, tuple(target), proj(cell, drop))
+            contrib(acc, tuple(target), proj(cell, drop))
         if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_WAIT
-            _contrib(acc, tuple(target), proj(acjoin(cell, edge), 1 << i))
-    return _finalize(acc, k, use_reduce, stats)
+            contrib(acc, tuple(target), proj(acjoin(cell, edge), 1 << i))
+    return merge_cells(acc, ac_reduce if use_reduce else None, _bound(k), stats)
 
 
 def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
@@ -235,8 +213,8 @@ def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
                 pa = projected(ca, drop_a)
                 pb = projected(cb, drop_b)
                 if pa.entries and pb.entries:
-                    _contrib(acc, target, acjoin(pa, pb))
-    return _finalize(acc, k, use_reduce, stats)
+                    contrib(acc, target, acjoin(pa, pb))
+    return merge_cells(acc, ac_reduce if use_reduce else None, _bound(k), stats)
 
 
 def solve_fvs(expr: CwExpression, with_witness: bool = False,
@@ -247,27 +225,17 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
         raise NotIrredundantError(
             "feedback vertex set requires an irredundant expression")
     stats = SolveStats()
+    stats.count_nodes(expr.root)
     k = expr.k
-    tables: dict[int, Table] = {}
-    for node in iter_postorder(expr.root):
-        if isinstance(node, Introduce):
-            table = fvs_leaf(k, node.name, node.weight, with_witness)
-            stats.observe_node("introduce")
-        elif isinstance(node, AddEdges):
-            table = fvs_add(tables.pop(id(node.child)), node.i, node.j, k,
-                            use_reduce, stats, with_witness)
-            stats.observe_node("add")
-        elif isinstance(node, Relabel):
-            table = fvs_ren(tables.pop(id(node.child)), node.i, node.j, k,
-                            use_reduce, stats, with_witness)
-            stats.observe_node("relabel")
-        else:
-            table = fvs_union(tables.pop(id(node.left)), tables.pop(id(node.right)),
-                              k, use_reduce, stats, with_witness)
-            stats.observe_node("union")
-        tables[id(node)] = table
-
-    root_table = tables[id(expr.root)]
+    root_table = fold(
+        expr.root,
+        lambda node: fvs_leaf(k, node.name, node.weight, with_witness),
+        lambda node, table: fvs_ren(table, node.i, node.j, k, use_reduce, stats,
+                                    with_witness),
+        lambda node, table: fvs_add(table, node.i, node.j, k, use_reduce, stats,
+                                    with_witness),
+        lambda node, table_a, table_b: fvs_union(table_a, table_b, k, use_reduce,
+                                                 stats, with_witness))
     best_w = -1
     best_wit: frozenset | None = None
     for state, cell in root_table.items():
@@ -279,7 +247,8 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
             best_w, best_wit = entry
     graph = evaluate(expr)
     total = graph.total_weight()
-    assert best_w >= 0  # the empty forest is always available
+    if best_w < 0:
+        raise InvariantError("no root entry, yet the empty forest is always one")
     forest = best_w
     witness = None
     forest_witness = None

@@ -80,7 +80,7 @@ class Partition:
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int] | int],
                     ground: int | Iterable[int]) -> Partition:
-        """Validating constructor; canonicalizes any block ordering."""
+        """Validating constructor; accepts the blocks in any order."""
         gmask = as_mask(ground)
         if gmask.bit_length() > MAX_GROUND:
             raise PartitionError("ground set exceeds supported size")
@@ -175,12 +175,6 @@ class Partition:
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, blk)) + "}" for blk in self.as_sets())
         return f"Partition({{{inner}}})"
-
-
-def canonicalize(blocks: Iterable[Iterable[int] | int],
-                 ground: int | Iterable[int]) -> Partition:
-    """Alias of :meth:`Partition.from_blocks`."""
-    return Partition.from_blocks(blocks, ground)
 
 
 def acyclic(p: Partition, q: Partition) -> bool:

@@ -29,12 +29,12 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .cwexpr import (AddEdges, CwExpression, Introduce, NotIrredundantError,
-                     Relabel, check_irredundant, evaluate, iter_postorder,
-                     validate)
+from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
+                     evaluate, fold, future_degrees, validate)
 from .partitions import Partition
 from .stats import SolveStats
-from .wpsets import MAX, MIN, NEG_INF, POS_INF, WPSet, join_sets, proj
+from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
+                     join_sets, merge_cells, proj)
 from .wpsets import reduce as reduce_set
 
 EMPTY_PARTITION = Partition(0, ())
@@ -169,7 +169,6 @@ class DomContext:
     use_reduce: bool = True
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
-    future_prune: bool = False
     stats: SolveStats = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -179,6 +178,7 @@ class DomContext:
         if d < 1:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
         self.d = d
+        self.bound = 1 << (self.k - 1)  # entries a reduced cell can hold
         self.zero = (0,) * self.k
         self.sigma_ok = tuple(x in self.spec.sigma for x in range(d + 1))
         self.rho_ok = tuple(x in self.spec.rho for x in range(d + 1))
@@ -205,30 +205,6 @@ class DomContext:
         for _, (w, wit) in cell.entries.items():
             out.add(EMPTY_PARTITION, w, wit)
         return out
-
-    def finalize(self, acc: dict, out: dict) -> dict:
-        bound = 1 << (self.k - 1)
-        for key, cells in acc.items():
-            if len(cells) == 1:
-                merged = cells[0]
-            else:
-                merged = cells[0].copy()
-                for extra in cells[1:]:
-                    merged.update(extra)
-            if self.use_reduce and len(merged) > 1:
-                merged = reduce_set(merged)
-                self.stats.reduce_calls += 1
-            if merged.entries:
-                if self.use_reduce:
-                    assert len(merged) <= bound
-                out[key] = merged
-                self.stats.observe_cell(len(merged))
-        return out
-
-
-def _contrib(acc: dict, key, cell: WPSet) -> None:
-    if cell.entries:
-        acc.setdefault(key, []).append(cell)
 
 
 def _patch2(t: tuple, a: int, va: int, b: int, vb: int) -> tuple:
@@ -314,16 +290,15 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
                     res = flat
                 if res.entries:
                     if ctx.use_reduce:
-                        assert len(res) <= 1 << (k - 1)
+                        check_size(res, ctx.bound)
                     out[(counts, tuple(prom_list))] = res
                     observe(len(res))
     return out
 
 
-def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int
-            ) -> tuple[dict, int]:
+def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
     if not present >> i & 1:
-        return table, present
+        return table
     ii, jj = i - 1, j - 1
     pj = present >> j & 1
     d, rho_wild = ctx.d, ctx.rho_wild
@@ -345,8 +320,9 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int
             moved = proj(join_sets(cell, edge), 1 << i)
         else:
             moved = cell
-        _contrib(acc, key, moved)
-    return ctx.finalize(acc, {}), (present & ~(1 << i)) | (1 << j)
+        contrib(acc, key, moved)
+    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
+                       ctx.stats)
 
 
 def _real_slots(ctx: DomContext, counts: tuple, present: int) -> tuple[bool, ...]:
@@ -358,7 +334,7 @@ def _real_slots(ctx: DomContext, counts: tuple, present: int) -> tuple[bool, ...
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
-              table_b: dict, pres_b: int) -> tuple[dict, int]:
+              table_b: dict, pres_b: int) -> dict:
     k, d = ctx.k, ctx.d
     side_b = []
     for (counts_b, prom_b), cell_b in table_b.items():
@@ -397,14 +373,15 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             joined = join_cache.get(ck)
             if joined is None:
                 joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            _contrib(acc, (counts, tuple(prom)), joined)
-    return ctx.finalize(acc, {}), pres_a | pres_b
+            contrib(acc, (counts, tuple(prom)), joined)
+    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
+                       ctx.stats)
 
 
 # ---------------------------------------------------------------------------
 # Co variant transitions (connected side X, dominating side V minus X).
 
-def co_leaf(ctx: DomContext, name: str, weight: int) -> dict:
+def co_leaf(ctx: DomContext, name: str, weight: int, fut) -> dict:
     k, d = ctx.k, ctx.d
     zero = ctx.zero
     one = (1,) + (0,) * (k - 1)
@@ -427,44 +404,43 @@ def co_leaf(ctx: DomContext, name: str, weight: int) -> dict:
             cell2 = WPSet(2, ctx.spec.direction)
             cell2.add(lone, weight, wit_in)
             cells[(zero, prom, one, one)] = cell2
-    if ctx.future_prune:
+    if fut is not None:
         cells = {key: cell for key, cell in cells.items()
-                 if not _prune_violates(ctx, key[0], key[1], key[2], key[3])}
+                 if all(_prune_slot_ok(ctx, *slot) for slot in zip(*key, fut))}
     for cell in cells.values():
         ctx.stats.observe_cell(len(cell))
     return cells
 
 
-def _prune_violates(ctx: DomContext, counts, prom, side_counts, side_prom) -> bool:
-    # With exact promises, a class promised fewer than d dominating-side
-    # neighbors has its connected-side promise forced by the number of
-    # cross edges the expression still adds to it.  Wildcard promise slots
-    # (count 0 under rho = N) carry no information and are never forced.
-    cvec = ctx._cvec
-    d = ctx.d
-    rho_wild = ctx.rho_wild
-    for s in range(ctx.k):
-        if side_counts[s] and prom[s] < d and (counts[s] or not rho_wild):
-            want = 1 if prom[s] < cvec[s] else 0
-            if side_prom[s] != want:
-                return True
-    return False
-
-
 def _prune_slot_ok(ctx: DomContext, count_s: int, prom_s: int, side_s: int,
-                   sprom_s: int, c_s: int) -> bool:
+                   sprom_s: int, fut_s: int) -> bool:
+    """The co future filter, on one label slot of a state.
+
+    The class's vertices still gain ``fut_s`` neighbours
+    (:func:`~cwsolve.cwexpr.future_degrees`), and every one of them lies on
+    the dominating or the connected side.  A promise below d is exact, so when
+    it is meaningful (not a wildcard 0 under rho = N) exactly
+    ``fut_s - prom_s`` of them join the connected side, which forces the
+    class's connected-side promise to ``min(1, fut_s - prom_s)``.  A state
+    that breaks this expects neighbours the expression never adds, or forbids
+    ones it must add, so no root state extends it and dropping it keeps every
+    optimum.
+
+    Add and relabel nodes check only the slots they change: their input
+    table passed this check at the child, whose future degrees agree with
+    the node's on every other slot.
+    """
     if side_s and prom_s < ctx.d and (count_s or not ctx.rho_wild):
-        return sprom_s == (1 if prom_s < c_s else 0)
+        return sprom_s == (1 if prom_s < fut_s else 0)
     return True
 
 
-def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
+def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
+           fut) -> dict:
     ii, jj = i - 1, j - 1
     pi, pj = present >> i & 1, present >> j & 1
     inv, inv1, k = ctx.inv, ctx.inv1, ctx.k
     edge = ctx.edge_cell(i, j)
-    prune = ctx.future_prune
-    cvec = ctx._cvec if prune else None
     rho_wild = ctx.rho_wild
     observe = ctx.stats.observe_cell
     out: dict = {}
@@ -480,21 +456,15 @@ def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
             if s != ii and s != jj and side[s] and child_sprom[s]:
                 rest_active = True
                 break
-        if prune:
-            rest_ok = all(_prune_slot_ok(ctx, counts[s], child_prom[s], side[s],
-                                         child_sprom[s], cvec[s])
-                          for s in range(k) if s != ii and s != jj)
-            if not rest_ok:
-                continue
         both = bi and bj
         flat = None
         surgeries: dict[int, WPSet] = {}
         prom_list = list(child_prom)
         sprom_list = list(child_sprom)
         for rpi, rpj, bpi, bpj in product(cands_i, cands_j, cands_bi, cands_bj):
-            if prune and not (
-                    _prune_slot_ok(ctx, ri, rpi, bi, bpi, cvec[ii])
-                    and _prune_slot_ok(ctx, rj, rpj, bj, bpj, cvec[jj])):
+            if fut is not None and not (
+                    _prune_slot_ok(ctx, ri, rpi, bi, bpi, fut[ii])
+                    and _prune_slot_ok(ctx, rj, rpj, bj, bpj, fut[jj])):
                 continue
             if rest_active or (bi and bpi) or (bj and bpj):
                 if not both:
@@ -513,7 +483,7 @@ def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
                 res = flat
             if res.entries:
                 if ctx.use_reduce:
-                    assert len(res) <= 1 << (k - 1)
+                    check_size(res, ctx.bound)
                 prom_list[ii] = rpi
                 prom_list[jj] = rpj
                 sprom_list[ii] = bpi
@@ -523,15 +493,14 @@ def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
     return out
 
 
-def co_ren(ctx: DomContext, table: dict, present: int, i: int, j: int
-           ) -> tuple[dict, int]:
+def co_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
+           fut) -> dict:
     if not present >> i & 1:
-        return table, present
+        return table
     ii, jj = i - 1, j - 1
     pj = present >> j & 1
     d, rho_wild = ctx.d, ctx.rho_wild
     edge = ctx.edge_cell(i, j)
-    prune = ctx.future_prune
     acc: dict = {}
     for (counts, prom, side, sprom), cell in table.items():
         real_i = counts[ii] or not rho_wild
@@ -551,14 +520,15 @@ def co_ren(ctx: DomContext, table: dict, present: int, i: int, j: int
                _patch2(prom, ii, 0, jj, v),
                _patch2(side, ii, 0, jj, b2),
                _patch2(sprom, ii, 0, jj, vb))
-        if prune and _prune_violates(ctx, key[0], key[1], key[2], key[3]):
+        if fut is not None and not _prune_slot_ok(ctx, cj, v, b2, vb, fut[jj]):
             continue
         if b2 and vb:
             moved = proj(join_sets(cell, edge), 1 << i)
         else:
             moved = cell
-        _contrib(acc, key, moved)
-    return ctx.finalize(acc, {}), (present & ~(1 << i)) | (1 << j)
+        contrib(acc, key, moved)
+    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
+                       ctx.stats)
 
 
 def _bits(values: tuple[int, ...]) -> int:
@@ -570,9 +540,8 @@ def _bits(values: tuple[int, ...]) -> int:
 
 
 def co_union(ctx: DomContext, table_a: dict, pres_a: int,
-             table_b: dict, pres_b: int) -> tuple[dict, int]:
+             table_b: dict, pres_b: int, fut) -> dict:
     k, d = ctx.k, ctx.d
-    prune = ctx.future_prune
     side_entries = []
     for key_b, cell_b in table_b.items():
         counts_b, prom_b, side_b, sprom_b = key_b
@@ -610,102 +579,76 @@ def co_union(ctx: DomContext, table_a: dict, pres_a: int,
             side = tuple(min(1, x + y) for x, y in zip(side_a, side_b))
             sprom = tuple(x if sa else y
                           for sa, x, y in zip(side_a, sprom_a, sprom_b))
-            if prune and _prune_violates(ctx, counts, tuple(prom), side, sprom):
+            if fut is not None and not all(
+                    _prune_slot_ok(ctx, *slot)
+                    for slot in zip(counts, prom, side, sprom, fut)):
                 continue
             ck = (id(cell_a), id(cell_b))
             joined = join_cache.get(ck)
             if joined is None:
                 joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            _contrib(acc, (counts, tuple(prom), side, sprom), joined)
-    return ctx.finalize(acc, {}), pres_a | pres_b
+            contrib(acc, (counts, tuple(prom), side, sprom), joined)
+    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
+                       ctx.stats)
 
 
 # ---------------------------------------------------------------------------
 # Drivers.
 
-def _future_cross_degrees(expr: CwExpression) -> dict[int, tuple[int, ...]]:
-    """Per node: for each label, how many neighbors its class still gains."""
-    full = evaluate(expr)
-    adj_full = full.neighbors()
-    k = expr.k
-    results: dict[int, tuple] = {}
-    cvecs: dict[int, tuple[int, ...]] = {}
-    for node in iter_postorder(expr.root):
-        if isinstance(node, Introduce):
-            classes, adj = {1: {node.name}}, {node.name: set()}
-        elif isinstance(node, Relabel):
-            classes, adj = results.pop(id(node.child))
-            moving = classes.pop(node.i, set())
-            if moving:
-                classes.setdefault(node.j, set()).update(moving)
-        elif isinstance(node, AddEdges):
-            classes, adj = results.pop(id(node.child))
-            for u in classes.get(node.i, ()):
-                for v in classes.get(node.j, ()):
-                    adj[u].add(v)
-                    adj[v].add(u)
-        else:
-            classes, adj = results.pop(id(node.left))
-            rc, radj = results.pop(id(node.right))
-            for lab, vs in rc.items():
-                classes.setdefault(lab, set()).update(vs)
-            adj.update(radj)
-        results[id(node)] = (classes, adj)
-        cvec = [0] * k
-        for lab, members in classes.items():
-            if not members:
-                continue
-            here = set().union(*(adj[u] for u in members)) - members
-            target = set().union(*(adj_full[u] for u in members)) - members
-            cvec[lab - 1] = len(target - here)
-        cvecs[id(node)] = tuple(cvec)
-    return cvecs
+def _drive(expr: CwExpression, ctx: DomContext) -> dict:
+    """Fold the plain or co transitions over the expression; the root table.
+
+    Each node's result is its table and the mask of its nonempty label
+    classes.  The co transitions also get the node's future degrees, which
+    switch their filter on; the unpruned reference path passes ``None`` and
+    never computes them.
+    """
+    ctx.stats.count_nodes(expr.root)
+    if ctx.spec.co:
+        leaf, add, ren, union = co_leaf, co_add, co_ren, co_union
+        fut = future_degrees(expr) if ctx.use_reduce else None
+
+        def tail(node) -> tuple:
+            return (None if fut is None else fut[id(node)],)
+    else:
+        leaf, add, ren, union = srd_leaf, srd_add, srd_ren, srd_union
+
+        def tail(node) -> tuple:
+            return ()
+
+    def on_ren(node, child):
+        table, present = child
+        table = ren(ctx, table, present, node.i, node.j, *tail(node))
+        if present >> node.i & 1:
+            present = present & ~(1 << node.i) | 1 << node.j
+        return table, present
+
+    table, _ = fold(
+        expr.root,
+        lambda node: (leaf(ctx, node.name, node.weight, *tail(node)), 2),
+        on_ren,
+        lambda node, child: (add(ctx, *child, node.i, node.j, *tail(node)),
+                             child[1]),
+        lambda node, a, b: (union(ctx, *a, *b, *tail(node)), a[1] | b[1]))
+    return table
 
 
-def _drive(expr: CwExpression, ctx: DomContext, leaf, add, ren, union):
+def _check_irredundant(expr: CwExpression) -> None:
     if check_irredundant(expr):
         raise NotIrredundantError(
             "domination solvers require an irredundant expression")
-    states: dict[int, tuple[dict, int]] = {}
-    for node in iter_postorder(expr.root):
-        if ctx.future_prune:
-            ctx._cvec = ctx._cvecs[id(node)]
-        if isinstance(node, Introduce):
-            state = (leaf(ctx, node.name, node.weight), 2)
-            ctx.stats.observe_node("introduce")
-        elif isinstance(node, AddEdges):
-            table, present = states.pop(id(node.child))
-            state = (add(ctx, table, present, node.i, node.j), present)
-            ctx.stats.observe_node("add")
-        elif isinstance(node, Relabel):
-            table, present = states.pop(id(node.child))
-            state = ren(ctx, table, present, node.i, node.j)
-            ctx.stats.observe_node("relabel")
-        else:
-            ta, pa = states.pop(id(node.left))
-            tb, pb = states.pop(id(node.right))
-            state = union(ctx, ta, pa, tb, pb)
-            ctx.stats.observe_node("union")
-        states[id(node)] = state
-    return states[id(expr.root)][0]
 
 
 def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
-                              with_witness: bool = False, use_reduce: bool = True,
-                              future_prune: bool = False) -> DomResult:
+                              with_witness: bool = False,
+                              use_reduce: bool = True) -> DomResult:
     """Optimum weight of a connected (co-)(sigma, rho)-dominating set."""
     started = time.perf_counter()
     validate(expr)
+    _check_irredundant(expr)
     ctx = DomContext(spec, expr.k, use_reduce=use_reduce,
-                     with_witness=with_witness,
-                     future_prune=future_prune and spec.co)
-    if ctx.future_prune:
-        ctx._cvecs = _future_cross_degrees(expr)
-    if spec.co:
-        table = _drive(expr, ctx, co_leaf, co_add, co_ren, co_union)
-    else:
-        table = _drive(expr, ctx, srd_leaf, srd_add, srd_ren, srd_union)
-    result = _extract(table, ctx, co=spec.co)
+                     with_witness=with_witness)
+    result = _extract(_drive(expr, ctx), ctx, co=spec.co)
     result.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return result
 
@@ -715,6 +658,7 @@ def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
     """Minimum-weight connected vertex superset of the terminal set."""
     started = time.perf_counter()
     validate(expr)
+    _check_irredundant(expr)
     terms = frozenset(terminals)
     if not terms:
         raise ValueError("steiner needs at least one terminal")
@@ -733,20 +677,9 @@ def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
     spec = SigmaRhoSpec(POSITIVES, NATURALS, MIN)
     ctx = DomContext(spec, expr.k, use_reduce=use_reduce,
                      with_witness=with_witness, terminals=terms, stats=stats)
-    table = _drive(expr, ctx, srd_leaf, srd_add, srd_ren, srd_union)
-    result = _extract(table, ctx, co=False)
+    result = _extract(_drive(expr, ctx), ctx, co=False)
     result.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return result
-
-
-def solve_co_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
-                       with_witness: bool = False, use_reduce: bool = True,
-                       future_prune: bool = False) -> DomResult:
-    if not spec.co:
-        raise ValueError("spec is not a co variant")
-    return solve_connected_sigma_rho(expr, spec, with_witness=with_witness,
-                                     use_reduce=use_reduce,
-                                     future_prune=future_prune)
 
 
 def _extract(table: dict, ctx: DomContext, co: bool) -> DomResult:

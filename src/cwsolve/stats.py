@@ -5,6 +5,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .cwexpr import AddEdges, Introduce, Node, Relabel, iter_preorder
+
+_KIND_NAMES = {Introduce: "introduce", Relabel: "relabel", AddEdges: "add"}
+
 
 @dataclass
 class SolveStats:
@@ -14,9 +18,11 @@ class SolveStats:
     elapsed_ms: float = 0.0
     node_kinds: Counter = field(default_factory=Counter)
 
-    def observe_node(self, kind: str) -> None:
-        self.dp_nodes += 1
-        self.node_kinds[kind] += 1
+    def count_nodes(self, root: Node) -> None:
+        """Node counts by kind: the DP builds one table per expression node."""
+        self.node_kinds.update(_KIND_NAMES.get(type(node), "union")
+                               for node in iter_preorder(root))
+        self.dp_nodes = self.node_kinds.total()
 
     def observe_cell(self, size: int) -> None:
         if size > self.max_cell_entries:

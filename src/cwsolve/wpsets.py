@@ -30,6 +30,17 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+class InvariantError(RuntimeError):
+    """A guaranteed invariant failed: a bug in the program, not bad input."""
+
+
+def check_size(cell: WPSet, bound: int) -> WPSet:
+    if len(cell.entries) > bound:
+        raise InvariantError(
+            f"cell holds {len(cell.entries)} entries, above its bound {bound}")
+    return cell
+
+
 def _witness_key(w: Witness) -> tuple:
     return tuple(sorted(w))
 
@@ -294,8 +305,7 @@ def reduce(a: WPSet) -> WPSet:
     for i, (p, entry) in enumerate(items):
         if i in keep:
             out.entries[p] = entry
-    assert len(out.entries) <= 1 << (n - 1)
-    return out
+    return check_size(out, 1 << (n - 1))
 
 
 def ac_reduce(a: WPSet) -> WPSet:
@@ -326,5 +336,34 @@ def ac_reduce(a: WPSet) -> WPSet:
     for i, (p, entry) in enumerate(items):
         if i in keep:
             out.entries[p] = entry
-    assert len(out.entries) <= n << (n - 1)
+    return check_size(out, n << (n - 1))
+
+
+def contrib(acc: dict, key, cell: WPSet) -> None:
+    """Collect a nonempty cell for ``key``; :func:`merge_cells` combines them."""
+    if cell.entries:
+        acc.setdefault(key, []).append(cell)
+
+
+def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
+    """The table of an accumulator: merge each key's cells and reduce them.
+
+    ``reducer`` (``reduce`` or ``ac_reduce``) shrinks every merged cell, which
+    must then hold at most ``bound`` entries; ``None`` keeps every entry and
+    checks no bound, for the unpruned reference path.
+    """
+    out = {}
+    for key, cells in acc.items():
+        merged = cells[0]
+        if len(cells) > 1:
+            merged = merged.copy()
+            for extra in cells[1:]:
+                merged.update(extra)
+        if reducer is not None:
+            if len(merged) > 1:
+                merged = reducer(merged)
+                stats.reduce_calls += 1
+            check_size(merged, bound)
+        out[key] = merged
+        stats.observe_cell(len(merged))
     return out

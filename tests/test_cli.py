@@ -108,6 +108,13 @@ class TestSolve:
         path.write_text("cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))\n")
         assert cli.run(["solve", "--problem", "fvs", "--expr", str(path)]) == 3
 
+    @pytest.mark.parametrize("terminals", ["a", "a,b"])
+    def test_steiner_not_irredundant_is_exit_3(self, tmp_path, terminals):
+        path = tmp_path / "bad.cw"
+        path.write_text("cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))\n")
+        assert cli.run(["solve", "--problem", "steiner", "--expr", str(path),
+                        "--terminals", terminals]) == 3
+
     def test_parse_error_is_exit_2(self, tmp_path):
         path = tmp_path / "broken.cw"
         path.write_text("cwexpr k=1\n(v a\n")

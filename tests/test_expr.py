@@ -7,9 +7,9 @@ from cwsolve import (ExpressionError, PartiallyRedundantError,
                      parse_expression, parse_graph, serialize,
                      serialize_graph, strip_redundant_adds)
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel, Union,
-                            iter_preorder)
+                            future_degrees, iter_preorder)
 
-from conftest import random_graph
+from conftest import random_expression, random_graph
 
 K3_TEXT = """cwexpr k=2
 (add 1 2 (u (ren 2 1 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))
@@ -220,3 +220,35 @@ class TestGraphFiles:
             parse_graph("v a\ne a a\n")
         with pytest.raises(ExpressionError):
             parse_graph("e a b\n")
+
+
+def _gained_neighbours(expr: CwExpression) -> dict[tuple[int, int], int]:
+    """Per (node id, label) of a nonempty class, by evaluating every subtree:
+    how many neighbours the class gains between the node and the root."""
+    final = evaluate(expr).neighbors()
+    out = {}
+    for node in iter_preorder(expr.root):
+        sub = evaluate(CwExpression(expr.k, node))
+        here = sub.neighbors()
+        for lab in set(sub.labels.values()):
+            members = {v for v, lbl in sub.labels.items() if lbl == lab}
+            before = set().union(*(here[v] for v in members))
+            after = set().union(*(final[v] for v in members))
+            out[id(node), lab] = len(after - before - members)
+    return out
+
+
+def test_future_degrees_match_evaluated_neighbour_counts():
+    rng = random.Random(4242)
+    exprs = [random_expression(rng, rng.randint(1, 9), k)
+             for k in range(2, 6) for _ in range(15)]
+    exprs += [naive_expression(random_graph(rng.randint(1, 7), rng))
+              for _ in range(15)]
+    exprs += [fixture(kind, n, seed=n)
+              for kind in ("clique", "path", "cycle", "star", "random-cograph")
+              for n in range(1, 8)]
+    for expr in exprs:
+        assert check_irredundant(expr) == []
+        fut = future_degrees(expr)
+        for (node_id, lab), gained in _gained_neighbours(expr).items():
+            assert fut[node_id][lab - 1] == gained, serialize(expr)

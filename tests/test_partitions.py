@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwsolve.partitions import (Partition, PartitionError, acyclic,
-                                canonicalize, iter_partitions, merge_blocks)
+                                iter_partitions, merge_blocks)
 
 from conftest import random_partition
 
@@ -13,7 +13,7 @@ from conftest import random_partition
 def P(*blocks, ground=None):
     if ground is None:
         ground = [e for blk in blocks for e in blk]
-    return canonicalize(blocks, ground)
+    return Partition.from_blocks(blocks, ground)
 
 
 class TestCanonicalize:
@@ -25,16 +25,16 @@ class TestCanonicalize:
         assert P({1, 2}, {3}) == P({3}, {1, 2})
 
     def test_empty_ground_set(self):
-        p = canonicalize([], [])
+        p = Partition.from_blocks([], [])
         assert p.blocks == () and p.ground == 0
 
     def test_rejects_overlap_outside_and_uncovered(self):
         with pytest.raises(PartitionError):
-            canonicalize([{1, 2}, {2, 3}], [1, 2, 3])
+            Partition.from_blocks([{1, 2}, {2, 3}], [1, 2, 3])
         with pytest.raises(PartitionError):
-            canonicalize([{1, 4}], [1, 2])
+            Partition.from_blocks([{1, 4}], [1, 2])
         with pytest.raises(PartitionError):
-            canonicalize([{1}], [1, 2])
+            Partition.from_blocks([{1}], [1, 2])
 
 
 class TestJoin:
@@ -69,7 +69,7 @@ class TestRestrictExtend:
 
     def test_extend_adds_singletons(self):
         assert P({1, 2}).extend([3]) == P({1, 2}, {3})
-        assert canonicalize([], []).extend([1, 2]) == P({1}, {2})
+        assert Partition.from_blocks([], []).extend([1, 2]) == P({1}, {2})
 
     def test_extend_nothing_is_identity(self):
         p = P({1, 2})

@@ -10,7 +10,7 @@ from cwsolve.partitions import Partition
 from cwsolve.sigma_rho import (EMPTY_PARTITION, DomContext, MuSet, MuSetError,
                                NATURALS, POSITIVES, SigmaRhoSpec, d_of,
                                mu_contains_truncated, parse_mu, preset_spec,
-                               solve_co_sigma_rho, solve_connected_sigma_rho,
+                               solve_connected_sigma_rho,
                                solve_steiner, srd_add, srd_leaf, srd_ren,
                                srd_union)
 from cwsolve.wpsets import MAX, MIN, POS_INF
@@ -99,14 +99,12 @@ class TestRenTable:
     def test_empty_class_is_identity(self):
         ctx = ctx_for("cds", 2)
         table = srd_leaf(ctx, "x", 4)
-        out, present = srd_ren(ctx, table, 0b010, 2, 1)
-        assert out is table and present == 0b010
+        assert srd_ren(ctx, table, 0b010, 2, 1) is table
 
     def test_merge_keys_and_promises(self):
         ctx = ctx_for("cds", 2)
         table = srd_leaf(ctx, "x", 4)
-        out, present = srd_ren(ctx, table, 0b010, 1, 2)
-        assert present == 0b100
+        out = srd_ren(ctx, table, 0b010, 1, 2)
         assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: 4}
         assert cell_weights(out, ((0, 1), (0, 1))) == {Partition(4, (4,)): 4}
 
@@ -114,9 +112,9 @@ class TestRenTable:
         # two vertices relabeled into one class: target counts reflect the sum
         ctx = ctx_for("cds", 2)
         ta = srd_leaf(ctx, "x", 1)
-        tb, pb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
-        tu, pu = srd_union(ctx, ta, 0b010, tb, pb)
-        out, _ = srd_ren(ctx, tu, pu, 2, 1)
+        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        tu = srd_union(ctx, ta, 0b010, tb, 0b100)
+        out = srd_ren(ctx, tu, 0b110, 2, 1)
         # d = 1: the merged class count saturates at 1
         assert any(key[0] == (1, 0) for key in out)
         assert all(key[0][1] == 0 for key in out)
@@ -125,8 +123,8 @@ class TestRenTable:
 class TestAddTable:
     def _p2_table(self, ctx):
         ta = srd_leaf(ctx, "x", 1)
-        tb, pb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
-        return srd_union(ctx, ta, 0b010, tb, pb)
+        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        return srd_union(ctx, ta, 0b010, tb, 0b100), 0b110
 
     def test_copy_when_one_class_unoccupied(self):
         ctx = ctx_for("cds", 2)
@@ -157,7 +155,7 @@ class TestUnionTable:
         ctx = ctx_for("ctds", 1)
         ta = srd_leaf(ctx, "x", 1)
         tb = srd_leaf(ctx, "y", 1)
-        out, _ = srd_union(ctx, ta, 0b010, tb, 0b010)
+        out = srd_union(ctx, ta, 0b010, tb, 0b010)
         key = ((1,), (1,))
         assert cell_weights(out, key)[Partition(2, (2,))] == 1  # min weight of the three
 
@@ -167,7 +165,7 @@ class TestUnionTable:
         ctx = ctx_for("cds", 1)
         ta = srd_leaf(ctx, "x", 1)
         tb = srd_leaf(ctx, "y", 1)
-        out, _ = srd_union(ctx, ta, 0b010, tb, 0b010)
+        out = srd_union(ctx, ta, 0b010, tb, 0b010)
         assert ((1,), (0,)) not in out
 
     def test_rho_naturals_enables_promise_wildcards(self):
@@ -189,10 +187,11 @@ class TestSolvers:
         assert solve_connected_sigma_rho(expr, preset_spec("ctds")).optimum == 3
 
     def test_cvc_examples(self):
-        assert solve_co_sigma_rho(parse_expression("cwexpr k=1\n(v x 9)"),
-                                  preset_spec("cvc")).optimum == 0
-        assert solve_co_sigma_rho(fixture("clique", 3), preset_spec("cvc")).optimum == 2
-        assert solve_co_sigma_rho(fixture("path", 4), preset_spec("cvc")).optimum == 2
+        cvc = preset_spec("cvc")
+        assert solve_connected_sigma_rho(parse_expression("cwexpr k=1\n(v x 9)"),
+                                         cvc).optimum == 0
+        assert solve_connected_sigma_rho(fixture("clique", 3), cvc).optimum == 2
+        assert solve_connected_sigma_rho(fixture("path", 4), cvc).optimum == 2
 
     def test_steiner_examples(self):
         path = fixture("path", 4)  # v1 - v2 - v3 - v4
@@ -274,15 +273,31 @@ class TestAgainstOracle:
                     assert solve_connected_sigma_rho(expr, spec).optimum == \
                         brute_sigma_rho(g, spec)[0], (name, kind, n)
 
-    def test_future_prune_differential(self):
+    def test_future_filter_differential(self):
+        # the default path filters co states by future degree; the
+        # reference path neither reduces nor filters
         rng = random.Random(802)
         spec = preset_spec("cvc")
         for _ in range(25):
             g = random_graph(rng.randint(1, 6), rng)
             expr = naive_expression(g)
-            plain = solve_co_sigma_rho(expr, spec)
-            pruned = solve_co_sigma_rho(expr, spec, future_prune=True)
-            assert plain.optimum == pruned.optimum
+            reference = solve_connected_sigma_rho(expr, spec, use_reduce=False)
+            filtered = solve_connected_sigma_rho(expr, spec)
+            assert filtered.optimum == reference.optimum
+
+
+def test_reference_path_never_computes_future_degrees(monkeypatch):
+    import cwsolve.sigma_rho
+
+    def refuse(expr):
+        raise RuntimeError("future degrees computed")
+
+    monkeypatch.setattr(cwsolve.sigma_rho, "future_degrees", refuse)
+    expr = fixture("cycle", 6)
+    res = solve_connected_sigma_rho(expr, preset_spec("cvc"), use_reduce=False)
+    assert res.optimum == brute_sigma_rho(evaluate(expr), preset_spec("cvc"))[0]
+    with pytest.raises(RuntimeError, match="future degrees"):
+        solve_connected_sigma_rho(expr, preset_spec("cvc"))
 
 
 def test_universal_zero_weight_vertex_never_hurts_cds():

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import cwsolve
+
 from cwsolve.oracle import check_representative
-from cwsolve.partitions import Partition, canonicalize, iter_partitions
+from cwsolve.partitions import Partition, iter_partitions
 from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, ac_reduce,
                             acjoin, cut_row, join_sets, max_weight_basis,
                             proj, query_opt, rmc)
@@ -15,7 +20,7 @@ from conftest import random_partition, random_wpset
 def P(*blocks, ground=None):
     if ground is None:
         ground = [e for blk in blocks for e in blk]
-    return canonicalize(blocks, ground)
+    return Partition.from_blocks(blocks, ground)
 
 
 class TestRmc:
@@ -256,3 +261,27 @@ class TestPreservationSmoke:
             merged_small = small.copy()
             merged_small.update(b)
             assert check_representative(merged_full, merged_small, "acyclic")
+
+
+def test_cell_bound_is_checked_under_python_O():
+    # a reducer that keeps a cell above its bound must still be caught when
+    # -O strips assert statements
+    script = """
+from cwsolve.partitions import Partition
+from cwsolve.stats import SolveStats
+from cwsolve.wpsets import InvariantError, WPSet, contrib, merge_cells
+cell = WPSet(0b110)
+cell.add(Partition(0b110, (0b110,)), 1)
+cell.add(Partition(0b110, (0b010, 0b100)), 2)
+acc = {}
+contrib(acc, "state", cell)
+try:
+    merge_cells(acc, lambda c: c, 1, SolveStats())
+except InvariantError:
+    print(__debug__, "raised")
+"""
+    src = os.path.dirname(os.path.dirname(cwsolve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False", "raised"], out.stderr
