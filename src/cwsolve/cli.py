@@ -122,26 +122,27 @@ def _report(problem: str, optimum, witness, stats, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _cmd_solve(args) -> int:
+def _solve(args, with_witness: bool) -> tuple:
+    """Solve ``args.problem`` on ``args.expr``: (optimum, witness, stats)."""
     expr = cwexpr.parse_expression(_read(args.expr))
     use_reduce = not args.no_reduce
-    name = args.problem
-    if name in ("mif", "fvs"):
-        res = solve_fvs(expr, with_witness=args.witness, use_reduce=use_reduce)
-        if name == "fvs":
-            _report("fvs", res.fvs_weight, res.witness, res.stats, args.json)
-        else:
-            _report("mif", res.forest_weight, res.forest_witness, res.stats, args.json)
-        return 0
-    if name == "steiner":
+    if args.problem in ("mif", "fvs"):
+        res = solve_fvs(expr, with_witness=with_witness, use_reduce=use_reduce)
+        if args.problem == "fvs":
+            return res.fvs_weight, res.witness, res.stats
+        return res.forest_weight, res.forest_witness, res.stats
+    if args.problem == "steiner":
         res = sigma_rho.solve_steiner(expr, _terminal_list(args),
-                                      with_witness=args.witness,
+                                      with_witness=with_witness,
                                       use_reduce=use_reduce)
     else:
-        spec = _spec_for(args)
         res = sigma_rho.solve_connected_sigma_rho(
-            expr, spec, with_witness=args.witness, use_reduce=use_reduce)
-    _report(name, res.optimum, res.witness, res.stats, args.json)
+            expr, _spec_for(args), with_witness=with_witness, use_reduce=use_reduce)
+    return res.optimum, res.witness, res.stats
+
+
+def _cmd_solve(args) -> int:
+    _report(args.problem, *_solve(args, args.witness), args.json)
     return 0
 
 
@@ -198,20 +199,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    expr = cwexpr.parse_expression(_read(args.expr))
-    use_reduce = not args.no_reduce
-    name = args.problem
-    if name in ("mif", "fvs"):
-        res = solve_fvs(expr, use_reduce=use_reduce)
-        stats = res.stats
-    elif name == "steiner":
-        stats = sigma_rho.solve_steiner(expr, _terminal_list(args),
-                                        use_reduce=use_reduce).stats
-    else:
-        stats = sigma_rho.solve_connected_sigma_rho(
-            expr, _spec_for(args), use_reduce=use_reduce).stats
+    _, _, stats = _solve(args, with_witness=False)
     print("metric,value")
-    print(f"problem,{name}")
+    print(f"problem,{args.problem}")
     for kind in ("introduce", "relabel", "add", "union"):
         print(f"nodes_{kind},{stats.node_kinds.get(kind, 0)}")
     for key, value in stats.as_dict().items():

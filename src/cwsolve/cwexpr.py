@@ -389,6 +389,12 @@ def evaluate(expr: CwExpression) -> LabeledGraph:
     return LabeledGraph(weights=weights, edges=edges, labels=labels)
 
 
+def vertex_weights(expr: CwExpression) -> dict[str, int]:
+    """Vertex name -> weight, read off the Introduce leaves in one pass."""
+    return {node.name: node.weight for node in iter_preorder(expr.root)
+            if isinstance(node, Introduce)}
+
+
 @dataclass(frozen=True)
 class RedundancyIssue:
     node_index: int  # preorder position of the offending AddEdges node

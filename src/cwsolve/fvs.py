@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     evaluate, fold, validate)
+                     fold, vertex_weights)
 from .partitions import Partition
 from .stats import SolveStats
 from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
@@ -220,7 +220,6 @@ def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
 def solve_fvs(expr: CwExpression, with_witness: bool = False,
               use_reduce: bool = True) -> FvsResult:
     started = time.perf_counter()
-    validate(expr)
     if check_irredundant(expr):
         raise NotIrredundantError(
             "feedback vertex set requires an irredundant expression")
@@ -245,8 +244,8 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
         entry = cell.entries.get(Partition(ground, (ground,)))
         if entry is not None and entry[0] > best_w:
             best_w, best_wit = entry
-    graph = evaluate(expr)
-    total = graph.total_weight()
+    weights = vertex_weights(expr)
+    total = sum(weights.values())
     if best_w < 0:
         raise InvariantError("no root entry, yet the empty forest is always one")
     forest = best_w
@@ -254,7 +253,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     forest_witness = None
     if with_witness and best_wit is not None:
         forest_witness = tuple(sorted(best_wit))
-        witness = tuple(sorted(set(graph.weights) - best_wit))
+        witness = tuple(sorted(set(weights) - best_wit))
     stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return FvsResult(forest_weight=forest, fvs_weight=total - forest,
                      witness=witness, forest_witness=forest_witness, stats=stats)

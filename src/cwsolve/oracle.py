@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .cwexpr import LabeledGraph
 from .partitions import iter_partitions
-from .wpsets import MAX, NEG_INF, POS_INF, WPSet, query_opt
+from .wpsets import MAX, NEG_INF, POS_INF, InvariantError, WPSet, query_opt
 
 SUBSET_LIMIT = 20
 
@@ -76,7 +76,8 @@ def brute_min_fvs(graph: LabeledGraph) -> tuple[int, tuple[str, ...]]:
         cand = tuple(removed)
         if w < best_w or (w == best_w and (best is None or cand < best)):
             best_w, best = w, cand
-    assert best is not None  # removing everything always works
+    if best is None:
+        raise InvariantError("no removal set leaves a forest, yet removing all does")
     return int(best_w), best
 
 
@@ -93,7 +94,8 @@ def brute_max_forest(graph: LabeledGraph) -> tuple[int, tuple[str, ...]]:
         cand = tuple(kept)
         if w > best_w or (w == best_w and (best is None or cand < best)):
             best_w, best = w, cand
-    assert best is not None
+    if best is None:
+        raise InvariantError("no vertex set induces a forest, yet the empty set does")
     return best_w, best
 
 

@@ -1,36 +1,32 @@
 """Optimum connected (co-)(sigma, rho)-dominating sets over a k-expression.
 
-A set D (sigma, rho)-dominates the graph when every vertex inside D has a
-D-neighbor count in sigma and every vertex outside has one in rho.  The plain
-solver optimizes a connected dominating D; the co solver optimizes a connected
-X whose complement dominates; the Steiner solver is the plain machinery with
-sigma = N+, rho = N and terminal-forced leaves.
+A set S (sigma, rho)-dominates the graph when every vertex inside S has an
+S-neighbor count in sigma and every vertex outside has one in rho.  Every
+solver optimizes a set X that induces a connected graph.  Plain: X = S.  Co:
+X = V minus S.  Steiner: plain with sigma = N+, rho = N and the terminals in X.
 
-Tables are indexed by per-label-class count vectors, each truncated at
-``d = max(d(sigma), d(rho))``:
-
-* ``counts``   - solution vertices per class, capped at d;
-* ``promised`` - neighbors the class's vertices will still gain from future
-  adds, capped at d.  Membership tests stay exact under the cap because any
-  value at or above d behaves like every larger value.
-
-A cell holds weighted partitions over the *active* labels (count and promise
-both nonzero); blocks record which classes are already connected through the
-partial solution, counting a class's vertices as one node since they all share
-every future neighbor.  The co variant carries a second pair of vectors for
-the connected side, with counts capped at 1.  Promise entries for classes the
-connected side does not touch are stored as 0 and treated as wildcards.
+One engine runs all three.  A key holds one code per label class, for its state
+(c, p, b, q): ``c`` S vertices and ``p`` S-neighbors still promised by future
+adds, both capped at ``d = max(d(sigma), d(rho))`` (values from d up pass the
+same membership tests); ``b`` whether it holds X vertices and ``q`` whether
+they still gain an X-neighbor.  A promise nothing reads is a wildcard stored as
+0: q when b = 0, p without S vertices under rho = N.  A cell holds weighted
+partitions over the open labels (b = q = 1); blocks record which classes X
+already connects.  Only :class:`DomContext` knows the variant: the codes that
+exist (plain ties b = [c > 0] and q = b and [p > 0]), each leaf's (in S, in X)
+placements, and co's future filter.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from operator import getitem
 
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     evaluate, fold, future_degrees, validate)
+                     fold, future_degrees, vertex_weights)
 from .partitions import Partition
 from .stats import SolveStats
 from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
@@ -160,7 +156,7 @@ class DomResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared transition context.
+# Transition context: the variant's slot codes and per-slot relations.
 
 @dataclass
 class DomContext:
@@ -169,468 +165,248 @@ class DomContext:
     use_reduce: bool = True
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
-    stats: SolveStats = None  # type: ignore[assignment]
+    stats: SolveStats = field(default_factory=SolveStats)
 
     def __post_init__(self):
-        if self.stats is None:
-            self.stats = SolveStats()
-        d = self.spec.d
+        self.d = d = self.spec.d
         if d < 1:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
-        self.d = d
         self.bound = 1 << (self.k - 1)  # entries a reduced cell can hold
-        self.zero = (0,) * self.k
-        self.sigma_ok = tuple(x in self.spec.sigma for x in range(d + 1))
-        self.rho_ok = tuple(x in self.spec.rho for x in range(d + 1))
-        # With rho = N, a class holding no solution-side vertex never consults
-        # its promise (its vertices face only always-true membership tests and
-        # activity needs a nonzero count), so the promise is stored as a
-        # canonical 0 and treated as a wildcard, like absent classes.
         self.rho_wild = self.spec.rho == NATURALS
-        # inverse of s = min(d, x + c): preimages x for each (s, c)
-        self.inv = {(s, c): tuple(x for x in range(d + 1) if min(d, x + c) == s)
-                    for s in range(d + 1) for c in range(d + 1)}
-        self.inv1 = {(s, c): tuple(x for x in range(2) if min(1, x + c) == s)
-                     for s in range(2) for c in range(2)}
+        # The slot alphabet, (c, p, b, q) by code; code 0 is the empty slot.
+        # Wildcards are stored as 0; plain ties b and q to c and p.
+        self.slots = [(c, p, b, q) for c, p, b, q in
+                      product(range(d + 1), range(d + 1), (0, 1), (0, 1))
+                      if q <= b and not (self.rho_wild and p and not c)
+                      and (self.spec.co or (b == (c > 0) and q == (b and p > 0)))]
+        self.code = {slot: code for code, slot in enumerate(self.slots)}
+        self.has_x = tuple(b for _, _, b, _ in self.slots)
+        self.open = tuple(b & q for _, _, b, q in self.slots)
+        self.final = tuple(not p and not q for _, p, _, q in self.slots)
+        # A vertex lies in S and X as (0, 0) or (1, 1) for plain, (1, 0) or
+        # (0, 1) for co; a terminal lies in X.  Leaf codes by terminality:
+        placements = ((1, 0), (0, 1)) if self.spec.co else ((0, 0), (1, 1))
+        self.leaf_codes = {t: [self.code[s, p, x, q] for s, x in placements
+                               if x or not t for p in range(d + 1)
+                               if p in (self.spec.sigma if s else self.spec.rho)
+                               for q in range(x + 1) if (s, p, x, q) in self.code]
+                           for t in (False, True)}
+        self.future_filter = self.spec.co and self.use_reduce
+        self._rels: dict = {}
+
+    def code_of(self, slot: tuple, fut_s: int | None) -> int | None:
+        """The code of a slot state; None if it is not in the alphabet or,
+        given the slot's future degree, fails the future filter."""
+        keep = fut_s is None or _prune_slot_ok(self, slot, fut_s)
+        return self.code.get(slot) if keep else None
+
+    def rel(self, fn, *args) -> list[list]:
+        """``[a][b] -> fn(self, slot a, slot b, *args)`` for all codes, memoized."""
+        if (fn, args) not in self._rels:
+            self._rels[fn, args] = [[fn(self, a, b, *args) for b in self.slots]
+                                    for a in self.slots]
+        return self._rels[fn, args]
 
     def edge_cell(self, i: int, j: int) -> WPSet:
         mask = (1 << i) | (1 << j)
-        cell = WPSet(mask, self.spec.direction)
-        cell.add(Partition(mask, (mask,)), 0,
-                 frozenset() if self.with_witness else None)
-        return cell
-
-    def flatten(self, cell: WPSet) -> WPSet:
-        out = WPSet(0, self.spec.direction)
-        for _, (w, wit) in cell.entries.items():
-            out.add(EMPTY_PARTITION, w, wit)
-        return out
+        return WPSet.from_pairs([(Partition(mask, (mask,)), 0, frozenset()
+                                  if self.with_witness else None)],
+                                mask, self.spec.direction)
 
 
-def _patch2(t: tuple, a: int, va: int, b: int, vb: int) -> tuple:
-    out = list(t)
-    out[a] = va
-    out[b] = vb
-    return tuple(out)
+def _merge(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
+           fut_s: int | None) -> int | None:
+    """The code of one class made of two, or None if their promises disagree
+    where both are meaningful.  Union merges slot s of its two tables,
+    relabel i -> j slot i into slot j."""
+    c1, p1, b1, q1 = a
+    c2, p2, b2, q2 = b
+    real1 = pres_a and (c1 or not ctx.rho_wild)
+    real2 = pres_b and (c2 or not ctx.rho_wild)
+    if (real1 and real2 and p1 != p2) or (b1 and b2 and q1 != q2):
+        return None
+    p = p1 if real1 else (p2 if real2 else 0)
+    return ctx.code_of((min(ctx.d, c1 + c2), p, b1 | b2, q1 if b1 else q2), fut_s)
 
 
-# ---------------------------------------------------------------------------
-# Plain variant transitions.
+def _add_pairs(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
+               fut_a: int | None, fut_b: int | None) -> list[tuple[int, int]]:
+    """The code pairs two classes can hold right after an add joins them: each
+    gains the other's S and X vertices as neighbors, so what it promised below
+    the add is what remains plus what the add delivers."""
+    def remaining(slot, partner, present):
+        c, p, x, q = slot
+        return ([r for r in range(ctx.d + 1) if min(ctx.d, r + partner[0]) == p]
+                if present and (c or not ctx.rho_wild) else [0],
+                [r for r in (0, 1) if min(1, r + partner[2]) == q] if x else [0])
 
-def srd_leaf(ctx: DomContext, name: str, weight: int) -> dict:
-    k, d = ctx.k, ctx.d
-    cells = {}
-    zero = ctx.zero
-    one = (1,) + (0,) * (k - 1)
-    wit_out = frozenset() if ctx.with_witness else None
-    wit_in = frozenset({name}) if ctx.with_witness else None
-    terminal = name in ctx.terminals
-    lone = Partition(2, (2,))
-    out_promises = (0,) if ctx.rho_wild else range(d + 1)
-    if not terminal:
-        for rp in out_promises:
-            if ctx.rho_ok[rp]:
-                cell = WPSet(0, ctx.spec.direction)
-                cell.add(EMPTY_PARTITION, 0, wit_out)
-                cells[(zero, (rp,) + (0,) * (k - 1))] = cell
-    for rp in range(d + 1):
-        if ctx.sigma_ok[rp]:
-            if rp:
-                cell = WPSet(2, ctx.spec.direction)
-                cell.add(lone, weight, wit_in)
-            else:
-                cell = WPSet(0, ctx.spec.direction)
-                cell.add(EMPTY_PARTITION, weight, wit_in)
-            cells[(one, (rp,) + (0,) * (k - 1))] = cell
-    for cell in cells.values():
-        ctx.stats.observe_cell(len(cell))
-    return cells
+    (pas, qas), (pbs, qbs) = remaining(a, b, pres_a), remaining(b, a, pres_b)
+    pairs = [(ctx.code_of((a[0], pa, a[2], qa), fut_a),
+              ctx.code_of((b[0], pb, b[2], qb), fut_b))
+             for pa, pb, qa, qb in product(pas, pbs, qas, qbs)]
+    return [pair for pair in pairs if None not in pair]
 
 
-def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
-    ii, jj = i - 1, j - 1
-    pi, pj = present >> i & 1, present >> j & 1
-    inv, k = ctx.inv, ctx.k
-    edge = ctx.edge_cell(i, j)
-    observe = ctx.stats.observe_cell
-    out: dict = {}
-    rho_wild = ctx.rho_wild
-    for (counts, child_prom), cell in table.items():
-        ri, rj = counts[ii], counts[jj]
-        cands_i = inv[(child_prom[ii], rj)] if pi and (ri or not rho_wild) else (0,)
-        cands_j = inv[(child_prom[jj], ri)] if pj and (rj or not rho_wild) else (0,)
-        rest_active = False
-        for s in range(k):
-            if s != ii and s != jj and counts[s] and child_prom[s]:
-                rest_active = True
-                break
-        both = ri and rj
-        flat = None
-        surgeries: dict[int, WPSet] = {}
-        prom_list = list(child_prom)
-        for rpi in cands_i:
-            prom_list[ii] = rpi
-            for rpj in cands_j:
-                prom_list[jj] = rpj
-                if rest_active or (ri and rpi) or (rj and rpj):
-                    if not both:
-                        res = cell
-                    else:
-                        drop = ((1 << i if rpi == 0 else 0)
-                                | (1 << j if rpj == 0 else 0))
-                        res = surgeries.get(drop)
-                        if res is None:
-                            res = join_sets(cell, edge)
-                            if drop:
-                                res = proj(res, drop)
-                            surgeries[drop] = res
-                else:
-                    if flat is None:
-                        flat = ctx.flatten(cell)
-                    res = flat
-                if res.entries:
-                    if ctx.use_reduce:
-                        check_size(res, ctx.bound)
-                    out[(counts, tuple(prom_list))] = res
-                    observe(len(res))
-    return out
-
-
-def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int) -> dict:
-    if not present >> i & 1:
-        return table
-    ii, jj = i - 1, j - 1
-    pj = present >> j & 1
-    d, rho_wild = ctx.d, ctx.rho_wild
-    edge = ctx.edge_cell(i, j)
-    acc: dict = {}
-    for (counts, prom), cell in table.items():
-        # The two classes merge, so their promises must agree wherever both
-        # are meaningful (wildcard slots carry a canonical 0).
-        real_i = counts[ii] or not rho_wild
-        real_j = pj and (counts[jj] or not rho_wild)
-        if real_i and real_j and prom[ii] != prom[jj]:
-            continue
-        v = prom[ii] if real_i else (prom[jj] if real_j else 0)
-        cj = min(d, counts[ii] + counts[jj])
-        if rho_wild and not cj:
-            v = 0
-        key = (_patch2(counts, ii, 0, jj, cj), _patch2(prom, ii, 0, jj, v))
-        if cj and v:
-            moved = proj(join_sets(cell, edge), 1 << i)
-        else:
-            moved = cell
-        contrib(acc, key, moved)
-    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
-                       ctx.stats)
-
-
-def _real_slots(ctx: DomContext, counts: tuple, present: int) -> tuple[bool, ...]:
-    """Slots whose promise entry is meaningful rather than a canonical 0."""
-    if ctx.rho_wild:
-        return tuple(bool(present >> (s + 1) & 1 and counts[s])
-                     for s in range(ctx.k))
-    return tuple(bool(present >> (s + 1) & 1) for s in range(ctx.k))
-
-
-def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
-              table_b: dict, pres_b: int) -> dict:
-    k, d = ctx.k, ctx.d
-    side_b = []
-    for (counts_b, prom_b), cell_b in table_b.items():
-        side_b.append((counts_b, prom_b, cell_b,
-                       any(c and p for c, p in zip(counts_b, prom_b)),
-                       not any(counts_b),
-                       _real_slots(ctx, counts_b, pres_b)))
-    acc: dict = {}
-    join_cache: dict[tuple[int, int], WPSet] = {}
-    for (counts_a, prom_a), cell_a in table_a.items():
-        open_a = any(c and p for c, p in zip(counts_a, prom_a))
-        empty_a = not any(counts_a)
-        real_a = _real_slots(ctx, counts_a, pres_a)
-        for counts_b, prom_b, cell_b, open_b, empty_b, real_b in side_b:
-            # A nonempty side with no active class is a finished connected
-            # solution; it can never link up with the other side, so it may
-            # only pair with an empty one.
-            if not (empty_a or empty_b or (open_a and open_b)):
-                continue
-            # Promises must agree wherever both sides hold meaningful values.
-            ok = True
-            prom = []
-            for s in range(k):
-                ra, rb = real_a[s], real_b[s]
-                if ra:
-                    if rb and prom_a[s] != prom_b[s]:
-                        ok = False
-                        break
-                    prom.append(prom_a[s])
-                else:
-                    prom.append(prom_b[s] if rb else 0)
-            if not ok:
-                continue
-            counts = tuple(min(d, x + y) for x, y in zip(counts_a, counts_b))
-            ck = (id(cell_a), id(cell_b))
-            joined = join_cache.get(ck)
-            if joined is None:
-                joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            contrib(acc, (counts, tuple(prom)), joined)
-    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
-                       ctx.stats)
-
-
-# ---------------------------------------------------------------------------
-# Co variant transitions (connected side X, dominating side V minus X).
-
-def co_leaf(ctx: DomContext, name: str, weight: int, fut) -> dict:
-    k, d = ctx.k, ctx.d
-    zero = ctx.zero
-    one = (1,) + (0,) * (k - 1)
-    wit_out = frozenset() if ctx.with_witness else None
-    wit_in = frozenset({name}) if ctx.with_witness else None
-    lone = Partition(2, (2,))
-    cells = {}
-    for rp in range(d + 1):
-        if ctx.sigma_ok[rp]:
-            cell = WPSet(0, ctx.spec.direction)
-            cell.add(EMPTY_PARTITION, 0, wit_out)
-            cells[(one, (rp,) + (0,) * (k - 1), zero, zero)] = cell
-    out_promises = (0,) if ctx.rho_wild else range(d + 1)
-    for rp in out_promises:
-        if ctx.rho_ok[rp]:
-            prom = (rp,) + (0,) * (k - 1)
-            cell = WPSet(0, ctx.spec.direction)
-            cell.add(EMPTY_PARTITION, weight, wit_in)
-            cells[(zero, prom, one, zero)] = cell
-            cell2 = WPSet(2, ctx.spec.direction)
-            cell2.add(lone, weight, wit_in)
-            cells[(zero, prom, one, one)] = cell2
-    if fut is not None:
-        cells = {key: cell for key, cell in cells.items()
-                 if all(_prune_slot_ok(ctx, *slot) for slot in zip(*key, fut))}
-    for cell in cells.values():
-        ctx.stats.observe_cell(len(cell))
-    return cells
-
-
-def _prune_slot_ok(ctx: DomContext, count_s: int, prom_s: int, side_s: int,
-                   sprom_s: int, fut_s: int) -> bool:
+def _prune_slot_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
     """The co future filter, on one label slot of a state.
 
     The class's vertices still gain ``fut_s`` neighbours
-    (:func:`~cwsolve.cwexpr.future_degrees`), and every one of them lies on
-    the dominating or the connected side.  A promise below d is exact, so when
-    it is meaningful (not a wildcard 0 under rho = N) exactly
-    ``fut_s - prom_s`` of them join the connected side, which forces the
-    class's connected-side promise to ``min(1, fut_s - prom_s)``.  A state
-    that breaks this expects neighbours the expression never adds, or forbids
-    ones it must add, so no root state extends it and dropping it keeps every
-    optimum.
-
-    Add and relabel nodes check only the slots they change: their input
-    table passed this check at the child, whose future degrees agree with
-    the node's on every other slot.
+    (:func:`~cwsolve.cwexpr.future_degrees`), and co puts each in S or in X.  A
+    meaningful promise below d is exact, so exactly ``fut_s - p`` of them join
+    X, which forces the X promise to ``min(1, fut_s - p)``.  A state that
+    breaks this expects neighbours the expression never adds, or forbids ones
+    it must add, so no root state extends it and dropping it keeps every
+    optimum.  Nodes check only the slots they change: the rest passed at the
+    child, whose future degrees agree with the node's there.
     """
-    if side_s and prom_s < ctx.d and (count_s or not ctx.rho_wild):
-        return sprom_s == (1 if prom_s < fut_s else 0)
+    c, p, b, q = slot
+    if b and p < ctx.d and (c or not ctx.rho_wild):
+        return q == (1 if p < fut_s else 0)
     return True
 
 
-def co_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
-           fut) -> dict:
+# ---------------------------------------------------------------------------
+# Transitions.  ``fut`` is the node's future degree vector, capped at d, when
+# the future filter is on, else None.
+
+def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
+    wit_in = frozenset({name}) if ctx.with_witness else None
+    wit_out = frozenset() if ctx.with_witness else None
+    cells = {}
+    for code in ctx.leaf_codes[name in ctx.terminals]:
+        if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
+            continue
+        cell = WPSet(2 if ctx.open[code] else 0, ctx.spec.direction)
+        cell.add(Partition(2, (2,)) if ctx.open[code] else EMPTY_PARTITION,
+                 *((weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
+        cells[(code,) + (0,) * (ctx.k - 1)] = cell
+        ctx.stats.observe_cell(1)
+    return cells
+
+
+def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
+            fut=None) -> dict:
     ii, jj = i - 1, j - 1
-    pi, pj = present >> i & 1, present >> j & 1
-    inv, inv1, k = ctx.inv, ctx.inv1, ctx.k
+    rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
+                  fut and fut[ii], fut and fut[jj])
     edge = ctx.edge_cell(i, j)
-    rho_wild = ctx.rho_wild
-    observe = ctx.stats.observe_cell
+    is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
-    for (counts, child_prom, side, child_sprom), cell in table.items():
-        ri, rj = counts[ii], counts[jj]
-        bi, bj = side[ii], side[jj]
-        cands_i = inv[(child_prom[ii], rj)] if pi and (ri or not rho_wild) else (0,)
-        cands_j = inv[(child_prom[jj], ri)] if pj and (rj or not rho_wild) else (0,)
-        cands_bi = inv1[(child_sprom[ii], bj)] if bi else (0,)
-        cands_bj = inv1[(child_sprom[jj], bi)] if bj else (0,)
-        rest_active = False
-        for s in range(k):
-            if s != ii and s != jj and side[s] and child_sprom[s]:
-                rest_active = True
-                break
-        both = bi and bj
-        flat = None
-        surgeries: dict[int, WPSet] = {}
-        prom_list = list(child_prom)
-        sprom_list = list(child_sprom)
-        for rpi, rpj, bpi, bpj in product(cands_i, cands_j, cands_bi, cands_bj):
-            if fut is not None and not (
-                    _prune_slot_ok(ctx, ri, rpi, bi, bpi, fut[ii])
-                    and _prune_slot_ok(ctx, rj, rpj, bj, bpj, fut[jj])):
-                continue
-            if rest_active or (bi and bpi) or (bj and bpj):
-                if not both:
+    for key, cell in table.items():
+        ci, cj = key[ii], key[jj]
+        cands = rel[ci][cj]
+        if not cands:
+            continue
+        rest_open = sum(map(is_open.__getitem__, key)) > is_open[ci] + is_open[cj]
+        done: dict[tuple[int, int], WPSet] = {}  # result cell by (oi, oj)
+        slots = list(key)
+        for ni, nj in cands:
+            oi, oj = is_open[ni], is_open[nj]
+            res = done.get((oi, oj))
+            if res is None:
+                if not (rest_open or oi or oj):  # X is complete: keep weights
+                    res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
+                                            in cell.entries.values()),
+                                           0, ctx.spec.direction)
+                elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
                     res = cell
-                else:
-                    drop = (1 << i if bpi == 0 else 0) | (1 << j if bpj == 0 else 0)
-                    res = surgeries.get(drop)
-                    if res is None:
-                        res = join_sets(cell, edge)
-                        if drop:
-                            res = proj(res, drop)
-                        surgeries[drop] = res
-            else:
-                if flat is None:
-                    flat = ctx.flatten(cell)
-                res = flat
+                else:  # link i and j, then drop the classes that closed
+                    res = join_sets(cell, edge)
+                    drop = (0 if oi else 1 << i) | (0 if oj else 1 << j)
+                    if drop:
+                        res = proj(res, drop)
+                done[oi, oj] = res
             if res.entries:
                 if ctx.use_reduce:
                     check_size(res, ctx.bound)
-                prom_list[ii] = rpi
-                prom_list[jj] = rpj
-                sprom_list[ii] = bpi
-                sprom_list[jj] = bpj
-                out[(counts, tuple(prom_list), side, tuple(sprom_list))] = res
-                observe(len(res))
+                slots[ii], slots[jj] = ni, nj
+                out[tuple(slots)] = res
+                ctx.stats.observe_cell(len(res))
     return out
 
 
-def co_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
-           fut) -> dict:
+def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
+            fut=None) -> dict:
     if not present >> i & 1:
         return table
     ii, jj = i - 1, j - 1
-    pj = present >> j & 1
-    d, rho_wild = ctx.d, ctx.rho_wild
+    rel = ctx.rel(_merge, 1, present >> j & 1, fut and fut[jj])
     edge = ctx.edge_cell(i, j)
     acc: dict = {}
-    for (counts, prom, side, sprom), cell in table.items():
-        real_i = counts[ii] or not rho_wild
-        real_j = pj and (counts[jj] or not rho_wild)
-        if real_i and real_j and prom[ii] != prom[jj]:
-            continue
-        bi, bj = side[ii], side[jj]
-        if bi and bj and sprom[ii] != sprom[jj]:
-            continue
-        cj = min(d, counts[ii] + counts[jj])
-        v = prom[ii] if real_i else (prom[jj] if real_j else 0)
-        if rho_wild and not cj:
-            v = 0
-        vb = sprom[ii] if bi else sprom[jj]
-        b2 = min(1, bi + bj)
-        key = (_patch2(counts, ii, 0, jj, cj),
-               _patch2(prom, ii, 0, jj, v),
-               _patch2(side, ii, 0, jj, b2),
-               _patch2(sprom, ii, 0, jj, vb))
-        if fut is not None and not _prune_slot_ok(ctx, cj, v, b2, vb, fut[jj]):
-            continue
-        if b2 and vb:
-            moved = proj(join_sets(cell, edge), 1 << i)
-        else:
-            moved = cell
-        contrib(acc, key, moved)
+    for key, cell in table.items():
+        code = rel[key[ii]][key[jj]]
+        if code is not None:
+            slots = list(key)
+            slots[ii], slots[jj] = 0, code
+            if ctx.open[code]:
+                cell = proj(join_sets(cell, edge), 1 << i)
+            contrib(acc, tuple(slots), cell)
     return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
                        ctx.stats)
 
 
-def _bits(values: tuple[int, ...]) -> int:
-    mask = 0
-    for s, v in enumerate(values):
-        if v:
-            mask |= 1 << s
-    return mask
-
-
-def co_union(ctx: DomContext, table_a: dict, pres_a: int,
-             table_b: dict, pres_b: int, fut) -> dict:
-    k, d = ctx.k, ctx.d
-    side_entries = []
-    for key_b, cell_b in table_b.items():
-        counts_b, prom_b, side_b, sprom_b = key_b
-        side_entries.append((key_b, cell_b, _bits(side_b), _bits(sprom_b),
-                             _real_slots(ctx, counts_b, pres_b)))
+def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
+              table_b: dict, pres_b: int, fut=None) -> dict:
+    rels = [ctx.rel(_merge, pres_a >> s + 1 & 1, pres_b >> s + 1 & 1,
+                    fut and fut[s]) for s in range(ctx.k)]
+    is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
+    side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
+              for key_b, cell_b in table_b.items()]
     acc: dict = {}
     join_cache: dict[tuple[int, int], WPSet] = {}
-    for (counts_a, prom_a, side_a, sprom_a), cell_a in table_a.items():
-        sm_a, pm_a = _bits(side_a), _bits(sprom_a)
-        open_a = bool(sm_a & pm_a)
-        real_a = _real_slots(ctx, counts_a, pres_a)
-        for key_b, cell_b, sm_b, pm_b, real_b in side_entries:
-            # Side promises must agree wherever both halves put vertices into
-            # the connected side (elsewhere the stored zero is a wildcard).
-            if sm_a & sm_b & (pm_a ^ pm_b):
+    for key_a, cell_a in table_a.items():
+        open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
+        rows = list(map(getitem, rels, key_a))
+        for key_b, cell_b, open_b, x_b in side_b:
+            # A side whose X has no open class is a finished connected X; it
+            # can never link up, so it may only pair with a side without X.
+            if x_a and x_b and not (open_a and open_b):
                 continue
-            # Closed-component guard, mirrored onto the connected side: once
-            # both halves put vertices there, both must still be open.
-            if sm_a and sm_b and not (open_a and sm_b & pm_b):
-                continue
-            counts_b, prom_b, side_b, sprom_b = key_b
-            ok = True
-            prom = []
-            for s in range(k):
-                if real_a[s]:
-                    if real_b[s] and prom_a[s] != prom_b[s]:
-                        ok = False
-                        break
-                    prom.append(prom_a[s])
-                else:
-                    prom.append(prom_b[s] if real_b[s] else 0)
-            if not ok:
-                continue
-            counts = tuple(min(d, x + y) for x, y in zip(counts_a, counts_b))
-            side = tuple(min(1, x + y) for x, y in zip(side_a, side_b))
-            sprom = tuple(x if sa else y
-                          for sa, x, y in zip(side_a, sprom_a, sprom_b))
-            if fut is not None and not all(
-                    _prune_slot_ok(ctx, *slot)
-                    for slot in zip(counts, prom, side, sprom, fut)):
+            key = tuple(map(getitem, rows, key_b))
+            if None in key:
                 continue
             ck = (id(cell_a), id(cell_b))
             joined = join_cache.get(ck)
             if joined is None:
                 joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            contrib(acc, (counts, tuple(prom), side, sprom), joined)
+            contrib(acc, key, joined)
     return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
                        ctx.stats)
 
 
-# ---------------------------------------------------------------------------
-# Drivers.
-
-def _drive(expr: CwExpression, ctx: DomContext) -> dict:
-    """Fold the plain or co transitions over the expression; the root table.
-
-    Each node's result is its table and the mask of its nonempty label
-    classes.  The co transitions also get the node's future degrees, which
-    switch their filter on; the unpruned reference path passes ``None`` and
-    never computes them.
-    """
+def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
+    """Fold the transitions over the expression, each node giving its table
+    and the mask of its nonempty classes; the optimum at the root."""
     ctx.stats.count_nodes(expr.root)
-    if ctx.spec.co:
-        leaf, add, ren, union = co_leaf, co_add, co_ren, co_union
-        fut = future_degrees(expr) if ctx.use_reduce else None
-
-        def tail(node) -> tuple:
-            return (None if fut is None else fut[id(node)],)
-    else:
-        leaf, add, ren, union = srd_leaf, srd_add, srd_ren, srd_union
-
-        def tail(node) -> tuple:
-            return ()
+    fut = {}
+    if ctx.future_filter:  # degrees from d up filter alike
+        fut = {nid: tuple(min(ctx.d, x) for x in vec)
+               for nid, vec in future_degrees(expr).items()}
 
     def on_ren(node, child):
         table, present = child
-        table = ren(ctx, table, present, node.i, node.j, *tail(node))
+        table = srd_ren(ctx, table, present, node.i, node.j, fut.get(id(node)))
         if present >> node.i & 1:
             present = present & ~(1 << node.i) | 1 << node.j
         return table, present
 
     table, _ = fold(
         expr.root,
-        lambda node: (leaf(ctx, node.name, node.weight, *tail(node)), 2),
+        lambda node: (srd_leaf(ctx, node.name, node.weight, fut.get(id(node))), 2),
         on_ren,
-        lambda node, child: (add(ctx, *child, node.i, node.j, *tail(node)),
-                             child[1]),
-        lambda node, a, b: (union(ctx, *a, *b, *tail(node)), a[1] | b[1]))
-    return table
+        lambda node, child: (srd_add(ctx, *child, node.i, node.j,
+                                     fut.get(id(node))), child[1]),
+        lambda node, a, b: (srd_union(ctx, *a, *b, fut.get(id(node))), a[1] | b[1]))
+    # WPSet.add keeps the optimum and, on ties, the smallest witness.
+    final, best = ctx.final.__getitem__, WPSet(0, ctx.spec.direction)
+    for key, cell in table.items():
+        entry = cell.entries.get(EMPTY_PARTITION)
+        if entry is not None and all(map(final, key)):
+            best.add(EMPTY_PARTITION, *entry)
+    w, wit = best.entries.get(EMPTY_PARTITION, (
+        NEG_INF if ctx.spec.direction == MAX else POS_INF, None))
+    ctx.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return DomResult(w, None if wit is None else tuple(sorted(wit)), ctx.stats)
 
 
 def _check_irredundant(expr: CwExpression) -> None:
@@ -644,64 +420,30 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
                               use_reduce: bool = True) -> DomResult:
     """Optimum weight of a connected (co-)(sigma, rho)-dominating set."""
     started = time.perf_counter()
-    validate(expr)
     _check_irredundant(expr)
-    ctx = DomContext(spec, expr.k, use_reduce=use_reduce,
-                     with_witness=with_witness)
-    result = _extract(_drive(expr, ctx), ctx, co=spec.co)
-    result.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return result
+    return _solve(expr, DomContext(spec, expr.k, use_reduce=use_reduce,
+                                   with_witness=with_witness), started)
 
 
 def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
                   use_reduce: bool = True) -> DomResult:
     """Minimum-weight connected vertex superset of the terminal set."""
     started = time.perf_counter()
-    validate(expr)
     _check_irredundant(expr)
     terms = frozenset(terminals)
     if not terms:
         raise ValueError("steiner needs at least one terminal")
-    graph = evaluate(expr)
-    unknown = terms - set(graph.weights)
+    weights = vertex_weights(expr)
+    unknown = terms - weights.keys()
     if unknown:
         raise ValueError(f"unknown terminals: {sorted(unknown)}")
-    stats = SolveStats()
     if len(terms) == 1:
         # A single terminal is its own tree; the domination machinery cannot
         # express one-vertex solutions under sigma = N+.
         (term,) = terms
-        stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return DomResult(graph.weights[term],
-                         (term,) if with_witness else None, stats)
+        stats = SolveStats(elapsed_ms=(time.perf_counter() - started) * 1000.0)
+        return DomResult(weights[term], (term,) if with_witness else None, stats)
     spec = SigmaRhoSpec(POSITIVES, NATURALS, MIN)
-    ctx = DomContext(spec, expr.k, use_reduce=use_reduce,
-                     with_witness=with_witness, terminals=terms, stats=stats)
-    result = _extract(_drive(expr, ctx), ctx, co=False)
-    result.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return result
-
-
-def _extract(table: dict, ctx: DomContext, co: bool) -> DomResult:
-    zero = ctx.zero
-    is_max = ctx.spec.direction == MAX
-    best = NEG_INF if is_max else POS_INF
-    best_wit = None
-    for key, cell in table.items():
-        if co:
-            if key[1] != zero or key[3] != zero:
-                continue
-        elif key[1] != zero:
-            continue
-        entry = cell.entries.get(EMPTY_PARTITION)
-        if entry is None:
-            continue
-        w, wit = entry
-        if (w > best) if is_max else (w < best):
-            best, best_wit = w, wit
-        elif w == best and wit is not None and best_wit is not None \
-                and tuple(sorted(wit)) < tuple(sorted(best_wit)):
-            best_wit = wit
-    witness = tuple(sorted(best_wit)) if (ctx.with_witness and
-                                          best_wit is not None) else None
-    return DomResult(best, witness, ctx.stats)
+    return _solve(expr, DomContext(spec, expr.k, use_reduce=use_reduce,
+                                   with_witness=with_witness, terminals=terms),
+                  started)

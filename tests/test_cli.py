@@ -176,10 +176,14 @@ class TestOracle:
 
 
 class TestBench:
-    def test_emits_csv(self, capsys, k3_file):
-        assert cli.run(["bench", "--problem", "fvs", "--expr", k3_file]) == 0
+    @pytest.mark.parametrize("problem", [["fvs"], ["cds"], ["cvc"],
+                                         ["steiner", "--terminals", "v1,v3"]],
+                             ids=["fvs", "cds", "cvc", "steiner"])
+    def test_emits_csv(self, capsys, k3_file, problem):
+        assert cli.run(["bench", "--expr", k3_file, "--problem", *problem]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "metric,value"
+        assert lines[1] == f"problem,{problem[0]}"
         metrics = dict(line.split(",", 1) for line in lines[1:])
         assert int(metrics["nodes_introduce"]) == 3
         assert "elapsed_ms" in metrics

@@ -7,7 +7,7 @@ from cwsolve import (ExpressionError, PartiallyRedundantError,
                      parse_expression, parse_graph, serialize,
                      serialize_graph, strip_redundant_adds)
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel, Union,
-                            future_degrees, iter_preorder)
+                            future_degrees, iter_preorder, vertex_weights)
 
 from conftest import random_expression, random_graph
 
@@ -252,3 +252,13 @@ def test_future_degrees_match_evaluated_neighbour_counts():
         fut = future_degrees(expr)
         for (node_id, lab), gained in _gained_neighbours(expr).items():
             assert fut[node_id][lab - 1] == gained, serialize(expr)
+
+
+def test_vertex_weights_match_the_evaluated_graph():
+    rng = random.Random(4343)
+    exprs = [random_expression(rng, rng.randint(1, 9), k) for k in range(2, 5)]
+    exprs += [naive_expression(random_graph(rng.randint(1, 7), rng))
+              for _ in range(10)]
+    exprs += [fixture(kind, 6, seed=1) for kind in ("clique", "random-cograph")]
+    for expr in exprs:
+        assert vertex_weights(expr) == evaluate(expr).weights

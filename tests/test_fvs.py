@@ -190,3 +190,21 @@ def test_cell_bound_respected_in_stats():
 
 def test_state_ground_includes_anchor_and_open_labels():
     assert state_ground((ONE, ABSENT, MANY_WAIT, MANY_DONE)) == 0b1011
+
+
+def test_solve_never_evaluates_the_graph(monkeypatch):
+    # the total weight and the witness complement come from the leaves
+    import cwsolve.cwexpr
+    import cwsolve.fvs
+
+    expr = naive_expression(random_graph(6, random.Random(60)))
+    expected = solve_fvs(expr, with_witness=True)
+
+    def refuse(expr):
+        raise RuntimeError("graph evaluated")
+
+    monkeypatch.setattr(cwsolve.cwexpr, "evaluate", refuse)
+    assert not hasattr(cwsolve.fvs, "evaluate")
+    got = solve_fvs(expr, with_witness=True)
+    assert (got.fvs_weight, got.witness, got.forest_witness) == \
+        (expected.fvs_weight, expected.witness, expected.forest_witness)

@@ -6,7 +6,7 @@ from cwsolve import parse_graph, preset_spec
 from cwsolve.oracle import (InstanceTooLargeError, brute_max_forest,
                             brute_min_fvs, brute_sigma_rho, brute_steiner,
                             check_representative)
-from cwsolve.wpsets import MAX, POS_INF, WPSet, ac_reduce
+from cwsolve.wpsets import MAX, POS_INF, InvariantError, WPSet, ac_reduce
 from cwsolve.wpsets import reduce as reduce_set
 from cwsolve.partitions import Partition
 
@@ -45,6 +45,15 @@ class TestBruteFvs:
         big = parse_graph("\n".join(f"v x{i:02d}" for i in range(21)))
         with pytest.raises(InstanceTooLargeError):
             brute_min_fvs(big)
+
+    @pytest.mark.parametrize("brute", [brute_min_fvs, brute_max_forest])
+    def test_no_forest_at_all_is_an_invariant_error(self, monkeypatch, brute):
+        # a real check, not an assert that python -O would strip
+        import cwsolve.oracle
+
+        monkeypatch.setattr(cwsolve.oracle, "_is_forest", lambda *args: False)
+        with pytest.raises(InvariantError):
+            brute(K3)
 
 
 class TestBruteSigmaRho:

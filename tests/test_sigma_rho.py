@@ -69,10 +69,23 @@ def cell_weights(table, key):
     return {p: w for p, (w, _) in table[key].entries.items()}
 
 
+def decoded(ctx, table):
+    """The table keyed by per-label tuples: (counts, promises) for plain and
+    Steiner, plus (X present, X promises) for co."""
+    out = {}
+    for key, cell in table.items():
+        columns = tuple(zip(*(ctx.slots[code] for code in key)))
+        out[columns if ctx.spec.co else columns[:2]] = cell
+    return out
+
+
+LONE = Partition(2, (2,))
+
+
 class TestLeafTables:
     def test_cds_leaf(self):
         ctx = ctx_for("cds", 1)
-        table = srd_leaf(ctx, "x", 4)
+        table = decoded(ctx, srd_leaf(ctx, "x", 4))
         lone = Partition(2, (2,))
         assert ((0,), (0,)) not in table          # 0 not in rho
         assert cell_weights(table, ((0,), (1,))) == {EMPTY_PARTITION: 0}
@@ -82,17 +95,38 @@ class TestLeafTables:
     def test_terminal_leaf_forces_membership(self):
         ctx = DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 1,
                          terminals=frozenset({"t"}))
-        table = srd_leaf(ctx, "t", 2)
+        table = decoded(ctx, srd_leaf(ctx, "t", 2))
         assert set(table) == {((1,), (1,))}
-        other = srd_leaf(ctx, "u", 2)
+        other = decoded(ctx, srd_leaf(ctx, "u", 2))
         assert ((0,), (0,)) in other
 
     def test_sigma_zero_leaf(self):
         spec = SigmaRhoSpec(MuSet(False, frozenset({0})), NATURALS, MIN)
         ctx = DomContext(spec, 1)
-        table = srd_leaf(ctx, "x", 3)
+        table = decoded(ctx, srd_leaf(ctx, "x", 3))
         ins = [key for key in table if key[0] == (1,)]
         assert ins == [((1,), (0,))]
+
+    def test_cvc_leaf_weighs_the_connected_side(self):
+        ctx = ctx_for("cvc", 1)
+        table = decoded(ctx, srd_leaf(ctx, "x", 4))
+        # in S: unweighted, no S-neighbor allowed; in X: weighted, promising
+        # an X-neighbor (open, a partition block) or not
+        assert set(table) == {((1,), (0,), (0,), (0,)), ((0,), (0,), (1,), (0,)),
+                              ((0,), (0,), (1,), (1,))}
+        assert cell_weights(table, ((1,), (0,), (0,), (0,))) == {EMPTY_PARTITION: 0}
+        assert cell_weights(table, ((0,), (0,), (1,), (0,))) == {EMPTY_PARTITION: 4}
+        assert cell_weights(table, ((0,), (0,), (1,), (1,))) == {LONE: 4}
+
+    @pytest.mark.parametrize("fut,sprom", [(1, 0), (2, 1)])
+    def test_co_future_filter_fixes_the_connected_promise(self, fut, sprom):
+        # rho = {1}: an X vertex gains exactly one S-neighbor, so of its fut
+        # future neighbors fut - 1 join X
+        spec = SigmaRhoSpec(NATURALS, MuSet(False, frozenset({1})), MIN, co=True)
+        ctx = DomContext(spec, 1)
+        table = decoded(ctx, srd_leaf(ctx, "x", 4, (fut,)))
+        assert [key[3] for key in table if key[2] == (1,)] == [(sprom,)]
+        assert len(decoded(ctx, srd_leaf(ctx, "x", 4))) == len(table) + 1
 
 
 class TestRenTable:
@@ -104,9 +138,16 @@ class TestRenTable:
     def test_merge_keys_and_promises(self):
         ctx = ctx_for("cds", 2)
         table = srd_leaf(ctx, "x", 4)
-        out = srd_ren(ctx, table, 0b010, 1, 2)
+        out = decoded(ctx, srd_ren(ctx, table, 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: 4}
         assert cell_weights(out, ((0, 1), (0, 1))) == {Partition(4, (4,)): 4}
+
+    def test_cvc_moves_the_connected_side(self):
+        ctx = ctx_for("cvc", 2)
+        out = decoded(ctx, srd_ren(ctx, srd_leaf(ctx, "x", 4), 0b010, 1, 2))
+        assert cell_weights(out, ((0, 1), (0, 0), (0, 0), (0, 0))) == {EMPTY_PARTITION: 0}
+        assert cell_weights(out, ((0, 0), (0, 0), (0, 1), (0, 1))) == \
+            {Partition(4, (4,)): 4}
 
     def test_split_enumeration_reaches_full_class(self):
         # two vertices relabeled into one class: target counts reflect the sum
@@ -114,10 +155,23 @@ class TestRenTable:
         ta = srd_leaf(ctx, "x", 1)
         tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
         tu = srd_union(ctx, ta, 0b010, tb, 0b100)
-        out = srd_ren(ctx, tu, 0b110, 2, 1)
+        out = decoded(ctx, srd_ren(ctx, tu, 0b110, 2, 1))
         # d = 1: the merged class count saturates at 1
         assert any(key[0] == (1, 0) for key in out)
         assert all(key[0][1] == 0 for key in out)
+
+    def test_cvc_merged_classes_share_one_partition_node(self):
+        ctx = ctx_for("cvc", 2)
+        ta = srd_leaf(ctx, "x", 1)
+        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        tu = srd_union(ctx, ta, 0b010, tb, 0b100)
+        out = decoded(ctx, srd_ren(ctx, tu, 0b110, 2, 1))
+        # S and X presence add up; both open X vertices become one node
+        assert set(out) == {((1, 0), (0, 0), (0, 0), (0, 0)),
+                            ((1, 0), (0, 0), (1, 0), (0, 0)),
+                            ((1, 0), (0, 0), (1, 0), (1, 0)),
+                            ((0, 0), (0, 0), (1, 0), (1, 0))}
+        assert cell_weights(out, ((0, 0), (0, 0), (1, 0), (1, 0))) == {LONE: 2}
 
 
 class TestAddTable:
@@ -129,23 +183,46 @@ class TestAddTable:
     def test_copy_when_one_class_unoccupied(self):
         ctx = ctx_for("cds", 2)
         table, present = self._p2_table(ctx)
-        out = srd_add(ctx, table, present, 1, 2)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         key = ((0, 1), (1, 0))  # x out (promised a neighbor), y in, final
+        assert cell_weights(out, key) == {EMPTY_PARTITION: 1}
+
+    def test_cvc_copy_when_one_class_has_no_connected_vertex(self):
+        ctx = ctx_for("cvc", 2)
+        table, present = self._p2_table(ctx)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
+        key = ((1, 0), (0, 0), (0, 1), (0, 0))  # x in S, y in X, final
         assert cell_weights(out, key) == {EMPTY_PARTITION: 1}
 
     def test_active_empty_flattens_partitions(self):
         ctx = ctx_for("cds", 2)
         table, present = self._p2_table(ctx)
-        out = srd_add(ctx, table, present, 1, 2)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         both_final = ((1, 1), (0, 0))
         assert cell_weights(out, both_final) == {EMPTY_PARTITION: 2}
+
+    def test_cvc_active_empty_flattens_partitions(self):
+        ctx = ctx_for("cvc", 2)
+        table, present = self._p2_table(ctx)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
+        both_final = ((0, 0), (0, 0), (1, 1), (0, 0))
+        assert cell_weights(out, both_final) == {EMPTY_PARTITION: 2}
+        both_open = ((0, 0), (0, 0), (1, 1), (1, 1))
+        assert cell_weights(out, both_open) == {Partition(6, (6,)): 2}
 
     def test_infeasible_promises_produce_no_cell(self):
         ctx = ctx_for("cds", 2)
         table, present = self._p2_table(ctx)
-        out = srd_add(ctx, table, present, 1, 2)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         # an unoccupied class cannot dominate: promise consumed nothing
         assert ((0, 0), (0, 0)) not in out
+
+    def test_cvc_infeasible_promises_produce_no_cell(self):
+        ctx = ctx_for("cvc", 2)
+        table, present = self._p2_table(ctx)
+        out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
+        # sigma = {0}: two adjacent S vertices promised no S-neighbor
+        assert out and all(key[0] != (1, 1) for key in out)
 
 
 class TestUnionTable:
@@ -155,7 +232,7 @@ class TestUnionTable:
         ctx = ctx_for("ctds", 1)
         ta = srd_leaf(ctx, "x", 1)
         tb = srd_leaf(ctx, "y", 1)
-        out = srd_union(ctx, ta, 0b010, tb, 0b010)
+        out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         key = ((1,), (1,))
         assert cell_weights(out, key)[Partition(2, (2,))] == 1  # min weight of the three
 
@@ -165,8 +242,18 @@ class TestUnionTable:
         ctx = ctx_for("cds", 1)
         ta = srd_leaf(ctx, "x", 1)
         tb = srd_leaf(ctx, "y", 1)
-        out = srd_union(ctx, ta, 0b010, tb, 0b010)
+        out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         assert ((1,), (0,)) not in out
+
+    def test_cvc_finished_connected_side_pairs_only_without_one(self):
+        ctx = ctx_for("cvc", 1)
+        ta = srd_leaf(ctx, "x", 1)
+        tb = srd_leaf(ctx, "y", 1)
+        out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
+        # two closed X vertices never connect; an S vertex joins freely
+        assert ((0,), (0,), (1,), (0,)) not in out
+        assert cell_weights(out, ((1,), (0,), (1,), (0,))) == {EMPTY_PARTITION: 1}
+        assert cell_weights(out, ((0,), (0,), (1,), (1,))) == {LONE: 2}
 
     def test_rho_naturals_enables_promise_wildcards(self):
         assert ctx_for("cvc", 1).rho_wild
@@ -331,3 +418,25 @@ def test_fact_truncated_membership_random():
         for a in range(21):
             for b in range(21):
                 assert ((a + b) in mu) == (min(d, a + b) in mu)
+
+
+def test_steiner_never_evaluates_the_graph(monkeypatch):
+    # terminal names and the one-terminal answer come from the leaves
+    import cwsolve.cwexpr
+    import cwsolve.sigma_rho
+
+    expr = naive_expression(random_graph(6, random.Random(805)))
+    names = sorted(evaluate(expr).weights)
+    cases = [names[:1], names[:2], names[1:4]]
+    expected = [solve_steiner(expr, terms, with_witness=True) for terms in cases]
+
+    def refuse(expr):
+        raise RuntimeError("graph evaluated")
+
+    monkeypatch.setattr(cwsolve.cwexpr, "evaluate", refuse)
+    assert not hasattr(cwsolve.sigma_rho, "evaluate")
+    for terms, want in zip(cases, expected):
+        got = solve_steiner(expr, terms, with_witness=True)
+        assert (got.optimum, got.witness) == (want.optimum, want.witness)
+    with pytest.raises(ValueError, match="unknown terminals"):
+        solve_steiner(expr, ["nope"])
