@@ -346,12 +346,10 @@ def validate(expr: CwExpression) -> None:
 # ---------------------------------------------------------------------------
 # Evaluation and irredundancy.
 
-def _build(expr: CwExpression, on_add=None):
-    """Fold the expression into its graph: (weights, label classes, edges).
+def evaluate(expr: CwExpression) -> LabeledGraph:
+    """Fold the expression into its labeled graph."""
+    validate(expr)
 
-    ``on_add(node, existing, total)`` sees, at every AddEdges node, how many of
-    its ``total`` cross pairs were edges already.
-    """
     def ren(node, state):
         classes = state[1]
         moving = classes.pop(node.i, None)
@@ -362,11 +360,7 @@ def _build(expr: CwExpression, on_add=None):
     def add(node, state):
         _, classes, edges = state
         ci, cj = classes.get(node.i, ()), classes.get(node.j, ())
-        before = len(edges)
         edges.update(edge_key(u, v) for u in ci for v in cj)
-        if on_add is not None:
-            total = len(ci) * len(cj)
-            on_add(node, total - (len(edges) - before), total)
         return state
 
     def union(node, left, right):
@@ -377,14 +371,10 @@ def _build(expr: CwExpression, on_add=None):
         edges.update(right[2])
         return left
 
-    return fold(expr.root,
-                lambda node: ({node.name: node.weight}, {1: {node.name}}, set()),
-                ren, add, union)
-
-
-def evaluate(expr: CwExpression) -> LabeledGraph:
-    validate(expr)
-    weights, classes, edges = _build(expr)
+    weights, classes, edges = fold(
+        expr.root,
+        lambda node: ({node.name: node.weight}, {1: {node.name}}, set()),
+        ren, add, union)
     labels = {v: lab for lab, members in classes.items() for v in members}
     return LabeledGraph(weights=weights, edges=edges, labels=labels)
 
@@ -407,16 +397,51 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     """Classify every AddEdges node whose cross pairs already partly exist.
 
     An empty report means the expression is irredundant: each add is applied
-    while no edge between the two classes exists yet.
+    while no edge between the two classes exists yet.  The fold keeps, per
+    subtree, the label class sizes and the edge count between each pair of
+    classes, not the edges: an add (i, j) finds ``E[i, j]`` of its
+    ``|Ci| * |Cj|`` pairs present and leaves all of them; a relabel i -> j
+    moves i's counts onto j and drops those between i and j (now inside one
+    class); a union adds the counts of its smaller side into the larger
+    (the two sides share no vertex, hence no edge).  O(|expr| * k^2).
     """
     validate(expr)
     found = []
 
-    def on_add(node, existing, total):
+    def ren(node, state):
+        size, pairs = state
+        i, j = node.i, node.j
+        size[j] = size.get(j, 0) + size.pop(i, 0)
+        for pair in [pair for pair in pairs if i in pair]:
+            count = pairs.pop(pair)
+            other = pair[0] + pair[1] - i
+            if other != j:
+                key = (j, other) if j < other else (other, j)
+                pairs[key] = pairs.get(key, 0) + count
+        return state
+
+    def add(node, state):
+        size, pairs = state
+        key = (node.i, node.j) if node.i < node.j else (node.j, node.i)
+        total = size.get(node.i, 0) * size.get(node.j, 0)
+        existing = pairs.get(key, 0)
         if existing:
             found.append((node, "full" if existing == total else "partial"))
+        if total:
+            pairs[key] = total
+        return state
 
-    _build(expr, on_add)
+    def union(node, left, right):
+        if len(left[1]) < len(right[1]):
+            left, right = right, left
+        size, pairs = left
+        for lab, count in right[0].items():
+            size[lab] = size.get(lab, 0) + count
+        for pair, count in right[1].items():
+            pairs[pair] = pairs.get(pair, 0) + count
+        return left
+
+    fold(expr.root, lambda node: ({1: 1}, {}), ren, add, union)
     if not found:
         return []
     order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}

@@ -18,6 +18,14 @@ anchor element 0.  Blocks describe which of those connectivity nodes are
 already linked; an entry survives to the root only if everything ends up in
 one tree hanging off the anchor, which makes the kept forest plus one anchor
 edge per component a single tree, i.e. the forest is genuinely acyclic.
+
+Unless ``use_reduce`` is off (the unpruned reference path), the transitions
+take the node's future degree vector (:func:`~cwsolve.cwexpr.future_degrees`)
+and never build ``MANY_WAIT`` on a class whose future degree is 0.  Such a
+class waits for an add with a populated partner, yet no later add touches
+it, so the root rejects every state extending it.  A key feeding a
+root-reaching key reaches the root itself, so no kept cell changes: the
+optimum and its witness are the unfiltered path's.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     fold, vertex_weights)
+                     fold, future_degrees, vertex_weights)
 from .partitions import Partition
 from .stats import SolveStats
 from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
@@ -58,6 +66,10 @@ for _a in (ABSENT, ONE, MANY_WAIT, MANY_DONE):
             opts = (MANY_DONE,)
         UNION_STATE_OPTIONS[(_a, _b)] = opts
 del _a, _b, opts
+
+# The same options for a label whose class no later add touches.
+_UNION_OPTIONS_NO_WAIT = {pair: tuple(o for o in opts if o != MANY_WAIT)
+                          for pair, opts in UNION_STATE_OPTIONS.items()}
 
 
 class FvsError(ValueError):
@@ -108,7 +120,7 @@ def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Tabl
 
 
 def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
-            stats: SolveStats, with_witness: bool = False) -> Table:
+            stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
@@ -116,7 +128,11 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
-            out[state] = cell  # no forest vertex on one side: nothing changes
+            # no forest vertex on one side: nothing changes, so a waiting
+            # class goes on waiting, which needs a later add
+            slot, val = (jj, b) if a == ABSENT else (ii, a)
+            if val != MANY_WAIT or fut is None or fut[slot]:
+                out[state] = cell
             continue
         # Classes that still wait for their allowed add get it consumed here;
         # every other populated/populated combination closes a cycle.
@@ -144,13 +160,16 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
 
 
 def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
-            stats: SolveStats, with_witness: bool = False) -> Table:
+            stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
     acc: dict[State, list[WPSet]] = {}
     ii, jj = i - 1, j - 1
     edge = _edge_cell(i, j, with_witness)
+    may_wait = fut is None or fut[jj] > 0
     for state, cell in table.items():
         a, b = state[ii], state[jj]
+        if not may_wait and MANY_WAIT in (a, b):
+            continue  # class j would wait for an add that never comes
         if a == ABSENT:
             contrib(acc, state, cell)
             continue
@@ -171,7 +190,7 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
             target[ii], target[jj] = ABSENT, MANY_DONE
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
             contrib(acc, tuple(target), proj(cell, drop))
-        if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
+        if may_wait and a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
@@ -182,8 +201,10 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
 
 
 def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
-              stats: SolveStats, with_witness: bool = False) -> Table:
+              stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
     acc: dict[State, list[WPSet]] = {}
+    label_options = [UNION_STATE_OPTIONS if fut is None or fut[l]
+                     else _UNION_OPTIONS_NO_WAIT for l in range(k)]
     proj_cache: dict[tuple[int, int], WPSet] = {}
 
     def projected(cell: WPSet, drop: int) -> WPSet:
@@ -197,7 +218,7 @@ def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
 
     for sa, ca in table_a.items():
         for sb, cb in table_b.items():
-            options = [UNION_STATE_OPTIONS[(sa[l], sb[l])] for l in range(k)]
+            options = [label_options[l][(sa[l], sb[l])] for l in range(k)]
             if any(not o for o in options):
                 continue
             for target in product(*options):
@@ -226,15 +247,18 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     stats = SolveStats()
     stats.count_nodes(expr.root)
     k = expr.k
+    fut = future_degrees(expr) if use_reduce else {}
+    seen = stats.observe_table
     root_table = fold(
         expr.root,
-        lambda node: fvs_leaf(k, node.name, node.weight, with_witness),
-        lambda node, table: fvs_ren(table, node.i, node.j, k, use_reduce, stats,
-                                    with_witness),
-        lambda node, table: fvs_add(table, node.i, node.j, k, use_reduce, stats,
-                                    with_witness),
-        lambda node, table_a, table_b: fvs_union(table_a, table_b, k, use_reduce,
-                                                 stats, with_witness))
+        lambda node: seen(fvs_leaf(k, node.name, node.weight, with_witness)),
+        lambda node, table: seen(fvs_ren(table, node.i, node.j, k, use_reduce,
+                                         stats, with_witness, fut.get(id(node)))),
+        lambda node, table: seen(fvs_add(table, node.i, node.j, k, use_reduce,
+                                         stats, with_witness, fut.get(id(node)))),
+        lambda node, table_a, table_b: seen(fvs_union(
+            table_a, table_b, k, use_reduce, stats, with_witness,
+            fut.get(id(node)))))
     best_w = -1
     best_wit: frozenset | None = None
     for state, cell in root_table.items():

@@ -13,8 +13,13 @@ they still gain an X-neighbor.  A promise nothing reads is a wildcard stored as
 0: q when b = 0, p without S vertices under rho = N.  A cell holds weighted
 partitions over the open labels (b = q = 1); blocks record which classes X
 already connects.  Only :class:`DomContext` knows the variant: the codes that
-exist (plain ties b = [c > 0] and q = b and [p > 0]), each leaf's (in S, in X)
-placements, and co's future filter.
+exist (plain ties b = [c > 0] and q = b and [p > 0]) and each leaf's (in S, in X)
+placements.
+
+Unless ``use_reduce`` is off (the unpruned reference path), every transition
+drops the slot states that the class's future degree
+(:func:`~cwsolve.cwexpr.future_degrees`) rules out, so dead keys are never
+built; see :func:`_future_ok`.
 """
 
 from __future__ import annotations
@@ -191,13 +196,12 @@ class DomContext:
                                if p in (self.spec.sigma if s else self.spec.rho)
                                for q in range(x + 1) if (s, p, x, q) in self.code]
                            for t in (False, True)}
-        self.future_filter = self.spec.co and self.use_reduce
         self._rels: dict = {}
 
     def code_of(self, slot: tuple, fut_s: int | None) -> int | None:
         """The code of a slot state; None if it is not in the alphabet or,
         given the slot's future degree, fails the future filter."""
-        keep = fut_s is None or _prune_slot_ok(self, slot, fut_s)
+        keep = fut_s is None or _future_ok(self, slot, fut_s)
         return self.code.get(slot) if keep else None
 
     def rel(self, fn, *args) -> list[list]:
@@ -247,27 +251,35 @@ def _add_pairs(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
     return [pair for pair in pairs if None not in pair]
 
 
-def _prune_slot_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
-    """The co future filter, on one label slot of a state.
+def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
+    """The future filter, on one label slot of a state.
 
-    The class's vertices still gain ``fut_s`` neighbours
-    (:func:`~cwsolve.cwexpr.future_degrees`), and co puts each in S or in X.  A
-    meaningful promise below d is exact, so exactly ``fut_s - p`` of them join
-    X, which forces the X promise to ``min(1, fut_s - p)``.  A state that
-    breaks this expects neighbours the expression never adds, or forbids ones
-    it must add, so no root state extends it and dropping it keeps every
-    optimum.  Nodes check only the slots they change: the rest passed at the
-    child, whose future degrees agree with the node's there.
+    The class's vertices still gain exactly ``fut_s`` neighbours (capped at d;
+    :func:`~cwsolve.cwexpr.future_degrees`).  A meaningful S promise (c > 0 or
+    rho != N) counts S-neighbours among them, exactly below d and at least d
+    at d, so ``p > fut_s`` can never be met.  Co also puts each of them in S
+    or in X: a meaningful promise below d leaves exactly ``fut_s - p`` for X,
+    which forces the X promise to ``min(1, fut_s - p)``.  A state that breaks
+    either rule expects neighbours the expression never adds, or forbids ones
+    it must add, so no root state extends it.  A key feeding a root-reaching
+    key reaches the root itself, so the filter drops no key whose cell could
+    reach a kept one: every kept cell, hence the optimum and its witness, is
+    the unfiltered path's.  Nodes check only the slots they change: the rest
+    passed at the child, whose future degrees agree with the node's there.
     """
     c, p, b, q = slot
-    if b and p < ctx.d and (c or not ctx.rho_wild):
+    if ctx.rho_wild and not c:  # the promise is a wildcard
+        return True
+    if p > fut_s:
+        return False
+    if ctx.spec.co and b and p < ctx.d:
         return q == (1 if p < fut_s else 0)
     return True
 
 
 # ---------------------------------------------------------------------------
-# Transitions.  ``fut`` is the node's future degree vector, capped at d, when
-# the future filter is on, else None.
+# Transitions.  ``fut`` is the node's future degree vector, capped at d, or
+# None on the unfiltered reference path.
 
 def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
     wit_in = frozenset({name}) if ctx.with_witness else None
@@ -379,24 +391,27 @@ def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
     and the mask of its nonempty classes; the optimum at the root."""
     ctx.stats.count_nodes(expr.root)
     fut = {}
-    if ctx.future_filter:  # degrees from d up filter alike
+    if ctx.use_reduce:  # degrees from d up filter alike
         fut = {nid: tuple(min(ctx.d, x) for x in vec)
                for nid, vec in future_degrees(expr).items()}
+    seen = ctx.stats.observe_table
 
     def on_ren(node, child):
         table, present = child
         table = srd_ren(ctx, table, present, node.i, node.j, fut.get(id(node)))
         if present >> node.i & 1:
             present = present & ~(1 << node.i) | 1 << node.j
-        return table, present
+        return seen(table), present
 
     table, _ = fold(
         expr.root,
-        lambda node: (srd_leaf(ctx, node.name, node.weight, fut.get(id(node))), 2),
+        lambda node: (seen(srd_leaf(ctx, node.name, node.weight,
+                                    fut.get(id(node)))), 2),
         on_ren,
-        lambda node, child: (srd_add(ctx, *child, node.i, node.j,
-                                     fut.get(id(node))), child[1]),
-        lambda node, a, b: (srd_union(ctx, *a, *b, fut.get(id(node))), a[1] | b[1]))
+        lambda node, child: (seen(srd_add(ctx, *child, node.i, node.j,
+                                          fut.get(id(node)))), child[1]),
+        lambda node, a, b: (seen(srd_union(ctx, *a, *b, fut.get(id(node)))),
+                            a[1] | b[1]))
     # WPSet.add keeps the optimum and, on ties, the smallest witness.
     final, best = ctx.final.__getitem__, WPSet(0, ctx.spec.direction)
     for key, cell in table.items():

@@ -1,9 +1,13 @@
 import json
+import random
 
 import jsonschema
 import pytest
 
-from cwsolve import cli, fixture, serialize
+from cwsolve import cli, fixture, naive_expression, serialize
+from cwsolve.cwexpr import edge_key
+
+from conftest import random_expression, random_graph
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -14,11 +18,14 @@ REPORT_SCHEMA = {
         "witness": {"type": "array", "items": {"type": "string"}},
         "stats": {
             "type": "object",
-            "required": ["dp_nodes", "max_cell_entries", "reduce_calls", "elapsed_ms"],
+            "required": ["dp_nodes", "max_cell_entries", "reduce_calls",
+                         "peak_states", "total_states", "elapsed_ms"],
             "properties": {
                 "dp_nodes": {"type": "integer", "minimum": 0},
                 "max_cell_entries": {"type": "integer", "minimum": 0},
                 "reduce_calls": {"type": "integer", "minimum": 0},
+                "peak_states": {"type": "integer", "minimum": 0},
+                "total_states": {"type": "integer", "minimum": 0},
                 "elapsed_ms": {"type": "number", "minimum": 0},
             },
         },
@@ -95,6 +102,25 @@ class TestSolve:
         _, fvs = run_json(capsys, ["solve", "--problem", "fvs",
                                    "--expr", k3_file, "--json"])
         assert fvs["stats"]["max_cell_entries"] <= (2 + 1) << 2
+
+    @pytest.mark.parametrize("problem", ["cds", "fvs"])
+    def test_future_filter_builds_fewer_states(self, capsys, tmp_path, problem):
+        rng = random.Random(61)
+        if problem == "cds":
+            graph = random_graph(6, rng)
+            graph.edges |= {edge_key(f"v{i}", f"v{i + 1}") for i in range(1, 6)}
+            expr = naive_expression(graph)
+        else:
+            expr = random_expression(rng, 14, 4)
+        path = tmp_path / "in.cw"
+        path.write_text(serialize(expr))
+        argv = ["solve", "--problem", problem, "--expr", str(path), "--json"]
+        _, base = run_json(capsys, argv)
+        _, reference = run_json(capsys, argv + ["--no-reduce"])
+        jsonschema.validate(base, REPORT_SCHEMA)
+        assert base["optimum"] == reference["optimum"]
+        assert 0 < base["stats"]["peak_states"] <= base["stats"]["total_states"]
+        assert base["stats"]["total_states"] < reference["stats"]["total_states"]
 
     def test_d_regular_preset(self, capsys, tmp_path):
         path = tmp_path / "c5.cw"
@@ -187,6 +213,7 @@ class TestBench:
         metrics = dict(line.split(",", 1) for line in lines[1:])
         assert int(metrics["nodes_introduce"]) == 3
         assert "elapsed_ms" in metrics
+        assert int(metrics["total_states"]) >= int(metrics["peak_states"]) >= 0
 
 
 def test_unknown_subcommand_is_usage_error():

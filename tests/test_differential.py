@@ -118,6 +118,62 @@ def test_witnesses_on_random_low_label_expressions(low_label_instances):
             assert _dominates(graph, adj, dominating, spec.sigma, spec.rho)
 
 
+FILTER_SOLVERS = {
+    "fvs": lambda expr, **kw: solve_fvs(expr, with_witness=True, **kw),
+    "cds": lambda expr, **kw: solve_connected_sigma_rho(
+        expr, preset_spec("cds"), with_witness=True, **kw),
+    "perfect-cds": lambda expr, **kw: solve_connected_sigma_rho(
+        expr, preset_spec("perfect-cds"), with_witness=True, **kw),
+    "cvc": lambda expr, **kw: solve_connected_sigma_rho(
+        expr, preset_spec("cvc"), with_witness=True, **kw),
+    "co-custom": lambda expr, **kw: solve_connected_sigma_rho(
+        expr, CUSTOM_SPECS[4], with_witness=True, **kw),
+    "steiner": lambda expr, **kw: solve_steiner(
+        expr, _two_terminals(expr), with_witness=True, **kw),
+}
+
+
+def _two_terminals(expr):
+    names = sorted(evaluate(expr).weights)
+    return {names[0], names[-1]}
+
+
+def _answer(res):
+    if hasattr(res, "fvs_weight"):
+        return res.fvs_weight, res.witness
+    return res.optimum, res.witness
+
+
+@pytest.fixture(scope="module")
+def filter_instances():
+    rng = random.Random(4711)
+    return [random_expression(rng, rng.randint(3, 9), k)
+            for k in range(2, 6) for _ in range(8)]
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_SOLVERS))
+def test_future_filter_keeps_answers_and_witnesses(filter_instances, name,
+                                                   monkeypatch):
+    # The future filter only drops states no root state extends: the optimum
+    # matches the reference path, and optimum and witness match the same
+    # reduced DP run without the filter (every transition given fut=None).
+    import cwsolve.fvs
+    import cwsolve.sigma_rho
+
+    solve = FILTER_SOLVERS[name]
+    filtered = [solve(expr) for expr in filter_instances]
+    for expr, res in zip(filter_instances, filtered):
+        assert _answer(res)[0] == _answer(solve(expr, use_reduce=False))[0]
+    for module in (cwsolve.fvs, cwsolve.sigma_rho):
+        monkeypatch.setattr(module, "future_degrees", lambda expr: {})
+    unfiltered = [solve(expr) for expr in filter_instances]
+    for res, ref in zip(filtered, unfiltered):
+        assert _answer(res) == _answer(ref)
+        assert res.stats.total_states <= ref.stats.total_states
+    assert sum(r.stats.total_states for r in filtered) < \
+        sum(r.stats.total_states for r in unfiltered)
+
+
 def test_low_label_agrees_with_naive_expression(low_label_instances):
     # the same graph through two very different expressions
     for expr, graph in low_label_instances[:50]:

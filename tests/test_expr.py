@@ -7,7 +7,8 @@ from cwsolve import (ExpressionError, PartiallyRedundantError,
                      parse_expression, parse_graph, serialize,
                      serialize_graph, strip_redundant_adds)
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel, Union,
-                            future_degrees, iter_preorder, vertex_weights)
+                            edge_key, fold, future_degrees, iter_postorder,
+                            iter_preorder, vertex_weights)
 
 from conftest import random_expression, random_graph
 
@@ -125,6 +126,54 @@ class TestIrredundancy:
                 " (ren 1 3 (v c 1)))))")
         with pytest.raises(PartiallyRedundantError):
             strip_redundant_adds(parse_expression(text))
+
+
+def _with_extra_adds(rng: random.Random, expr: CwExpression) -> CwExpression:
+    """The expression with random adds wrapped around random nodes; many of
+    them re-add edges, fully or in part."""
+    def maybe_add(node):
+        if rng.random() < 0.3:
+            i, j = rng.sample(range(1, expr.k + 1), 2)
+            return AddEdges(i, j, node)
+        return node
+
+    root = fold(expr.root,
+                maybe_add,
+                lambda node, child: maybe_add(Relabel(node.i, node.j, child)),
+                lambda node, child: maybe_add(AddEdges(node.i, node.j, child)),
+                lambda node, left, right: maybe_add(Union(left, right)))
+    return CwExpression(expr.k, root)
+
+
+def _redundancy_by_evaluation(expr: CwExpression) -> list[tuple[int, str]]:
+    """(preorder index, kind) of every add whose cross pairs partly exist,
+    in postorder, from the evaluated graph below each add."""
+    order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
+    out = []
+    for node in iter_postorder(expr.root):
+        if not isinstance(node, AddEdges):
+            continue
+        graph = evaluate(CwExpression(expr.k, node.child))
+        ci = [v for v, lab in graph.labels.items() if lab == node.i]
+        cj = [v for v, lab in graph.labels.items() if lab == node.j]
+        existing = sum(edge_key(u, v) in graph.edges for u in ci for v in cj)
+        if existing:
+            kind = "full" if existing == len(ci) * len(cj) else "partial"
+            out.append((order[id(node)], kind))
+    return out
+
+
+def test_check_irredundant_matches_evaluated_pair_counts():
+    rng = random.Random(4141)
+    kinds = set()
+    for _ in range(150):
+        k = rng.randint(2, 4)
+        expr = _with_extra_adds(rng, random_expression(rng, rng.randint(1, 9), k))
+        expected = _redundancy_by_evaluation(expr)
+        got = check_irredundant(expr)
+        assert [(issue.node_index, issue.kind) for issue in got] == expected
+        kinds.update(kind for _, kind in expected)
+    assert kinds == {"full", "partial"}
 
 
 class TestNaiveExpression:

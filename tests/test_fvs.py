@@ -10,6 +10,7 @@ from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
 from cwsolve.stats import SolveStats
+from cwsolve.wpsets import MAX, WPSet
 
 from conftest import random_graph
 
@@ -140,6 +141,72 @@ class TestSolve:
             "cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))")
         with pytest.raises(NotIrredundantError):
             solve_fvs(expr)
+
+
+class TestFutureFilter:
+    """A class no later add touches never waits: fut holds 0 there."""
+
+    def _tables(self):
+        def anchored(state):  # every forest vertex hangs off the anchor
+            ground = state_ground(state)
+            cell = WPSet(ground, MAX)
+            cell.add(Partition(ground, (ground,)), 2)
+            return cell
+
+        waiting = {state: anchored(state) for state in
+                   ((MANY_WAIT, ABSENT), (ABSENT, MANY_WAIT),
+                    (MANY_WAIT, ONE), (ONE, ONE), (ONE, MANY_DONE))}
+        return fvs_leaf(2, "a", 1), fvs_leaf(2, "c", 1), waiting
+
+    @staticmethod
+    def _same(out, ref):
+        assert {s: c.entries for s, c in out.items()} == \
+            {s: c.entries for s, c in ref.items()}
+
+    def test_union_never_waits_without_a_future(self):
+        ta, tb, _ = self._tables()
+        ref = fvs_union(ta, tb, 2, True, SolveStats())
+        assert (MANY_WAIT, ABSENT) in ref
+        out = fvs_union(ta, tb, 2, True, SolveStats(), fut=(0, 5))
+        assert all(state[0] != MANY_WAIT for state in out)
+        assert set(out) == set(ref) - {(MANY_WAIT, ABSENT)}
+        self._same(fvs_union(ta, tb, 2, True, SolveStats(), fut=None), ref)
+        self._same(fvs_union(ta, tb, 2, True, SolveStats(), fut=(1, 1)), ref)
+
+    def test_ren_never_waits_without_a_future(self):
+        _, _, waiting = self._tables()
+        ref = fvs_ren(waiting, 1, 2, 2, True, SolveStats())
+        assert any(state[1] == MANY_WAIT for state in ref)
+        out = fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=(3, 0))
+        assert set(out) == {(ABSENT, MANY_DONE)}
+        self._same(fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=None), ref)
+        self._same(fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=(0, 1)), ref)
+
+    def test_add_never_leaves_a_class_waiting_without_a_future(self):
+        _, _, waiting = self._tables()
+        ref = fvs_add(waiting, 1, 2, 2, True, SolveStats())
+        assert (MANY_WAIT, ABSENT) in ref and (ABSENT, MANY_WAIT) in ref
+        for fut, gone in (((0, 1), (MANY_WAIT, ABSENT)),
+                          ((1, 0), (ABSENT, MANY_WAIT))):
+            out = fvs_add(waiting, 1, 2, 2, True, SolveStats(), fut=fut)
+            assert set(out) == set(ref) - {gone}
+            assert all(state[l] != MANY_WAIT
+                       for state in out for l in (0, 1) if not fut[l])
+        self._same(fvs_add(waiting, 1, 2, 2, True, SolveStats(), fut=None), ref)
+
+
+def test_reference_path_never_computes_future_degrees(monkeypatch):
+    import cwsolve.fvs
+
+    def refuse(expr):
+        raise RuntimeError("future degrees computed")
+
+    monkeypatch.setattr(cwsolve.fvs, "future_degrees", refuse)
+    expr = fixture("random-cograph", 7, seed=3)
+    res = solve_fvs(expr, use_reduce=False)
+    assert res.fvs_weight == brute_min_fvs(evaluate(expr))[0]
+    with pytest.raises(RuntimeError, match="future degrees"):
+        solve_fvs(expr)
 
 
 def test_matches_oracle_on_random_graphs():

@@ -121,12 +121,27 @@ class TestLeafTables:
     @pytest.mark.parametrize("fut,sprom", [(1, 0), (2, 1)])
     def test_co_future_filter_fixes_the_connected_promise(self, fut, sprom):
         # rho = {1}: an X vertex gains exactly one S-neighbor, so of its fut
-        # future neighbors fut - 1 join X
+        # future neighbors fut - 1 join X; no S promise exceeds fut
         spec = SigmaRhoSpec(NATURALS, MuSet(False, frozenset({1})), MIN, co=True)
         ctx = DomContext(spec, 1)
         table = decoded(ctx, srd_leaf(ctx, "x", 4, (fut,)))
         assert [key[3] for key in table if key[2] == (1,)] == [(sprom,)]
-        assert len(decoded(ctx, srd_leaf(ctx, "x", 4))) == len(table) + 1
+        dropped = {1: {((1,), (2,), (0,), (0,)), ((0,), (1,), (1,), (1,))},
+                   2: {((0,), (1,), (1,), (0,))}}[fut]
+        unfiltered = decoded(ctx, srd_leaf(ctx, "x", 4))
+        assert set(unfiltered) - set(table) == dropped
+        assert set(table) <= set(unfiltered)
+
+    @pytest.mark.parametrize("fut", [0, 1])
+    def test_promises_never_exceed_the_future_degree(self, fut):
+        cds = ctx_for("cds", 1)
+        table = decoded(cds, srd_leaf(cds, "x", 4, (fut,)))
+        assert table and all(key[1][0] <= fut for key in table)
+        steiner = DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 1)
+        table = decoded(steiner, srd_leaf(steiner, "x", 4, (fut,)))
+        # an S vertex needs an S-neighbor, so with none to come it stays out
+        assert (((1,), (1,)) in table) is (fut == 1)
+        assert all(key[1][0] <= fut for key in table)
 
 
 class TestRenTable:
@@ -216,6 +231,22 @@ class TestAddTable:
         out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         # an unoccupied class cannot dominate: promise consumed nothing
         assert ((0, 0), (0, 0)) not in out
+
+    @pytest.mark.parametrize("name", ["cds", "steiner"])
+    def test_filtered_add_keeps_promises_within_the_future_degree(self, name):
+        ctx = (DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 2)
+               if name == "steiner" else ctx_for(name, 2))
+        table, present = self._p2_table(ctx)
+        unfiltered = decoded(ctx, srd_add(ctx, table, present, 1, 2))
+        for fut in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            out = decoded(ctx, srd_add(ctx, table, present, 1, 2, fut))
+            assert set(out) <= set(unfiltered)
+            for counts, promises in out:
+                assert all(p <= f for c, p, f in zip(counts, promises, fut)
+                           if c or not ctx.rho_wild)
+        full = decoded(ctx, srd_add(ctx, table, present, 1, 2, (1, 1)))
+        assert {key: cell.entries for key, cell in full.items()} == \
+            {key: cell.entries for key, cell in unfiltered.items()}  # d = 1
 
     def test_cvc_infeasible_promises_produce_no_cell(self):
         ctx = ctx_for("cvc", 2)
@@ -381,10 +412,14 @@ def test_reference_path_never_computes_future_degrees(monkeypatch):
 
     monkeypatch.setattr(cwsolve.sigma_rho, "future_degrees", refuse)
     expr = fixture("cycle", 6)
-    res = solve_connected_sigma_rho(expr, preset_spec("cvc"), use_reduce=False)
-    assert res.optimum == brute_sigma_rho(evaluate(expr), preset_spec("cvc"))[0]
+    for name in ("cvc", "cds"):
+        res = solve_connected_sigma_rho(expr, preset_spec(name), use_reduce=False)
+        assert res.optimum == brute_sigma_rho(evaluate(expr), preset_spec(name))[0]
+        with pytest.raises(RuntimeError, match="future degrees"):
+            solve_connected_sigma_rho(expr, preset_spec(name))
+    assert solve_steiner(expr, ["v1", "v4"], use_reduce=False).optimum == 4
     with pytest.raises(RuntimeError, match="future degrees"):
-        solve_connected_sigma_rho(expr, preset_spec("cvc"))
+        solve_steiner(expr, ["v1", "v4"])
 
 
 def test_universal_zero_weight_vertex_never_hurts_cds():
