@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -149,36 +150,26 @@ def iter_preorder(root: Node) -> Iterator[Node]:
 # ---------------------------------------------------------------------------
 # Parsing / serialization.
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            yield (c, line, col)
-            col += 1
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in "();":
-            j += 1
-        yield (text[i:j], line, col)
-        col += j - i
-        i = j
+# A comment runs to the end of its line; a token is a parenthesis or a run of
+# characters that are neither whitespace, parentheses nor ';'.  Comments match
+# as the empty string, since they hold no group.
+_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+
+def _tokenize(text: str) -> list[str]:
+    return [tok for tok in _TOKEN_RE.findall(text) if tok]
+
+
+def _token_line_col(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of token number ``index`` of ``text``.
+
+    Only error paths need a position, so the tokenizer keeps none: this scans
+    the text again for the token's offset.
+    """
+    tokens = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    offset = next(islice(tokens, index, None)).start()
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 def parse_expression(text: str) -> CwExpression:
@@ -199,58 +190,59 @@ def parse_expression(text: str) -> CwExpression:
     if k < 1:
         raise ExpressionError("declared k must be at least 1")
     body = "\n" * (header_idx + 1) + "\n".join(lines[header_idx + 1:])
-    tokens = list(_tokenize(body))
+    tokens = _tokenize(body)
     pos = 0
 
-    def err(msg: str, tok=None):
-        if tok is None:
-            loc = "end of input" if pos >= len(tokens) else None
-            tok = tokens[pos] if loc is None else None
-        if tok is None:
+    def err(msg: str, at: int | None = None):
+        """Raise at token number ``at``, by default the next one."""
+        if at is None:
+            at = pos
+        if at >= len(tokens):
             raise ExpressionError(f"syntax error: {msg} at end of input")
-        raise ExpressionError(f"line {tok[1]} col {tok[2]}: {msg}")
+        line, col = _token_line_col(body, at)
+        raise ExpressionError(f"line {line} col {col}: {msg}")
 
-    def take():
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
-            where = f"line {tokens[-1][1]}" if tokens else "empty input"
+            where = (f"line {_token_line_col(body, len(tokens) - 1)[0]}"
+                     if tokens else "empty input")
             raise ExpressionError(
                 f"syntax error: unexpected end of input ({where})")
-        tok = tokens[pos]
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
     def expect(value: str):
         tok = take()
-        if tok[0] != value:
-            err(f"expected {value!r}, got {tok[0]!r}", tok)
+        if tok != value:
+            err(f"expected {value!r}, got {tok!r}", pos - 1)
 
-    def parse_int(tok) -> int:
-        if not re.match(r"\d+\Z", tok[0]):
-            err(f"expected an integer, got {tok[0]!r}", tok)
-        return int(tok[0])
+    def parse_int(at: int) -> int:
+        tok = tokens[at]
+        if not re.match(r"\d+\Z", tok):
+            err(f"expected an integer, got {tok!r}", at)
+        return int(tok)
 
-    def parse_label(tok) -> int:
-        val = parse_int(tok)
+    def parse_label(at: int) -> int:
+        val = parse_int(at)
         if not 1 <= val <= k:
-            err(f"label {val} outside 1..{k}", tok)
+            err(f"label {val} outside 1..{k}", at)
         return val
 
     seen_names: set[str] = set()
 
     def parse_leaf() -> Node:
-        name_tok = take()
-        if not NAME_RE.match(name_tok[0]):
-            err(f"bad vertex name {name_tok[0]!r}", name_tok)
-        if name_tok[0] in seen_names:
-            err(f"duplicate vertex name {name_tok[0]!r}", name_tok)
-        seen_names.add(name_tok[0])
-        nxt = take()
-        if nxt[0] == ")":
-            return Introduce(name_tok[0])
-        weight = parse_int(nxt)
+        name = take()
+        if not NAME_RE.match(name):
+            err(f"bad vertex name {name!r}", pos - 1)
+        if name in seen_names:
+            err(f"duplicate vertex name {name!r}", pos - 1)
+        seen_names.add(name)
+        if take() == ")":
+            return Introduce(name)
+        weight = parse_int(pos - 1)
         expect(")")
-        return Introduce(name_tok[0], weight)
+        return Introduce(name, weight)
 
     # Frames carry unfinished operators; explicit stack so nesting depth is
     # not limited by the interpreter's recursion limit.
@@ -259,20 +251,21 @@ def parse_expression(text: str) -> CwExpression:
     while True:
         expect("(")
         head = take()
-        if head[0] == "v":
+        if head == "v":
             node = parse_leaf()
-        elif head[0] in ("ren", "add", "u"):
-            if head[0] == "u":
+        elif head in ("ren", "add", "u"):
+            if head == "u":
                 stack.append(["u", None])
             else:
-                it, jt = take(), take()
-                i, j = parse_label(it), parse_label(jt)
+                take()
+                take()
+                i, j = parse_label(pos - 2), parse_label(pos - 1)
                 if i == j:
-                    err(f"'{head[0]}' needs two distinct labels", jt)
-                stack.append([head[0], i, j])
+                    err(f"'{head}' needs two distinct labels", pos - 1)
+                stack.append([head, i, j])
             continue
         else:
-            err(f"unknown operator {head[0]!r}", head)
+            err(f"unknown operator {head!r}", pos - 1)
         # a node is complete: fold it into pending frames
         while stack:
             frame = stack[-1]

@@ -39,7 +39,7 @@ from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
 from .partitions import Partition
 from .stats import SolveStats
 from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
-                     contrib, merge_cells, proj)
+                     contrib, merge_cells, proj, witness_names)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -72,10 +72,6 @@ _UNION_OPTIONS_NO_WAIT = {pair: tuple(o for o in opts if o != MANY_WAIT)
                           for pair, opts in UNION_STATE_OPTIONS.items()}
 
 
-class FvsError(ValueError):
-    pass
-
-
 @dataclass
 class FvsResult:
     forest_weight: int
@@ -96,7 +92,7 @@ def state_ground(state: State) -> int:
 def _edge_cell(i: int, j: int, with_witness: bool) -> WPSet:
     mask = (1 << i) | (1 << j)
     cell = WPSet(mask, MAX)
-    cell.add(Partition(mask, (mask,)), 0, frozenset() if with_witness else None)
+    cell.add(Partition(mask, (mask,)), 0, () if with_witness else None)
     return cell
 
 
@@ -106,8 +102,8 @@ def _bound(k: int) -> int:
 
 
 def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Table:
-    wit0 = frozenset() if with_witness else None
-    wit1 = frozenset({name}) if with_witness else None
+    wit0 = () if with_witness else None
+    wit1 = name if with_witness else None
     untouched = WPSet(ANCHOR_BIT, MAX)
     untouched.add(Partition(ANCHOR_BIT, (ANCHOR_BIT,)), 0, wit0)
     lone = WPSet(ANCHOR_BIT | 2, MAX)
@@ -260,7 +256,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
             table_a, table_b, k, use_reduce, stats, with_witness,
             fut.get(id(node)))))
     best_w = -1
-    best_wit: frozenset | None = None
+    best_wit = None
     for state, cell in root_table.items():
         if MANY_WAIT in state:
             continue  # a promised add never arrived
@@ -276,8 +272,9 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     witness = None
     forest_witness = None
     if with_witness and best_wit is not None:
-        forest_witness = tuple(sorted(best_wit))
-        witness = tuple(sorted(set(weights) - best_wit))
+        kept = witness_names(best_wit)
+        forest_witness = tuple(sorted(kept))
+        witness = tuple(sorted(weights.keys() - kept))
     stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return FvsResult(forest_weight=forest, fvs_weight=total - forest,
                      witness=witness, forest_witness=forest_witness, stats=stats)

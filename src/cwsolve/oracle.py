@@ -162,6 +162,43 @@ def brute_steiner(graph: LabeledGraph, terminals: frozenset[str]
     return brute_sigma_rho(graph, None, terminals=terminals)
 
 
+def check_solution(graph: LabeledGraph, problem, witness, optimum,
+                   terminals=()) -> str | None:
+    """Why ``witness`` is not an optimum-weight solution certificate, or None.
+
+    ``problem`` is ``"fvs"`` (the witness is the deleted set), ``"mif"`` (the
+    kept forest), ``"steiner"`` or a (co-)(sigma, rho) spec (the connected
+    set X).  The check takes O(n + m) and trusts nothing from the solvers:
+    it tests feasibility from the graph alone and that the witness weighs
+    ``optimum``.  Optimality itself is only checkable by the brute-force
+    oracles above.
+    """
+    chosen = set(witness)
+    if len(chosen) != len(witness):
+        return "witness repeats a vertex"
+    unknown = chosen - graph.weights.keys()
+    if unknown:
+        return f"unknown vertices {sorted(unknown)}"
+    weight = sum(graph.weights[v] for v in chosen)
+    if weight != optimum:
+        return f"witness weighs {weight}, not the optimum {optimum}"
+    if problem in ("fvs", "mif"):
+        kept = chosen if problem == "mif" else graph.weights.keys() - chosen
+        if not _is_forest(list(kept), graph.edges):
+            return "the kept vertices induce a cycle"
+        return None
+    adj = graph.neighbors()
+    if not _is_connected(chosen, adj):
+        return "the witness does not induce a connected graph"
+    if problem == "steiner":
+        missing = set(terminals) - chosen
+        return f"terminals {sorted(missing)} missing" if missing else None
+    dominating = graph.weights.keys() - chosen if problem.co else chosen
+    if not _dominates(graph, adj, dominating, problem.sigma, problem.rho):
+        return "a vertex has a neighbour count outside sigma or rho"
+    return None
+
+
 def check_representative(a: WPSet, b: WPSet, mode: str = "plain") -> bool:
     """Exhaustively verify that b answers every completion query like a."""
     if a.ground != b.ground:

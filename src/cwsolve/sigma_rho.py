@@ -35,7 +35,7 @@ from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
 from .partitions import Partition
 from .stats import SolveStats
 from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
-                     join_sets, merge_cells, proj)
+                     join_sets, merge_cells, proj, witness_names)
 from .wpsets import reduce as reduce_set
 
 EMPTY_PARTITION = Partition(0, ())
@@ -213,8 +213,8 @@ class DomContext:
 
     def edge_cell(self, i: int, j: int) -> WPSet:
         mask = (1 << i) | (1 << j)
-        return WPSet.from_pairs([(Partition(mask, (mask,)), 0, frozenset()
-                                  if self.with_witness else None)],
+        return WPSet.from_pairs([(Partition(mask, (mask,)), 0,
+                                  () if self.with_witness else None)],
                                 mask, self.spec.direction)
 
 
@@ -282,8 +282,8 @@ def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
 # None on the unfiltered reference path.
 
 def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
-    wit_in = frozenset({name}) if ctx.with_witness else None
-    wit_out = frozenset() if ctx.with_witness else None
+    wit_in = name if ctx.with_witness else None
+    wit_out = () if ctx.with_witness else None
     cells = {}
     for code in ctx.leaf_codes[name in ctx.terminals]:
         if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
@@ -412,7 +412,7 @@ def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
                                           fut.get(id(node)))), child[1]),
         lambda node, a, b: (seen(srd_union(ctx, *a, *b, fut.get(id(node)))),
                             a[1] | b[1]))
-    # WPSet.add keeps the optimum and, on ties, the smallest witness.
+    # WPSet.add keeps the optimum and, on ties, the entry met first.
     final, best = ctx.final.__getitem__, WPSet(0, ctx.spec.direction)
     for key, cell in table.items():
         entry = cell.entries.get(EMPTY_PARTITION)
@@ -421,7 +421,8 @@ def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
     w, wit = best.entries.get(EMPTY_PARTITION, (
         NEG_INF if ctx.spec.direction == MAX else POS_INF, None))
     ctx.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return DomResult(w, None if wit is None else tuple(sorted(wit)), ctx.stats)
+    return DomResult(w, None if wit is None else tuple(sorted(witness_names(wit))),
+                     ctx.stats)
 
 
 def _check_irredundant(expr: CwExpression) -> None:

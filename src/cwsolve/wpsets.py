@@ -1,9 +1,16 @@
 """Sets of weighted partitions and the operators the solvers are built from.
 
 A :class:`WPSet` maps partitions of one ground set to the best weight seen so
-far (per its optimization direction), optionally together with a witness
-vertex set.  Insertion keeps the set normalized: one entry per partition,
-optimal weight, ties resolved toward the lexicographically smallest witness.
+far (per its optimization direction), optionally together with a witness.
+Insertion keeps the set normalized: one entry per partition, optimal weight,
+and on a tie the entry inserted first.  Insertion order is deterministic, so
+the same input always keeps the same witness.
+
+A witness is an O(1) provenance value, never a set: ``None`` means witnesses
+are not tracked, ``()`` is the empty witness, a vertex name is a leaf, and a
+pair ``(a, b)`` joins two non-empty witnesses.  Pairs share their parts, so
+combining costs O(1) however large the vertex set is; :func:`witness_names`
+turns one witness into its name set, once, at the root.
 
 ``reduce`` and ``ac_reduce`` are the table-pruning workhorses.  Both encode
 each partition as a row of the cut matrix over GF(2) (columns indexed by the
@@ -23,8 +30,7 @@ from .partitions import Partition, as_mask, merge_blocks
 MAX = "max"
 MIN = "min"
 
-Witness = frozenset
-Entry = tuple[int, "Witness | None"]
+Entry = tuple[int, object]
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -41,16 +47,30 @@ def check_size(cell: WPSet, bound: int) -> WPSet:
     return cell
 
 
-def _witness_key(w: Witness) -> tuple:
-    return tuple(sorted(w))
-
-
-def combine_witness(a: Witness | None, b: Witness | None) -> Witness | None:
-    if a is None:
-        return b
-    if b is None:
+def combine_witness(a, b):
+    """The witness of two disjoint parts: the pair, or the other side when
+    one side is empty (``()``) or untracked (``None``)."""
+    if not a:
+        return a if b is None else b
+    if not b:
         return a
-    return a | b
+    return (a, b)
+
+
+def witness_names(w) -> set[str]:
+    """The vertex names of a tracked witness.
+
+    Iterative, since a chain of pairs can be as deep as the vertex count.
+    """
+    names = set()
+    stack = [w]
+    while stack:
+        w = stack.pop()
+        if type(w) is str:
+            names.add(w)
+        else:
+            stack.extend(w)  # a pair, or the empty witness
+    return names
 
 
 class WPSet:
@@ -74,17 +94,12 @@ class WPSet:
             out.add(*pair)
         return out
 
-    def add(self, p: Partition, weight: int, witness: Witness | None = None) -> None:
+    def add(self, p: Partition, weight: int, witness=None) -> None:
+        """Keep the better entry for ``p``; on equal weight, the incumbent."""
         cur = self.entries.get(p)
-        if cur is None:
+        if cur is None or ((weight > cur[0]) if self.direction == MAX
+                           else (weight < cur[0])):
             self.entries[p] = (weight, witness)
-            return
-        cw, cwit = cur
-        if (weight > cw) if self.direction == MAX else (weight < cw):
-            self.entries[p] = (weight, witness)
-        elif weight == cw and witness is not None:
-            if cwit is None or _witness_key(witness) < _witness_key(cwit):
-                self.entries[p] = (weight, witness)
 
     def update(self, other: WPSet) -> None:
         if other.ground != self.ground or other.direction != self.direction:
@@ -153,7 +168,7 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
 
 def _shifted(base: WPSet, weight: int, witness, ground: int) -> WPSet:
     out = WPSet(ground, base.direction)
-    if weight == 0 and witness is None:
+    if weight == 0 and not witness:
         out.entries = dict(base.entries)
         return out
     for p, (w, wit) in base.entries.items():

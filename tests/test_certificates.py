@@ -1,0 +1,268 @@
+"""Certificates and metamorphic checks at sizes the oracles cannot reach.
+
+:func:`cwsolve.oracle.check_solution` checks a witness against the evaluated
+graph alone, in O(n + m).  The brute-force oracles stop at n <= 8, so these
+tests check every witness the solvers report on fixtures of 200..1000
+vertices and on random expressions of width up to 5, and that relabelling,
+renaming and scaling an instance move the optimum as they must.
+"""
+
+import json
+import random
+
+import pytest
+
+from cwsolve import cli, evaluate, fixture, serialize, solve_fvs
+from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
+                            Relabel, Union, fold)
+from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
+                            brute_steiner, check_solution)
+from cwsolve.sigma_rho import (NATURALS, MuSet, SigmaRhoSpec, preset_spec,
+                               solve_connected_sigma_rho, solve_steiner)
+from cwsolve.wpsets import MAX, NEG_INF, POS_INF
+
+from conftest import random_expression, random_graph
+
+SPECS = {name: preset_spec(name)
+         for name in ("cds", "ctds", "perfect-cds", "cvc", "d-regular:2")}
+SPECS["co-custom"] = SigmaRhoSpec(MuSet(True, frozenset({0, 1})), NATURALS,
+                                  co=True)
+
+
+def rebuild(expr, name=None, weight=None, label=None) -> CwExpression:
+    """The expression with vertex names, weights or labels mapped."""
+    name = name or (lambda v: v)
+    weight = weight or (lambda w: w)
+    label = label or (lambda lbl: lbl)
+
+    def leaf(node):
+        out = Introduce(name(node.name), weight(node.weight))
+        return out if label(1) == 1 else Relabel(1, label(1), out)
+
+    root = fold(expr.root, leaf,
+                lambda node, child: Relabel(label(node.i), label(node.j), child),
+                lambda node, child: AddEdges(label(node.i), label(node.j), child),
+                lambda node, left, right: Union(left, right))
+    return CwExpression(expr.k, root)
+
+
+def coned(expr, weight: int) -> CwExpression:
+    """The expression plus a vertex ``hub`` adjacent to every other one.
+
+    The hub gets the new label k + 1, so each add links it to one class for
+    the first time: the result is connected and still irredundant.
+    """
+    k = expr.k + 1
+    root = Union(expr.root, Relabel(1, k, Introduce("hub", weight)))
+    for lbl in range(1, k):
+        root = AddEdges(lbl, k, root)
+    return CwExpression(k, root)
+
+
+def answers(expr, problems, terminals=()) -> dict:
+    """Problem -> (optimum, witness) from the solvers; ``fvs`` also gives
+    ``mif``, whose witness is the kept forest."""
+    out = {}
+    for problem in problems:
+        if problem == "fvs":
+            res = solve_fvs(expr, with_witness=True)
+            out["fvs"] = res.fvs_weight, res.witness
+            out["mif"] = res.forest_weight, res.forest_witness
+            continue
+        if problem == "steiner":
+            res = solve_steiner(expr, terminals, with_witness=True)
+        else:
+            res = solve_connected_sigma_rho(expr, SPECS[problem],
+                                            with_witness=True)
+        out[problem] = res.optimum, res.witness
+    return out
+
+
+def certify(graph, problem, optimum, witness, terminals=()) -> None:
+    if optimum in (POS_INF, NEG_INF):
+        assert witness is None, problem
+        return
+    kind = problem if problem in ("fvs", "mif", "steiner") else SPECS[problem]
+    assert check_solution(graph, kind, witness, optimum, terminals) is None, \
+        (problem, optimum, witness)
+
+
+# ---------------------------------------------------------------------------
+# The checker itself.
+
+PATH3 = LabeledGraph({"a": 1, "b": 2, "c": 1}, {("a", "b"), ("b", "c")})
+TRIANGLE = LabeledGraph({"a": 1, "b": 2, "c": 1},
+                        {("a", "b"), ("b", "c"), ("a", "c")})
+
+
+@pytest.mark.parametrize("graph, problem, witness, optimum, terminals, fault", [
+    (TRIANGLE, "fvs", ("a",), 1, (), None),
+    (TRIANGLE, "fvs", (), 0, (), "cycle"),
+    (TRIANGLE, "fvs", ("b",), 1, (), "weighs 2"),
+    (TRIANGLE, "fvs", ("a",), 2, (), "weighs 1"),
+    (TRIANGLE, "mif", ("a", "b"), 3, (), None),
+    (TRIANGLE, "mif", ("a", "b", "c"), 4, (), "cycle"),
+    (PATH3, "mif", ("a", "b", "c"), 4, (), None),
+    (PATH3, "cds", ("b",), 2, (), None),
+    (PATH3, "cds", ("a", "c"), 2, (), "connected"),
+    (PATH3, "cds", ("a",), 1, (), "sigma or rho"),
+    (PATH3, "cvc", ("b",), 2, (), None),
+    (TRIANGLE, "cvc", ("a",), 1, (), "sigma or rho"),
+    (TRIANGLE, "cvc", ("a", "b"), 3, (), None),
+    (PATH3, "steiner", ("a", "b"), 3, ("a", "b"), None),
+    (PATH3, "steiner", ("a", "b"), 3, ("a", "c"), "terminals ['c']"),
+    (PATH3, "cds", ("b", "z"), 2, (), "unknown vertices ['z']"),
+    (PATH3, "cds", ("b", "b"), 4, (), "repeats"),
+])
+def test_check_solution_names_each_fault(graph, problem, witness, optimum,
+                                         terminals, fault):
+    kind = problem if problem in ("fvs", "mif", "steiner") else SPECS[problem]
+    got = check_solution(graph, kind, witness, optimum, terminals)
+    if fault is None:
+        assert got is None
+    else:
+        assert fault in got
+
+
+def _subsets(names):
+    for mask in range(1 << len(names)):
+        yield tuple(v for i, v in enumerate(names) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("problem", ["fvs", "mif", "steiner", *SPECS])
+def test_check_solution_accepts_exactly_what_the_oracles_optimize(problem):
+    # the best weight among the subsets the checker accepts is the oracle's
+    # optimum, and the oracle's witness passes
+    rng = random.Random(808)
+    for _ in range(40):
+        graph = random_graph(rng.randint(1, 6), rng)
+        names = sorted(graph.weights)
+        terms = frozenset(rng.sample(names, min(2, len(names))))
+        kind = problem if problem in ("fvs", "mif", "steiner") else SPECS[problem]
+        if problem == "fvs":
+            want = brute_min_fvs(graph)
+        elif problem == "mif":
+            want = brute_max_forest(graph)
+        elif problem == "steiner":
+            want = brute_steiner(graph, terms)
+        else:
+            want = brute_sigma_rho(graph, kind)
+        weights = [sum(graph.weights[v] for v in sub) for sub in _subsets(names)
+                   if check_solution(graph, kind, sub,
+                                     sum(graph.weights[v] for v in sub),
+                                     terms) is None]
+        top = problem == "mif" or (problem in SPECS
+                                   and SPECS[problem].direction == MAX)
+        if not weights:
+            assert want[1] is None
+            continue
+        assert (max(weights) if top else min(weights)) == want[0]
+        assert check_solution(graph, kind, want[1], want[0], terms) is None
+
+
+# ---------------------------------------------------------------------------
+# Every witness at scale.
+
+FIXTURES = [("path", 400), ("cycle", 200), ("star", 1000), ("clique", 200),
+            ("random-cograph", 300)]
+
+
+def _large_fixture(kind: str, n: int):
+    """The fixture with seeded weights 0..10, three terminals and its graph."""
+    rng = random.Random(f"{kind}:{n}")
+    expr = rebuild(fixture(kind, n, seed=n), weight=lambda w: rng.randint(0, 10))
+    if kind == "random-cograph":
+        expr = coned(expr, 5)  # a cograph whose root is a union is disconnected
+    graph = evaluate(expr)
+    return expr, sorted(rng.sample(sorted(graph.weights), 3)), graph
+
+
+@pytest.mark.parametrize("kind, n", FIXTURES)
+def test_every_witness_on_large_fixtures(kind, n):
+    expr, terms, graph = _large_fixture(kind, n)
+    got = answers(expr, ("fvs", "cds", "cvc", "steiner"), terms)
+    for problem, (optimum, witness) in got.items():
+        assert witness is not None, problem  # every fixture here is connected
+        certify(graph, problem, optimum, witness, terms)
+
+
+def test_every_cli_witness_on_a_large_fixture(tmp_path, capsys):
+    expr, terms, graph = _large_fixture("clique", 200)
+    path = tmp_path / "in.cw"
+    path.write_text(serialize(expr))
+    for problem in ("fvs", "mif", "cds", "cvc", "steiner"):
+        argv = ["solve", "--problem", problem, "--expr", str(path),
+                "--witness", "--json", "--terminals", ",".join(terms)]
+        capsys.readouterr()
+        assert cli.run(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        certify(graph, problem, payload["optimum"], payload["witness"], terms)
+
+
+# (k, n) of the random expressions: width up to 5, sizes the DP handles fast.
+RANDOM_SIZES = [(2, 40), (3, 40), (3, 30), (4, 24), (4, 20), (5, 14), (5, 12)]
+
+
+@pytest.mark.parametrize("k, n", RANDOM_SIZES)
+def test_every_witness_on_random_expressions(k, n):
+    rng = random.Random(f"random:{k}:{n}")
+    base = random_expression(rng, n, k)
+    # the raw expressions are rarely connected; the coned one always is
+    exprs = [base] + ([coned(base, rng.randint(0, 10))] if k < 5 else [])
+    for expr in exprs:
+        graph = evaluate(expr)
+        terms = rng.sample(sorted(graph.weights), 3)
+        got = answers(expr, ("fvs", "steiner", *SPECS), terms)
+        for problem, (optimum, witness) in got.items():
+            certify(graph, problem, optimum, witness, terms)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic relations, n = 20..60 and k <= 4.
+
+META_PROBLEMS = ("fvs", "cds", "cvc", "steiner")
+
+
+@pytest.fixture(scope="module")
+def meta_instances():
+    """(expression, terminals, answers) on random expressions, coned so that
+    the domination problems have solutions; the cone takes one more label,
+    so k <= 3 below it."""
+    rng = random.Random(2718)
+    out = []
+    for k, n in [(2, 60), (3, 40), (3, 20)]:
+        expr = coned(random_expression(rng, n, k), rng.randint(0, 10))
+        terms = rng.sample(sorted(evaluate(expr).weights), 3)
+        out.append((expr, terms, answers(expr, META_PROBLEMS, terms)))
+    return out
+
+
+def test_label_permutation_and_renaming_keep_the_optimum(meta_instances):
+    rng = random.Random(99)
+    for expr, terms, want in meta_instances:
+        perm = list(range(1, expr.k + 1))
+        rng.shuffle(perm)
+        names = sorted(evaluate(expr).weights)
+        # the new names reverse the old names' order, so that ties between
+        # equal-weight optima can resolve differently
+        renamed = {v: f"w{len(names) - i:03d}" for i, v in enumerate(names)}
+        for variant, vterms in [
+                (rebuild(expr, label=lambda lbl: perm[lbl - 1]), terms),
+                (rebuild(expr, name=renamed.__getitem__),
+                 [renamed[t] for t in terms])]:
+            graph = evaluate(variant)
+            for problem, (optimum, witness) in answers(
+                    variant, META_PROBLEMS, vterms).items():
+                assert optimum == want[problem][0], problem
+                certify(graph, problem, optimum, witness, vterms)
+
+
+@pytest.mark.parametrize("c", [0, 3])
+def test_scaling_every_weight_scales_the_optimum(meta_instances, c):
+    for expr, terms, want in meta_instances:
+        scaled = rebuild(expr, weight=lambda w: c * w)
+        graph = evaluate(scaled)
+        for problem, (optimum, witness) in answers(
+                scaled, META_PROBLEMS, terms).items():
+            assert optimum == c * want[problem][0], problem
+            certify(graph, problem, optimum, witness, terms)

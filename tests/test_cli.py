@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import cwsolve
 from cwsolve import cli, fixture, naive_expression, serialize
 from cwsolve.cwexpr import edge_key
 
@@ -218,3 +222,12 @@ class TestBench:
 
 def test_unknown_subcommand_is_usage_error():
     assert cli.run(["frobnicate"]) == 1
+
+
+def test_module_runs_as_a_script():
+    # ``python -m cwsolve.cli`` is a documented entry point
+    src = os.path.dirname(os.path.dirname(cwsolve.__file__))
+    out = subprocess.run([sys.executable, "-m", "cwsolve.cli", "gen", "--kind",
+                          "path", "--n", "3"], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.startswith("cwexpr k=3"), out.stderr

@@ -54,6 +54,25 @@ class TestParse:
         with pytest.raises(ExpressionError, match=r"line 2"):
             parse_expression("cwexpr k=1\n(v a 1")
 
+    def test_bad_token_on_line_three_reports_line_and_column(self):
+        text = "cwexpr k=2\n(add 1 2\n  (u (v a 1) (ren 1 x (v b 1))))\n"
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        assert str(info.value) == "line 3 col 21: expected an integer, got 'x'"
+
+    def test_token_after_a_comment_reports_line_and_column(self):
+        text = "; lead\ncwexpr k=1 ; header\n(u (v a) ; one (v b)\n\t(v a))"
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        assert str(info.value) == "line 4 col 5: duplicate vertex name 'a'"
+        with pytest.raises(ExpressionError) as info:
+            parse_expression("cwexpr k=1\n; (v a)\n(u (v a) ; (v b)\n (w b))")
+        assert str(info.value) == "line 4 col 3: unknown operator 'w'"
+
+    def test_comment_ends_a_token(self):
+        expr = parse_expression("cwexpr k=1\n(v a 2;c)\n)")
+        assert expr.root == Introduce("a", 2)
+
     def test_missing_header_rejected(self):
         with pytest.raises(ExpressionError, match="header"):
             parse_expression("(v a 1)")

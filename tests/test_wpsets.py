@@ -10,8 +10,9 @@ import cwsolve
 from cwsolve.oracle import check_representative
 from cwsolve.partitions import Partition, iter_partitions
 from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, ac_reduce,
-                            acjoin, cut_row, join_sets, max_weight_basis,
-                            proj, query_opt, rmc)
+                            acjoin, combine_witness, cut_row, join_sets,
+                            max_weight_basis, proj, query_opt, rmc,
+                            witness_names)
 from cwsolve.wpsets import reduce as reduce_set
 
 from conftest import random_partition, random_wpset
@@ -39,10 +40,46 @@ class TestRmc:
         out = rmc([(p, 3), (q, 5)], p.ground, MAX)
         assert len(out) == 2
 
-    def test_tie_prefers_lexicographically_smallest_witness(self):
-        p = P({1})
-        out = rmc([(p, 3, frozenset({"b"})), (p, 3, frozenset({"a"}))], p.ground, MAX)
-        assert out.entries[p] == (3, frozenset({"a"}))
+    def test_tie_keeps_the_first_witness(self):
+        # the same input yields the same witness: of two equal-weight
+        # entries the first is kept, whatever the names
+        p, q = P({1, 2}), P({1}, {2})
+        pairs = [(q, 1, "c"), (p, 3, "b"), (p, 3, ("a", "d")), (q, 1, ())]
+        for direction, better in ((MAX, 4), (MIN, 2)):
+            out = rmc(pairs, p.ground, direction)
+            assert out.entries == {q: (1, "c"), p: (3, "b")}
+            assert rmc(pairs, p.ground, direction).entries == out.entries
+            assert rmc(pairs[::-1], p.ground, direction).entries == \
+                {q: (1, ()), p: (3, ("a", "d"))}
+            out.add(p, better, "e")
+            assert out.entries[p] == (better, "e")
+
+
+class TestWitness:
+    def test_combine_is_a_pair_unless_one_side_is_empty(self):
+        assert combine_witness("a", "b") == ("a", "b")
+        assert combine_witness("a", ()) == "a"
+        assert combine_witness((), ("a", "b")) == ("a", "b")
+        assert combine_witness((), ()) == ()
+        assert combine_witness(None, None) is None
+
+    def test_names_flatten_pairs_and_skip_empty(self):
+        assert witness_names(()) == set()
+        assert witness_names("a") == {"a"}
+        assert witness_names((("a", "b"), ("c", ("d", "e")))) == set("abcde")
+
+    def test_names_of_a_deep_chain_do_not_recurse(self):
+        w = "v0"
+        for i in range(1, 50_000):
+            w = combine_witness(w, f"v{i}")
+        assert len(witness_names(w)) == 50_000
+
+    def test_join_builds_pairs_not_sets(self):
+        a = WPSet.from_pairs([(P({1}), 5, "x")], 0b10, MAX)
+        b = WPSet.from_pairs([(P({2}), 3, ("y", "z"))], 0b100, MAX)
+        edge = WPSet.from_pairs([(P({1, 2}), 0, ())], 0b110, MAX)
+        joined = join_sets(join_sets(a, b), edge)
+        assert joined.entries == {P({1, 2}): (8, ("x", ("y", "z")))}
 
 
 class TestProj:
