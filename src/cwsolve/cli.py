@@ -12,9 +12,9 @@ import sys
 
 from . import cwexpr, oracle, sigma_rho
 from .cwexpr import ExpressionError, NotIrredundantError
+from .dp import SolveStats
 from .fvs import solve_fvs
 from .sigma_rho import MAX, MIN, MuSetError, SigmaRhoSpec, parse_mu, preset_spec
-from .stats import SolveStats
 from .wpsets import NEG_INF, POS_INF
 
 _EMPTY_STATS = SolveStats()

@@ -154,6 +154,7 @@ def iter_preorder(root: Node) -> Iterator[Node]:
 # characters that are neither whitespace, parentheses nor ';'.  Comments match
 # as the empty string, since they hold no group.
 _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+_INT_RE = re.compile(r"\d+\Z")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -219,7 +220,7 @@ def parse_expression(text: str) -> CwExpression:
 
     def parse_int(at: int) -> int:
         tok = tokens[at]
-        if not re.match(r"\d+\Z", tok):
+        if not _INT_RE.match(tok):
             err(f"expected an integer, got {tok!r}", at)
         return int(tok)
 

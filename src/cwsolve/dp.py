@@ -1,0 +1,97 @@
+"""The one dynamic-programming driver every solver runs, and its statistics.
+
+Every solver is the same bottom-up pass over a k-expression, a table per node;
+it keeps only its transitions, which :func:`run` folds, and its root rule.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass, field
+
+from .cwexpr import CwExpression, fold, future_degrees
+from .partitions import Partition
+from .wpsets import MAX, NEG_INF, POS_INF, WPSet, witness_names
+
+
+@dataclass
+class SolveStats:
+    dp_nodes: int = 0
+    reduce_calls: int = 0
+    max_cell_entries: int = 0
+    elapsed_ms: float = 0.0
+    peak_states: int = 0
+    total_states: int = 0
+    node_kinds: Counter = field(default_factory=Counter)
+
+    def as_dict(self) -> dict:
+        return {
+            "dp_nodes": self.dp_nodes,
+            "max_cell_entries": self.max_cell_entries,
+            "reduce_calls": self.reduce_calls,
+            "peak_states": self.peak_states,
+            "total_states": self.total_states,
+            "elapsed_ms": round(self.elapsed_ms, 3),
+        }
+
+
+def run(expr: CwExpression, stats: SolveStats, cap: int | None,
+        leaf, ren, add, union) -> dict:
+    """Fold the transitions over ``expr``; returns the root's table.
+
+    A node's table is ``leaf(name, weight, fut)``, ``ren(table, present, i,
+    j, fut)``, ``add(table, present, i, j, fut)`` or ``union(table_a, pres_a,
+    table_b, pres_b, fut)``, where ``present`` is a child's mask of nonempty
+    label classes (bit l for label l) and ``fut`` the node's future degree
+    vector (:func:`~cwsolve.cwexpr.future_degrees`) capped at ``cap``; with
+    ``cap`` None, no future degree is computed and ``fut`` is None.  Each
+    node's kind, states and largest cell go into ``stats``.
+    """
+    fut = {}
+    if cap is not None:
+        fut = {nid: tuple(min(cap, x) for x in vec)
+               for nid, vec in future_degrees(expr).items()}
+
+    def seen(kind: str, table: dict, present: int) -> tuple[dict, int]:
+        stats.node_kinds[kind] += 1
+        stats.total_states += len(table)
+        stats.peak_states = max(stats.peak_states, len(table))
+        stats.max_cell_entries = max(stats.max_cell_entries,
+                                     max(map(len, table.values()), default=0))
+        return table, present
+
+    def on_ren(node, child):
+        present = child[1]
+        if present >> node.i & 1:
+            present = present & ~(1 << node.i) | 1 << node.j
+        return seen("relabel", ren(*child, node.i, node.j, fut.get(id(node))),
+                    present)
+
+    table, _ = fold(
+        expr.root,
+        lambda node: seen("introduce", leaf(node.name, node.weight,
+                                            fut.get(id(node))), 2),
+        on_ren,
+        lambda node, child: seen("add", add(*child, node.i, node.j,
+                                            fut.get(id(node))), child[1]),
+        lambda node, a, b: seen("union", union(*a, *b, fut.get(id(node))),
+                                a[1] | b[1]))
+    stats.dp_nodes = stats.node_kinds.total()
+    return table
+
+
+_ROOT = Partition(0, ())
+
+
+def root_optimum(entries, direction: str) -> tuple[int | float, tuple | None]:
+    """The best of the root's (weight, witness) ``entries``, None ones
+    skipped, with its witness's sorted vertex names (None when untracked).
+
+    Ties keep the first entry, as :meth:`~cwsolve.wpsets.WPSet.add` does.
+    Without an entry the weight is -inf (max) or +inf (min).
+    """
+    best = WPSet.from_pairs(((_ROOT, *entry) for entry in entries
+                             if entry is not None), 0, direction)
+    weight, wit = best.entries.get(
+        _ROOT, (NEG_INF if direction == MAX else POS_INF, None))
+    return weight, None if wit is None else tuple(sorted(witness_names(wit)))

@@ -19,13 +19,14 @@ already linked; an entry survives to the root only if everything ends up in
 one tree hanging off the anchor, which makes the kept forest plus one anchor
 edge per component a single tree, i.e. the forest is genuinely acyclic.
 
-Unless ``use_reduce`` is off (the unpruned reference path), the transitions
-take the node's future degree vector (:func:`~cwsolve.cwexpr.future_degrees`)
-and never build ``MANY_WAIT`` on a class whose future degree is 0.  Such a
-class waits for an add with a populated partner, yet no later add touches
-it, so the root rejects every state extending it.  A key feeding a
-root-reaching key reaches the root itself, so no kept cell changes: the
-optimum and its witness are the unfiltered path's.
+Unless ``use_reduce`` is off (the unpruned reference path), the driver
+:func:`~cwsolve.dp.run` hands each transition its node's future degree vector
+(:func:`~cwsolve.cwexpr.future_degrees`) capped at 1, and the transitions
+never build ``MANY_WAIT`` on a class whose future degree is 0.  Such a class
+waits for an add with a populated partner, yet no later add touches it, so the
+root rejects every state extending it.  A key feeding a root-reaching key
+reaches the root itself, so no kept cell changes: the optimum and its witness
+are the unfiltered path's.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
+from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     fold, future_degrees, vertex_weights)
+                     vertex_weights)
+from .dp import SolveStats
 from .partitions import Partition
-from .stats import SolveStats
 from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
-                     contrib, merge_cells, proj, witness_names)
+                     contrib, edge_cell, merge_cells, proj)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -89,13 +91,6 @@ def state_ground(state: State) -> int:
     return mask
 
 
-def _edge_cell(i: int, j: int, with_witness: bool) -> WPSet:
-    mask = (1 << i) | (1 << j)
-    cell = WPSet(mask, MAX)
-    cell.add(Partition(mask, (mask,)), 0, () if with_witness else None)
-    return cell
-
-
 def _bound(k: int) -> int:
     """Entries an ``ac_reduce``-d cell can hold: (k + 1) * 2^k."""
     return (k + 1) << k
@@ -120,7 +115,7 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
-    edge = _edge_cell(i, j, with_witness)
+    edge = edge_cell(i, j, MAX, with_witness)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
@@ -151,7 +146,6 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
                 # single-cell transforms cannot outgrow their reduced source
                 check_size(merged, _bound(k))
             out[target] = merged
-            stats.observe_cell(len(merged))
     return out
 
 
@@ -160,7 +154,7 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
     acc: dict[State, list[WPSet]] = {}
     ii, jj = i - 1, j - 1
-    edge = _edge_cell(i, j, with_witness)
+    edge = edge_cell(i, j, MAX, with_witness)
     may_wait = fut is None or fut[jj] > 0
     for state, cell in table.items():
         a, b = state[ii], state[jj]
@@ -241,40 +235,22 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
         raise NotIrredundantError(
             "feedback vertex set requires an irredundant expression")
     stats = SolveStats()
-    stats.count_nodes(expr.root)
     k = expr.k
-    fut = future_degrees(expr) if use_reduce else {}
-    seen = stats.observe_table
-    root_table = fold(
-        expr.root,
-        lambda node: seen(fvs_leaf(k, node.name, node.weight, with_witness)),
-        lambda node, table: seen(fvs_ren(table, node.i, node.j, k, use_reduce,
-                                         stats, with_witness, fut.get(id(node)))),
-        lambda node, table: seen(fvs_add(table, node.i, node.j, k, use_reduce,
-                                         stats, with_witness, fut.get(id(node)))),
-        lambda node, table_a, table_b: seen(fvs_union(
-            table_a, table_b, k, use_reduce, stats, with_witness,
-            fut.get(id(node)))))
-    best_w = -1
-    best_wit = None
-    for state, cell in root_table.items():
-        if MANY_WAIT in state:
-            continue  # a promised add never arrived
-        ground = state_ground(state)
-        entry = cell.entries.get(Partition(ground, (ground,)))
-        if entry is not None and entry[0] > best_w:
-            best_w, best_wit = entry
-    weights = vertex_weights(expr)
-    total = sum(weights.values())
-    if best_w < 0:
+    rest = (k, use_reduce, stats, with_witness)
+    root_table = dp.run(  # the filter only asks whether a future degree is 0
+        expr, stats, 1 if use_reduce else None,
+        lambda name, weight, fut: fvs_leaf(k, name, weight, with_witness),
+        lambda table, present, i, j, fut: fvs_ren(table, i, j, *rest, fut),
+        lambda table, present, i, j, fut: fvs_add(table, i, j, *rest, fut),
+        lambda a, pres_a, b, pres_b, fut: fvs_union(a, b, *rest, fut))
+    # the forest hangs off the anchor as one tree, and no promised add is owed
+    forest, kept = dp.root_optimum(
+        (cell.entries.get(Partition.whole(state_ground(state)))
+         for state, cell in root_table.items() if MANY_WAIT not in state), MAX)
+    if forest < 0:
         raise InvariantError("no root entry, yet the empty forest is always one")
-    forest = best_w
-    witness = None
-    forest_witness = None
-    if with_witness and best_wit is not None:
-        kept = witness_names(best_wit)
-        forest_witness = tuple(sorted(kept))
-        witness = tuple(sorted(weights.keys() - kept))
+    weights = vertex_weights(expr)
+    witness = None if kept is None else tuple(sorted(weights.keys() - kept))
     stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return FvsResult(forest_weight=forest, fvs_weight=total - forest,
-                     witness=witness, forest_witness=forest_witness, stats=stats)
+    return FvsResult(forest_weight=forest, fvs_weight=sum(weights.values()) - forest,
+                     witness=witness, forest_witness=kept, stats=stats)

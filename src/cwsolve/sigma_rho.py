@@ -16,10 +16,10 @@ already connects.  Only :class:`DomContext` knows the variant: the codes that
 exist (plain ties b = [c > 0] and q = b and [p > 0]) and each leaf's (in S, in X)
 placements.
 
-Unless ``use_reduce`` is off (the unpruned reference path), every transition
-drops the slot states that the class's future degree
-(:func:`~cwsolve.cwexpr.future_degrees`) rules out, so dead keys are never
-built; see :func:`_future_ok`.
+Unless ``use_reduce`` is off (the unpruned reference path), the driver
+:func:`~cwsolve.dp.run` hands each transition the future degrees
+(:func:`~cwsolve.cwexpr.future_degrees`) capped at d, and it drops the slot
+states they rule out, so dead keys are never built; see :func:`_future_ok`.
 """
 
 from __future__ import annotations
@@ -27,16 +27,17 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from operator import getitem
 
+from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     fold, future_degrees, vertex_weights)
+                     vertex_weights)
+from .dp import SolveStats
 from .partitions import Partition
-from .stats import SolveStats
 from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
-                     join_sets, merge_cells, proj, witness_names)
-from .wpsets import reduce as reduce_set
+                     edge_cell, join_sets, merge_cells, proj, reduce_set)
 
 EMPTY_PARTITION = Partition(0, ())
 
@@ -211,12 +212,6 @@ class DomContext:
                                     for a in self.slots]
         return self._rels[fn, args]
 
-    def edge_cell(self, i: int, j: int) -> WPSet:
-        mask = (1 << i) | (1 << j)
-        return WPSet.from_pairs([(Partition(mask, (mask,)), 0,
-                                  () if self.with_witness else None)],
-                                mask, self.spec.direction)
-
 
 def _merge(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
            fut_s: int | None) -> int | None:
@@ -292,7 +287,6 @@ def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
         cell.add(Partition(2, (2,)) if ctx.open[code] else EMPTY_PARTITION,
                  *((weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
         cells[(code,) + (0,) * (ctx.k - 1)] = cell
-        ctx.stats.observe_cell(1)
     return cells
 
 
@@ -301,7 +295,7 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
-    edge = ctx.edge_cell(i, j)
+    edge = edge_cell(i, j, ctx.spec.direction, ctx.with_witness)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -333,7 +327,6 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
                     check_size(res, ctx.bound)
                 slots[ii], slots[jj] = ni, nj
                 out[tuple(slots)] = res
-                ctx.stats.observe_cell(len(res))
     return out
 
 
@@ -343,7 +336,7 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
         return table
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_merge, 1, present >> j & 1, fut and fut[jj])
-    edge = ctx.edge_cell(i, j)
+    edge = edge_cell(i, j, ctx.spec.direction, ctx.with_witness)
     acc: dict = {}
     for key, cell in table.items():
         code = rel[key[ii]][key[jj]]
@@ -387,42 +380,16 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
 
 
 def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
-    """Fold the transitions over the expression, each node giving its table
-    and the mask of its nonempty classes; the optimum at the root."""
-    ctx.stats.count_nodes(expr.root)
-    fut = {}
-    if ctx.use_reduce:  # degrees from d up filter alike
-        fut = {nid: tuple(min(ctx.d, x) for x in vec)
-               for nid, vec in future_degrees(expr).items()}
-    seen = ctx.stats.observe_table
-
-    def on_ren(node, child):
-        table, present = child
-        table = srd_ren(ctx, table, present, node.i, node.j, fut.get(id(node)))
-        if present >> node.i & 1:
-            present = present & ~(1 << node.i) | 1 << node.j
-        return seen(table), present
-
-    table, _ = fold(
-        expr.root,
-        lambda node: (seen(srd_leaf(ctx, node.name, node.weight,
-                                    fut.get(id(node)))), 2),
-        on_ren,
-        lambda node, child: (seen(srd_add(ctx, *child, node.i, node.j,
-                                          fut.get(id(node)))), child[1]),
-        lambda node, a, b: (seen(srd_union(ctx, *a, *b, fut.get(id(node)))),
-                            a[1] | b[1]))
-    # WPSet.add keeps the optimum and, on ties, the entry met first.
-    final, best = ctx.final.__getitem__, WPSet(0, ctx.spec.direction)
-    for key, cell in table.items():
-        entry = cell.entries.get(EMPTY_PARTITION)
-        if entry is not None and all(map(final, key)):
-            best.add(EMPTY_PARTITION, *entry)
-    w, wit = best.entries.get(EMPTY_PARTITION, (
-        NEG_INF if ctx.spec.direction == MAX else POS_INF, None))
+    """Run the transitions over the expression; the optimum at the root."""
+    table = dp.run(expr, ctx.stats, ctx.d if ctx.use_reduce else None,
+                   partial(srd_leaf, ctx), partial(srd_ren, ctx),
+                   partial(srd_add, ctx), partial(srd_union, ctx))
+    final = ctx.final.__getitem__
+    optimum, witness = dp.root_optimum(
+        (cell.entries.get(EMPTY_PARTITION) for key, cell in table.items()
+         if all(map(final, key))), ctx.spec.direction)
     ctx.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return DomResult(w, None if wit is None else tuple(sorted(witness_names(wit))),
-                     ctx.stats)
+    return DomResult(optimum, witness, ctx.stats)
 
 
 def _check_irredundant(expr: CwExpression) -> None:

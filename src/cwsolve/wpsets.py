@@ -12,13 +12,13 @@ pair ``(a, b)`` joins two non-empty witnesses.  Pairs share their parts, so
 combining costs O(1) however large the vertex set is; :func:`witness_names`
 turns one witness into its name set, once, at the root.
 
-``reduce`` and ``ac_reduce`` are the table-pruning workhorses.  Both encode
-each partition as a row of the cut matrix over GF(2) (columns indexed by the
-two-sided cuts of the ground set that fix the minimum element's side) and keep
-an optimum-weight row basis; a basis row set answers every completion query
-exactly like the full set does.  ``ac_reduce`` additionally groups rows by
-``|V| - #blocks`` so that the surviving entries also preserve optima under the
-acyclicity constraint; its output can be larger by that factor.
+``reduce_set`` and ``ac_reduce`` are the table-pruning workhorses.  Both
+encode each partition as a row of the cut matrix over GF(2) (columns indexed by
+the two-sided cuts of the ground set that fix the minimum element's side) and
+keep an optimum-weight row basis; a basis row set answers every completion
+query exactly like the full set does.  ``ac_reduce`` additionally groups rows
+by ``|V| - #blocks`` so that the surviving entries also preserve optima under
+the acyclicity constraint; its output can be larger by that factor.
 """
 
 from __future__ import annotations
@@ -166,6 +166,14 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
     return out
 
 
+def edge_cell(i: int, j: int, direction: str, with_witness: bool) -> WPSet:
+    """The cell whose one weight-0 entry links elements i and j."""
+    mask = (1 << i) | (1 << j)
+    cell = WPSet(mask, direction)
+    cell.add(Partition.whole(mask), 0, () if with_witness else None)
+    return cell
+
+
 def _shifted(base: WPSet, weight: int, witness, ground: int) -> WPSet:
     out = WPSet(ground, base.direction)
     if weight == 0 and not witness:
@@ -301,7 +309,7 @@ def max_weight_basis(rows: list[int], weights: list[int], direction: str = MAX) 
     return chosen
 
 
-def reduce(a: WPSet) -> WPSet:
+def reduce_set(a: WPSet) -> WPSet:
     """Representative subset of at most 2^(|V|-1) entries.
 
     Every completion query (``query_opt`` in plain mode, for any partition q)
@@ -363,9 +371,10 @@ def contrib(acc: dict, key, cell: WPSet) -> None:
 def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
     """The table of an accumulator: merge each key's cells and reduce them.
 
-    ``reducer`` (``reduce`` or ``ac_reduce``) shrinks every merged cell, which
-    must then hold at most ``bound`` entries; ``None`` keeps every entry and
-    checks no bound, for the unpruned reference path.
+    ``reducer`` (``reduce_set`` or ``ac_reduce``) shrinks every merged cell,
+    which must then hold at most ``bound`` entries; ``None`` keeps every entry
+    and checks no bound, for the unpruned reference path.  ``stats`` counts
+    the reducer's calls.
     """
     out = {}
     for key, cells in acc.items():
@@ -380,5 +389,4 @@ def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
                 stats.reduce_calls += 1
             check_size(merged, bound)
         out[key] = merged
-        stats.observe_cell(len(merged))
     return out

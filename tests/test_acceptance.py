@@ -18,8 +18,7 @@ from cwsolve.partitions import Partition, acyclic, iter_partitions
 from cwsolve.sigma_rho import (MuSet, d_of, preset_spec,
                                solve_connected_sigma_rho, solve_steiner)
 from cwsolve.wpsets import MAX, MIN, WPSet, ac_reduce, acjoin, cut_row, \
-    join_sets, proj, query_opt, rmc
-from cwsolve.wpsets import reduce as reduce_set
+    join_sets, proj, query_opt, reduce_set, rmc
 
 from conftest import random_graph, random_partition, random_wpset
 

@@ -157,15 +157,13 @@ def test_future_filter_keeps_answers_and_witnesses(filter_instances, name,
     # The future filter only drops states no root state extends: the optimum
     # matches the reference path, and optimum and witness match the same
     # reduced DP run without the filter (every transition given fut=None).
-    import cwsolve.fvs
-    import cwsolve.sigma_rho
+    import cwsolve.dp
 
     solve = FILTER_SOLVERS[name]
     filtered = [solve(expr) for expr in filter_instances]
     for expr, res in zip(filter_instances, filtered):
         assert _answer(res)[0] == _answer(solve(expr, use_reduce=False))[0]
-    for module in (cwsolve.fvs, cwsolve.sigma_rho):
-        monkeypatch.setattr(module, "future_degrees", lambda expr: {})
+    monkeypatch.setattr(cwsolve.dp, "future_degrees", lambda expr: {})
     unfiltered = [solve(expr) for expr in filter_instances]
     for res, ref in zip(filtered, unfiltered):
         assert _answer(res) == _answer(ref)

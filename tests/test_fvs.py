@@ -9,7 +9,7 @@ from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
                          fvs_union, state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
-from cwsolve.stats import SolveStats
+from cwsolve.dp import SolveStats
 from cwsolve.wpsets import MAX, WPSet
 
 from conftest import random_graph
@@ -196,12 +196,12 @@ class TestFutureFilter:
 
 
 def test_reference_path_never_computes_future_degrees(monkeypatch):
-    import cwsolve.fvs
+    import cwsolve.dp
 
     def refuse(expr):
         raise RuntimeError("future degrees computed")
 
-    monkeypatch.setattr(cwsolve.fvs, "future_degrees", refuse)
+    monkeypatch.setattr(cwsolve.dp, "future_degrees", refuse)
     expr = fixture("random-cograph", 7, seed=3)
     res = solve_fvs(expr, use_reduce=False)
     assert res.fvs_weight == brute_min_fvs(evaluate(expr))[0]
@@ -253,6 +253,11 @@ def test_cell_bound_respected_in_stats():
     expr = fixture("clique", 30)
     res = solve_fvs(expr)
     assert res.stats.max_cell_entries <= (expr.k + 1) << expr.k
+
+
+def test_stats_count_the_leaf_cells():
+    # the lone vertex's cell holds two entries: on the anchor's tree or not
+    assert solve_fvs(fixture("path", 1)).stats.max_cell_entries == 2
 
 
 def test_state_ground_includes_anchor_and_open_labels():

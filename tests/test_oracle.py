@@ -6,8 +6,8 @@ from cwsolve import parse_graph, preset_spec
 from cwsolve.oracle import (InstanceTooLargeError, brute_max_forest,
                             brute_min_fvs, brute_sigma_rho, brute_steiner,
                             check_representative)
-from cwsolve.wpsets import MAX, POS_INF, InvariantError, WPSet, ac_reduce
-from cwsolve.wpsets import reduce as reduce_set
+from cwsolve.wpsets import (MAX, POS_INF, InvariantError, WPSet, ac_reduce,
+                            reduce_set)
 from cwsolve.partitions import Partition
 
 from conftest import random_graph, random_wpset

@@ -405,12 +405,12 @@ class TestAgainstOracle:
 
 
 def test_reference_path_never_computes_future_degrees(monkeypatch):
-    import cwsolve.sigma_rho
+    import cwsolve.dp
 
     def refuse(expr):
         raise RuntimeError("future degrees computed")
 
-    monkeypatch.setattr(cwsolve.sigma_rho, "future_degrees", refuse)
+    monkeypatch.setattr(cwsolve.dp, "future_degrees", refuse)
     expr = fixture("cycle", 6)
     for name in ("cvc", "cds"):
         res = solve_connected_sigma_rho(expr, preset_spec(name), use_reduce=False)

@@ -11,9 +11,8 @@ from cwsolve.oracle import check_representative
 from cwsolve.partitions import Partition, iter_partitions
 from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, ac_reduce,
                             acjoin, combine_witness, cut_row, join_sets,
-                            max_weight_basis, proj, query_opt, rmc,
-                            witness_names)
-from cwsolve.wpsets import reduce as reduce_set
+                            max_weight_basis, proj, query_opt, reduce_set,
+                            rmc, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -305,7 +304,7 @@ def test_cell_bound_is_checked_under_python_O():
     # -O strips assert statements
     script = """
 from cwsolve.partitions import Partition
-from cwsolve.stats import SolveStats
+from cwsolve.dp import SolveStats
 from cwsolve.wpsets import InvariantError, WPSet, contrib, merge_cells
 cell = WPSet(0b110)
 cell.add(Partition(0b110, (0b110,)), 1)
