@@ -10,7 +10,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cwexpr import CwExpression, fold, future_degrees
-from .partitions import Partition
 from .wpsets import MAX, NEG_INF, POS_INF, WPSet, witness_names
 
 
@@ -80,7 +79,7 @@ def run(expr: CwExpression, stats: SolveStats, cap: int | None,
     return table
 
 
-_ROOT = Partition(0, ())
+_ROOT = ()  # the one partition of the empty ground set
 
 
 def root_optimum(entries, direction: str) -> tuple[int | float, tuple | None]:

@@ -39,7 +39,6 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .partitions import Partition
 from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
                      contrib, edge_cell, merge_cells, proj)
 
@@ -100,18 +99,18 @@ def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Tabl
     wit0 = () if with_witness else None
     wit1 = name if with_witness else None
     untouched = WPSet(ANCHOR_BIT, MAX)
-    untouched.add(Partition(ANCHOR_BIT, (ANCHOR_BIT,)), 0, wit0)
+    untouched.add((ANCHOR_BIT,), 0, wit0)
     lone = WPSet(ANCHOR_BIT | 2, MAX)
     # The single vertex either already hangs off the anchor or does not.
-    lone.add(Partition(ANCHOR_BIT | 2, (ANCHOR_BIT | 2,)), weight, wit1)
-    lone.add(Partition(ANCHOR_BIT | 2, (ANCHOR_BIT, 2)), weight, wit1)
+    lone.add((ANCHOR_BIT | 2,), weight, wit1)
+    lone.add((ANCHOR_BIT, 2), weight, wit1)
     zero = (ABSENT,) * k
     one = (ONE,) + (ABSENT,) * (k - 1)
     return {zero: untouched, one: lone}
 
 
 def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
-            stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
+            with_witness: bool = False, fut=None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
@@ -241,11 +240,12 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
         expr, stats, 1 if use_reduce else None,
         lambda name, weight, fut: fvs_leaf(k, name, weight, with_witness),
         lambda table, present, i, j, fut: fvs_ren(table, i, j, *rest, fut),
-        lambda table, present, i, j, fut: fvs_add(table, i, j, *rest, fut),
+        lambda table, present, i, j, fut: fvs_add(table, i, j, k, use_reduce,
+                                                  with_witness, fut),
         lambda a, pres_a, b, pres_b, fut: fvs_union(a, b, *rest, fut))
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
-        (cell.entries.get(Partition.whole(state_ground(state)))
+        (cell.entries.get((state_ground(state),))
          for state, cell in root_table.items() if MANY_WAIT not in state), MAX)
     if forest < 0:
         raise InvariantError("no root entry, yet the empty forest is always one")

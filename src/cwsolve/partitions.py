@@ -1,10 +1,15 @@
 """Canonical set partitions over small integer ground sets.
 
 Elements are non-negative integers below 64.  A ground set is stored as a
-bitmask and every block of a partition is a bitmask as well.  Partitions are
-immutable, hashable and canonical (blocks sorted by integer value, which in
-particular orders them by minimum element), so they work directly as keys of
-dynamic-programming table cells.
+bitmask and every block of a partition is a bitmask as well.  A partition is
+its canonical block tuple: the blocks sorted by integer value, which in
+particular orders them by minimum element.  The dynamic programs key their
+cells by these plain tuples and keep the ground set once, on the cell.
+:class:`Partition` is the validating type at the API edge: a ``tuple``
+subclass that adds nothing stored, only its constructors, the lattice
+operations and a ground set rebuilt as the union of the blocks.  A
+``Partition`` and its plain tuple are equal and hash alike, so either one
+looks up the other's cell entry.
 
 The one non-obvious operation is ``acyclic``: two partitions p, q of the same
 ground set V satisfy ``acyclic(p, q)`` when ``|V| + #(p ⊔ q) - #p - #q == 0``.
@@ -65,17 +70,15 @@ def merge_blocks(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ..
     return tuple(parts)
 
 
-class Partition:
-    """An immutable partition of a ground-set bitmask into block bitmasks."""
+class Partition(tuple):
+    """A partition of a ground-set bitmask: the tuple of its block bitmasks.
 
-    __slots__ = ("ground", "blocks", "_hash")
+    It stores nothing but the canonical blocks, so it hashes and compares as
+    that plain tuple.  ``Partition(blocks)`` trusts its caller for canonical
+    (sorted, disjoint, nonempty) blocks; use from_blocks() for validated input.
+    """
 
-    def __init__(self, ground: int, blocks: tuple[int, ...]):
-        # Trusted constructor: callers must pass canonical (sorted, disjoint,
-        # covering) blocks.  Use from_blocks() for validated input.
-        self.ground = ground
-        self.blocks = blocks
-        self._hash = hash(blocks)
+    __slots__ = ()
 
     @staticmethod
     def from_blocks(blocks: Iterable[Iterable[int] | int],
@@ -99,33 +102,33 @@ class Partition:
         if seen != gmask:
             raise PartitionError("blocks do not cover the ground set")
         masks.sort()
-        return Partition(gmask, tuple(masks))
+        return Partition(masks)
 
     @staticmethod
     def singletons(ground: int | Iterable[int]) -> Partition:
-        gmask = as_mask(ground)
-        blocks = []
-        m = gmask
-        while m:
-            low = m & -m
-            blocks.append(low)
-            m ^= low
-        return Partition(gmask, tuple(blocks))
+        return Partition(1 << e for e in mask_elements(as_mask(ground)))
 
     @staticmethod
     def whole(ground: int | Iterable[int]) -> Partition:
         gmask = as_mask(ground)
-        return Partition(gmask, (gmask,) if gmask else ())
+        return Partition((gmask,) if gmask else ())
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[int, ...]:
+        return self
+
+    @property
+    def ground(self) -> int:
+        mask = 0
+        for b in self:
+            mask |= b
+        return mask
 
     def join(self, other: Partition) -> Partition:
         """Lattice join: finest partition coarser than both operands."""
         if self.ground != other.ground:
             raise PartitionError("join requires identical ground sets")
-        return Partition(self.ground, merge_blocks(self.blocks, other.blocks))
+        return Partition(merge_blocks(self, other))
 
     def restrict(self, drop: int | Iterable[int]) -> Partition:
         """Remove the given elements; empty blocks disappear."""
@@ -135,8 +138,7 @@ class Partition:
         if not dmask:
             return self
         keep = ~dmask
-        blocks = sorted(b2 for b in self.blocks if (b2 := b & keep))
-        return Partition(self.ground & keep, tuple(blocks))
+        return Partition(sorted(b2 for b in self if (b2 := b & keep)))
 
     def extend(self, new: int | Iterable[int]) -> Partition:
         """Add the given elements as fresh singleton blocks."""
@@ -145,32 +147,19 @@ class Partition:
             raise PartitionError("extension elements must be disjoint from the ground set")
         if not nmask:
             return self
-        blocks = list(self.blocks)
-        m = nmask
-        while m:
-            low = m & -m
-            blocks.append(low)
-            m ^= low
-        blocks.sort()
-        return Partition(self.ground | nmask, tuple(blocks))
+        return Partition(sorted((*self, *(1 << e for e in mask_elements(nmask)))))
 
     def assignment(self) -> dict[int, int]:
         """Map each element to the minimum element of its block."""
         out = {}
-        for b in self.blocks:
+        for b in self:
             rep = (b & -b).bit_length() - 1
             for e in mask_elements(b):
                 out[e] = rep
         return dict(sorted(out.items()))
 
     def as_sets(self) -> list[list[int]]:
-        return [mask_elements(b) for b in self.blocks]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return self._hash
+        return [mask_elements(b) for b in self]
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, blk)) + "}" for blk in self.as_sets())
@@ -182,8 +171,8 @@ def acyclic(p: Partition, q: Partition) -> bool:
     if p.ground != q.ground:
         raise PartitionError("acyclic requires identical ground sets")
     n = p.ground.bit_count()
-    joined = merge_blocks(p.blocks, q.blocks)
-    return n + len(joined) - (len(p.blocks) + len(q.blocks)) == 0
+    joined = merge_blocks(p, q)
+    return n + len(joined) - (len(p) + len(q)) == 0
 
 
 def iter_partitions(ground: int | Iterable[int]) -> Iterator[Partition]:
@@ -197,12 +186,12 @@ def iter_partitions(ground: int | Iterable[int]) -> Iterator[Partition]:
     if n > 8:
         raise PartitionError("partition enumeration is limited to 8 elements")
     if n == 0:
-        yield Partition(0, ())
+        yield Partition(())
         return
 
     def walk(i: int, groups: list[int]):
         if i == n:
-            yield Partition(gmask, tuple(sorted(groups)))
+            yield Partition(sorted(groups))
             return
         bit = 1 << elems[i]
         for gi in range(len(groups)):

@@ -35,11 +35,10 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .partitions import Partition
 from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
                      edge_cell, join_sets, merge_cells, proj, reduce_set)
 
-EMPTY_PARTITION = Partition(0, ())
+EMPTY_PARTITION = ()  # the one partition of the empty ground set
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
         if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
             continue
         cell = WPSet(2 if ctx.open[code] else 0, ctx.spec.direction)
-        cell.add(Partition(2, (2,)) if ctx.open[code] else EMPTY_PARTITION,
+        cell.add((2,) if ctx.open[code] else EMPTY_PARTITION,
                  *((weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
         cells[(code,) + (0,) * (ctx.k - 1)] = cell
     return cells

@@ -2,6 +2,10 @@
 
 A :class:`WPSet` maps partitions of one ground set to the best weight seen so
 far (per its optimization direction), optionally together with a witness.
+The set holds the ground set once; each key is a partition's canonical block
+tuple (:mod:`cwsolve.partitions`), which the operators build directly.  A
+:class:`~cwsolve.partitions.Partition` is such a tuple, so it looks entries
+up and fills sets just as well.
 Insertion keeps the set normalized: one entry per partition, optimal weight,
 and on a tie the entry inserted first.  Insertion order is deterministic, so
 the same input always keeps the same witness.
@@ -16,20 +20,21 @@ turns one witness into its name set, once, at the root.
 encode each partition as a row of the cut matrix over GF(2) (columns indexed by
 the two-sided cuts of the ground set that fix the minimum element's side) and
 keep an optimum-weight row basis; a basis row set answers every completion
-query exactly like the full set does.  ``ac_reduce`` additionally groups rows
-by ``|V| - #blocks`` so that the surviving entries also preserve optima under
-the acyclicity constraint; its output can be larger by that factor.
+query exactly like the full set does.  ``ac_reduce`` takes one basis per block
+count, so that the surviving entries also preserve optima under the
+acyclicity constraint; its output can be larger by that factor.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .partitions import Partition, as_mask, merge_blocks
 
 MAX = "max"
 MIN = "min"
 
+Blocks = tuple[int, ...]  # a canonical partition
 Entry = tuple[int, object]
 
 NEG_INF = float("-inf")
@@ -83,7 +88,7 @@ class WPSet:
             raise ValueError(f"unknown direction {direction!r}")
         self.ground = as_mask(ground)
         self.direction = direction
-        self.entries: dict[Partition, Entry] = {}
+        self.entries: dict[Blocks, Entry] = {}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], ground: int | Iterable[int],
@@ -94,7 +99,7 @@ class WPSet:
             out.add(*pair)
         return out
 
-    def add(self, p: Partition, weight: int, witness=None) -> None:
+    def add(self, p: Blocks, weight: int, witness=None) -> None:
         """Keep the better entry for ``p``; on equal weight, the incumbent."""
         cur = self.entries.get(p)
         if cur is None or ((weight > cur[0]) if self.direction == MAX
@@ -112,14 +117,8 @@ class WPSet:
         out.entries = dict(self.entries)
         return out
 
-    def items(self) -> Iterator[tuple[Partition, Entry]]:
-        return iter(self.entries.items())
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, p: Partition) -> bool:
-        return p in self.entries
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p!r}, {w})" for p, (w, _) in self.entries.items())
@@ -153,7 +152,7 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
     for p, (w, wit) in a.entries.items():
         blocks = []
         dead = False
-        for b in p.blocks:
+        for b in p:
             b2 = b & keep
             if not b2:
                 dead = True
@@ -162,7 +161,7 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
         if dead:
             continue
         blocks.sort()
-        out.add(Partition(out.ground, tuple(blocks)), w, wit)
+        out.add(tuple(blocks), w, wit)
     return out
 
 
@@ -170,7 +169,7 @@ def edge_cell(i: int, j: int, direction: str, with_witness: bool) -> WPSet:
     """The cell whose one weight-0 entry links elements i and j."""
     mask = (1 << i) | (1 << j)
     cell = WPSet(mask, direction)
-    cell.add(Partition.whole(mask), 0, () if with_witness else None)
+    cell.add((mask,), 0, () if with_witness else None)
     return cell
 
 
@@ -204,12 +203,12 @@ def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
     ext_a = (b.ground & ~a.ground).bit_count()
     ext_b = (a.ground & ~b.ground).bit_count()
     for p, (w1, x1) in a.entries.items():
-        np_ext = len(p.blocks) + ext_a
+        np_ext = len(p) + ext_a
         for q, (w2, x2) in b.entries.items():
-            blocks = merge_blocks(p.blocks, q.blocks)
-            if check_acyclic and n + len(blocks) != np_ext + len(q.blocks) + ext_b:
+            blocks = merge_blocks(p, q)
+            if check_acyclic and n + len(blocks) != np_ext + len(q) + ext_b:
                 continue
-            out.add(Partition(ground, blocks), w1 + w2, combine_witness(x1, x2))
+            out.add(blocks, w1 + w2, combine_witness(x1, x2))
     return out
 
 
@@ -236,26 +235,26 @@ def query_opt(a: WPSet, q: Partition, mode: str = "plain") -> int | float:
     is_max = a.direction == MAX
     best = NEG_INF if is_max else POS_INF
     n = a.ground.bit_count()
-    nq = len(q.blocks)
+    nq = len(q)
     for p, (w, _) in a.entries.items():
-        joined = merge_blocks(p.blocks, q.blocks)
+        joined = merge_blocks(p, q)
         if len(joined) != 1:
             continue
-        if mode == "acyclic" and n + 1 - (len(p.blocks) + nq) != 0:
+        if mode == "acyclic" and n + 1 - (len(p) + nq) != 0:
             continue
         if (w > best) if is_max else (w < best):
             best = w
     return best
 
 
-def cut_row(p: Partition) -> int:
-    """GF(2) row of p over all cuts of the ground set pinning the minimum element.
+def cut_row(blocks: Blocks, ground: int) -> int:
+    """GF(2) row of a partition of ``ground`` over all cuts of the ground set
+    pinning the minimum element.
 
     Bit c (a subset of the non-minimum elements, read as a compressed index) is
-    set iff every block of p lies entirely on one side of the cut.  The number
-    of set bits is always 2^(#blocks - 1).
+    set iff every block lies entirely on one side of the cut.  The number of
+    set bits is always 2^(#blocks - 1).
     """
-    ground = p.ground
     if not ground:
         return 1
     pivot = ground & -ground
@@ -269,7 +268,7 @@ def cut_row(p: Partition) -> int:
         i += 1
         m ^= low
     indices = [0]
-    for blk in p.blocks:
+    for blk in blocks:
         if blk & pivot:
             continue
         comp = 0
@@ -309,57 +308,55 @@ def max_weight_basis(rows: list[int], weights: list[int], direction: str = MAX) 
     return chosen
 
 
-def reduce_set(a: WPSet) -> WPSet:
-    """Representative subset of at most 2^(|V|-1) entries.
+def _reduce(a: WPSet, group) -> WPSet:
+    """An optimum-weight cut-row basis within each group of entries.
 
-    Every completion query (``query_opt`` in plain mode, for any partition q)
-    answers identically on the output and the input.
+    ``group(blocks)`` numbers an entry's group.  Each group's rows are
+    shifted onto their own 2^(|V|-1) columns, so the row space is the direct
+    sum of the groups' spaces, and one greedy basis of all rows is the union
+    of the groups' greedy bases.  Each of those holds at most 2^(|V|-1) rows,
+    the rank of the cut matrix.  The survivors keep their input order, so
+    ties downstream resolve as they would on the whole set.
     """
     n = a.ground.bit_count()
     if n == 0 or len(a.entries) <= 1:
         # The empty ground set admits a single partition, so normalization
         # already leaves at most one (optimal) entry.
         return a.copy()
-    items = list(a.entries.items())
-    rows = [cut_row(p) for p, _ in items]
-    weights = [w for _, (w, _) in items]
+    ground, width = a.ground, 1 << (n - 1)
+    groups = set()
+    rows = []
+    for p in a.entries:
+        key = group(p)
+        groups.add(key)
+        rows.append(cut_row(p, ground) << key * width)
+    weights = [w for w, _ in a.entries.values()]
     keep = set(max_weight_basis(rows, weights, a.direction))
-    out = WPSet(a.ground, a.direction)
-    for i, (p, entry) in enumerate(items):
-        if i in keep:
-            out.entries[p] = entry
-    return check_size(out, 1 << (n - 1))
+    out = WPSet(ground, a.direction)
+    out.entries = {p: e for i, (p, e) in enumerate(a.entries.items()) if i in keep}
+    return check_size(out, len(groups) * width)
+
+
+def reduce_set(a: WPSet) -> WPSet:
+    """Representative subset of at most 2^(|V|-1) entries.
+
+    Every completion query (``query_opt`` in plain mode, for any partition q)
+    answers identically on the output and the input.
+    """
+    return _reduce(a, lambda blocks: 0)
 
 
 def ac_reduce(a: WPSet) -> WPSet:
     """Acyclicity-preserving representative subset, at most |V| * 2^(|V|-1) entries.
 
-    Entries are grouped by ``|V| - #blocks`` before taking per-group bases:
+    Entries are grouped by their block count before taking per-group bases:
     within one group, any entry that joins with q into a single block does so
     with the same acyclicity status, so a plain basis suffices per group.
     Maximization only.
     """
     if a.direction != MAX:
         raise ValueError("ac_reduce is defined for maximization sets only")
-    n = a.ground.bit_count()
-    if n == 0 or len(a.entries) <= 1:
-        return a.copy()
-    items = list(a.entries.items())
-    groups: dict[int, list[int]] = {}
-    for i, (p, _) in enumerate(items):
-        groups.setdefault(n - len(p.blocks), []).append(i)
-    keep = set()
-    for key in sorted(groups):
-        idxs = groups[key]
-        rows = [cut_row(items[i][0]) for i in idxs]
-        weights = [items[i][1][0] for i in idxs]
-        for local in max_weight_basis(rows, weights, MAX):
-            keep.add(idxs[local])
-    out = WPSet(a.ground, MAX)
-    for i, (p, entry) in enumerate(items):
-        if i in keep:
-            out.entries[p] = entry
-    return check_size(out, n << (n - 1))
+    return _reduce(a, len)
 
 
 def contrib(acc: dict, key, cell: WPSet) -> None:

@@ -32,7 +32,7 @@ def random_partition(rng: random.Random, ground: int) -> Partition:
     for e in elems:
         gid = rng.randrange(len(elems))
         groups[gid] = groups.get(gid, 0) | (1 << e)
-    return Partition(ground, tuple(sorted(groups.values())))
+    return Partition(sorted(groups.values()))
 
 
 def random_wpset(rng: random.Random, ground: int, size: int,

@@ -222,7 +222,7 @@ def test_criterion_6_combinatorial_constants():
         nbits = rng.randint(1, 8)
         ground = sum(1 << rng.randrange(9) for _ in range(nbits))
         p = random_partition(rng, ground)
-        assert cut_row(p).bit_count() == 1 << (len(p.blocks) - 1)
+        assert cut_row(p, p.ground).bit_count() == 1 << (len(p.blocks) - 1)
     _passed(6, "15 union state triples per label; cut-row popcount = "
                "2^(blocks-1) on 10^3 random partitions")
 

@@ -18,10 +18,7 @@ ANCHOR = 1  # bit mask of the virtual anchor element
 
 
 def Pm(*blocks):
-    ground = 0
-    for b in blocks:
-        ground |= b
-    return Partition(ground, tuple(sorted(blocks)))
+    return Partition(sorted(blocks))
 
 
 def cell_of(table, state):
@@ -48,7 +45,7 @@ class TestAdd:
 
     def test_absent_class_copies_cell(self):
         table, _ = self._two_isolated()
-        out = fvs_add(table, 1, 2, 2, True, SolveStats())
+        out = fvs_add(table, 1, 2, 2, True)
         state = (ONE, ABSENT)
         assert cell_of(out, state) == cell_of(table, state)
 
@@ -56,7 +53,7 @@ class TestAdd:
         table, _ = self._two_isolated()
         both = (ONE, ONE)
         assert Pm(ANCHOR, 0b010, 0b100) in table[both].entries
-        out = fvs_add(table, 1, 2, 2, True, SolveStats())
+        out = fvs_add(table, 1, 2, 2, True)
         got = cell_of(out, both)
         # the isolated pair becomes one linked component; the variants that
         # had both endpoints hanging off the anchor close a cycle and vanish
@@ -67,7 +64,7 @@ class TestAdd:
         # fabricate a waiting state to check the cycle cutoff
         cell = table[(ONE, ONE)]
         out = fvs_add({(MANY_WAIT, ONE): cell, (MANY_WAIT, MANY_WAIT): cell},
-                      1, 2, 2, True, SolveStats())
+                      1, 2, 2, True)
         assert (MANY_DONE, ONE) in out  # consumed its one allowed add
         assert (MANY_WAIT, MANY_WAIT) not in out
         assert all(MANY_WAIT not in s for s in out)
@@ -90,7 +87,7 @@ class TestRen:
         stats = SolveStats()
         ta = fvs_leaf(2, "a", 1)
         tb = fvs_ren(fvs_leaf(2, "b", 1), 1, 2, 2, True, stats)
-        table = fvs_add(fvs_union(ta, tb, 2, True, stats), 1, 2, 2, True, stats)
+        table = fvs_add(fvs_union(ta, tb, 2, True, stats), 1, 2, 2, True)
         out = fvs_ren(table, 2, 1, 2, True, stats)
         done = (MANY_DONE, ABSENT)
         # only the variant linking the pair into the anchor's block survives
@@ -150,7 +147,7 @@ class TestFutureFilter:
         def anchored(state):  # every forest vertex hangs off the anchor
             ground = state_ground(state)
             cell = WPSet(ground, MAX)
-            cell.add(Partition(ground, (ground,)), 2)
+            cell.add(Partition((ground,)), 2)
             return cell
 
         waiting = {state: anchored(state) for state in
@@ -184,15 +181,15 @@ class TestFutureFilter:
 
     def test_add_never_leaves_a_class_waiting_without_a_future(self):
         _, _, waiting = self._tables()
-        ref = fvs_add(waiting, 1, 2, 2, True, SolveStats())
+        ref = fvs_add(waiting, 1, 2, 2, True)
         assert (MANY_WAIT, ABSENT) in ref and (ABSENT, MANY_WAIT) in ref
         for fut, gone in (((0, 1), (MANY_WAIT, ABSENT)),
                           ((1, 0), (ABSENT, MANY_WAIT))):
-            out = fvs_add(waiting, 1, 2, 2, True, SolveStats(), fut=fut)
+            out = fvs_add(waiting, 1, 2, 2, True, fut=fut)
             assert set(out) == set(ref) - {gone}
             assert all(state[l] != MANY_WAIT
                        for state in out for l in (0, 1) if not fut[l])
-        self._same(fvs_add(waiting, 1, 2, 2, True, SolveStats(), fut=None), ref)
+        self._same(fvs_add(waiting, 1, 2, 2, True, fut=None), ref)
 
 
 def test_reference_path_never_computes_future_degrees(monkeypatch):

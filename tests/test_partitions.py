@@ -37,6 +37,35 @@ class TestCanonicalize:
             Partition.from_blocks([{1}], [1, 2])
 
 
+class TestBlockTuple:
+    def test_equals_hashes_and_keys_like_its_block_tuple(self):
+        p = P({1, 2}, {3})
+        blocks = (0b0110, 0b1000)
+        assert p == blocks and blocks == p
+        assert hash(p) == hash(blocks)
+        assert {p: "p"}[blocks] == "p" and {blocks: "t"}[p] == "t"
+        assert p.blocks == blocks and p != (0b1000, 0b0110)
+
+    def test_ground_is_the_union_of_the_blocks(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            ground = rng.randrange(1, 1 << 9)
+            p = random_partition(rng, ground)
+            assert p.ground == ground
+            assert Partition.from_blocks(p.as_sets(), ground) == p
+
+    def test_empty_partition_is_the_empty_tuple(self):
+        empty = Partition(())
+        assert empty == () and hash(empty) == hash(())
+        assert {(): 1}[empty] == 1 and {empty: 1}[()] == 1
+        assert empty.ground == 0 and empty == Partition.whole(0)
+
+    def test_stores_nothing_beyond_its_tuple(self):
+        p = P({1, 2}, {3})
+        assert Partition.__slots__ == () and not hasattr(p, "__dict__")
+        assert tuple(p) == p.blocks
+
+
 class TestJoin:
     def test_textbook_example(self):
         left = P({1, 2}, {3, 4}, {5})
@@ -150,8 +179,7 @@ def _components(n_elems: list[int], edges: list[tuple[int, int]]) -> Partition:
     for e in n_elems:
         root = find(e)
         blocks[root] = blocks.get(root, 0) | (1 << e)
-    ground = sum(1 << e for e in n_elems)
-    return Partition(ground, tuple(sorted(blocks.values())))
+    return Partition(sorted(blocks.values()))
 
 
 def _random_forest(rng: random.Random, elems: list[int]) -> list[tuple[int, int]]:

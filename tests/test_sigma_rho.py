@@ -79,14 +79,14 @@ def decoded(ctx, table):
     return out
 
 
-LONE = Partition(2, (2,))
+LONE = Partition((2,))
 
 
 class TestLeafTables:
     def test_cds_leaf(self):
         ctx = ctx_for("cds", 1)
         table = decoded(ctx, srd_leaf(ctx, "x", 4))
-        lone = Partition(2, (2,))
+        lone = Partition((2,))
         assert ((0,), (0,)) not in table          # 0 not in rho
         assert cell_weights(table, ((0,), (1,))) == {EMPTY_PARTITION: 0}
         assert cell_weights(table, ((1,), (0,))) == {EMPTY_PARTITION: 4}
@@ -155,14 +155,14 @@ class TestRenTable:
         table = srd_leaf(ctx, "x", 4)
         out = decoded(ctx, srd_ren(ctx, table, 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: 4}
-        assert cell_weights(out, ((0, 1), (0, 1))) == {Partition(4, (4,)): 4}
+        assert cell_weights(out, ((0, 1), (0, 1))) == {Partition((4,)): 4}
 
     def test_cvc_moves_the_connected_side(self):
         ctx = ctx_for("cvc", 2)
         out = decoded(ctx, srd_ren(ctx, srd_leaf(ctx, "x", 4), 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0), (0, 0), (0, 0))) == {EMPTY_PARTITION: 0}
         assert cell_weights(out, ((0, 0), (0, 0), (0, 1), (0, 1))) == \
-            {Partition(4, (4,)): 4}
+            {Partition((4,)): 4}
 
     def test_split_enumeration_reaches_full_class(self):
         # two vertices relabeled into one class: target counts reflect the sum
@@ -223,7 +223,7 @@ class TestAddTable:
         both_final = ((0, 0), (0, 0), (1, 1), (0, 0))
         assert cell_weights(out, both_final) == {EMPTY_PARTITION: 2}
         both_open = ((0, 0), (0, 0), (1, 1), (1, 1))
-        assert cell_weights(out, both_open) == {Partition(6, (6,)): 2}
+        assert cell_weights(out, both_open) == {Partition((6,)): 2}
 
     def test_infeasible_promises_produce_no_cell(self):
         ctx = ctx_for("cds", 2)
@@ -265,7 +265,7 @@ class TestUnionTable:
         tb = srd_leaf(ctx, "y", 1)
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         key = ((1,), (1,))
-        assert cell_weights(out, key)[Partition(2, (2,))] == 1  # min weight of the three
+        assert cell_weights(out, key)[Partition((2,))] == 1  # min weight of the three
 
     def test_zero_promises_split_sides(self):
         # cds: rho = N+ forbids an undominated outside vertex, so the cell

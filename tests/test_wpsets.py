@@ -9,10 +9,10 @@ import cwsolve
 
 from cwsolve.oracle import check_representative
 from cwsolve.partitions import Partition, iter_partitions
-from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, ac_reduce,
-                            acjoin, combine_witness, cut_row, join_sets,
-                            max_weight_basis, proj, query_opt, reduce_set,
-                            rmc, witness_names)
+from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, InvariantError,
+                            WPSet, ac_reduce, acjoin, combine_witness,
+                            cut_row, join_sets, max_weight_basis, proj,
+                            query_opt, reduce_set, rmc, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -194,12 +194,12 @@ class TestCutRows:
             nbits = rng.randint(1, 8)
             ground = sum(1 << rng.randrange(9) for _ in range(nbits))
             p = random_partition(rng, ground)
-            assert cut_row(p).bit_count() == 1 << (len(p.blocks) - 1)
+            assert cut_row(p, p.ground).bit_count() == 1 << (len(p.blocks) - 1)
 
 
 class TestReduce:
     def test_empty_ground_keeps_single_best(self):
-        empty = Partition(0, ())
+        empty = Partition(())
         a = rmc([(empty, 7), (empty, 2)], 0, MAX)
         out = reduce_set(a)
         assert out.entries == {empty: (7, None)}
@@ -236,6 +236,37 @@ class TestReduce:
             b = random_wpset(rng, ground, 12, direction=MIN)
             assert check_representative(b, reduce_set(b), "plain")
 
+    def test_survivors_keep_input_order_and_witnesses(self):
+        rng = random.Random(43)
+        for ground, size in ((0b1110, 30), (0b11110, 80)):
+            for direction in (MAX, MIN):
+                a = random_wpset(rng, ground, size, direction=direction)
+                a.entries = {p: (w, f"w{i}") for i, (p, (w, _))
+                             in enumerate(a.entries.items())}
+                outs = [reduce_set(a)] + ([ac_reduce(a)] if direction == MAX else [])
+                for out in outs:
+                    order = list(a.entries)
+                    kept = [order.index(p) for p in out.entries]
+                    assert kept == sorted(kept)
+                    assert all(a.entries[p] == e for p, e in out.entries.items())
+
+    def test_ac_reduce_keeps_order_across_interleaved_groups(self):
+        # block counts 2, 1, 2: a body that emits group by group would put
+        # the whole-ground entry last
+        a = WPSet.from_pairs([(P({1, 2}, {3}), 1, "x"), (P({1, 2, 3}), 2, "y"),
+                              (P({1, 3}, {2}), 3, "z")], 0b1110, MAX)
+        out = ac_reduce(a)
+        assert list(out.entries.items()) == list(a.entries.items())
+
+    def test_basis_above_the_rank_bound_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr("cwsolve.wpsets.max_weight_basis",
+                            lambda rows, weights, direction: range(len(rows)))
+        a = WPSet.from_pairs([(p, 1) for p in iter_partitions(0b1110)], 0b1110, MAX)
+        with pytest.raises(InvariantError):
+            reduce_set(a)  # 5 partitions of 3 elements, bound 2^2 = 4
+        # one group per block count: 1 + 3 + 1 entries, each at most 4
+        assert len(ac_reduce(a)) == 5
+
     def test_ac_reduce_rejects_minimization(self):
         with pytest.raises(ValueError):
             ac_reduce(WPSet(0b10, MIN))
@@ -260,6 +291,18 @@ class TestContracts:
             WPSet(0b10, "best")
         with pytest.raises(ValueError):
             query_opt(WPSet(0b10, MAX), Partition.singletons(0b10), "fuzzy")
+
+
+class TestBlockTupleKeys:
+    def test_cells_answer_partitions_and_block_tuples_alike(self):
+        p = P({1, 2}, {3})
+        by_tuple = WPSet.from_pairs([((0b0110, 0b1000), 5)], 0b1110, MAX)
+        by_partition = WPSet.from_pairs([(p, 5)], 0b1110, MAX)
+        assert by_tuple.entries == by_partition.entries
+        assert by_tuple.entries[p] == by_partition.entries[(0b0110, 0b1000)]
+        joined = join_sets(by_partition, WPSet.from_pairs([(P({2, 3}), 1)],
+                                                          0b1100, MAX))
+        assert joined.entries[P({1, 2, 3})] == (6, None)
 
 
 class TestQueryOpt:
@@ -307,8 +350,8 @@ from cwsolve.partitions import Partition
 from cwsolve.dp import SolveStats
 from cwsolve.wpsets import InvariantError, WPSet, contrib, merge_cells
 cell = WPSet(0b110)
-cell.add(Partition(0b110, (0b110,)), 1)
-cell.add(Partition(0b110, (0b010, 0b100)), 2)
+cell.add(Partition((0b110,)), 1)
+cell.add(Partition((0b010, 0b100)), 2)
 acc = {}
 contrib(acc, "state", cell)
 try:
