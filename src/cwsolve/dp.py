@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cwexpr import CwExpression, fold, future_degrees
-from .wpsets import MAX, NEG_INF, POS_INF, WPSet, witness_names
+from .wpsets import MAX, MERGE_MEMO, NEG_INF, POS_INF, WPSet, witness_names
 
 
 @dataclass
@@ -44,7 +44,8 @@ def run(expr: CwExpression, stats: SolveStats, cap: int | None,
     label classes (bit l for label l) and ``fut`` the node's future degree
     vector (:func:`~cwsolve.cwexpr.future_degrees`) capped at ``cap``; with
     ``cap`` None, no future degree is computed and ``fut`` is None.  Each
-    node's kind, states and largest cell go into ``stats``.
+    node's kind, states and largest cell go into ``stats``.  The joins' merge
+    memo (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
     """
     fut = {}
     if cap is not None:
@@ -66,15 +67,19 @@ def run(expr: CwExpression, stats: SolveStats, cap: int | None,
         return seen("relabel", ren(*child, node.i, node.j, fut.get(id(node))),
                     present)
 
-    table, _ = fold(
-        expr.root,
-        lambda node: seen("introduce", leaf(node.name, node.weight,
-                                            fut.get(id(node))), 2),
-        on_ren,
-        lambda node, child: seen("add", add(*child, node.i, node.j,
-                                            fut.get(id(node))), child[1]),
-        lambda node, a, b: seen("union", union(*a, *b, fut.get(id(node))),
-                                a[1] | b[1]))
+    MERGE_MEMO.clear()
+    try:
+        table, _ = fold(
+            expr.root,
+            lambda node: seen("introduce", leaf(node.name, node.weight,
+                                                fut.get(id(node))), 2),
+            on_ren,
+            lambda node, child: seen("add", add(*child, node.i, node.j,
+                                                fut.get(id(node))), child[1]),
+            lambda node, a, b: seen("union", union(*a, *b, fut.get(id(node))),
+                                    a[1] | b[1]))
+    finally:
+        MERGE_MEMO.clear()
     stats.dp_nodes = stats.node_kinds.total()
     return table
 

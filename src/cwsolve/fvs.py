@@ -91,7 +91,7 @@ def state_ground(state: State) -> int:
 
 
 def _bound(k: int) -> int:
-    """Entries an ``ac_reduce``-d cell can hold: (k + 1) * 2^k."""
+    """Entries a cell may hold, the rank bound of ``ac_reduce``: (k + 1) * 2^k."""
     return (k + 1) << k
 
 
@@ -142,7 +142,8 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
             merged = proj(merged, drop)
         if merged.entries:
             if use_reduce:
-                # single-cell transforms cannot outgrow their reduced source
+                # joining one edge and projecting cannot outgrow the source,
+                # which is within the bound
                 check_size(merged, _bound(k))
             out[target] = merged
     return out

@@ -176,7 +176,7 @@ class DomContext:
         self.d = d = self.spec.d
         if d < 1:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
-        self.bound = 1 << (self.k - 1)  # entries a reduced cell can hold
+        self.bound = 1 << (self.k - 1)  # the rank bound on a cell's entries
         self.rho_wild = self.spec.rho == NATURALS
         # The slot alphabet, (c, p, b, q) by code; code 0 is the empty slot.
         # Wildcards are stored as 0; plain ties b and q to c and p.
@@ -323,6 +323,8 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
                 done[oi, oj] = res
             if res.entries:
                 if ctx.use_reduce:
+                    # joining one edge and projecting cannot outgrow the
+                    # source, which is within the bound
                     check_size(res, ctx.bound)
                 slots[ii], slots[jj] = ni, nj
                 out[tuple(slots)] = res

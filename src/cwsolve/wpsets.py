@@ -22,7 +22,16 @@ the two-sided cuts of the ground set that fix the minimum element's side) and
 keep an optimum-weight row basis; a basis row set answers every completion
 query exactly like the full set does.  ``ac_reduce`` takes one basis per block
 count, so that the surviving entries also preserve optima under the
-acyclicity constraint; its output can be larger by that factor.
+acyclicity constraint; its output can be larger by that factor.  The solvers
+reduce lazily: :func:`merge_cells` calls the reducer only on a cell that has
+outgrown the rank bound, since a basis seldom drops an entry of a smaller one.
+
+The joins look each pair of block tuples up in :data:`MERGE_MEMO` before
+calling :func:`~cwsolve.partitions.merge_blocks`, because a DP merges the same
+pairs over and over.  The memo holds only pure results, so neither an entry
+left by another solve nor one lost to a clear changes an answer;
+:func:`cwsolve.dp.run` clears it when a solve starts and ends, which bounds it
+by one solve.
 """
 
 from __future__ import annotations
@@ -183,6 +192,10 @@ def _shifted(base: WPSet, weight: int, witness, ground: int) -> WPSet:
     return out
 
 
+# (p, q) -> merge_blocks(p, q) for the block tuples the joins have merged.
+MERGE_MEMO: dict[tuple[Blocks, Blocks], Blocks] = {}
+
+
 def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
     if a.direction != b.direction:
         raise ValueError("joined sets must share the optimization direction")
@@ -202,10 +215,13 @@ def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
     n = ground.bit_count()
     ext_a = (b.ground & ~a.ground).bit_count()
     ext_b = (a.ground & ~b.ground).bit_count()
+    memo = MERGE_MEMO
     for p, (w1, x1) in a.entries.items():
         np_ext = len(p) + ext_a
         for q, (w2, x2) in b.entries.items():
-            blocks = merge_blocks(p, q)
+            blocks = memo.get((p, q))
+            if blocks is None:
+                blocks = memo[p, q] = merge_blocks(p, q)
             if check_acyclic and n + len(blocks) != np_ext + len(q) + ext_b:
                 continue
             out.add(blocks, w1 + w2, combine_witness(x1, x2))
@@ -366,12 +382,19 @@ def contrib(acc: dict, key, cell: WPSet) -> None:
 
 
 def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
-    """The table of an accumulator: merge each key's cells and reduce them.
+    """The table of an accumulator: merge each key's cells, and reduce the
+    merged cells that hold more than ``bound`` entries.
 
-    ``reducer`` (``reduce_set`` or ``ac_reduce``) shrinks every merged cell,
-    which must then hold at most ``bound`` entries; ``None`` keeps every entry
-    and checks no bound, for the unpruned reference path.  ``stats`` counts
-    the reducer's calls.
+    ``reducer`` (``reduce_set`` or ``ac_reduce``) shrinks such a cell, which
+    must then hold at most ``bound`` entries; ``None`` keeps every entry and
+    checks no bound, for the unpruned reference path.  ``stats`` counts the
+    reducer's calls.
+
+    Reducing only above the bound is sound: a set represents itself, so a cell
+    left whole answers every completion query as a reduced one would, and the
+    bound on every cell, which is all the running time rests on, still holds
+    after every merge.  The decision reads only the cell's size, never which
+    reducer was passed.
     """
     out = {}
     for key, cells in acc.items():
@@ -380,10 +403,8 @@ def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
             merged = merged.copy()
             for extra in cells[1:]:
                 merged.update(extra)
-        if reducer is not None:
-            if len(merged) > 1:
-                merged = reducer(merged)
-                stats.reduce_calls += 1
-            check_size(merged, bound)
+        if reducer is not None and len(merged) > bound:
+            merged = check_size(reducer(merged), bound)
+            stats.reduce_calls += 1
         out[key] = merged
     return out

@@ -10,13 +10,17 @@ import random
 
 import pytest
 
-from cwsolve import check_irredundant, evaluate, naive_expression, solve_fvs
+import cwsolve.fvs
+import cwsolve.sigma_rho
+from cwsolve import (check_irredundant, evaluate, fixture, naive_expression,
+                     solve_fvs)
 from cwsolve.oracle import (_dominates, _is_connected, _is_forest,
-                            brute_min_fvs, brute_sigma_rho, brute_steiner)
+                            brute_min_fvs, brute_sigma_rho, brute_steiner,
+                            check_solution)
 from cwsolve.sigma_rho import (MuSet, NATURALS, POSITIVES, SigmaRhoSpec,
                                preset_spec, solve_connected_sigma_rho,
                                solve_steiner)
-from cwsolve.wpsets import MAX, MIN
+from cwsolve.wpsets import MAX, MIN, check_size
 
 from conftest import random_expression
 
@@ -170,6 +174,58 @@ def test_future_filter_keeps_answers_and_witnesses(filter_instances, name,
         assert res.stats.total_states <= ref.stats.total_states
     assert sum(r.stats.total_states for r in filtered) < \
         sum(r.stats.total_states for r in unfiltered)
+
+
+def _eager_merge_cells(acc, reducer, bound, stats):
+    """``merge_cells`` reducing every merged cell of two or more entries,
+    not only those above the bound."""
+    out = {}
+    for key, cells in acc.items():
+        merged = cells[0]
+        if len(cells) > 1:
+            merged = merged.copy()
+            for extra in cells[1:]:
+                merged.update(extra)
+        if reducer is not None:
+            if len(merged) > 1:
+                merged = reducer(merged)
+                stats.reduce_calls += 1
+            check_size(merged, bound)
+        out[key] = merged
+    return out
+
+
+EAGER_PROBLEMS = {"fvs": "fvs", "cds": preset_spec("cds"),
+                  "cvc": preset_spec("cvc"), "steiner": "steiner"}
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_PROBLEMS))
+def test_reducing_every_cell_keeps_the_optimum(name, monkeypatch):
+    # The shipped path reduces a cell only above its rank bound, which
+    # almost never happens at these sizes; reducing every cell, as the DP
+    # once did, must reach the same optimum with a certified witness.
+    rng = random.Random(2718)
+    exprs = [random_expression(rng, rng.randint(3, 9), k)
+             for k in range(2, 6) for _ in range(6)]
+    exprs += [fixture(kind, 12, seed=3) for kind in ("path", "cycle", "star",
+                                                     "random-cograph")]
+    problem = EAGER_PROBLEMS[name]
+    solve = FILTER_SOLVERS[name]
+    expected = [(_answer(solve(expr))[0],
+                 _answer(solve(expr, use_reduce=False))[0]) for expr in exprs]
+    monkeypatch.setattr(cwsolve.fvs, "merge_cells", _eager_merge_cells)
+    monkeypatch.setattr(cwsolve.sigma_rho, "merge_cells", _eager_merge_cells)
+    reduce_calls = 0
+    for expr, (shipped, reference) in zip(exprs, expected):
+        res = solve(expr)
+        reduce_calls += res.stats.reduce_calls
+        optimum, witness = _answer(res)
+        assert optimum == shipped == reference
+        if witness is not None:
+            terminals = _two_terminals(expr) if name == "steiner" else ()
+            assert check_solution(evaluate(expr), problem, witness, optimum,
+                                  terminals) is None
+    assert reduce_calls > 0
 
 
 def test_low_label_agrees_with_naive_expression(low_label_instances):

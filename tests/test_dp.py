@@ -1,6 +1,8 @@
 """The DP driver, run on a fake problem whose transitions record their tables."""
 
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -11,7 +13,11 @@ from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel,
                             evaluate, future_degrees, iter_postorder,
                             iter_preorder)
 from cwsolve.dp import SolveStats, root_optimum, run
-from cwsolve.wpsets import MAX, MIN, NEG_INF, POS_INF
+from cwsolve.fvs import solve_fvs
+from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
+                               solve_steiner)
+from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF, WPSet,
+                            join_sets)
 
 from conftest import random_expression, random_graph
 
@@ -106,3 +112,90 @@ def test_root_optimum_keeps_the_first_best_entry():
     assert root_optimum([(2, None), (2, "x")], MIN) == (2, None)
     assert root_optimum([None], MAX) == (NEG_INF, None)
     assert root_optimum([], MIN) == (POS_INF, None)
+
+
+class JoiningProblem(FakeProblem):
+    """A fake problem whose transitions also join two cells, filling the
+    merge memo, and record the memo's size when they start."""
+
+    def __init__(self, seed, fail_at=None):
+        super().__init__(seed)
+        self.fail_at = fail_at
+        self.memo_sizes = []
+
+    def _table(self, tables, masks, fut):
+        self.memo_sizes.append(len(MERGE_MEMO))
+        if len(self.calls) == self.fail_at:
+            raise RuntimeError("transition failed")
+        cell = WPSet.from_pairs([((0b110,), 1), ((0b10, 0b100), 2)], 0b110)
+        join_sets(cell, WPSet.from_pairs([((0b1100,), len(self.calls))],
+                                         0b1100))
+        return super()._table(tables, masks, fut)
+
+
+def test_run_starts_and_ends_with_an_empty_merge_memo():
+    MERGE_MEMO[(0b1,), (0b1,)] = (0b1,)
+    fake = JoiningProblem(7)
+    fake.run(fixture("path", 5, seed=5), SolveStats(), 1)
+    assert fake.memo_sizes[0] == 0
+    assert max(fake.memo_sizes) > 0
+    assert not MERGE_MEMO
+
+
+def test_a_failing_transition_leaves_the_merge_memo_empty():
+    expr = fixture("path", 5, seed=5)
+    fake = JoiningProblem(7, fail_at=4)
+    with pytest.raises(RuntimeError, match="transition failed"):
+        fake.run(expr, SolveStats(), 1)
+    assert fake.memo_sizes[-1] > 0  # the memo was filled when it raised
+    assert not MERGE_MEMO
+
+
+def test_solvers_leave_the_merge_memo_empty(monkeypatch):
+    filled = []  # the memo's size when each fold returns
+
+    def fold(*args):
+        out = fold_before(*args)
+        filled.append(len(MERGE_MEMO))
+        return out
+
+    fold_before = cwsolve.dp.fold
+    monkeypatch.setattr(cwsolve.dp, "fold", fold)
+    rng = random.Random(808)
+    for k in (2, 3, 4):
+        expr = random_expression(rng, 8, k)
+        names = sorted(evaluate(expr).weights)
+        for solve in (lambda: solve_fvs(expr, with_witness=True),
+                      lambda: solve_connected_sigma_rho(expr, preset_spec("cds")),
+                      lambda: solve_connected_sigma_rho(expr, preset_spec("cvc")),
+                      lambda: solve_steiner(expr, {names[0], names[-1]})):
+            solve()
+            assert not MERGE_MEMO
+    assert len(filled) == 12 and max(filled) > 0
+
+
+def test_concurrent_solves_share_the_merge_memo_safely():
+    # Each solve clears the shared memo when it starts and ends, so threads
+    # solving side by side lose each other's memo entries; a lost entry is
+    # only a miss, and every answer matches the sequential one.
+    rng = random.Random(909)
+    exprs = [random_expression(rng, 9, k) for k in (3, 4) for _ in range(3)]
+    expected = [solve_fvs(expr, with_witness=True).witness for expr in exprs]
+    got = [[] for _ in range(4)]
+
+    def worker(out):
+        for expr in exprs:
+            out.append(solve_fvs(expr, with_witness=True).witness)
+
+    threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [expected] * len(threads)

@@ -5,14 +5,15 @@ import sys
 
 import pytest
 
-import cwsolve
-
+import cwsolve.wpsets
+from cwsolve.dp import SolveStats
 from cwsolve.oracle import check_representative
-from cwsolve.partitions import Partition, iter_partitions
-from cwsolve.wpsets import (MAX, MIN, NEG_INF, POS_INF, InvariantError,
-                            WPSet, ac_reduce, acjoin, combine_witness,
-                            cut_row, join_sets, max_weight_basis, proj,
-                            query_opt, reduce_set, rmc, witness_names)
+from cwsolve.partitions import Partition, iter_partitions, merge_blocks
+from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF,
+                            InvariantError, WPSet, ac_reduce, acjoin,
+                            combine_witness, cut_row, join_sets,
+                            max_weight_basis, merge_cells, proj, query_opt,
+                            reduce_set, rmc, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -270,6 +271,82 @@ class TestReduce:
     def test_ac_reduce_rejects_minimization(self):
         with pytest.raises(ValueError):
             ac_reduce(WPSet(0b10, MIN))
+
+
+def _all_partitions_cell(rng, ground, direction=MAX):
+    return WPSet.from_pairs([(p, rng.randint(0, 20))
+                             for p in iter_partitions(ground)], ground, direction)
+
+
+class TestMergeCells:
+    def test_a_cell_at_its_bound_is_kept_whole(self):
+        rng = random.Random(53)
+        for reducer in (reduce_set, ac_reduce):
+            cell = _all_partitions_cell(rng, 0b1110)  # 5 partitions
+            stats = SolveStats()
+            out = merge_cells({"s": [cell]}, reducer, len(cell), stats)
+            assert out["s"] is cell
+            assert stats.reduce_calls == 0
+
+    @pytest.mark.parametrize("reducer, mode, ground, bound", [
+        (reduce_set, "plain", 0b111110, 16),     # 52 partitions, 2^4
+        (ac_reduce, "acyclic", 0b111111, 192),  # 203 partitions, 6 * 2^5
+    ])
+    def test_a_cell_above_its_bound_is_reduced_and_answers_alike(
+            self, reducer, mode, ground, bound):
+        rng = random.Random(61)
+        directions = (MAX, MIN) if reducer is reduce_set else (MAX,)
+        for direction in directions:
+            cell = _all_partitions_cell(rng, ground, direction)
+            assert len(cell) > bound
+            stats = SolveStats()
+            out = merge_cells({"s": [cell]}, reducer, bound, stats)["s"]
+            assert len(out) <= bound
+            assert stats.reduce_calls == 1
+            for q in iter_partitions(ground):
+                assert query_opt(out, q, mode) == query_opt(cell, q, mode)
+
+    def test_the_reference_path_checks_no_bound(self):
+        rng = random.Random(67)
+        cell = _all_partitions_cell(rng, 0b11110)  # 15 partitions
+        stats = SolveStats()
+        out = merge_cells({"s": [cell]}, None, 1, stats)
+        assert out["s"] is cell
+        assert stats.reduce_calls == 0
+
+
+class TestMergeMemo:
+    GROUNDS = (0b1110, 0b11100, 0b110010, 0b1)
+
+    def _cells(self, seed):
+        rng = random.Random(seed)
+        return [random_wpset(rng, ground, size)
+                for ground in self.GROUNDS for size in (1, 4, 9)]
+
+    @pytest.mark.parametrize("join", [join_sets, acjoin])
+    def test_cold_and_warm_memos_give_identical_entries(self, join,
+                                                        monkeypatch):
+        cells = self._cells(71)
+        pairs = [(a, b) for a in cells for b in cells]
+        MERGE_MEMO.clear()
+        cold = [list(join(a, b).entries.items()) for a, b in pairs]
+        assert MERGE_MEMO
+        assert all(v == merge_blocks(*key) for key, v in MERGE_MEMO.items())
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return merge_blocks(p, q)
+
+        monkeypatch.setattr(cwsolve.wpsets, "merge_blocks", counted)
+        # a warm memo, also holding the pairs of other cells over other grounds
+        for a, b in zip(self._cells(73), self._cells(79)):
+            join(a, b)
+        calls.clear()
+        warm = [list(join(a, b).entries.items()) for a, b in pairs]
+        assert warm == cold
+        assert not calls  # every merge came from the memo
+        MERGE_MEMO.clear()
 
 
 class TestContracts:
