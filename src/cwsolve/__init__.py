@@ -11,7 +11,7 @@ from .sigma_rho import (DomResult, MuSet, SigmaRhoSpec, d_of,
                         mu_contains_truncated, parse_mu, preset_spec,
                         solve_connected_sigma_rho, solve_steiner)
 from .wpsets import (MAX, MIN, WPSet, ac_reduce, acjoin, join_sets,
-                     max_weight_basis, proj, query_opt, reduce_set, rmc)
+                     max_weight_basis, proj, query_opt, reduce_set)
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,5 @@ __all__ = [
     "DomResult", "MuSet", "SigmaRhoSpec", "d_of", "mu_contains_truncated",
     "parse_mu", "preset_spec", "solve_connected_sigma_rho",
     "solve_steiner", "MAX", "MIN", "WPSet", "ac_reduce", "acjoin", "join_sets",
-    "max_weight_basis", "proj", "query_opt", "rmc", "reduce_set",
+    "max_weight_basis", "proj", "query_opt", "reduce_set",
 ]

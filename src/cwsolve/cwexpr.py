@@ -194,12 +194,8 @@ def parse_expression(text: str) -> CwExpression:
     tokens = _tokenize(body)
     pos = 0
 
-    def err(msg: str, at: int | None = None):
-        """Raise at token number ``at``, by default the next one."""
-        if at is None:
-            at = pos
-        if at >= len(tokens):
-            raise ExpressionError(f"syntax error: {msg} at end of input")
+    def err(msg: str, at: int):
+        """Raise at token number ``at``; :func:`take` reports the end of input."""
         line, col = _token_line_col(body, at)
         raise ExpressionError(f"line {line} col {col}: {msg}")
 
@@ -285,7 +281,7 @@ def parse_expression(text: str) -> CwExpression:
         if node is not None and not stack:
             break
     if pos != len(tokens):
-        err("trailing input after expression")
+        err("trailing input after expression", pos)
     return CwExpression(k, node)
 
 
@@ -529,10 +525,7 @@ def naive_expression(graph: LabeledGraph) -> CwExpression:
         by_peak.setdefault(hi, []).append((lo, hi))
     cur: Node = Introduce(names[0], graph.weights[names[0]])
     for m, name in enumerate(names[1:], start=2):
-        piece: Node = Introduce(name, graph.weights[name])
-        if m != 1:
-            piece = Relabel(1, m, piece)
-        cur = Union(cur, piece)
+        cur = Union(cur, Relabel(1, m, Introduce(name, graph.weights[name])))
         for lo, hi in sorted(by_peak.get(m, ())):
             cur = AddEdges(lo, hi, cur)
     return CwExpression(len(names), cur)

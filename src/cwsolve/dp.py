@@ -2,15 +2,18 @@
 
 Every solver is the same bottom-up pass over a k-expression, a table per node;
 it keeps only its transitions, which :func:`run` folds, and its root rule.
+The transitions only build tables: every pruning decision is the driver's.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .cwexpr import CwExpression, fold, future_degrees
-from .wpsets import MAX, MERGE_MEMO, NEG_INF, POS_INF, WPSet, witness_names
+from .wpsets import (MAX, MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
+                     witness_names)
 
 
 @dataclass
@@ -34,7 +37,16 @@ class SolveStats:
         }
 
 
-def run(expr: CwExpression, stats: SolveStats, cap: int | None,
+class Prune(NamedTuple):
+    """The pruned path: future degrees capped at ``cap``, and ``reducer``
+    for every cell above ``bound`` entries."""
+
+    cap: int
+    bound: int
+    reducer: Callable[[WPSet], WPSet]
+
+
+def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         leaf, ren, add, union) -> dict:
     """Fold the transitions over ``expr``; returns the root's table.
 
@@ -42,22 +54,42 @@ def run(expr: CwExpression, stats: SolveStats, cap: int | None,
     j, fut)``, ``add(table, present, i, j, fut)`` or ``union(table_a, pres_a,
     table_b, pres_b, fut)``, where ``present`` is a child's mask of nonempty
     label classes (bit l for label l) and ``fut`` the node's future degree
-    vector (:func:`~cwsolve.cwexpr.future_degrees`) capped at ``cap``; with
-    ``cap`` None, no future degree is computed and ``fut`` is None.  Each
-    node's kind, states and largest cell go into ``stats``.  The joins' merge
-    memo (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
+    vector (:func:`~cwsolve.cwexpr.future_degrees`) capped at ``prune.cap``.
+    Each node's kind, states and largest cell go into ``stats``.  The joins'
+    merge memo (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run
+    empty.
+
+    ``prune`` is the one switch for every prune.  None is the unpruned
+    reference path: no future degree is computed, ``fut`` is None, and every
+    cell is kept whole.  Otherwise, after each node's transition, a cell
+    above ``prune.bound`` entries is replaced by ``prune.reducer`` of it,
+    counted in ``stats.reduce_calls``, which must fit the bound, or
+    :class:`~cwsolve.wpsets.InvariantError` is raised.
+
+    Reducing only above the bound is sound: a set represents itself, so a
+    whole cell answers every completion query as a reduced one would, and
+    the bound on every cell, which is all the running time rests on, holds
+    at every node.  The decision reads only the cell's size.
     """
     fut = {}
-    if cap is not None:
-        fut = {nid: tuple(min(cap, x) for x in vec)
+    bound = POS_INF
+    if prune is not None:
+        fut = {nid: tuple(min(prune.cap, x) for x in vec)
                for nid, vec in future_degrees(expr).items()}
+        bound = prune.bound
 
     def seen(kind: str, table: dict, present: int) -> tuple[dict, int]:
+        biggest = max(map(len, table.values()), default=0)
+        if biggest > bound:
+            for key, cell in table.items():
+                if len(cell) > bound:
+                    table[key] = check_size(prune.reducer(cell), bound)
+                    stats.reduce_calls += 1
+            biggest = max(map(len, table.values()))
         stats.node_kinds[kind] += 1
         stats.total_states += len(table)
         stats.peak_states = max(stats.peak_states, len(table))
-        stats.max_cell_entries = max(stats.max_cell_entries,
-                                     max(map(len, table.values()), default=0))
+        stats.max_cell_entries = max(stats.max_cell_entries, biggest)
         return table, present
 
     def on_ren(node, child):

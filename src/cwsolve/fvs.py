@@ -20,9 +20,10 @@ one tree hanging off the anchor, which makes the kept forest plus one anchor
 edge per component a single tree, i.e. the forest is genuinely acyclic.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` hands each transition its node's future degree vector
-(:func:`~cwsolve.cwexpr.future_degrees`) capped at 1, and the transitions
-never build ``MANY_WAIT`` on a class whose future degree is 0.  Such a class
+:func:`~cwsolve.dp.run` reduces each cell above the rank bound (k + 1) * 2^k
+with ``ac_reduce``, and hands each transition its node's future degree vector
+(:func:`~cwsolve.cwexpr.future_degrees`) capped at 1; the transitions never
+build ``MANY_WAIT`` on a class whose future degree is 0.  Such a class
 waits for an add with a populated partner, yet no later add touches it, so the
 root rejects every state extending it.  A key feeding a root-reaching key
 reaches the root itself, so no kept cell changes: the optimum and its witness
@@ -39,8 +40,8 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, check_size,
-                     contrib, edge_cell, merge_cells, proj)
+from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, contrib,
+                     edge_cell, merge_cells, proj)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -90,11 +91,6 @@ def state_ground(state: State) -> int:
     return mask
 
 
-def _bound(k: int) -> int:
-    """Entries a cell may hold, the rank bound of ``ac_reduce``: (k + 1) * 2^k."""
-    return (k + 1) << k
-
-
 def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Table:
     wit0 = () if with_witness else None
     wit1 = name if with_witness else None
@@ -109,12 +105,11 @@ def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Tabl
     return {zero: untouched, one: lone}
 
 
-def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
-            with_witness: bool = False, fut=None) -> Table:
+def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j, MAX, with_witness)
+    edge = edge_cell(i, j, MAX)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
@@ -141,20 +136,15 @@ def fvs_add(table: Table, i: int, j: int, k: int, use_reduce: bool,
         if drop:
             merged = proj(merged, drop)
         if merged.entries:
-            if use_reduce:
-                # joining one edge and projecting cannot outgrow the source,
-                # which is within the bound
-                check_size(merged, _bound(k))
             out[target] = merged
     return out
 
 
-def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
-            stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
+def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
     acc: dict[State, list[WPSet]] = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j, MAX, with_witness)
+    edge = edge_cell(i, j, MAX)
     may_wait = fut is None or fut[jj] > 0
     for state, cell in table.items():
         a, b = state[ii], state[jj]
@@ -187,11 +177,10 @@ def fvs_ren(table: Table, i: int, j: int, k: int, use_reduce: bool,
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_WAIT
             contrib(acc, tuple(target), proj(acjoin(cell, edge), 1 << i))
-    return merge_cells(acc, ac_reduce if use_reduce else None, _bound(k), stats)
+    return merge_cells(acc)
 
 
-def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
-              stats: SolveStats, with_witness: bool = False, fut=None) -> Table:
+def fvs_union(table_a: Table, table_b: Table, k: int, fut=None) -> Table:
     acc: dict[State, list[WPSet]] = {}
     label_options = [UNION_STATE_OPTIONS if fut is None or fut[l]
                      else _UNION_OPTIONS_NO_WAIT for l in range(k)]
@@ -225,7 +214,7 @@ def fvs_union(table_a: Table, table_b: Table, k: int, use_reduce: bool,
                 pb = projected(cb, drop_b)
                 if pa.entries and pb.entries:
                     contrib(acc, target, acjoin(pa, pb))
-    return merge_cells(acc, ac_reduce if use_reduce else None, _bound(k), stats)
+    return merge_cells(acc)
 
 
 def solve_fvs(expr: CwExpression, with_witness: bool = False,
@@ -236,14 +225,13 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
             "feedback vertex set requires an irredundant expression")
     stats = SolveStats()
     k = expr.k
-    rest = (k, use_reduce, stats, with_witness)
-    root_table = dp.run(  # the filter only asks whether a future degree is 0
-        expr, stats, 1 if use_reduce else None,
+    # the filter only asks whether a future degree is 0
+    prune = dp.Prune(1, (k + 1) << k, ac_reduce) if use_reduce else None
+    root_table = dp.run(
+        expr, stats, prune,
         lambda name, weight, fut: fvs_leaf(k, name, weight, with_witness),
-        lambda table, present, i, j, fut: fvs_ren(table, i, j, *rest, fut),
-        lambda table, present, i, j, fut: fvs_add(table, i, j, k, use_reduce,
-                                                  with_witness, fut),
-        lambda a, pres_a, b, pres_b, fut: fvs_union(a, b, *rest, fut))
+        fvs_ren, fvs_add,
+        lambda a, pres_a, b, pres_b, fut: fvs_union(a, b, k, fut))
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
         (cell.entries.get((state_ground(state),))

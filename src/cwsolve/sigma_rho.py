@@ -17,7 +17,8 @@ exist (plain ties b = [c > 0] and q = b and [p > 0]) and each leaf's (in S, in X
 placements.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` hands each transition the future degrees
+:func:`~cwsolve.dp.run` reduces each cell above the rank bound 2^(k-1) with
+``reduce_set``, and hands each transition the future degrees
 (:func:`~cwsolve.cwexpr.future_degrees`) capped at d, and it drops the slot
 states they rule out, so dead keys are never built; see :func:`_future_ok`.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import getitem
@@ -35,8 +36,8 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, check_size, contrib,
-                     edge_cell, join_sets, merge_cells, proj, reduce_set)
+from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, contrib, edge_cell,
+                     join_sets, merge_cells, proj, reduce_set)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
 
@@ -167,16 +168,13 @@ class DomResult:
 class DomContext:
     spec: SigmaRhoSpec
     k: int
-    use_reduce: bool = True
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
-    stats: SolveStats = field(default_factory=SolveStats)
 
     def __post_init__(self):
         self.d = d = self.spec.d
         if d < 1:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
-        self.bound = 1 << (self.k - 1)  # the rank bound on a cell's entries
         self.rho_wild = self.spec.rho == NATURALS
         # The slot alphabet, (c, p, b, q) by code; code 0 is the empty slot.
         # Wildcards are stored as 0; plain ties b and q to c and p.
@@ -294,7 +292,7 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
-    edge = edge_cell(i, j, ctx.spec.direction, ctx.with_witness)
+    edge = edge_cell(i, j, ctx.spec.direction)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -322,10 +320,6 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
                         res = proj(res, drop)
                 done[oi, oj] = res
             if res.entries:
-                if ctx.use_reduce:
-                    # joining one edge and projecting cannot outgrow the
-                    # source, which is within the bound
-                    check_size(res, ctx.bound)
                 slots[ii], slots[jj] = ni, nj
                 out[tuple(slots)] = res
     return out
@@ -337,7 +331,7 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
         return table
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_merge, 1, present >> j & 1, fut and fut[jj])
-    edge = edge_cell(i, j, ctx.spec.direction, ctx.with_witness)
+    edge = edge_cell(i, j, ctx.spec.direction)
     acc: dict = {}
     for key, cell in table.items():
         code = rel[key[ii]][key[jj]]
@@ -347,8 +341,7 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             if ctx.open[code]:
                 cell = proj(join_sets(cell, edge), 1 << i)
             contrib(acc, tuple(slots), cell)
-    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
-                       ctx.stats)
+    return merge_cells(acc)
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
@@ -376,21 +369,23 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             if joined is None:
                 joined = join_cache[ck] = join_sets(cell_a, cell_b)
             contrib(acc, key, joined)
-    return merge_cells(acc, reduce_set if ctx.use_reduce else None, ctx.bound,
-                       ctx.stats)
+    return merge_cells(acc)
 
 
-def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
+def _solve(expr: CwExpression, ctx: DomContext, use_reduce: bool,
+           started: float) -> DomResult:
     """Run the transitions over the expression; the optimum at the root."""
-    table = dp.run(expr, ctx.stats, ctx.d if ctx.use_reduce else None,
+    stats = SolveStats()
+    prune = dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set) if use_reduce else None
+    table = dp.run(expr, stats, prune,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),
                    partial(srd_add, ctx), partial(srd_union, ctx))
     final = ctx.final.__getitem__
     optimum, witness = dp.root_optimum(
         (cell.entries.get(EMPTY_PARTITION) for key, cell in table.items()
          if all(map(final, key))), ctx.spec.direction)
-    ctx.stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return DomResult(optimum, witness, ctx.stats)
+    stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return DomResult(optimum, witness, stats)
 
 
 def _check_irredundant(expr: CwExpression) -> None:
@@ -405,8 +400,8 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
     """Optimum weight of a connected (co-)(sigma, rho)-dominating set."""
     started = time.perf_counter()
     _check_irredundant(expr)
-    return _solve(expr, DomContext(spec, expr.k, use_reduce=use_reduce,
-                                   with_witness=with_witness), started)
+    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness),
+                  use_reduce, started)
 
 
 def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
@@ -428,6 +423,5 @@ def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
         stats = SolveStats(elapsed_ms=(time.perf_counter() - started) * 1000.0)
         return DomResult(weights[term], (term,) if with_witness else None, stats)
     spec = SigmaRhoSpec(POSITIVES, NATURALS, MIN)
-    return _solve(expr, DomContext(spec, expr.k, use_reduce=use_reduce,
-                                   with_witness=with_witness, terminals=terms),
-                  started)
+    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
+                                   terminals=terms), use_reduce, started)

@@ -22,9 +22,9 @@ the two-sided cuts of the ground set that fix the minimum element's side) and
 keep an optimum-weight row basis; a basis row set answers every completion
 query exactly like the full set does.  ``ac_reduce`` takes one basis per block
 count, so that the surviving entries also preserve optima under the
-acyclicity constraint; its output can be larger by that factor.  The solvers
-reduce lazily: :func:`merge_cells` calls the reducer only on a cell that has
-outgrown the rank bound, since a basis seldom drops an entry of a smaller one.
+acyclicity constraint; its output can be larger by that factor.  When to
+reduce is not decided here: :func:`cwsolve.dp.run` reduces a cell only once it
+has outgrown its rank bound.
 
 The joins look each pair of block tuples up in :data:`MERGE_MEMO` before
 calling :func:`~cwsolve.partitions.merge_blocks`, because a DP merges the same
@@ -134,21 +134,6 @@ class WPSet:
         return f"WPSet[{self.direction}]{{{body}}}"
 
 
-def rmc(pairs: Iterable[tuple] | WPSet, ground: int | Iterable[int] | None = None,
-        direction: str | None = None) -> WPSet:
-    """Normalize to one optimal entry per partition.
-
-    Accepts either raw (partition, weight[, witness]) tuples plus an explicit
-    ground set and direction, or an existing set (returned as a copy, since
-    sets stay normalized by construction).
-    """
-    if isinstance(pairs, WPSet):
-        return pairs.copy()
-    if ground is None or direction is None:
-        raise ValueError("raw entries need an explicit ground set and direction")
-    return WPSet.from_pairs(pairs, ground, direction)
-
-
 def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
     """Drop the given elements; entries owning a block inside them vanish."""
     dmask = as_mask(drop)
@@ -174,11 +159,16 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
     return out
 
 
-def edge_cell(i: int, j: int, direction: str, with_witness: bool) -> WPSet:
-    """The cell whose one weight-0 entry links elements i and j."""
+def edge_cell(i: int, j: int, direction: str) -> WPSet:
+    """The cell whose one weight-0 entry links elements i and j.
+
+    Its witness is ``None`` whether or not witnesses are tracked: joined as
+    the right operand, it leaves every witness of the other cell as it is
+    (:func:`combine_witness`).
+    """
     mask = (1 << i) | (1 << j)
     cell = WPSet(mask, direction)
-    cell.add((mask,), 0, () if with_witness else None)
+    cell.add((mask,), 0)
     return cell
 
 
@@ -381,21 +371,8 @@ def contrib(acc: dict, key, cell: WPSet) -> None:
         acc.setdefault(key, []).append(cell)
 
 
-def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
-    """The table of an accumulator: merge each key's cells, and reduce the
-    merged cells that hold more than ``bound`` entries.
-
-    ``reducer`` (``reduce_set`` or ``ac_reduce``) shrinks such a cell, which
-    must then hold at most ``bound`` entries; ``None`` keeps every entry and
-    checks no bound, for the unpruned reference path.  ``stats`` counts the
-    reducer's calls.
-
-    Reducing only above the bound is sound: a set represents itself, so a cell
-    left whole answers every completion query as a reduced one would, and the
-    bound on every cell, which is all the running time rests on, still holds
-    after every merge.  The decision reads only the cell's size, never which
-    reducer was passed.
-    """
+def merge_cells(acc: dict) -> dict:
+    """The table of an accumulator: each key's cells merged into one."""
     out = {}
     for key, cells in acc.items():
         merged = cells[0]
@@ -403,8 +380,5 @@ def merge_cells(acc: dict, reducer, bound: int, stats) -> dict:
             merged = merged.copy()
             for extra in cells[1:]:
                 merged.update(extra)
-        if reducer is not None and len(merged) > bound:
-            merged = check_size(reducer(merged), bound)
-            stats.reduce_calls += 1
         out[key] = merged
     return out

@@ -10,8 +10,7 @@ import random
 
 import pytest
 
-import cwsolve.fvs
-import cwsolve.sigma_rho
+import cwsolve.dp
 from cwsolve import (check_irredundant, evaluate, fixture, naive_expression,
                      solve_fvs)
 from cwsolve.oracle import (_dominates, _is_connected, _is_forest,
@@ -161,8 +160,6 @@ def test_future_filter_keeps_answers_and_witnesses(filter_instances, name,
     # The future filter only drops states no root state extends: the optimum
     # matches the reference path, and optimum and witness match the same
     # reduced DP run without the filter (every transition given fut=None).
-    import cwsolve.dp
-
     solve = FILTER_SOLVERS[name]
     filtered = [solve(expr) for expr in filter_instances]
     for expr, res in zip(filter_instances, filtered):
@@ -176,23 +173,22 @@ def test_future_filter_keeps_answers_and_witnesses(filter_instances, name,
         sum(r.stats.total_states for r in unfiltered)
 
 
-def _eager_merge_cells(acc, reducer, bound, stats):
-    """``merge_cells`` reducing every merged cell of two or more entries,
-    not only those above the bound."""
-    out = {}
-    for key, cells in acc.items():
-        merged = cells[0]
-        if len(cells) > 1:
-            merged = merged.copy()
-            for extra in cells[1:]:
-                merged.update(extra)
-        if reducer is not None:
-            if len(merged) > 1:
-                merged = reducer(merged)
-                stats.reduce_calls += 1
-            check_size(merged, bound)
-        out[key] = merged
-    return out
+def _eager(run):
+    """``dp.run`` whose transitions reduce every cell of two or more
+    entries, not only those above the bound."""
+    def eager_run(expr, stats, prune, *transitions):
+        def eager(transition):
+            def reduced(*args):
+                table = transition(*args)
+                for key, cell in table.items():
+                    if len(cell) > 1:
+                        table[key] = check_size(prune.reducer(cell),
+                                                prune.bound)
+                        stats.reduce_calls += 1
+                return table
+            return reduced
+        return run(expr, stats, prune, *map(eager, transitions))
+    return eager_run
 
 
 EAGER_PROBLEMS = {"fvs": "fvs", "cds": preset_spec("cds"),
@@ -213,8 +209,7 @@ def test_reducing_every_cell_keeps_the_optimum(name, monkeypatch):
     solve = FILTER_SOLVERS[name]
     expected = [(_answer(solve(expr))[0],
                  _answer(solve(expr, use_reduce=False))[0]) for expr in exprs]
-    monkeypatch.setattr(cwsolve.fvs, "merge_cells", _eager_merge_cells)
-    monkeypatch.setattr(cwsolve.sigma_rho, "merge_cells", _eager_merge_cells)
+    monkeypatch.setattr(cwsolve.dp, "run", _eager(cwsolve.dp.run))
     reduce_calls = 0
     for expr, (shipped, reference) in zip(exprs, expected):
         res = solve(expr)

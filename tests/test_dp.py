@@ -1,6 +1,8 @@
 """The DP driver, run on a fake problem whose transitions record their tables."""
 
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -8,16 +10,20 @@ from collections import Counter
 import pytest
 
 import cwsolve.dp
-from cwsolve import fixture, naive_expression
+import cwsolve.fvs
+import cwsolve.sigma_rho
+import cwsolve.wpsets
+from cwsolve import fixture, naive_expression, parse_expression
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel,
                             evaluate, future_degrees, iter_postorder,
                             iter_preorder)
-from cwsolve.dp import SolveStats, root_optimum, run
+from cwsolve.dp import Prune, SolveStats, root_optimum, run
 from cwsolve.fvs import solve_fvs
+from cwsolve.partitions import iter_partitions
 from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
                                solve_steiner)
 from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF, WPSet,
-                            join_sets)
+                            ac_reduce, join_sets, query_opt, reduce_set)
 
 from conftest import random_expression, random_graph
 
@@ -66,7 +72,14 @@ class FakeProblem:
         return self._table((table_a, table_b), (pres_a, pres_b), fut)
 
     def run(self, expr, stats, cap):
-        return run(expr, stats, cap, self.leaf, self.ren, self.add, self.union)
+        # no fake cell holds more than 4 entries, so nothing is reduced
+        prune = None if cap is None else Prune(cap, 4, _refuse)
+        return run(expr, stats, prune, self.leaf, self.ren, self.add,
+                   self.union)
+
+
+def _refuse(*args):
+    raise RuntimeError("reducer called")
 
 
 @pytest.mark.parametrize("cap", [1, 2, None])
@@ -199,3 +212,146 @@ def test_concurrent_solves_share_the_merge_memo_safely():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == [expected] * len(threads)
+
+
+# ---------------------------------------------------------------------------
+# Pruning: the driver reduces every cell above the rank bound, at every node.
+
+ROOTED = {  # an expression whose root is a node of the kind
+    "introduce": "cwexpr k=1\n(v a)",
+    "relabel": "cwexpr k=2\n(ren 1 2 (v a))",
+    "add": "cwexpr k=2\n(add 1 2 (u (v a) (ren 1 2 (v b))))",
+    "union": "cwexpr k=1\n(u (v a) (v b))",
+}
+
+
+def _run_with_root_cell(kind, cell, prune):
+    """Run the driver on a problem whose root, a node of ``kind``, builds
+    one cell and every other node an empty table: (root cell, stats)."""
+    def root(*args):
+        return {"s": cell}
+
+    def empty(*args):
+        return {}
+
+    stats = SolveStats()
+    table = run(parse_expression(ROOTED[kind]), stats, prune,
+                *(root if node_kind == kind else empty for node_kind in ROOTED))
+    return table["s"], stats
+
+
+def _all_partitions_cell(rng, ground, direction=MAX):
+    return WPSet.from_pairs([(p, rng.randint(0, 20))
+                             for p in iter_partitions(ground)], ground, direction)
+
+
+class TestPrune:
+    def test_a_cell_at_its_bound_is_kept_whole(self):
+        rng = random.Random(53)
+        for reducer in (reduce_set, ac_reduce):
+            cell = _all_partitions_cell(rng, 0b1110)  # 5 partitions
+            out, stats = _run_with_root_cell("union", cell,
+                                             Prune(1, len(cell), reducer))
+            assert out is cell
+            assert stats.reduce_calls == 0
+            assert stats.max_cell_entries == len(cell)
+
+    @pytest.mark.parametrize("reducer, mode, ground, bound", [
+        (reduce_set, "plain", 0b111110, 16),     # 52 partitions, 2^4
+        (ac_reduce, "acyclic", 0b111111, 192),  # 203 partitions, 6 * 2^5
+    ])
+    def test_a_cell_above_its_bound_is_reduced_and_answers_alike(
+            self, reducer, mode, ground, bound):
+        rng = random.Random(61)
+        directions = (MAX, MIN) if reducer is reduce_set else (MAX,)
+        for direction in directions:
+            cell = _all_partitions_cell(rng, ground, direction)
+            assert len(cell) > bound
+            out, stats = _run_with_root_cell("union", cell,
+                                             Prune(1, bound, reducer))
+            assert len(out) <= bound
+            assert stats.reduce_calls == 1
+            assert stats.max_cell_entries == len(out)
+            for q in iter_partitions(ground):
+                assert query_opt(out, q, mode) == query_opt(cell, q, mode)
+
+    @pytest.mark.parametrize("kind", ["introduce", "add"])
+    def test_an_over_bound_leaf_or_add_cell_is_reduced_and_counted(self, kind):
+        rng = random.Random(59)
+        cell = _all_partitions_cell(rng, 0b111110)  # 52 partitions
+        out, stats = _run_with_root_cell(kind, cell, Prune(1, 16, reduce_set))
+        assert len(out) <= 16
+        assert stats.reduce_calls == 1
+        for q in iter_partitions(0b111110):
+            assert query_opt(out, q) == query_opt(cell, q)
+
+    def test_the_reference_path_checks_no_bound(self, monkeypatch):
+        # prune None: no reducer runs and no bound is checked at any node
+        # kind, even on a cell far above every bound
+        for name in ("reduce_set", "ac_reduce"):
+            monkeypatch.setattr(cwsolve.wpsets, name, _refuse)
+        monkeypatch.setattr(cwsolve.dp, "check_size", _refuse)
+        cell = _all_partitions_cell(random.Random(67), 0b111110)
+        for kind in ROOTED:
+            out, stats = _run_with_root_cell(kind, cell, None)
+            assert out is cell
+            assert stats.reduce_calls == 0
+            assert stats.max_cell_entries == 52
+
+
+def test_cell_bound_is_checked_under_python_O():
+    # a reducer that keeps a cell above its bound must still be caught when
+    # -O strips assert statements
+    script = """
+from cwsolve import parse_expression
+from cwsolve.dp import Prune, SolveStats, run
+from cwsolve.wpsets import InvariantError, WPSet
+cell = WPSet.from_pairs([((0b110,), 1), ((0b010, 0b100), 2)], 0b110)
+try:
+    run(parse_expression("cwexpr k=1\\n(v a)"), SolveStats(),
+        Prune(1, 1, lambda c: c), lambda name, weight, fut: {"s": cell},
+        None, None, None)
+except InvariantError:
+    print(__debug__, "raised")
+"""
+    src = os.path.dirname(os.path.dirname(cwsolve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split() == ["False", "raised"], out.stderr
+
+
+def test_the_reference_path_never_calls_a_reducer(monkeypatch):
+    # use_reduce=False hands the driver no prune, so no reducer can run
+    # whatever a cell holds; use_reduce=True hands it the reducer bound in
+    # the solver's own module at solve time
+    prunes = []
+
+    def recording_run(expr, stats, prune, *transitions):
+        prunes.append(prune)
+        return run_before(expr, stats, prune, *transitions)
+
+    run_before = cwsolve.dp.run
+    monkeypatch.setattr(cwsolve.dp, "run", recording_run)
+    monkeypatch.setattr(cwsolve.fvs, "ac_reduce", _refuse)
+    monkeypatch.setattr(cwsolve.sigma_rho, "reduce_set", _refuse)
+    rng = random.Random(1010)
+    for k in (2, 3, 4, 5):
+        expr = random_expression(rng, 9, k)
+        names = sorted(evaluate(expr).weights)
+        for solve, bound in (
+                (lambda **kw: solve_fvs(expr, with_witness=True, **kw),
+                 (k + 1) << k),
+                (lambda **kw: solve_connected_sigma_rho(
+                    expr, preset_spec("cds"), with_witness=True, **kw),
+                 1 << (k - 1)),
+                (lambda **kw: solve_connected_sigma_rho(
+                    expr, preset_spec("cvc"), with_witness=True, **kw),
+                 1 << (k - 1)),
+                (lambda **kw: solve_steiner(expr, {names[0], names[-1]},
+                                            with_witness=True, **kw),
+                 1 << (k - 1))):
+            assert solve(use_reduce=False).stats.reduce_calls == 0
+            assert prunes.pop() is None
+            solve()
+            assert prunes.pop()[1:] == (bound, _refuse)

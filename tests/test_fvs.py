@@ -9,7 +9,6 @@ from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
                          fvs_union, state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
-from cwsolve.dp import SolveStats
 from cwsolve.wpsets import MAX, WPSet
 
 from conftest import random_graph
@@ -38,14 +37,13 @@ class TestAdd:
     def _two_isolated(self):
         # two unit vertices labeled 1 and 2
         expr = parse_expression("cwexpr k=2\n(u (v a 1) (ren 1 2 (v b 1)))")
-        stats = SolveStats()
         ta = fvs_leaf(2, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, "b", 1), 1, 2, 2, True, stats)
-        return fvs_union(ta, tb, 2, True, stats), expr
+        tb = fvs_ren(fvs_leaf(2, "b", 1), 0b010, 1, 2)
+        return fvs_union(ta, tb, 2), expr
 
     def test_absent_class_copies_cell(self):
         table, _ = self._two_isolated()
-        out = fvs_add(table, 1, 2, 2, True)
+        out = fvs_add(table, 0b110, 1, 2)
         state = (ONE, ABSENT)
         assert cell_of(out, state) == cell_of(table, state)
 
@@ -53,7 +51,7 @@ class TestAdd:
         table, _ = self._two_isolated()
         both = (ONE, ONE)
         assert Pm(ANCHOR, 0b010, 0b100) in table[both].entries
-        out = fvs_add(table, 1, 2, 2, True)
+        out = fvs_add(table, 0b110, 1, 2)
         got = cell_of(out, both)
         # the isolated pair becomes one linked component; the variants that
         # had both endpoints hanging off the anchor close a cycle and vanish
@@ -64,7 +62,7 @@ class TestAdd:
         # fabricate a waiting state to check the cycle cutoff
         cell = table[(ONE, ONE)]
         out = fvs_add({(MANY_WAIT, ONE): cell, (MANY_WAIT, MANY_WAIT): cell},
-                      1, 2, 2, True)
+                      0b110, 1, 2)
         assert (MANY_DONE, ONE) in out  # consumed its one allowed add
         assert (MANY_WAIT, MANY_WAIT) not in out
         assert all(MANY_WAIT not in s for s in out)
@@ -73,22 +71,21 @@ class TestAdd:
 class TestRen:
     def test_rename_moves_state_and_partition_element(self):
         table = fvs_leaf(2, "a", 5)
-        out = fvs_ren(table, 1, 2, 2, True, SolveStats())
+        out = fvs_ren(table, 0b010, 1, 2)
         assert cell_of(out, (ABSENT, ONE)) == {Pm(0b101): 5, Pm(ANCHOR, 0b100): 5}
         assert cell_of(out, (ABSENT, ABSENT)) == cell_of(table, (ABSENT, ABSENT))
 
     def test_empty_source_class_copies_cells_verbatim(self):
         table = fvs_leaf(2, "a", 5)
-        out = fvs_ren(table, 2, 1, 2, True, SolveStats())
+        out = fvs_ren(table, 0b010, 2, 1)
         assert cell_of(out, (ONE, ABSENT)) == cell_of(table, (ONE, ABSENT))
 
     def test_merge_after_add_keeps_anchor_connected_entries(self):
         # two linked unit vertices, then fold class 2 into class 1
-        stats = SolveStats()
         ta = fvs_leaf(2, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, "b", 1), 1, 2, 2, True, stats)
-        table = fvs_add(fvs_union(ta, tb, 2, True, stats), 1, 2, 2, True)
-        out = fvs_ren(table, 2, 1, 2, True, stats)
+        tb = fvs_ren(fvs_leaf(2, "b", 1), 0b010, 1, 2)
+        table = fvs_add(fvs_union(ta, tb, 2), 0b110, 1, 2)
+        out = fvs_ren(table, 0b110, 2, 1)
         done = (MANY_DONE, ABSENT)
         # only the variant linking the pair into the anchor's block survives
         assert cell_of(out, done) == {Pm(ANCHOR): 2}
@@ -100,14 +97,13 @@ class TestUnion:
 
     def test_empty_side_empties_everything(self):
         ta = fvs_leaf(1, "a", 1)
-        out = fvs_union(ta, {}, 1, True, SolveStats())
+        out = fvs_union(ta, {}, 1)
         assert out == {}
 
     def test_two_singletons_merging_to_done_need_anchor_links(self):
-        stats = SolveStats()
         ta = fvs_leaf(1, "a", 1)
         tb = fvs_leaf(1, "b", 1)
-        out = fvs_union(ta, tb, 1, True, stats)
+        out = fvs_union(ta, tb, 1)
         done = (MANY_DONE,)
         # both vertices keep their class position only through the anchor
         assert cell_of(out, done) == {Pm(ANCHOR): 2}
@@ -162,34 +158,34 @@ class TestFutureFilter:
 
     def test_union_never_waits_without_a_future(self):
         ta, tb, _ = self._tables()
-        ref = fvs_union(ta, tb, 2, True, SolveStats())
+        ref = fvs_union(ta, tb, 2)
         assert (MANY_WAIT, ABSENT) in ref
-        out = fvs_union(ta, tb, 2, True, SolveStats(), fut=(0, 5))
+        out = fvs_union(ta, tb, 2, fut=(0, 5))
         assert all(state[0] != MANY_WAIT for state in out)
         assert set(out) == set(ref) - {(MANY_WAIT, ABSENT)}
-        self._same(fvs_union(ta, tb, 2, True, SolveStats(), fut=None), ref)
-        self._same(fvs_union(ta, tb, 2, True, SolveStats(), fut=(1, 1)), ref)
+        self._same(fvs_union(ta, tb, 2, fut=None), ref)
+        self._same(fvs_union(ta, tb, 2, fut=(1, 1)), ref)
 
     def test_ren_never_waits_without_a_future(self):
         _, _, waiting = self._tables()
-        ref = fvs_ren(waiting, 1, 2, 2, True, SolveStats())
+        ref = fvs_ren(waiting, 0b110, 1, 2)
         assert any(state[1] == MANY_WAIT for state in ref)
-        out = fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=(3, 0))
+        out = fvs_ren(waiting, 0b110, 1, 2, fut=(3, 0))
         assert set(out) == {(ABSENT, MANY_DONE)}
-        self._same(fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=None), ref)
-        self._same(fvs_ren(waiting, 1, 2, 2, True, SolveStats(), fut=(0, 1)), ref)
+        self._same(fvs_ren(waiting, 0b110, 1, 2, fut=None), ref)
+        self._same(fvs_ren(waiting, 0b110, 1, 2, fut=(0, 1)), ref)
 
     def test_add_never_leaves_a_class_waiting_without_a_future(self):
         _, _, waiting = self._tables()
-        ref = fvs_add(waiting, 1, 2, 2, True)
+        ref = fvs_add(waiting, 0b110, 1, 2)
         assert (MANY_WAIT, ABSENT) in ref and (ABSENT, MANY_WAIT) in ref
         for fut, gone in (((0, 1), (MANY_WAIT, ABSENT)),
                           ((1, 0), (ABSENT, MANY_WAIT))):
-            out = fvs_add(waiting, 1, 2, 2, True, fut=fut)
+            out = fvs_add(waiting, 0b110, 1, 2, fut=fut)
             assert set(out) == set(ref) - {gone}
             assert all(state[l] != MANY_WAIT
                        for state in out for l in (0, 1) if not fut[l])
-        self._same(fvs_add(waiting, 1, 2, 2, True, fut=None), ref)
+        self._same(fvs_add(waiting, 0b110, 1, 2, fut=None), ref)
 
 
 def test_reference_path_never_computes_future_degrees(monkeypatch):

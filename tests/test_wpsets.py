@@ -1,19 +1,15 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 import cwsolve.wpsets
-from cwsolve.dp import SolveStats
 from cwsolve.oracle import check_representative
 from cwsolve.partitions import Partition, iter_partitions, merge_blocks
 from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF,
                             InvariantError, WPSet, ac_reduce, acjoin,
-                            combine_witness, cut_row, join_sets,
-                            max_weight_basis, merge_cells, proj, query_opt,
-                            reduce_set, rmc, witness_names)
+                            combine_witness, cut_row, edge_cell, join_sets,
+                            max_weight_basis, proj, query_opt, reduce_set,
+                            witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -27,17 +23,17 @@ def P(*blocks, ground=None):
 class TestRmc:
     def test_max_keeps_heavier(self):
         p = P({1, 2})
-        out = rmc([(p, 3), (p, 5)], p.ground, MAX)
+        out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground, MAX)
         assert out.entries[p] == (5, None)
 
     def test_min_keeps_lighter(self):
         p = P({1, 2})
-        out = rmc([(p, 3), (p, 5)], p.ground, MIN)
+        out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground, MIN)
         assert out.entries[p] == (3, None)
 
     def test_distinct_partitions_untouched(self):
         p, q = P({1, 2}), P({1}, {2})
-        out = rmc([(p, 3), (q, 5)], p.ground, MAX)
+        out = WPSet.from_pairs([(p, 3), (q, 5)], p.ground, MAX)
         assert len(out) == 2
 
     def test_tie_keeps_the_first_witness(self):
@@ -46,10 +42,11 @@ class TestRmc:
         p, q = P({1, 2}), P({1}, {2})
         pairs = [(q, 1, "c"), (p, 3, "b"), (p, 3, ("a", "d")), (q, 1, ())]
         for direction, better in ((MAX, 4), (MIN, 2)):
-            out = rmc(pairs, p.ground, direction)
+            out = WPSet.from_pairs(pairs, p.ground, direction)
             assert out.entries == {q: (1, "c"), p: (3, "b")}
-            assert rmc(pairs, p.ground, direction).entries == out.entries
-            assert rmc(pairs[::-1], p.ground, direction).entries == \
+            assert WPSet.from_pairs(pairs, p.ground, direction).entries == \
+                out.entries
+            assert WPSet.from_pairs(pairs[::-1], p.ground, direction).entries == \
                 {q: (1, ()), p: (3, ("a", "d"))}
             out.add(p, better, "e")
             assert out.entries[p] == (better, "e")
@@ -80,6 +77,17 @@ class TestWitness:
         edge = WPSet.from_pairs([(P({1, 2}), 0, ())], 0b110, MAX)
         joined = join_sets(join_sets(a, b), edge)
         assert joined.entries == {P({1, 2}): (8, ("x", ("y", "z")))}
+
+    @pytest.mark.parametrize("join", [join_sets, acjoin])
+    def test_joining_an_edge_cell_keeps_every_witness(self, join):
+        # tracked (a name or a pair), empty and untracked
+        for witness in ("x", ("y", "z"), (), None):
+            cell = WPSet.from_pairs([(P({1}, {2}), 5, witness),
+                                     (P({1}, {2}, {3}), 3, witness)],
+                                    0b1110, MAX)
+            joined = join(cell, edge_cell(1, 2, MAX))
+            assert joined.entries == {P({1, 2}): (5, witness),
+                                      P({1, 2}, {3}): (3, witness)}
 
 
 class TestProj:
@@ -201,7 +209,7 @@ class TestCutRows:
 class TestReduce:
     def test_empty_ground_keeps_single_best(self):
         empty = Partition(())
-        a = rmc([(empty, 7), (empty, 2)], 0, MAX)
+        a = WPSet.from_pairs([(empty, 7), (empty, 2)], 0, MAX)
         out = reduce_set(a)
         assert out.entries == {empty: (7, None)}
 
@@ -271,48 +279,6 @@ class TestReduce:
     def test_ac_reduce_rejects_minimization(self):
         with pytest.raises(ValueError):
             ac_reduce(WPSet(0b10, MIN))
-
-
-def _all_partitions_cell(rng, ground, direction=MAX):
-    return WPSet.from_pairs([(p, rng.randint(0, 20))
-                             for p in iter_partitions(ground)], ground, direction)
-
-
-class TestMergeCells:
-    def test_a_cell_at_its_bound_is_kept_whole(self):
-        rng = random.Random(53)
-        for reducer in (reduce_set, ac_reduce):
-            cell = _all_partitions_cell(rng, 0b1110)  # 5 partitions
-            stats = SolveStats()
-            out = merge_cells({"s": [cell]}, reducer, len(cell), stats)
-            assert out["s"] is cell
-            assert stats.reduce_calls == 0
-
-    @pytest.mark.parametrize("reducer, mode, ground, bound", [
-        (reduce_set, "plain", 0b111110, 16),     # 52 partitions, 2^4
-        (ac_reduce, "acyclic", 0b111111, 192),  # 203 partitions, 6 * 2^5
-    ])
-    def test_a_cell_above_its_bound_is_reduced_and_answers_alike(
-            self, reducer, mode, ground, bound):
-        rng = random.Random(61)
-        directions = (MAX, MIN) if reducer is reduce_set else (MAX,)
-        for direction in directions:
-            cell = _all_partitions_cell(rng, ground, direction)
-            assert len(cell) > bound
-            stats = SolveStats()
-            out = merge_cells({"s": [cell]}, reducer, bound, stats)["s"]
-            assert len(out) <= bound
-            assert stats.reduce_calls == 1
-            for q in iter_partitions(ground):
-                assert query_opt(out, q, mode) == query_opt(cell, q, mode)
-
-    def test_the_reference_path_checks_no_bound(self):
-        rng = random.Random(67)
-        cell = _all_partitions_cell(rng, 0b11110)  # 15 partitions
-        stats = SolveStats()
-        out = merge_cells({"s": [cell]}, None, 1, stats)
-        assert out["s"] is cell
-        assert stats.reduce_calls == 0
 
 
 class TestMergeMemo:
@@ -417,27 +383,3 @@ class TestPreservationSmoke:
             merged_small = small.copy()
             merged_small.update(b)
             assert check_representative(merged_full, merged_small, "acyclic")
-
-
-def test_cell_bound_is_checked_under_python_O():
-    # a reducer that keeps a cell above its bound must still be caught when
-    # -O strips assert statements
-    script = """
-from cwsolve.partitions import Partition
-from cwsolve.dp import SolveStats
-from cwsolve.wpsets import InvariantError, WPSet, contrib, merge_cells
-cell = WPSet(0b110)
-cell.add(Partition((0b110,)), 1)
-cell.add(Partition((0b010, 0b100)), 2)
-acc = {}
-contrib(acc, "state", cell)
-try:
-    merge_cells(acc, lambda c: c, 1, SolveStats())
-except InvariantError:
-    print(__debug__, "raised")
-"""
-    src = os.path.dirname(os.path.dirname(cwsolve.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.stdout.split() == ["False", "raised"], out.stderr
