@@ -19,6 +19,28 @@ already linked; an entry survives to the root only if everything ends up in
 one tree hanging off the anchor, which makes the kept forest plus one anchor
 edge per component a single tree, i.e. the forest is genuinely acyclic.
 
+A union node allows 15 (child, child, parent) state combinations per label
+(:data:`UNION_STATE_OPTIONS`), the disjoint union of nine products of
+per-label state sets, or boxes (:data:`BOX_PAIRS`):
+
+=================================  =========
+boxes of the two children          parent
+=================================  =========
+{ABSENT} x {ABSENT}                ABSENT
+{ONE} x {ABSENT}, and mirrored     ONE
+{MANY_WAIT} x {ABSENT}, mirrored   MANY_WAIT
+{ONE, MANY_WAIT} x the same        MANY_WAIT
+{MANY_DONE} x {ABSENT}, mirrored   MANY_DONE
+{ONE↓, MANY_DONE} x the same       MANY_DONE
+=================================  =========
+
+where ONE↓ is a ONE class whose label element is projected out first.
+:func:`fvs_union` merges each child's cells per tuple of boxes and joins
+each pair of tuples that meet once, instead of once per state pair and
+target.  Joins work entry pair by entry pair, so each target cell is the
+same map from partition to weight as the state-by-state union's; only the
+witness kept among equal-weight entries may differ.
+
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
 :func:`~cwsolve.dp.run` reduces each cell above the rank bound (k + 1) * 2^k
 with ``ac_reduce``, and hands each transition its node's future degree vector
@@ -34,7 +56,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
+from operator import getitem
 
 from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
@@ -69,9 +93,44 @@ for _a in (ABSENT, ONE, MANY_WAIT, MANY_DONE):
         UNION_STATE_OPTIONS[(_a, _b)] = opts
 del _a, _b, opts
 
-# The same options for a label whose class no later add touches.
-_UNION_OPTIONS_NO_WAIT = {pair: tuple(o for o in opts if o != MANY_WAIT)
-                          for pair, opts in UNION_STATE_OPTIONS.items()}
+# The union's boxes: per label, the child states one side puts into a
+# product.  OD holds its ONE members with their label element projected out
+# (ONE↓), as a class finished at the parent resolves its connectivity per side.
+Z, O, W, D, OW, OD = range(6)
+BOX_STATES: tuple[tuple[int, ...], ...] = (
+    (ABSENT,), (ONE,), (MANY_WAIT,), (MANY_DONE,), (ONE, MANY_WAIT),
+    (ONE, MANY_DONE))
+
+# (box of side a, box of side b) -> the parent's state at that label.  The
+# nine products are disjoint and cover exactly UNION_STATE_OPTIONS.
+BOX_PAIRS: dict[tuple[int, int], int] = {
+    (Z, Z): ABSENT,
+    (O, Z): ONE, (Z, O): ONE,
+    (W, Z): MANY_WAIT, (Z, W): MANY_WAIT, (OW, OW): MANY_WAIT,
+    (D, Z): MANY_DONE, (Z, D): MANY_DONE, (OD, OD): MANY_DONE,
+}
+
+# The parent's state at a label from either box of a pair: the larger one.
+BOX_TARGET = (ABSENT, ONE, MANY_WAIT, MANY_DONE, MANY_WAIT, MANY_DONE)
+
+
+def _box_options(may_wait: bool, others: frozenset[int],
+                 state: int) -> tuple[int, ...]:
+    """The boxes holding ``state`` with a partner box among the other side's
+    ``others`` states; no MANY_WAIT pair unless ``may_wait``."""
+    return tuple(box for box in range(6) if state in BOX_STATES[box] and any(
+        mine == box and (may_wait or target != MANY_WAIT)
+        and not others.isdisjoint(BOX_STATES[partner])
+        for (mine, partner), target in BOX_PAIRS.items()))
+
+
+# [may_wait][the other side's states at a label][state] -> the boxes to
+# expand into, for every nonempty set of other states.
+BOX_OPTIONS = tuple(
+    {others: tuple(_box_options(may_wait, others, state) for state in range(4))
+     for others in (frozenset(s for s in range(4) if mask >> s & 1)
+                    for mask in range(1, 16))}
+    for may_wait in (False, True))
 
 
 @dataclass
@@ -91,7 +150,8 @@ def state_ground(state: State) -> int:
     return mask
 
 
-def fvs_leaf(k: int, name: str, weight: int, with_witness: bool = False) -> Table:
+def fvs_leaf(k: int, with_witness: bool, name: str, weight: int,
+             fut=None) -> Table:
     wit0 = () if with_witness else None
     wit1 = name if with_witness else None
     untouched = WPSet(ANCHOR_BIT, MAX)
@@ -180,40 +240,94 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     return merge_cells(acc)
 
 
-def fvs_union(table_a: Table, table_b: Table, k: int, fut=None) -> Table:
+def _boxed(table: Table, rows) -> Table:
+    """Each state's cell in every box tuple ``rows`` lets it take (row l maps
+    the state at label l to its boxes), merged per box tuple; a ONE label in
+    an OD box is projected out first."""
+    acc: dict[tuple[int, ...], list[WPSet]] = {}
+    for state, cell in table.items():
+        ones = [l for l, val in enumerate(state) if val == ONE]
+        for boxes in product(*map(getitem, rows, state)):
+            drop = 0
+            for l in ones:
+                if boxes[l] == OD:
+                    drop |= 2 << l
+            contrib(acc, boxes, proj(cell, drop) if drop else cell)
+    return merge_cells(acc)
+
+
+def _box_signature(boxes: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """A box tuple's OW/OD boxes (their labels and values), its mask of
+    labels with a single box (O, W, D), and its parent states."""
+    pairs = singles = 0
+    for l, box in enumerate(boxes):
+        if box >= OW:
+            pairs |= box << 3 * l
+        elif box:
+            singles |= 1 << l
+    return pairs, singles, tuple(map(BOX_TARGET.__getitem__, boxes))
+
+
+def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
+              fut=None) -> Table:
+    """Disjoint union, one ``acjoin`` per pair of box tuples that meet.
+
+    Per label, the 15 (child, child, parent) combinations of
+    :data:`UNION_STATE_OPTIONS` are the disjoint union of the nine box
+    products of :data:`BOX_PAIRS`:
+
+    ======  ======  ==========
+    side a  side b  parent
+    ======  ======  ==========
+    Z       Z       ABSENT
+    O       Z       ONE
+    Z       O       ONE
+    W       Z       MANY_WAIT
+    Z       W       MANY_WAIT
+    OW      OW      MANY_WAIT
+    D       Z       MANY_DONE
+    Z       D       MANY_DONE
+    OD      OD      MANY_DONE
+    ======  ======  ==========
+
+    where Z = {ABSENT}, O = {ONE}, W = {MANY_WAIT}, D = {MANY_DONE},
+    OW = {ONE, MANY_WAIT} and OD = {ONE↓, MANY_DONE}: a ONE member of OD
+    loses its label element first, as its class is finished at the parent.
+    At a label whose future degree is 0 the three MANY_WAIT pairs are left
+    out.  Each side expands a state only into boxes with a partner among the
+    other side's states at that label (:data:`BOX_OPTIONS`) and merges its
+    cells per box tuple; all cells of one tuple share one ground.  A tuple of
+    side a meets one of side b exactly when their OW/OD boxes sit at the same
+    labels with the same values and no label holds a single box (O, W, D) on
+    both sides; the pair's join goes to the parent state they name.
+
+    Sound: the products cover exactly the state pairs and targets the
+    state-by-state union joins, once each, with the same projections.
+    ``acjoin`` works entry pair by entry pair, so joining merged cells keeps,
+    for every partition, the best weight the per-state-pair joins give it.
+    Every target cell is thus the same map from partition to weight; only
+    the choice among equal-weight entries may differ, which changes a
+    witness only where optima tie.
+    """
+    if not table_a or not table_b:
+        return {}
+    k = len(next(iter(table_a)))
+    waits = [True] * k if fut is None else [degree > 0 for degree in fut]
+    rows_a = [BOX_OPTIONS[w][frozenset(column)]
+              for w, column in zip(waits, zip(*table_b))]
+    rows_b = [BOX_OPTIONS[w][frozenset(column)]
+              for w, column in zip(waits, zip(*table_a))]
+    buckets: dict[int, list[tuple[int, tuple[int, ...], WPSet]]] = {}
+    for key, cell in _boxed(table_b, rows_b).items():
+        pairs, singles, target = _box_signature(key)
+        buckets.setdefault(pairs, []).append((singles, target, cell))
     acc: dict[State, list[WPSet]] = {}
-    label_options = [UNION_STATE_OPTIONS if fut is None or fut[l]
-                     else _UNION_OPTIONS_NO_WAIT for l in range(k)]
-    proj_cache: dict[tuple[int, int], WPSet] = {}
-
-    def projected(cell: WPSet, drop: int) -> WPSet:
-        if not drop:
-            return cell
-        key = (id(cell), drop)
-        got = proj_cache.get(key)
-        if got is None:
-            got = proj_cache[key] = proj(cell, drop)
-        return got
-
-    for sa, ca in table_a.items():
-        for sb, cb in table_b.items():
-            options = [label_options[l][(sa[l], sb[l])] for l in range(k)]
-            if any(not o for o in options):
-                continue
-            for target in product(*options):
-                # Classes finished at the parent lose their ONE-side element
-                # before the join: their connectivity is resolved per side.
-                drop_a = drop_b = 0
-                for l in range(k):
-                    if target[l] == MANY_DONE:
-                        if sa[l] == ONE:
-                            drop_a |= 2 << l
-                        if sb[l] == ONE:
-                            drop_b |= 2 << l
-                pa = projected(ca, drop_a)
-                pb = projected(cb, drop_b)
-                if pa.entries and pb.entries:
-                    contrib(acc, target, acjoin(pa, pb))
+    for key, cell in _boxed(table_a, rows_a).items():
+        pairs, singles, target = _box_signature(key)
+        for singles_b, target_b, cell_b in buckets.get(pairs, ()):
+            if not singles & singles_b:
+                contrib(acc, tuple(map(max, target, target_b)),
+                        acjoin(cell, cell_b))
     return merge_cells(acc)
 
 
@@ -229,9 +343,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     prune = dp.Prune(1, (k + 1) << k, ac_reduce) if use_reduce else None
     root_table = dp.run(
         expr, stats, prune,
-        lambda name, weight, fut: fvs_leaf(k, name, weight, with_witness),
-        fvs_ren, fvs_add,
-        lambda a, pres_a, b, pres_b, fut: fvs_union(a, b, k, fut))
+        partial(fvs_leaf, k, with_witness), fvs_ren, fvs_add, fvs_union)
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
         (cell.entries.get((state_ground(state),))

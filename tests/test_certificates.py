@@ -3,7 +3,7 @@
 :func:`cwsolve.oracle.check_solution` checks a witness against the evaluated
 graph alone, in O(n + m).  The brute-force oracles stop at n <= 8, so these
 tests check every witness the solvers report on fixtures of 200..1000
-vertices and on random expressions of width up to 5, and that relabelling,
+vertices and on random expressions of width up to 6, and that relabelling,
 renaming and scaling an instance move the optimum as they must.
 """
 
@@ -215,6 +215,43 @@ def test_every_witness_on_random_expressions(k, n):
         got = answers(expr, ("fvs", "steiner", *SPECS), terms)
         for problem, (optimum, witness) in got.items():
             certify(graph, problem, optimum, witness, terms)
+
+
+def multi_label_unions(expr) -> int:
+    """The union nodes both of whose children use two or more labels."""
+    count = 0
+
+    def union(node, a, b):
+        nonlocal count
+        count += len(a) > 1 and len(b) > 1
+        return a | b
+
+    fold(expr.root, lambda node: frozenset({1}),
+         lambda node, c: c - {node.i} | {node.j} if node.i in c else c,
+         lambda node, c: c, union)
+    return count
+
+
+# (k, n, shape seed, whether the unpruned reference runs in under 2 s) of
+# union-heavy random expressions for the forest DP, whose unions merge cells
+# per box before joining and so may pick another witness among ties.
+FOREST_UNIONS = [(4, 40, 0, True), (4, 40, 2, True), (5, 40, 0, True),
+                 (5, 40, 2, False), (5, 30, 0, True), (6, 30, 0, True),
+                 (6, 30, 1, False), (6, 24, 0, False), (6, 20, 1, True)]
+
+
+@pytest.mark.parametrize("k, n, seed, reference", FOREST_UNIONS)
+def test_every_forest_witness_on_union_heavy_expressions(k, n, seed, reference):
+    expr = random_expression(random.Random(f"forest:{k}:{n}:{seed}"), n, k)
+    assert multi_label_unions(expr) >= 3
+    graph = evaluate(expr)
+    got = answers(expr, ("fvs",))
+    for problem, (optimum, witness) in got.items():
+        certify(graph, problem, optimum, witness)
+    if reference:
+        ref = solve_fvs(expr, use_reduce=False)
+        assert (got["fvs"][0], got["mif"][0]) == \
+            (ref.fvs_weight, ref.forest_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 import random
+from itertools import product
 
 import pytest
 
 from cwsolve import fixture, naive_expression, parse_expression, solve_fvs
 from cwsolve.cwexpr import NotIrredundantError, evaluate, parse_graph
-from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
-                         UNION_STATE_OPTIONS, fvs_add, fvs_leaf, fvs_ren,
-                         fvs_union, state_ground)
+from cwsolve.fvs import (ABSENT, BOX_OPTIONS, BOX_PAIRS, BOX_STATES,
+                         MANY_DONE, MANY_WAIT, ONE, UNION_STATE_OPTIONS,
+                         _box_signature, fvs_add, fvs_leaf, fvs_ren, fvs_union,
+                         state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
-from cwsolve.wpsets import MAX, WPSet
+from cwsolve.wpsets import MAX, WPSet, acjoin, contrib, merge_cells, proj
 
-from conftest import random_graph
+from conftest import random_graph, random_partition
 
 ANCHOR = 1  # bit mask of the virtual anchor element
 
@@ -24,9 +26,14 @@ def cell_of(table, state):
     return {p: w for p, (w, _) in table[state].entries.items()}
 
 
+def weights_of(table):
+    return {state: {p: w for p, (w, _) in cell.entries.items()}
+            for state, cell in table.items()}
+
+
 class TestLeaf:
     def test_single_vertex_states(self):
-        table = fvs_leaf(1, "x", 3)
+        table = fvs_leaf(1, False, "x", 3)
         lone = (ONE,)
         assert cell_of(table, lone) == {Pm(0b11): 3, Pm(ANCHOR, 0b10): 3}
         assert cell_of(table, (ABSENT,)) == {Pm(ANCHOR): 0}
@@ -37,9 +44,9 @@ class TestAdd:
     def _two_isolated(self):
         # two unit vertices labeled 1 and 2
         expr = parse_expression("cwexpr k=2\n(u (v a 1) (ren 1 2 (v b 1)))")
-        ta = fvs_leaf(2, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, "b", 1), 0b010, 1, 2)
-        return fvs_union(ta, tb, 2), expr
+        ta = fvs_leaf(2, False, "a", 1)
+        tb = fvs_ren(fvs_leaf(2, False, "b", 1), 0b010, 1, 2)
+        return fvs_union(ta, 0b010, tb, 0b100), expr
 
     def test_absent_class_copies_cell(self):
         table, _ = self._two_isolated()
@@ -70,21 +77,21 @@ class TestAdd:
 
 class TestRen:
     def test_rename_moves_state_and_partition_element(self):
-        table = fvs_leaf(2, "a", 5)
+        table = fvs_leaf(2, False, "a", 5)
         out = fvs_ren(table, 0b010, 1, 2)
         assert cell_of(out, (ABSENT, ONE)) == {Pm(0b101): 5, Pm(ANCHOR, 0b100): 5}
         assert cell_of(out, (ABSENT, ABSENT)) == cell_of(table, (ABSENT, ABSENT))
 
     def test_empty_source_class_copies_cells_verbatim(self):
-        table = fvs_leaf(2, "a", 5)
+        table = fvs_leaf(2, False, "a", 5)
         out = fvs_ren(table, 0b010, 2, 1)
         assert cell_of(out, (ONE, ABSENT)) == cell_of(table, (ONE, ABSENT))
 
     def test_merge_after_add_keeps_anchor_connected_entries(self):
         # two linked unit vertices, then fold class 2 into class 1
-        ta = fvs_leaf(2, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, "b", 1), 0b010, 1, 2)
-        table = fvs_add(fvs_union(ta, tb, 2), 0b110, 1, 2)
+        ta = fvs_leaf(2, False, "a", 1)
+        tb = fvs_ren(fvs_leaf(2, False, "b", 1), 0b010, 1, 2)
+        table = fvs_add(fvs_union(ta, 0b010, tb, 0b100), 0b110, 1, 2)
         out = fvs_ren(table, 0b110, 2, 1)
         done = (MANY_DONE, ABSENT)
         # only the variant linking the pair into the anchor's block survives
@@ -96,19 +103,136 @@ class TestUnion:
         assert sum(len(v) for v in UNION_STATE_OPTIONS.values()) == 15
 
     def test_empty_side_empties_everything(self):
-        ta = fvs_leaf(1, "a", 1)
-        out = fvs_union(ta, {}, 1)
+        ta = fvs_leaf(1, False, "a", 1)
+        out = fvs_union(ta, 0b010, {}, 0)
         assert out == {}
 
     def test_two_singletons_merging_to_done_need_anchor_links(self):
-        ta = fvs_leaf(1, "a", 1)
-        tb = fvs_leaf(1, "b", 1)
-        out = fvs_union(ta, tb, 1)
+        ta = fvs_leaf(1, False, "a", 1)
+        tb = fvs_leaf(1, False, "b", 1)
+        out = fvs_union(ta, 0b010, tb, 0b010)
         done = (MANY_DONE,)
         # both vertices keep their class position only through the anchor
         assert cell_of(out, done) == {Pm(ANCHOR): 2}
         wait = (MANY_WAIT,)
         assert Pm(ANCHOR, 0b10) in out[wait].entries
+
+
+class TestUnionBoxes:
+    """The box relation against the per-label union spec."""
+
+    STATES = (ABSENT, ONE, MANY_WAIT, MANY_DONE)
+
+    def test_each_state_triple_lies_in_exactly_one_box_pair(self):
+        for (a, b), targets in UNION_STATE_OPTIONS.items():
+            for target in self.STATES:
+                covering = [pair for pair, t in BOX_PAIRS.items()
+                            if t == target and a in BOX_STATES[pair[0]]
+                            and b in BOX_STATES[pair[1]]]
+                assert len(covering) == (target in targets), \
+                    (a, b, target, covering)
+
+    def test_offered_boxes_meet_in_the_spec_targets_less_waiting_ones(self):
+        # one state per side: the boxes each side is offered meet in exactly
+        # the spec's targets, without MANY_WAIT at a label no later add
+        # touches, and every offered box meets one
+        for may_wait in (False, True):
+            for (a, b), targets in UNION_STATE_OPTIONS.items():
+                boxes_a = BOX_OPTIONS[may_wait][frozenset({b})][a]
+                boxes_b = BOX_OPTIONS[may_wait][frozenset({a})][b]
+                met = [(x, y) for x in boxes_a for y in boxes_b
+                       if (x, y) in BOX_PAIRS]
+                assert sorted(BOX_PAIRS[pair] for pair in met) == \
+                    [t for t in targets if may_wait or t != MANY_WAIT]
+                assert {x for x, _ in met} == set(boxes_a)
+                assert {y for _, y in met} == set(boxes_b)
+
+    def test_signatures_meet_exactly_the_box_pairs(self):
+        for x, y in product(range(len(BOX_STATES)), repeat=2):
+            pairs_x, singles_x, (target_x,) = _box_signature((x,))
+            pairs_y, singles_y, (target_y,) = _box_signature((y,))
+            meet = pairs_x == pairs_y and not singles_x & singles_y
+            assert meet == ((x, y) in BOX_PAIRS), (x, y)
+            if meet:
+                assert max(target_x, target_y) == BOX_PAIRS[(x, y)]
+
+    @staticmethod
+    def _cell(state, weight):
+        ground = state_ground(state)
+        cell = WPSet(ground, MAX)
+        cell.add((ground,), weight)
+        if ground != ANCHOR:
+            cell.add((ANCHOR, ground ^ ANCHOR), weight + 10)
+        return cell
+
+    def test_one_loses_its_element_exactly_where_the_target_is_done(self):
+        # single states at k = 1: each target's cell is the spec's one join,
+        # ONE projected out on each side whose target is MANY_DONE
+        for (a, b), targets in UNION_STATE_OPTIONS.items():
+            ca, cb = self._cell((a,), 1), self._cell((b,), 2)
+            for fut in (None, (0,)):
+                want = {}
+                for target in targets:
+                    if fut and target == MANY_WAIT:
+                        continue
+                    done = target == MANY_DONE
+                    joined = acjoin(proj(ca, 2 if done and a == ONE else 0),
+                                    proj(cb, 2 if done and b == ONE else 0))
+                    assert joined.entries, (a, b, target)
+                    want[(target,)] = {p: w for p, (w, _)
+                                       in joined.entries.items()}
+                got = fvs_union({(a,): ca}, 0b10, {(b,): cb}, 0b10, fut)
+                assert weights_of(got) == want, (a, b, fut)
+                assert all(cell.ground == state_ground(state)
+                           for state, cell in got.items())
+
+
+def _state_pair_union(table_a, table_b, k, fut=None):
+    """The union as one join per state pair and target: the reference."""
+    acc = {}
+    for sa, ca in table_a.items():
+        for sb, cb in table_b.items():
+            options = [[t for t in UNION_STATE_OPTIONS[(sa[l], sb[l])]
+                        if fut is None or fut[l] or t != MANY_WAIT]
+                       for l in range(k)]
+            for target in product(*options):
+                drop_a = drop_b = 0
+                for l in range(k):
+                    if target[l] == MANY_DONE:
+                        drop_a |= 2 << l if sa[l] == ONE else 0
+                        drop_b |= 2 << l if sb[l] == ONE else 0
+                pa, pb = proj(ca, drop_a), proj(cb, drop_b)
+                if pa.entries and pb.entries:
+                    contrib(acc, target, acjoin(pa, pb))
+    return merge_cells(acc)
+
+
+def test_box_union_matches_the_state_pair_union():
+    rng = random.Random(703)
+
+    def table(k):
+        out = {}
+        for _ in range(rng.randint(0, 8)):
+            state = tuple(rng.randrange(4) for _ in range(k))
+            ground = state_ground(state)
+            out[state] = WPSet(ground, MAX)
+            for _ in range(rng.randint(1, 4)):
+                out[state].add(random_partition(rng, ground), rng.randint(0, 5))
+        return out
+
+    joined = 0
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        table_a, table_b = table(k), table(k)
+        fut = None if rng.random() < 0.5 else \
+            tuple(rng.randint(0, 1) for _ in range(k))
+        want = weights_of(_state_pair_union(table_a, table_b, k, fut))
+        got = fvs_union(table_a, 0, table_b, 0, fut)
+        assert weights_of(got) == want, (table_a, table_b, fut)
+        assert all(cell.ground == state_ground(state)
+                   for state, cell in got.items())
+        joined += len(want)
+    assert joined > 1000  # the random tables do meet
 
 
 class TestSolve:
@@ -149,7 +273,7 @@ class TestFutureFilter:
         waiting = {state: anchored(state) for state in
                    ((MANY_WAIT, ABSENT), (ABSENT, MANY_WAIT),
                     (MANY_WAIT, ONE), (ONE, ONE), (ONE, MANY_DONE))}
-        return fvs_leaf(2, "a", 1), fvs_leaf(2, "c", 1), waiting
+        return fvs_leaf(2, False, "a", 1), fvs_leaf(2, False, "c", 1), waiting
 
     @staticmethod
     def _same(out, ref):
@@ -158,13 +282,13 @@ class TestFutureFilter:
 
     def test_union_never_waits_without_a_future(self):
         ta, tb, _ = self._tables()
-        ref = fvs_union(ta, tb, 2)
+        ref = fvs_union(ta, 0b010, tb, 0b010)
         assert (MANY_WAIT, ABSENT) in ref
-        out = fvs_union(ta, tb, 2, fut=(0, 5))
+        out = fvs_union(ta, 0b010, tb, 0b010, fut=(0, 5))
         assert all(state[0] != MANY_WAIT for state in out)
         assert set(out) == set(ref) - {(MANY_WAIT, ABSENT)}
-        self._same(fvs_union(ta, tb, 2, fut=None), ref)
-        self._same(fvs_union(ta, tb, 2, fut=(1, 1)), ref)
+        self._same(fvs_union(ta, 0b010, tb, 0b010, fut=None), ref)
+        self._same(fvs_union(ta, 0b010, tb, 0b010, fut=(1, 1)), ref)
 
     def test_ren_never_waits_without_a_future(self):
         _, _, waiting = self._tables()
