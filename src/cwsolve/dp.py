@@ -24,6 +24,7 @@ class SolveStats:
     elapsed_ms: float = 0.0
     peak_states: int = 0
     total_states: int = 0
+    live_width: int = 0
     node_kinds: Counter = field(default_factory=Counter)
 
     def as_dict(self) -> dict:
@@ -33,17 +34,21 @@ class SolveStats:
             "reduce_calls": self.reduce_calls,
             "peak_states": self.peak_states,
             "total_states": self.total_states,
+            "live_width": self.live_width,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
 
 
 class Prune(NamedTuple):
-    """The pruned path: future degrees capped at ``cap``, and ``reducer``
-    for every cell above ``bound`` entries."""
+    """The pruned path: future degrees capped at ``cap``, ``reducer`` for
+    every cell above ``bound`` entries, and ``retire(table, dead)``, which
+    rewrites a table's keys to their canonical form over the mask ``dead``
+    of labels with future degree 0 (None: the problem has no such rule)."""
 
     cap: int
     bound: int
     reducer: Callable[[WPSet], WPSet]
+    retire: Callable[[dict, int], dict] | None = None
 
 
 def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
@@ -61,24 +66,43 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
 
     ``prune`` is the one switch for every prune.  None is the unpruned
     reference path: no future degree is computed, ``fut`` is None, and every
-    cell is kept whole.  Otherwise, after each node's transition, a cell
-    above ``prune.bound`` entries is replaced by ``prune.reducer`` of it,
-    counted in ``stats.reduce_calls``, which must fit the bound, or
-    :class:`~cwsolve.wpsets.InvariantError` is raised.
+    table is kept whole.  Otherwise, after each node's transition:
+
+    * ``prune.retire`` rewrites the table over the node's dead labels, those
+      whose future degree is 0, if the node changes the slot of one of them:
+      the leaf's label 1, the two classes of an add, or either label of a
+      relabel.  Elsewhere every dead slot is as its child left it: a union's
+      children share its future degrees, and a label dies only where its
+      slot changes, since going up a future degree falls only at the adds
+      touching its class, and only the relabel i -> j makes i anew.
+    * A cell above ``prune.bound`` entries is replaced by ``prune.reducer``
+      of it, counted in ``stats.reduce_calls``, which must fit the bound, or
+      :class:`~cwsolve.wpsets.InvariantError` is raised.
 
     Reducing only above the bound is sound: a set represents itself, so a
     whole cell answers every completion query as a reduced one would, and
     the bound on every cell, which is all the running time rests on, holds
-    at every node.  The decision reads only the cell's size.
-    """
-    fut = {}
-    bound = POS_INF
-    if prune is not None:
-        fut = {nid: tuple(min(prune.cap, x) for x in vec)
-               for nid, vec in future_degrees(expr).items()}
-        bound = prune.bound
+    at every node.  The decision reads only the cell's size.  Each
+    retirement rule argues its own soundness.
 
-    def seen(kind: str, table: dict, present: int) -> tuple[dict, int]:
+    ``stats.live_width`` is the most nonempty labels any node has that are
+    not dead; on the reference path every nonempty label counts.
+    """
+    fut: dict[int, tuple[int, ...]] = {}
+    dead: dict[int, int] = {}  # node id -> mask of its labels of degree 0
+    bound = POS_INF
+    retire = None
+    if prune is not None:
+        for nid, vec in future_degrees(expr).items():
+            fut[nid] = vec = tuple(min(prune.cap, x) for x in vec)
+            dead[nid] = sum(2 << l for l, x in enumerate(vec) if not x)
+        bound, retire = prune.bound, prune.retire
+
+    def seen(kind: str, node, table: dict, present: int,
+             touched: int) -> tuple[dict, int]:
+        dying = dead.get(id(node), 0)
+        if dying & touched and retire is not None:
+            table = retire(table, dying)
         biggest = max(map(len, table.values()), default=0)
         if biggest > bound:
             for key, cell in table.items():
@@ -90,26 +114,33 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         stats.total_states += len(table)
         stats.peak_states = max(stats.peak_states, len(table))
         stats.max_cell_entries = max(stats.max_cell_entries, biggest)
+        stats.live_width = max(stats.live_width,
+                               (present & ~dying).bit_count())
         return table, present
 
     def on_ren(node, child):
         present = child[1]
         if present >> node.i & 1:
             present = present & ~(1 << node.i) | 1 << node.j
-        return seen("relabel", ren(*child, node.i, node.j, fut.get(id(node))),
-                    present)
+        return seen("relabel", node,
+                    ren(*child, node.i, node.j, fut.get(id(node))), present,
+                    1 << node.i | 1 << node.j)
 
     MERGE_MEMO.clear()
     try:
         table, _ = fold(
             expr.root,
-            lambda node: seen("introduce", leaf(node.name, node.weight,
-                                                fut.get(id(node))), 2),
+            lambda node: seen("introduce", node,
+                              leaf(node.name, node.weight, fut.get(id(node))),
+                              2, 2),
             on_ren,
-            lambda node, child: seen("add", add(*child, node.i, node.j,
-                                                fut.get(id(node))), child[1]),
-            lambda node, a, b: seen("union", union(*a, *b, fut.get(id(node))),
-                                    a[1] | b[1]))
+            lambda node, child: seen("add", node,
+                                     add(*child, node.i, node.j,
+                                         fut.get(id(node))),
+                                     child[1], 1 << node.i | 1 << node.j),
+            lambda node, a, b: seen("union", node,
+                                    union(*a, *b, fut.get(id(node))),
+                                    a[1] | b[1], 0))
     finally:
         MERGE_MEMO.clear()
     stats.dp_nodes = stats.node_kinds.total()

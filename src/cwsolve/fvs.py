@@ -42,14 +42,18 @@ same map from partition to weight as the state-by-state union's; only the
 witness kept among equal-weight entries may differ.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` reduces each cell above the rank bound (k + 1) * 2^k
-with ``ac_reduce``, and hands each transition its node's future degree vector
-(:func:`~cwsolve.cwexpr.future_degrees`) capped at 1; the transitions never
-build ``MANY_WAIT`` on a class whose future degree is 0.  Such a class
-waits for an add with a populated partner, yet no later add touches it, so the
-root rejects every state extending it.  A key feeding a root-reaching key
-reaches the root itself, so no kept cell changes: the optimum and its witness
-are the unfiltered path's.
+:func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition its
+node's future degree vector (:func:`~cwsolve.cwexpr.future_degrees`) capped
+at 1, and the transitions never build ``MANY_WAIT`` on a class whose future
+degree is 0: such a class waits for an add with a populated partner that
+never comes, so the root rejects every state extending it.  It retires dead
+labels with :func:`fvs_retire`: at a label of future degree 0, ``ONE``
+becomes ``ABSENT`` with its label element projected out, and ``MANY_DONE``
+becomes ``ABSENT``, so the classes of finished labels no longer split a
+table.  And it reduces each cell above the rank bound (k + 1) * 2^k with
+``ac_reduce``.  The first two drop or merge only states that answer every
+completion alike, so the optimum is the reference path's; only the witness
+kept among equal-weight entries may differ.
 """
 
 from __future__ import annotations
@@ -240,6 +244,42 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     return merge_cells(acc)
 
 
+def fvs_retire(table: Table, dead: int) -> Table:
+    """Each state over the mask ``dead`` of labels with future degree 0 (bit
+    l for label l): ``ABSENT`` at every dead label, a ``ONE`` one's label
+    element projected out first.  A state waiting at a dead label, which the
+    transitions never build, is dropped.
+
+    Sound: a dead class gains no neighbour again, so no add with a populated
+    partner touches it, and a relabel merges it only into another dead
+    class.  Its vertices thus never gain an edge, and its state matters only
+    to the root, which accepts ``ABSENT``, ``ONE`` and ``MANY_DONE`` alike,
+    and through its ``ONE`` element, whose block can never again meet
+    another.  Projecting that element out keeps every other element's block
+    and drops the entries where it is a block alone; no such entry reaches
+    a single block at the root.  Unions and relabels of retired classes give
+    the same answers as those of the classes they replace (``ONE↓`` is what
+    a union does to a finishing ``ONE`` class).  States that now coincide
+    answer every completion alike, so their cells merge, keeping the best
+    weight per partition.
+    """
+    labels = [l for l in range(dead.bit_length()) if dead >> l + 1 & 1]
+    acc: dict[State, list[WPSet]] = {}
+    for state, cell in table.items():
+        target = list(state)
+        drop = 0
+        for l in labels:
+            val = state[l]
+            if val == MANY_WAIT:
+                break
+            if val == ONE:
+                drop |= 2 << l
+            target[l] = ABSENT
+        else:
+            contrib(acc, tuple(target), proj(cell, drop) if drop else cell)
+    return merge_cells(acc)
+
+
 def _boxed(table: Table, rows) -> Table:
     """Each state's cell in every box tuple ``rows`` lets it take (row l maps
     the state at label l to its boxes), merged per box tuple; a ONE label in
@@ -340,7 +380,8 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     stats = SolveStats()
     k = expr.k
     # the filter only asks whether a future degree is 0
-    prune = dp.Prune(1, (k + 1) << k, ac_reduce) if use_reduce else None
+    prune = (dp.Prune(1, (k + 1) << k, ac_reduce, fvs_retire) if use_reduce
+             else None)
     root_table = dp.run(
         expr, stats, prune,
         partial(fvs_leaf, k, with_witness), fvs_ren, fvs_add, fvs_union)

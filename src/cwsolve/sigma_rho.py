@@ -17,10 +17,17 @@ exist (plain ties b = [c > 0] and q = b and [p > 0]) and each leaf's (in S, in X
 placements.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` reduces each cell above the rank bound 2^(k-1) with
-``reduce_set``, and hands each transition the future degrees
-(:func:`~cwsolve.cwexpr.future_degrees`) capped at d, and it drops the slot
-states they rule out, so dead keys are never built; see :func:`_future_ok`.
+:func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition the
+future degrees (:func:`~cwsolve.cwexpr.future_degrees`) capped at d, which
+drop the slot states they rule out, so keys no root key extends are never
+built; see :func:`_future_ok`.  It retires dead labels with
+:func:`srd_retire`: at a label of future degree 0 every final code becomes
+0, and one closed-X marker at the lowest dead label keeps the fact that a
+finished class held X, so the up to 2(d + 1) final codes of a finished class
+no longer split a table.  And it reduces each cell above the rank bound
+2^(k-1) with ``reduce_set``.  The first two drop or merge only keys that
+answer every completion alike, so the optimum is the reference path's; only
+the witness kept among equal-weight entries may differ.
 """
 
 from __future__ import annotations
@@ -186,6 +193,9 @@ class DomContext:
         self.has_x = tuple(b for _, _, b, _ in self.slots)
         self.open = tuple(b & q for _, _, b, q in self.slots)
         self.final = tuple(not p and not q for _, p, _, q in self.slots)
+        # A retired key's one trace of its finished X classes (srd_retire).
+        self.marker = min(code for code in range(len(self.slots))
+                          if self.has_x[code] and self.final[code])
         # A vertex lies in S and X as (0, 0) or (1, 1) for plain, (1, 0) or
         # (0, 1) for co; a terminal lies in X.  Leaf codes by terminality:
         placements = ((1, 0), (0, 1)) if self.spec.co else ((0, 0), (1, 1))
@@ -249,18 +259,22 @@ def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
     The class's vertices still gain exactly ``fut_s`` neighbours (capped at d;
     :func:`~cwsolve.cwexpr.future_degrees`).  A meaningful S promise (c > 0 or
     rho != N) counts S-neighbours among them, exactly below d and at least d
-    at d, so ``p > fut_s`` can never be met.  Co also puts each of them in S
-    or in X: a meaningful promise below d leaves exactly ``fut_s - p`` for X,
-    which forces the X promise to ``min(1, fut_s - p)``.  A state that breaks
-    either rule expects neighbours the expression never adds, or forbids ones
-    it must add, so no root state extends it.  A key feeding a root-reaching
-    key reaches the root itself, so the filter drops no key whose cell could
-    reach a kept one: every kept cell, hence the optimum and its witness, is
-    the unfiltered path's.  Nodes check only the slots they change: the rest
-    passed at the child, whose future degrees agree with the node's there.
+    at d, so ``p > fut_s`` can never be met.  An X promise (q = 1) needs at
+    least one of them, whatever the S promise is.  Co also puts each of them
+    in S or in X: a meaningful S promise below d leaves exactly ``fut_s - p``
+    for X, which forces the X promise to ``min(1, fut_s - p)``.  A state that
+    breaks a rule expects neighbours the expression never adds, or forbids
+    ones it must add, so no root state extends it.  A key feeding a
+    root-reaching key reaches the root itself, so the filter drops no key
+    whose cell could reach a kept one: every kept cell, hence the optimum
+    and its witness, is the unfiltered path's.  Nodes check only the slots
+    they change: the rest passed at the child, whose future degrees agree
+    with the node's there.
     """
     c, p, b, q = slot
-    if ctx.rho_wild and not c:  # the promise is a wildcard
+    if q > (fut_s > 0):  # an X-neighbour no future add brings
+        return False
+    if ctx.rho_wild and not c:  # the S promise is a wildcard
         return True
     if p > fut_s:
         return False
@@ -327,10 +341,12 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
 
 def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             fut=None) -> dict:
-    if not present >> i & 1:
-        return table
     ii, jj = i - 1, j - 1
-    rel = ctx.rel(_merge, 1, present >> j & 1, fut and fut[jj])
+    # An empty class i holds nothing but maybe the closed-X marker, and
+    # only where it is dead, which is where j is dead above.
+    if not present >> i & 1 and (fut is None or fut[jj]):
+        return table
+    rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
     edge = edge_cell(i, j, ctx.spec.direction)
     acc: dict = {}
     for key, cell in table.items():
@@ -340,6 +356,52 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             slots[ii], slots[jj] = 0, code
             if ctx.open[code]:
                 cell = proj(join_sets(cell, edge), 1 << i)
+            contrib(acc, tuple(slots), cell)
+    return merge_cells(acc)
+
+
+def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
+    """Each key over the mask ``dead`` of labels with future degree 0 (bit l
+    for label l): a key owing a promise at a dead label is dropped; every
+    other one gets code 0 at every dead label, and the closed-X marker
+    :attr:`DomContext.marker` at the lowest one if a dead class held X and
+    no live one does.
+
+    Sound: a dead class gains no neighbour again, so no add with a populated
+    partner touches it, and a relabel merges it only into another dead
+    class.  A promise there is never met, so no root key extends it: the
+    future filter's argument (:func:`_future_ok`).  A final dead slot is
+    never open, so no cell holds its label, and later transitions read it
+    only through the root's finality test, which every final code passes,
+    and through ``srd_union``'s question whether the key holds X at all.
+    The marker keeps that answer and is final.  Its place is a function of
+    the node's dead set, which a union's children share, so the union of
+    two retired keys is retired; two markers never meet there, since a key
+    with a marker has no open class.  A relabel i -> j, where i is dead
+    below exactly where j is dead above, carries a marker at i into j even
+    when class i is empty (:func:`srd_ren`), and the driver retires the
+    relabel's table, which puts the marker back at the lowest dead label;
+    so the marker never sits at a live label, where its S or X count would
+    be read.  Keys that now coincide answer every completion alike, so
+    their cells, over the same open labels, merge, keeping the best weight
+    per partition.
+    """
+    labels = [l for l in range(ctx.k) if dead >> l + 1 & 1]
+    final, has_x, marker = ctx.final, ctx.has_x, ctx.marker
+    acc: dict = {}
+    for key, cell in table.items():
+        x = 0
+        for l in labels:
+            code = key[l]
+            if not final[code]:
+                break
+            x |= has_x[code]
+        else:
+            slots = list(key)
+            for l in labels:
+                slots[l] = 0
+            if x and not any(map(has_x.__getitem__, slots)):
+                slots[labels[0]] = marker
             contrib(acc, tuple(slots), cell)
     return merge_cells(acc)
 
@@ -376,7 +438,8 @@ def _solve(expr: CwExpression, ctx: DomContext, use_reduce: bool,
            started: float) -> DomResult:
     """Run the transitions over the expression; the optimum at the root."""
     stats = SolveStats()
-    prune = dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set) if use_reduce else None
+    prune = (dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set,
+                      partial(srd_retire, ctx)) if use_reduce else None)
     table = dp.run(expr, stats, prune,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),
                    partial(srd_add, ctx), partial(srd_union, ctx))

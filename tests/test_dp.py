@@ -118,6 +118,71 @@ def test_run_against_independent_counts(cap, monkeypatch):
                                tuple(min(cap, x) for x in fut[id(node)]))
 
 
+class RetiringProblem(FakeProblem):
+    """A fake problem whose retirement records its input and returns a
+    fresh random table."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.retired = []  # (the node's call index, table in, dead, table out)
+
+    def retire(self, table, dead):
+        out = {n: [None] * self.rng.randint(0, 4)
+               for n in range(self.rng.randint(0, 3))}
+        self.retired.append((len(self.calls) - 1, table, dead, out))
+        return out
+
+
+def _touched(node):
+    """The labels whose slots a node sets: bit l for label l."""
+    if isinstance(node, Introduce):
+        return 2
+    if isinstance(node, (Relabel, AddEdges)):
+        return 1 << node.i | 1 << node.j
+    return 0
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_run_retires_where_a_dead_slot_changes(cap):
+    for seed, expr in enumerate(_expressions()):
+        fake, stats = RetiringProblem(seed), SolveStats()
+        root_table = run(expr, stats, Prune(cap, 4, _refuse, fake.retire),
+                         fake.leaf, fake.ren, fake.add, fake.union)
+        nodes = list(iter_postorder(expr.root))
+        fut = future_degrees(expr)
+        dead = [sum(2 << l for l, x in enumerate(fut[id(node)]) if not x)
+                for node in nodes]
+        assert [(index, mask) for index, _, mask, _ in fake.retired] == \
+            [(index, dead[index]) for index, node in enumerate(nodes)
+             if dead[index] & _touched(node)]
+        tables = [call[3] for call in fake.calls]
+        for index, table_in, _, table_out in fake.retired:
+            assert table_in is tables[index]
+            tables[index] = table_out
+        # the retired table is the node's: its parent and the stats get it
+        assert root_table is tables[-1]
+        made = {id(node): table for node, table in zip(nodes, tables)}
+        for node, (child_tables, _, _, _) in zip(nodes, fake.calls):
+            children = [getattr(node, name) for name in ("child", "left", "right")
+                        if hasattr(node, name)]
+            assert [id(t) for t in child_tables] == \
+                [id(made[id(child)]) for child in children]
+        assert stats.total_states == sum(map(len, tables))
+        assert stats.peak_states == max(map(len, tables))
+        assert stats.live_width == max(
+            (_present(expr.k, node) & ~mask).bit_count()
+            for node, mask in zip(nodes, dead))
+
+
+def test_live_width_counts_every_nonempty_label_on_the_reference_path():
+    for seed, expr in enumerate(_expressions()):
+        stats = SolveStats()
+        FakeProblem(seed).run(expr, stats, None)
+        assert stats.live_width == max(
+            _present(expr.k, node).bit_count()
+            for node in iter_postorder(expr.root))
+
+
 def test_root_optimum_keeps_the_first_best_entry():
     entries = [None, (3, "a"), (5, ("b", "c")), None, (5, "d"), (1, ())]
     assert root_optimum(entries, MAX) == (5, ("b", "c"))
@@ -354,4 +419,6 @@ def test_the_reference_path_never_calls_a_reducer(monkeypatch):
             assert solve(use_reduce=False).stats.reduce_calls == 0
             assert prunes.pop() is None
             solve()
-            assert prunes.pop()[1:] == (bound, _refuse)
+            prune = prunes.pop()
+            assert (prune.bound, prune.reducer) == (bound, _refuse)
+            assert prune.retire is not None
