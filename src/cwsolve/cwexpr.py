@@ -154,7 +154,7 @@ def iter_preorder(root: Node) -> Iterator[Node]:
 # characters that are neither whitespace, parentheses nor ';'.  Comments match
 # as the empty string, since they hold no group.
 _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
-_INT_RE = re.compile(r"\d+\Z")
+_INT_RE = re.compile(r"[0-9]+\Z")  # ASCII only: int() reads other digits too
 
 
 def _tokenize(text: str) -> list[str]:
@@ -184,8 +184,8 @@ def parse_expression(text: str) -> CwExpression:
             break
     if header_idx is None:
         raise ExpressionError("empty expression file")
-    m = re.match(r"cwexpr\s+k=(\d+)\s*\Z", lines[header_idx].split(";", 1)[0].strip())
-    if not m:
+    m = re.match(r"cwexpr\s+k=(\S+)\Z", lines[header_idx].split(";", 1)[0].strip())
+    if not m or not _INT_RE.match(m.group(1)):
         raise ExpressionError(f"line {header_idx + 1}: expected header 'cwexpr k=<K>'")
     k = int(m.group(1))
     if k < 1:
@@ -645,7 +645,7 @@ def parse_graph(text: str) -> LabeledGraph:
                 raise ExpressionError(f"line {lineno}: duplicate vertex {name!r}")
             weight = 1
             if len(parts) == 3:
-                if not parts[2].isdigit():
+                if not _INT_RE.match(parts[2]):
                     raise ExpressionError(f"line {lineno}: bad weight {parts[2]!r}")
                 weight = int(parts[2])
             weights[name] = weight

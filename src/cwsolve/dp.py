@@ -43,12 +43,12 @@ class Prune(NamedTuple):
     """The pruned path: future degrees capped at ``cap``, ``reducer`` for
     every cell above ``bound`` entries, and ``retire(table, dead)``, which
     rewrites a table's keys to their canonical form over the mask ``dead``
-    of labels with future degree 0 (None: the problem has no such rule)."""
+    of labels with future degree 0."""
 
     cap: int
     bound: int
     reducer: Callable[[WPSet], WPSet]
-    retire: Callable[[dict, int], dict] | None = None
+    retire: Callable[[dict, int], dict]
 
 
 def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
@@ -91,18 +91,17 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     fut: dict[int, tuple[int, ...]] = {}
     dead: dict[int, int] = {}  # node id -> mask of its labels of degree 0
     bound = POS_INF
-    retire = None
     if prune is not None:
         for nid, vec in future_degrees(expr).items():
             fut[nid] = vec = tuple(min(prune.cap, x) for x in vec)
             dead[nid] = sum(2 << l for l, x in enumerate(vec) if not x)
-        bound, retire = prune.bound, prune.retire
+        bound = prune.bound
 
     def seen(kind: str, node, table: dict, present: int,
              touched: int) -> tuple[dict, int]:
         dying = dead.get(id(node), 0)
-        if dying & touched and retire is not None:
-            table = retire(table, dying)
+        if dying & touched:
+            table = prune.retire(table, dying)
         biggest = max(map(len, table.values()), default=0)
         if biggest > bound:
             for key, cell in table.items():

@@ -42,18 +42,16 @@ same map from partition to weight as the state-by-state union's; only the
 witness kept among equal-weight entries may differ.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition its
-node's future degree vector (:func:`~cwsolve.cwexpr.future_degrees`) capped
-at 1, and the transitions never build ``MANY_WAIT`` on a class whose future
-degree is 0: such a class waits for an add with a populated partner that
-never comes, so the root rejects every state extending it.  It retires dead
-labels with :func:`fvs_retire`: at a label of future degree 0, ``ONE``
-becomes ``ABSENT`` with its label element projected out, and ``MANY_DONE``
-becomes ``ABSENT``, so the classes of finished labels no longer split a
-table.  And it reduces each cell above the rank bound (k + 1) * 2^k with
-``ac_reduce``.  The first two drop or merge only states that answer every
-completion alike, so the optimum is the reference path's; only the witness
-kept among equal-weight entries may differ.
+:func:`~cwsolve.dp.run` prunes in two ways.  It retires dead labels, those of
+future degree 0 (:func:`~cwsolve.cwexpr.future_degrees`), with
+:func:`fvs_retire`: a state ``MANY_WAIT`` at a dead label is dropped, as it
+is waiting for an add with a populated partner that never comes; at a dead
+label ``ONE`` becomes ``ABSENT`` with its label element projected out, and
+``MANY_DONE`` becomes ``ABSENT``, so the classes of finished labels no
+longer split a table.  And it reduces each cell above the rank bound
+(k + 1) * 2^k with ``ac_reduce``.  Retirement drops or merges only states
+that answer every completion alike, so the optimum is the reference path's;
+only the witness kept among equal-weight entries may differ.
 """
 
 from __future__ import annotations
@@ -118,23 +116,20 @@ BOX_PAIRS: dict[tuple[int, int], int] = {
 BOX_TARGET = (ABSENT, ONE, MANY_WAIT, MANY_DONE, MANY_WAIT, MANY_DONE)
 
 
-def _box_options(may_wait: bool, others: frozenset[int],
-                 state: int) -> tuple[int, ...]:
+def _box_options(others: frozenset[int], state: int) -> tuple[int, ...]:
     """The boxes holding ``state`` with a partner box among the other side's
-    ``others`` states; no MANY_WAIT pair unless ``may_wait``."""
+    ``others`` states."""
     return tuple(box for box in range(6) if state in BOX_STATES[box] and any(
-        mine == box and (may_wait or target != MANY_WAIT)
-        and not others.isdisjoint(BOX_STATES[partner])
-        for (mine, partner), target in BOX_PAIRS.items()))
+        not others.isdisjoint(BOX_STATES[partner])
+        for mine, partner in BOX_PAIRS if mine == box))
 
 
-# [may_wait][the other side's states at a label][state] -> the boxes to
-# expand into, for every nonempty set of other states.
-BOX_OPTIONS = tuple(
-    {others: tuple(_box_options(may_wait, others, state) for state in range(4))
-     for others in (frozenset(s for s in range(4) if mask >> s & 1)
-                    for mask in range(1, 16))}
-    for may_wait in (False, True))
+# [the other side's states at a label][state] -> the boxes to expand into,
+# for every nonempty set of other states.
+BOX_OPTIONS = {
+    others: tuple(_box_options(others, state) for state in range(4))
+    for others in (frozenset(s for s in range(4) if mask >> s & 1)
+                   for mask in range(1, 16))}
 
 
 @dataclass
@@ -179,9 +174,7 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
         if a == ABSENT or b == ABSENT:
             # no forest vertex on one side: nothing changes, so a waiting
             # class goes on waiting, which needs a later add
-            slot, val = (jj, b) if a == ABSENT else (ii, a)
-            if val != MANY_WAIT or fut is None or fut[slot]:
-                out[state] = cell
+            out[state] = cell
             continue
         # Classes that still wait for their allowed add get it consumed here;
         # every other populated/populated combination closes a cycle.
@@ -209,11 +202,8 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     acc: dict[State, list[WPSet]] = {}
     ii, jj = i - 1, j - 1
     edge = edge_cell(i, j, MAX)
-    may_wait = fut is None or fut[jj] > 0
     for state, cell in table.items():
         a, b = state[ii], state[jj]
-        if not may_wait and MANY_WAIT in (a, b):
-            continue  # class j would wait for an add that never comes
         if a == ABSENT:
             contrib(acc, state, cell)
             continue
@@ -234,7 +224,7 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             target[ii], target[jj] = ABSENT, MANY_DONE
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
             contrib(acc, tuple(target), proj(cell, drop))
-        if may_wait and a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
+        if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
@@ -247,21 +237,23 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
 def fvs_retire(table: Table, dead: int) -> Table:
     """Each state over the mask ``dead`` of labels with future degree 0 (bit
     l for label l): ``ABSENT`` at every dead label, a ``ONE`` one's label
-    element projected out first.  A state waiting at a dead label, which the
-    transitions never build, is dropped.
+    element projected out first.  A state ``MANY_WAIT`` at a dead label is
+    dropped.
 
     Sound: a dead class gains no neighbour again, so no add with a populated
     partner touches it, and a relabel merges it only into another dead
-    class.  Its vertices thus never gain an edge, and its state matters only
-    to the root, which accepts ``ABSENT``, ``ONE`` and ``MANY_DONE`` alike,
-    and through its ``ONE`` element, whose block can never again meet
-    another.  Projecting that element out keeps every other element's block
-    and drops the entries where it is a block alone; no such entry reaches
-    a single block at the root.  Unions and relabels of retired classes give
-    the same answers as those of the classes they replace (``ONE↓`` is what
-    a union does to a finishing ``ONE`` class).  States that now coincide
-    answer every completion alike, so their cells merge, keeping the best
-    weight per partition.
+    class.  A ``MANY_WAIT`` one is thus waiting for an add that never comes,
+    and the root rejects every state extending it.  The vertices of a dead
+    class never gain an edge, and its state matters only to the root, which
+    accepts ``ABSENT``, ``ONE`` and ``MANY_DONE`` alike, and through its
+    ``ONE`` element, whose block can never again meet another.  Projecting
+    that element out keeps every other element's block and drops the entries
+    where it is a block alone; no such entry reaches a single block at the
+    root.  Unions and relabels of retired classes give the same answers as
+    those of the classes they replace (``ONE↓`` is what a union does to a
+    finishing ``ONE`` class).  States that now coincide answer every
+    completion alike, so their cells merge, keeping the best weight per
+    partition.
     """
     labels = [l for l in range(dead.bit_length()) if dead >> l + 1 & 1]
     acc: dict[State, list[WPSet]] = {}
@@ -333,13 +325,16 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     where Z = {ABSENT}, O = {ONE}, W = {MANY_WAIT}, D = {MANY_DONE},
     OW = {ONE, MANY_WAIT} and OD = {ONE↓, MANY_DONE}: a ONE member of OD
     loses its label element first, as its class is finished at the parent.
-    At a label whose future degree is 0 the three MANY_WAIT pairs are left
-    out.  Each side expands a state only into boxes with a partner among the
-    other side's states at that label (:data:`BOX_OPTIONS`) and merges its
-    cells per box tuple; all cells of one tuple share one ground.  A tuple of
-    side a meets one of side b exactly when their OW/OD boxes sit at the same
-    labels with the same values and no label holds a single box (O, W, D) on
-    both sides; the pair's join goes to the parent state they name.
+    No MANY_WAIT pair needs leaving out at a dead label (future degree 0): on
+    the pruned path such a label is ABSENT in both children's states, as the
+    children share the union's dead labels and the driver retires a dead
+    label wherever its slot changes.  Each side expands a state only into
+    boxes with a partner among the other side's states at that label
+    (:data:`BOX_OPTIONS`) and merges its cells per box tuple; all cells of
+    one tuple share one ground.  A tuple of side a meets one of side b
+    exactly when their OW/OD boxes sit at the same labels with the same
+    values and no label holds a single box (O, W, D) on both sides; the
+    pair's join goes to the parent state they name.
 
     Sound: the products cover exactly the state pairs and targets the
     state-by-state union joins, once each, with the same projections.
@@ -351,12 +346,8 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     """
     if not table_a or not table_b:
         return {}
-    k = len(next(iter(table_a)))
-    waits = [True] * k if fut is None else [degree > 0 for degree in fut]
-    rows_a = [BOX_OPTIONS[w][frozenset(column)]
-              for w, column in zip(waits, zip(*table_b))]
-    rows_b = [BOX_OPTIONS[w][frozenset(column)]
-              for w, column in zip(waits, zip(*table_a))]
+    rows_a = [BOX_OPTIONS[frozenset(column)] for column in zip(*table_b)]
+    rows_b = [BOX_OPTIONS[frozenset(column)] for column in zip(*table_a)]
     buckets: dict[int, list[tuple[int, tuple[int, ...], WPSet]]] = {}
     for key, cell in _boxed(table_b, rows_b).items():
         pairs, singles, target = _box_signature(key)
@@ -379,7 +370,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
             "feedback vertex set requires an irredundant expression")
     stats = SolveStats()
     k = expr.k
-    # the filter only asks whether a future degree is 0
+    # retirement only asks whether a future degree is 0
     prune = (dp.Prune(1, (k + 1) << k, ac_reduce, fvs_retire) if use_reduce
              else None)
     root_table = dp.run(

@@ -150,6 +150,19 @@ class TestSolve:
         path.write_text("cwexpr k=1\n(v a\n")
         assert cli.run(["solve", "--problem", "fvs", "--expr", str(path)]) == 2
 
+    @pytest.mark.parametrize("command, name, text, where", [
+        (["solve", "--problem", "fvs", "--expr"], "w.cw",
+         "cwexpr k=1\n(v a ٣)\n", "line 2 col 6"),
+        (["gen", "--kind", "naive", "--graph"], "w.g", "v a\nv b ²\n",
+         "line 2"),
+    ])
+    def test_a_non_ascii_digit_is_exit_2_with_its_line(
+            self, tmp_path, capsys, command, name, text, where):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert cli.run(command + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
     def test_human_readable_default(self, capsys, k3_file):
         assert cli.run(["solve", "--problem", "fvs", "--expr", k3_file]) == 0
         out = capsys.readouterr().out

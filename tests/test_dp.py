@@ -73,13 +73,18 @@ class FakeProblem:
 
     def run(self, expr, stats, cap):
         # no fake cell holds more than 4 entries, so nothing is reduced
-        prune = None if cap is None else Prune(cap, 4, _refuse)
+        prune = None if cap is None else Prune(cap, 4, _refuse, _keep)
         return run(expr, stats, prune, self.leaf, self.ren, self.add,
                    self.union)
 
 
 def _refuse(*args):
     raise RuntimeError("reducer called")
+
+
+def _keep(table, dead):
+    """A retirement rule that keeps every table as it is."""
+    return table
 
 
 @pytest.mark.parametrize("cap", [1, 2, None])
@@ -315,8 +320,8 @@ class TestPrune:
         rng = random.Random(53)
         for reducer in (reduce_set, ac_reduce):
             cell = _all_partitions_cell(rng, 0b1110)  # 5 partitions
-            out, stats = _run_with_root_cell("union", cell,
-                                             Prune(1, len(cell), reducer))
+            out, stats = _run_with_root_cell(
+                "union", cell, Prune(1, len(cell), reducer, _keep))
             assert out is cell
             assert stats.reduce_calls == 0
             assert stats.max_cell_entries == len(cell)
@@ -332,8 +337,8 @@ class TestPrune:
         for direction in directions:
             cell = _all_partitions_cell(rng, ground, direction)
             assert len(cell) > bound
-            out, stats = _run_with_root_cell("union", cell,
-                                             Prune(1, bound, reducer))
+            out, stats = _run_with_root_cell(
+                "union", cell, Prune(1, bound, reducer, _keep))
             assert len(out) <= bound
             assert stats.reduce_calls == 1
             assert stats.max_cell_entries == len(out)
@@ -344,7 +349,8 @@ class TestPrune:
     def test_an_over_bound_leaf_or_add_cell_is_reduced_and_counted(self, kind):
         rng = random.Random(59)
         cell = _all_partitions_cell(rng, 0b111110)  # 52 partitions
-        out, stats = _run_with_root_cell(kind, cell, Prune(1, 16, reduce_set))
+        out, stats = _run_with_root_cell(kind, cell,
+                                         Prune(1, 16, reduce_set, _keep))
         assert len(out) <= 16
         assert stats.reduce_calls == 1
         for q in iter_partitions(0b111110):
@@ -374,8 +380,8 @@ from cwsolve.wpsets import InvariantError, WPSet
 cell = WPSet.from_pairs([((0b110,), 1), ((0b010, 0b100), 2)], 0b110)
 try:
     run(parse_expression("cwexpr k=1\\n(v a)"), SolveStats(),
-        Prune(1, 1, lambda c: c), lambda name, weight, fut: {"s": cell},
-        None, None, None)
+        Prune(1, 1, lambda c: c, lambda table, dead: table),
+        lambda name, weight, fut: {"s": cell}, None, None, None)
 except InvariantError:
     print(__debug__, "raised")
 """

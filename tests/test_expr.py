@@ -73,6 +73,18 @@ class TestParse:
         expr = parse_expression("cwexpr k=1\n(v a 2;c)\n)")
         assert expr.root == Introduce("a", 2)
 
+    # int() reads the Arabic-Indic digits ٣ (3) and ١ (1); only ASCII counts
+    @pytest.mark.parametrize("text, message", [
+        ("cwexpr k=1\n(v a ٣)", "line 2 col 6: expected an integer, got '٣'"),
+        ("cwexpr k=2\n(ren ١ 2 (v a))",
+         "line 2 col 6: expected an integer, got '١'"),
+        ("cwexpr k=٣\n(v a)", "line 1: expected header 'cwexpr k=<K>'"),
+    ])
+    def test_non_ascii_digits_rejected(self, text, message):
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        assert str(info.value) == message
+
     def test_missing_header_rejected(self):
         with pytest.raises(ExpressionError, match="header"):
             parse_expression("(v a 1)")
@@ -288,6 +300,13 @@ class TestGraphFiles:
             parse_graph("v a\ne a a\n")
         with pytest.raises(ExpressionError):
             parse_graph("e a b\n")
+
+    @pytest.mark.parametrize("weight", ["²", "٣"])
+    def test_a_weight_must_be_ascii_digits(self, weight):
+        # "²".isdigit() holds, yet int("²") fails
+        with pytest.raises(ExpressionError) as info:
+            parse_graph(f"v a 1\nv b {weight}\n")
+        assert str(info.value) == f"line 2: bad weight {weight!r}"
 
 
 def _gained_neighbours(expr: CwExpression) -> dict[tuple[int, int], int]:

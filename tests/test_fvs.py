@@ -132,20 +132,17 @@ class TestUnionBoxes:
                 assert len(covering) == (target in targets), \
                     (a, b, target, covering)
 
-    def test_offered_boxes_meet_in_the_spec_targets_less_waiting_ones(self):
+    def test_offered_boxes_meet_in_exactly_the_spec_targets(self):
         # one state per side: the boxes each side is offered meet in exactly
-        # the spec's targets, without MANY_WAIT at a label no later add
-        # touches, and every offered box meets one
-        for may_wait in (False, True):
-            for (a, b), targets in UNION_STATE_OPTIONS.items():
-                boxes_a = BOX_OPTIONS[may_wait][frozenset({b})][a]
-                boxes_b = BOX_OPTIONS[may_wait][frozenset({a})][b]
-                met = [(x, y) for x in boxes_a for y in boxes_b
-                       if (x, y) in BOX_PAIRS]
-                assert sorted(BOX_PAIRS[pair] for pair in met) == \
-                    [t for t in targets if may_wait or t != MANY_WAIT]
-                assert {x for x, _ in met} == set(boxes_a)
-                assert {y for _, y in met} == set(boxes_b)
+        # the spec's targets, and every offered box meets one
+        for (a, b), targets in UNION_STATE_OPTIONS.items():
+            boxes_a = BOX_OPTIONS[frozenset({b})][a]
+            boxes_b = BOX_OPTIONS[frozenset({a})][b]
+            met = [(x, y) for x in boxes_a for y in boxes_b
+                   if (x, y) in BOX_PAIRS]
+            assert sorted(BOX_PAIRS[pair] for pair in met) == list(targets)
+            assert {x for x, _ in met} == set(boxes_a)
+            assert {y for _, y in met} == set(boxes_b)
 
     def test_signatures_meet_exactly_the_box_pairs(self):
         for x, y in product(range(len(BOX_STATES)), repeat=2):
@@ -170,31 +167,26 @@ class TestUnionBoxes:
         # ONE projected out on each side whose target is MANY_DONE
         for (a, b), targets in UNION_STATE_OPTIONS.items():
             ca, cb = self._cell((a,), 1), self._cell((b,), 2)
-            for fut in (None, (0,)):
-                want = {}
-                for target in targets:
-                    if fut and target == MANY_WAIT:
-                        continue
-                    done = target == MANY_DONE
-                    joined = acjoin(proj(ca, 2 if done and a == ONE else 0),
-                                    proj(cb, 2 if done and b == ONE else 0))
-                    assert joined.entries, (a, b, target)
-                    want[(target,)] = {p: w for p, (w, _)
-                                       in joined.entries.items()}
-                got = fvs_union({(a,): ca}, 0b10, {(b,): cb}, 0b10, fut)
-                assert weights_of(got) == want, (a, b, fut)
-                assert all(cell.ground == state_ground(state)
-                           for state, cell in got.items())
+            want = {}
+            for target in targets:
+                done = target == MANY_DONE
+                joined = acjoin(proj(ca, 2 if done and a == ONE else 0),
+                                proj(cb, 2 if done and b == ONE else 0))
+                assert joined.entries, (a, b, target)
+                want[(target,)] = {p: w for p, (w, _)
+                                   in joined.entries.items()}
+            got = fvs_union({(a,): ca}, 0b10, {(b,): cb}, 0b10)
+            assert weights_of(got) == want, (a, b)
+            assert all(cell.ground == state_ground(state)
+                       for state, cell in got.items())
 
 
-def _state_pair_union(table_a, table_b, k, fut=None):
+def _state_pair_union(table_a, table_b, k):
     """The union as one join per state pair and target: the reference."""
     acc = {}
     for sa, ca in table_a.items():
         for sb, cb in table_b.items():
-            options = [[t for t in UNION_STATE_OPTIONS[(sa[l], sb[l])]
-                        if fut is None or fut[l] or t != MANY_WAIT]
-                       for l in range(k)]
+            options = [UNION_STATE_OPTIONS[(sa[l], sb[l])] for l in range(k)]
             for target in product(*options):
                 drop_a = drop_b = 0
                 for l in range(k):
@@ -224,11 +216,9 @@ def test_box_union_matches_the_state_pair_union():
     for _ in range(400):
         k = rng.randint(1, 4)
         table_a, table_b = table(k), table(k)
-        fut = None if rng.random() < 0.5 else \
-            tuple(rng.randint(0, 1) for _ in range(k))
-        want = weights_of(_state_pair_union(table_a, table_b, k, fut))
-        got = fvs_union(table_a, 0, table_b, 0, fut)
-        assert weights_of(got) == want, (table_a, table_b, fut)
+        want = weights_of(_state_pair_union(table_a, table_b, k))
+        got = fvs_union(table_a, 0, table_b, 0)
+        assert weights_of(got) == want, (table_a, table_b)
         assert all(cell.ground == state_ground(state)
                    for state, cell in got.items())
         joined += len(want)
@@ -258,58 +248,6 @@ class TestSolve:
             "cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))")
         with pytest.raises(NotIrredundantError):
             solve_fvs(expr)
-
-
-class TestFutureFilter:
-    """A class no later add touches never waits: fut holds 0 there."""
-
-    def _tables(self):
-        def anchored(state):  # every forest vertex hangs off the anchor
-            ground = state_ground(state)
-            cell = WPSet(ground, MAX)
-            cell.add(Partition((ground,)), 2)
-            return cell
-
-        waiting = {state: anchored(state) for state in
-                   ((MANY_WAIT, ABSENT), (ABSENT, MANY_WAIT),
-                    (MANY_WAIT, ONE), (ONE, ONE), (ONE, MANY_DONE))}
-        return fvs_leaf(2, False, "a", 1), fvs_leaf(2, False, "c", 1), waiting
-
-    @staticmethod
-    def _same(out, ref):
-        assert {s: c.entries for s, c in out.items()} == \
-            {s: c.entries for s, c in ref.items()}
-
-    def test_union_never_waits_without_a_future(self):
-        ta, tb, _ = self._tables()
-        ref = fvs_union(ta, 0b010, tb, 0b010)
-        assert (MANY_WAIT, ABSENT) in ref
-        out = fvs_union(ta, 0b010, tb, 0b010, fut=(0, 5))
-        assert all(state[0] != MANY_WAIT for state in out)
-        assert set(out) == set(ref) - {(MANY_WAIT, ABSENT)}
-        self._same(fvs_union(ta, 0b010, tb, 0b010, fut=None), ref)
-        self._same(fvs_union(ta, 0b010, tb, 0b010, fut=(1, 1)), ref)
-
-    def test_ren_never_waits_without_a_future(self):
-        _, _, waiting = self._tables()
-        ref = fvs_ren(waiting, 0b110, 1, 2)
-        assert any(state[1] == MANY_WAIT for state in ref)
-        out = fvs_ren(waiting, 0b110, 1, 2, fut=(3, 0))
-        assert set(out) == {(ABSENT, MANY_DONE)}
-        self._same(fvs_ren(waiting, 0b110, 1, 2, fut=None), ref)
-        self._same(fvs_ren(waiting, 0b110, 1, 2, fut=(0, 1)), ref)
-
-    def test_add_never_leaves_a_class_waiting_without_a_future(self):
-        _, _, waiting = self._tables()
-        ref = fvs_add(waiting, 0b110, 1, 2)
-        assert (MANY_WAIT, ABSENT) in ref and (ABSENT, MANY_WAIT) in ref
-        for fut, gone in (((0, 1), (MANY_WAIT, ABSENT)),
-                          ((1, 0), (ABSENT, MANY_WAIT))):
-            out = fvs_add(waiting, 0b110, 1, 2, fut=fut)
-            assert set(out) == set(ref) - {gone}
-            assert all(state[l] != MANY_WAIT
-                       for state in out for l in (0, 1) if not fut[l])
-        self._same(fvs_add(waiting, 0b110, 1, 2, fut=None), ref)
 
 
 def test_reference_path_never_computes_future_degrees(monkeypatch):

@@ -72,7 +72,7 @@ def _without_retirement(run):
     """``dp.run`` with the solver's prune minus its retirement rule."""
     def run_unretired(expr, stats, prune, *transitions):
         if prune is not None:
-            prune = prune._replace(retire=None)
+            prune = prune._replace(retire=lambda table, dead: table)
         return run(expr, stats, prune, *transitions)
     return run_unretired
 
@@ -130,6 +130,57 @@ def test_fvs_retire_is_idempotent_and_leaves_dead_labels_absent(
         assert _entries(fvs_retire(out, dead)) == _entries(out)
         for state in out:
             assert all(state[l] == ABSENT for l in _labels(dead, len(state)))
+
+
+def _dead_inputs(name, args):
+    """An FVS transition's input tables, and labels dead in all of them."""
+    fut = args[-1]
+    if name == "fvs_union":  # the children share the union's future
+        return (args[0], args[2]), [l for l, x in enumerate(fut) if not x]
+    i, j = args[2] - 1, args[3] - 1
+    if name == "fvs_ren":  # the child's class i becomes part of class j
+        below = list(fut)
+        below[i] = fut[j]
+        return (args[0],), [l for l, x in enumerate(below) if not x]
+    # an add gives classes i and j their new neighbours
+    return (args[0],), [l for l, x in enumerate(fut)
+                        if not x and l not in (i, j)]
+
+
+def test_fvs_transitions_see_dead_labels_only_absent(instances, monkeypatch):
+    # retirement is the one rule for dead labels: every state a transition
+    # reads is ABSENT at each label dead in its input (for an add, each but
+    # the add's two), and so is every state at the root, where every label
+    # is dead; so no table the driver keeps holds MANY_WAIT at a dead label
+    read = dict.fromkeys(("fvs_union", "fvs_ren", "fvs_add"), 0)
+
+    def checked(name):
+        transition = getattr(cwsolve.fvs, name)
+
+        def run(*args):
+            tables, labels = _dead_inputs(name, args)
+            for table in tables:
+                for state in table:
+                    assert all(state[l] == ABSENT for l in labels), \
+                        (name, state, labels)
+                    read[name] += len(labels)
+            return transition(*args)
+        return run
+
+    def rooted(run):
+        def run_checked(*args):
+            table = run(*args)
+            # every label is dead at the root
+            assert all(state == (ABSENT,) * len(state) for state in table)
+            return table
+        return run_checked
+
+    for name in read:
+        monkeypatch.setattr(cwsolve.fvs, name, checked(name))
+    monkeypatch.setattr(cwsolve.dp, "run", rooted(cwsolve.dp.run))
+    for expr, _ in instances:
+        solve_fvs(expr, with_witness=True)
+    assert all(read.values()), read  # each transition read dead labels
 
 
 @pytest.mark.parametrize("name", ["cds", "cvc", "steiner"])
