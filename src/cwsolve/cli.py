@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from . import cwexpr, oracle, sigma_rho
+from . import cwexpr, dp, oracle, sigma_rho
 from .cwexpr import ExpressionError, NotIrredundantError
 from .dp import SolveStats
 from .fvs import solve_fvs
@@ -27,6 +28,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _ascii_int(text: str) -> int:
+    """An integer option: an optional minus and ASCII digits (``int`` alone
+    reads other digits too)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -59,8 +68,8 @@ def _build_parser() -> _Parser:
     pg = sub.add_parser("gen", help="emit a fixture or naive expression")
     pg.add_argument("--kind", required=True,
                     help="clique|path|cycle|star|random-cograph|naive")
-    pg.add_argument("--n", type=int, default=0)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--n", type=_ascii_int, default=0)
+    pg.add_argument("--seed", type=_ascii_int, default=0)
     pg.add_argument("--graph", help="graph file (kind=naive)")
 
     po = sub.add_parser("oracle", help="brute-force reference answer on a graph file")
@@ -150,10 +159,14 @@ def _cmd_check_expr(args) -> int:
     expr = cwexpr.parse_expression(_read(args.expr))
     issues = cwexpr.check_irredundant(expr)
     if args.json:
+        # future degrees count neighbours only on irredundant expressions
+        width = None if issues else dp.live_width(
+            expr.program.present, dp.capped_degrees(expr, 1)[1])
         print(json.dumps({
             "irredundant": not issues,
             "issues": [{"node_index": issue.node_index, "i": issue.i,
                         "j": issue.j, "kind": issue.kind} for issue in issues],
+            "live_width": width,
         }, sort_keys=True))
     elif not issues:
         print("irredundant")

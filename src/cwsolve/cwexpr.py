@@ -7,7 +7,9 @@ Expression files are s-expressions with a one-line header::
 
 The four node kinds are Introduce ``(v NAME [WEIGHT])``, Relabel
 ``(ren I J e)``, AddEdges ``(add I J e)`` and Union ``(u e e)``.  Introduce
-always labels its vertex 1; a missing weight defaults to 1.
+always labels its vertex 1; a missing weight defaults to 1.  Every pass reads
+the :class:`Program` compiled once per expression, its nodes in postorder as
+columns; per-node results are lists indexed by position.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -67,6 +70,10 @@ class CwExpression:
     k: int
     root: Node
 
+    @cached_property
+    def program(self) -> "Program":
+        return compile_program(self.root)
+
 
 @dataclass
 class LabeledGraph:
@@ -99,40 +106,64 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 # Traversal helpers (iterative; expression trees can be thousands deep).
 
 def iter_postorder(root: Node) -> Iterator[Node]:
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    """Left before right: a right-first preorder walk, reversed."""
+    order, stack = [], [root]
     while stack:
-        node, seen = stack.pop()
-        if seen:
-            yield node
-            continue
-        stack.append((node, True))
-        if isinstance(node, (Relabel, AddEdges)):
-            stack.append((node.child, False))
-        elif isinstance(node, Union):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Union:
+            stack += (node.left, node.right)
+        elif kind is not Introduce:
+            stack.append(node.child)
+    return reversed(order)
 
 
-def fold(root: Node, leaf, ren, add, union):
-    """Bottom-up fold over the tree rooted at ``root``; returns the root's result.
+LEAF, REN, ADD, UNION = range(4)  # a program's opcodes
+_OPCODES = {Introduce: LEAF, Relabel: REN, AddEdges: ADD, Union: UNION}
 
-    ``leaf(node)``, ``ren(node, r)``, ``add(node, r)`` and
-    ``union(node, r_left, r_right)`` get the results of the node's children,
-    which are dropped once consumed.
-    """
-    results: dict[int, object] = {}
-    pop = results.pop
-    for node in iter_postorder(root):
-        if isinstance(node, Introduce):
-            out = leaf(node)
-        elif isinstance(node, Relabel):
-            out = ren(node, pop(id(node.child)))
-        elif isinstance(node, AddEdges):
-            out = add(node, pop(id(node.child)))
+
+class Program(NamedTuple):
+    """An expression's nodes in postorder, one column entry per position: a
+    unary node's child and a union's right child sit just before it, ``left``
+    is a union's left child, and ``present`` the mask of nonempty label
+    classes (bit l for label l).  Entries that do not apply are 0, -1, None.
+    Passes only read the columns."""
+
+    op: list[int]
+    i: list[int]
+    j: list[int]
+    left: list[int]
+    name: list[str | None]
+    weight: list[int | None]
+    present: list[int]
+    node: list[Node]
+
+
+def compile_program(root: Node) -> Program:
+    """The :class:`Program` of the tree rooted at ``root``."""
+    nodes = list(iter_postorder(root))
+    n = len(nodes)
+    ops = list(map(_OPCODES.__getitem__, map(type, nodes)))
+    li, lj, left, present = [0] * n, [0] * n, [-1] * n, [0] * n
+    name, weight = [None] * n, [None] * n
+    done: list[int] = []  # finished subtrees' positions, leftmost first
+    mask = 0  # the last position's
+    for p, (op, node) in enumerate(zip(ops, nodes)):
+        if op == LEAF:
+            name[p], weight[p], mask = node.name, node.weight, 2
+            done.append(p)
+        elif op == UNION:
+            left[p] = done.pop(-2)
+            mask |= present[left[p]]
         else:
-            out = union(node, pop(id(node.left)), pop(id(node.right)))
-        results[id(node)] = out
-    return results[id(root)]
+            li[p], lj[p] = i, j = node.i, node.j
+            # no bit stands for a label below 1; validate rejects it
+            if op == REN and i > 0 < j and mask >> i & 1:
+                mask = mask & ~(1 << i) | 1 << j
+        done[-1] = p
+        present[p] = mask
+    return Program(ops, li, lj, left, name, weight, present, nodes)
 
 
 def iter_preorder(root: Node) -> Iterator[Node]:
@@ -316,63 +347,57 @@ def validate(expr: CwExpression) -> None:
     """Structural checks for programmatically built trees."""
     if expr.k < 1:
         raise ExpressionError("declared k must be at least 1")
+    program = expr.program
     names: set[str] = set()
-    for node in iter_preorder(expr.root):
-        if isinstance(node, Introduce):
-            if not NAME_RE.match(node.name):
-                raise ExpressionError(f"bad vertex name {node.name!r}")
-            if node.name in names:
-                raise ExpressionError(f"duplicate vertex name {node.name!r}")
-            if node.weight < 0:
-                raise ExpressionError(f"negative weight on vertex {node.name!r}")
-            names.add(node.name)
-        elif isinstance(node, (Relabel, AddEdges)):
-            if node.i == node.j:
-                raise ExpressionError("relabel/add needs two distinct labels")
-            if not (1 <= node.i <= expr.k and 1 <= node.j <= expr.k):
-                raise ExpressionError(f"label outside 1..{expr.k}")
+    for name, weight in zip(program.name, program.weight):
+        if name is None:
+            continue
+        if not NAME_RE.match(name):
+            raise ExpressionError(f"bad vertex name {name!r}")
+        if name in names:
+            raise ExpressionError(f"duplicate vertex name {name!r}")
+        if weight < 0:
+            raise ExpressionError(f"negative weight on vertex {name!r}")
+        names.add(name)
+    for i, j in set(zip(program.i, program.j)) - {(0, 0)}:
+        if i == j:
+            raise ExpressionError("relabel/add needs two distinct labels")
+        if not (1 <= i <= expr.k and 1 <= j <= expr.k):
+            raise ExpressionError(f"label outside 1..{expr.k}")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation and irredundancy.
 
 def evaluate(expr: CwExpression) -> LabeledGraph:
-    """Fold the expression into its labeled graph."""
+    """The labeled graph the expression builds."""
     validate(expr)
-
-    def ren(node, state):
-        classes = state[1]
-        moving = classes.pop(node.i, None)
-        if moving:
-            classes.setdefault(node.j, set()).update(moving)
-        return state
-
-    def add(node, state):
-        _, classes, edges = state
-        ci, cj = classes.get(node.i, ()), classes.get(node.j, ())
-        edges.update(edge_key(u, v) for u in ci for v in cj)
-        return state
-
-    def union(node, left, right):
-        weights, classes, edges = left
-        weights.update(right[0])
-        for lab, members in right[1].items():
-            classes.setdefault(lab, set()).update(members)
-        edges.update(right[2])
-        return left
-
-    weights, classes, edges = fold(
-        expr.root,
-        lambda node: ({node.name: node.weight}, {1: {node.name}}, set()),
-        ren, add, union)
-    labels = {v: lab for lab, members in classes.items() for v in members}
-    return LabeledGraph(weights=weights, edges=edges, labels=labels)
+    program = expr.program
+    classes: list[dict[int, set[str]]] = []  # per open subtree, by label
+    edges: set[tuple[str, str]] = set()
+    for op, i, j, name in zip(program.op, program.i, program.j, program.name):
+        if op == LEAF:
+            classes.append({1: {name}})
+        elif op == UNION:
+            for lab, members in classes.pop().items():
+                classes[-1].setdefault(lab, set()).update(members)
+        elif op == REN:
+            moving = classes[-1].pop(i, None)
+            if moving:
+                classes[-1].setdefault(j, set()).update(moving)
+        else:
+            ci, cj = classes[-1].get(i, ()), classes[-1].get(j, ())
+            edges.update(edge_key(u, v) for u in ci for v in cj)
+    labels = {v: lab for lab, members in classes[0].items() for v in members}
+    return LabeledGraph(vertex_weights(expr), edges, labels)
 
 
 def vertex_weights(expr: CwExpression) -> dict[str, int]:
-    """Vertex name -> weight, read off the Introduce leaves in one pass."""
-    return {node.name: node.weight for node in iter_preorder(expr.root)
-            if isinstance(node, Introduce)}
+    """Vertex name -> weight, read off the program's leaf columns."""
+    program = expr.program
+    weights = dict(zip(program.name, program.weight))
+    weights.pop(None, None)  # the key of every position but a leaf
+    return weights
 
 
 @dataclass(frozen=True)
@@ -387,51 +412,49 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     """Classify every AddEdges node whose cross pairs already partly exist.
 
     An empty report means the expression is irredundant: each add is applied
-    while no edge between the two classes exists yet.  The fold keeps, per
-    subtree, the label class sizes and the edge count between each pair of
-    classes, not the edges: an add (i, j) finds ``E[i, j]`` of its
-    ``|Ci| * |Cj|`` pairs present and leaves all of them; a relabel i -> j
-    moves i's counts onto j and drops those between i and j (now inside one
-    class); a union adds the counts of its smaller side into the larger
-    (the two sides share no vertex, hence no edge).  O(|expr| * k^2).
+    while no edge between the two classes exists yet.  The pass keeps, per
+    open subtree, the class sizes and the edge count between each pair of
+    classes, not the edges: an add (i, j) finds ``E[i, j]`` of its ``|Ci| *
+    |Cj|`` pairs present and leaves all of them; a relabel i -> j moves i's
+    counts onto j and drops those between i and j (now one class); a union
+    adds its smaller side's counts into the larger (the two sides share no
+    vertex, hence no edge).  O(|expr| * k^2).
     """
     validate(expr)
+    program = expr.program
     found = []
-
-    def ren(node, state):
-        size, pairs = state
-        i, j = node.i, node.j
-        size[j] = size.get(j, 0) + size.pop(i, 0)
-        for pair in [pair for pair in pairs if i in pair]:
-            count = pairs.pop(pair)
-            other = pair[0] + pair[1] - i
-            if other != j:
-                key = (j, other) if j < other else (other, j)
-                pairs[key] = pairs.get(key, 0) + count
-        return state
-
-    def add(node, state):
-        size, pairs = state
-        key = (node.i, node.j) if node.i < node.j else (node.j, node.i)
-        total = size.get(node.i, 0) * size.get(node.j, 0)
-        existing = pairs.get(key, 0)
-        if existing:
-            found.append((node, "full" if existing == total else "partial"))
-        if total:
-            pairs[key] = total
-        return state
-
-    def union(node, left, right):
-        if len(left[1]) < len(right[1]):
-            left, right = right, left
-        size, pairs = left
-        for lab, count in right[0].items():
-            size[lab] = size.get(lab, 0) + count
-        for pair, count in right[1].items():
-            pairs[pair] = pairs.get(pair, 0) + count
-        return left
-
-    fold(expr.root, lambda node: ({1: 1}, {}), ren, add, union)
+    stack: list[tuple[dict, dict]] = []  # (sizes, pair counts) per subtree
+    for p, (op, i, j) in enumerate(zip(program.op, program.i, program.j)):
+        if op == LEAF:
+            stack.append(({1: 1}, {}))
+        elif op == REN:
+            size, pairs = stack[-1]
+            size[j] = size.get(j, 0) + size.pop(i, 0)
+            for pair in [pair for pair in pairs if i in pair]:
+                count = pairs.pop(pair)
+                other = pair[0] + pair[1] - i
+                if other != j:
+                    key = (j, other) if j < other else (other, j)
+                    pairs[key] = pairs.get(key, 0) + count
+        elif op == ADD:
+            size, pairs = stack[-1]
+            key = (i, j) if i < j else (j, i)
+            total = size.get(i, 0) * size.get(j, 0)
+            existing = pairs.get(key, 0)
+            if existing:
+                found.append((program.node[p],
+                              "full" if existing == total else "partial"))
+            if total:
+                pairs[key] = total
+        else:
+            right = stack.pop()
+            if len(stack[-1][1]) < len(right[1]):
+                stack[-1], right = right, stack[-1]
+            size, pairs = stack[-1]
+            for lab, count in right[0].items():
+                size[lab] = size.get(lab, 0) + count
+            for pair, count in right[1].items():
+                pairs[pair] = pairs.get(pair, 0) + count
     if not found:
         return []
     order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
@@ -451,56 +474,56 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
             "expression has partially redundant add operations")
     dead = {issue.node_index for issue in issues}
     order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
-    root = fold(expr.root,
-                lambda node: node,
-                lambda node, child: Relabel(node.i, node.j, child),
-                lambda node, child: (child if order[id(node)] in dead
-                                     else AddEdges(node.i, node.j, child)),
-                lambda node, left, right: Union(left, right))
-    return CwExpression(expr.k, root)
+    built: list[Node] = []  # per open subtree
+    for op, node in zip(expr.program.op, expr.program.node):
+        if op == LEAF:
+            built.append(node)
+        elif op == UNION:
+            built[-2:] = [Union(*built[-2:])]
+        elif op == REN:
+            built[-1] = Relabel(node.i, node.j, built[-1])
+        elif order[id(node)] not in dead:
+            built[-1] = AddEdges(node.i, node.j, built[-1])
+    return CwExpression(expr.k, built[0])
 
 
-def future_degrees(expr: CwExpression) -> dict[int, tuple[int, ...]]:
-    """Per node id: for each label, how many neighbours its class still gains.
+def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
+    """Per position: for each label l (at index l - 1), how many neighbours
+    its class still gains.
 
     At every add above the node that touches the class, the class gains the
     partner class of that add.  On an irredundant expression these partner
     classes are disjoint and hold no neighbour the class already has (either
     would make some add re-add an edge), so the sum of their sizes counts the
-    new neighbours exactly.  Class sizes go bottom-up, the sums top-down:
-    O(|expr| * k) in all.
+    new neighbours exactly.  Sizes go up the program, sums down: O(|expr| k).
     """
-    k = expr.k
-    size_at_add: dict[int, tuple[int, ...]] = {}
-
-    def ren(node, size):
-        out = list(size)
-        out[node.j - 1] += out[node.i - 1]
-        out[node.i - 1] = 0
-        return tuple(out)
-
-    def add(node, size):
-        size_at_add[id(node)] = size
-        return size
-
-    fold(expr.root, lambda node: (1,) + (0,) * (k - 1), ren, add,
-         lambda node, left, right: tuple(a + b for a, b in zip(left, right)))
-    fut = {id(expr.root): (0,) * k}
-    for node in iter_preorder(expr.root):
-        above = fut[id(node)]
-        if isinstance(node, AddEdges):
-            size = size_at_add[id(node)]
+    program = expr.program
+    ops, li, lj, left = program.op, program.i, program.j, program.left
+    sizes, met = [], {}  # class sizes per open subtree; |Ci|, |Cj| per add
+    for p, op in enumerate(ops):
+        if op == LEAF:
+            sizes.append([0, 1] + [0] * (expr.k - 1))
+        elif op == REN:
+            size = sizes[-1]
+            size[lj[p]] += size[li[p]]
+            size[li[p]] = 0
+        elif op == ADD:
+            met[p] = sizes[-1][li[p]], sizes[-1][lj[p]]
+        else:
+            sizes[-2:] = [[a + b for a, b in zip(*sizes[-2:])]]
+    fut = [(0,) * expr.k] * len(ops)  # the root's stays
+    for p in range(len(ops) - 1, 0, -1):  # a parent sits after its children
+        op, above = ops[p], fut[p]
+        if op == UNION:
+            fut[p - 1] = fut[left[p]] = above
+        elif op != LEAF:
             below = list(above)
-            below[node.i - 1] += size[node.j - 1]
-            below[node.j - 1] += size[node.i - 1]
-            fut[id(node.child)] = tuple(below)
-        elif isinstance(node, Relabel):
-            # the child's class i becomes part of class j here
-            below = list(above)
-            below[node.i - 1] = above[node.j - 1]
-            fut[id(node.child)] = tuple(below)
-        elif isinstance(node, Union):
-            fut[id(node.left)] = fut[id(node.right)] = above
+            if op == ADD:
+                below[li[p] - 1] += met[p][1]
+                below[lj[p] - 1] += met[p][0]
+            else:  # the child's class i becomes part of class j here
+                below[li[p] - 1] = above[lj[p] - 1]
+            fut[p - 1] = tuple(below)
     return fut
 
 

@@ -1,7 +1,8 @@
 """The one dynamic-programming driver every solver runs, and its statistics.
 
-Every solver is the same bottom-up pass over a k-expression, a table per node;
-it keeps only its transitions, which :func:`run` folds, and its root rule.
+Every solver is the same bottom-up pass over a k-expression's compiled
+program, a table per position; it keeps only its transitions, which
+:func:`run` applies, and its root rule.
 The transitions only build tables: every pruning decision is the driver's.
 """
 
@@ -11,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .cwexpr import CwExpression, fold, future_degrees
+from .cwexpr import LEAF, REN, UNION, CwExpression, future_degrees
 from .wpsets import (MAX, MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
                      witness_names)
 
@@ -39,6 +40,9 @@ class SolveStats:
         }
 
 
+KIND_NAMES = ("introduce", "relabel", "add", "union")  # by opcode
+
+
 class Prune(NamedTuple):
     """The pruned path: future degrees capped at ``cap``, ``reducer`` for
     every cell above ``bound`` entries, and ``retire(table, dead)``, which
@@ -51,18 +55,35 @@ class Prune(NamedTuple):
     retire: Callable[[dict, int], dict]
 
 
+def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
+    """Per position: the future degrees capped at ``cap`` and the mask of the
+    labels at 0 (bit l for label l); without a cap, None and 0, uncomputed."""
+    fut, dead = [None] * len(expr.program.op), [0] * len(expr.program.op)
+    seen: dict[tuple, tuple] = {}  # few distinct vectors recur everywhere
+    for p, vec in enumerate(() if cap is None else future_degrees(expr)):
+        if vec not in seen:
+            low = tuple(min(cap, x) for x in vec)
+            seen[vec] = low, sum(2 << l for l, x in enumerate(low) if not x)
+        fut[p], dead[p] = seen[vec]
+    return fut, dead
+
+
+def live_width(present, dead) -> int:
+    """The most nonempty labels outside its ``dead`` mask any position has."""
+    return max((mask & ~gone).bit_count() for mask, gone in zip(present, dead))
+
+
 def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         leaf, ren, add, union) -> dict:
-    """Fold the transitions over ``expr``; returns the root's table.
+    """Run the transitions over ``expr.program``; returns the root's table.
 
     A node's table is ``leaf(name, weight, fut)``, ``ren(table, present, i,
     j, fut)``, ``add(table, present, i, j, fut)`` or ``union(table_a, pres_a,
     table_b, pres_b, fut)``, where ``present`` is a child's mask of nonempty
     label classes (bit l for label l) and ``fut`` the node's future degree
-    vector (:func:`~cwsolve.cwexpr.future_degrees`) capped at ``prune.cap``.
-    Each node's kind, states and largest cell go into ``stats``.  The joins'
-    merge memo (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run
-    empty.
+    vector capped at ``prune.cap`` (:func:`capped_degrees`).  Each node's
+    kind, states and largest cell go into ``stats``.  The joins' merge memo
+    (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
 
     ``prune`` is the one switch for every prune.  None is the unpruned
     reference path: no future degree is computed, ``fut`` is None, and every
@@ -86,64 +107,50 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     retirement rule argues its own soundness.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
-    not dead; on the reference path every nonempty label counts.
+    not dead (:func:`live_width`); on the reference path every nonempty
+    label counts.
     """
-    fut: dict[int, tuple[int, ...]] = {}
-    dead: dict[int, int] = {}  # node id -> mask of its labels of degree 0
-    bound = POS_INF
-    if prune is not None:
-        for nid, vec in future_degrees(expr).items():
-            fut[nid] = vec = tuple(min(prune.cap, x) for x in vec)
-            dead[nid] = sum(2 << l for l, x in enumerate(vec) if not x)
-        bound = prune.bound
-
-    def seen(kind: str, node, table: dict, present: int,
-             touched: int) -> tuple[dict, int]:
-        dying = dead.get(id(node), 0)
-        if dying & touched:
-            table = prune.retire(table, dying)
-        biggest = max(map(len, table.values()), default=0)
-        if biggest > bound:
-            for key, cell in table.items():
-                if len(cell) > bound:
-                    table[key] = check_size(prune.reducer(cell), bound)
-                    stats.reduce_calls += 1
-            biggest = max(map(len, table.values()))
-        stats.node_kinds[kind] += 1
-        stats.total_states += len(table)
-        stats.peak_states = max(stats.peak_states, len(table))
-        stats.max_cell_entries = max(stats.max_cell_entries, biggest)
-        stats.live_width = max(stats.live_width,
-                               (present & ~dying).bit_count())
-        return table, present
-
-    def on_ren(node, child):
-        present = child[1]
-        if present >> node.i & 1:
-            present = present & ~(1 << node.i) | 1 << node.j
-        return seen("relabel", node,
-                    ren(*child, node.i, node.j, fut.get(id(node))), present,
-                    1 << node.i | 1 << node.j)
-
+    program = expr.program
+    fut, dead = capped_degrees(expr, None if prune is None else prune.cap)
+    bound = POS_INF if prune is None else prune.bound
+    tables, states, cells = [], [], []
     MERGE_MEMO.clear()
     try:
-        table, _ = fold(
-            expr.root,
-            lambda node: seen("introduce", node,
-                              leaf(node.name, node.weight, fut.get(id(node))),
-                              2, 2),
-            on_ren,
-            lambda node, child: seen("add", node,
-                                     add(*child, node.i, node.j,
-                                         fut.get(id(node))),
-                                     child[1], 1 << node.i | 1 << node.j),
-            lambda node, a, b: seen("union", node,
-                                    union(*a, *b, fut.get(id(node))),
-                                    a[1] | b[1], 0))
+        for op, i, j, left, name, weight, mask, vec, dying in zip(
+                program.op, program.i, program.j, program.left, program.name,
+                program.weight, program.present, fut, dead):
+            if op == LEAF:
+                table, touched = leaf(name, weight, vec), 2
+            elif op == UNION:
+                right = tables.pop()
+                table, touched = union(tables.pop(), program.present[left],
+                                       right, child, vec), 0
+            else:
+                table, touched = ((ren if op == REN else add)(
+                    tables.pop(), child, i, j, vec), 1 << i | 1 << j)
+            child = mask
+            if dying & touched:
+                table = prune.retire(table, dying)
+            biggest = max(map(len, table.values()), default=0)
+            if biggest > bound:
+                for key, cell in table.items():
+                    if len(cell) > bound:
+                        table[key] = check_size(prune.reducer(cell), bound)
+                        stats.reduce_calls += 1
+                biggest = max(map(len, table.values()))
+            tables.append(table)
+            states.append(len(table))
+            cells.append(biggest)
     finally:
         MERGE_MEMO.clear()
+    stats.node_kinds.update(map(KIND_NAMES.__getitem__, program.op))
     stats.dp_nodes = stats.node_kinds.total()
-    return table
+    stats.total_states += sum(states)
+    stats.peak_states = max(stats.peak_states, *states)
+    stats.max_cell_entries = max(stats.max_cell_entries, *cells)
+    stats.live_width = max(stats.live_width,
+                           live_width(program.present, dead))
+    return tables[-1]
 
 
 _ROOT = ()  # the one partition of the empty ground set

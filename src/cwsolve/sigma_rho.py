@@ -151,7 +151,7 @@ def preset_spec(name: str) -> SigmaRhoSpec:
         return SigmaRhoSpec(NATURALS, MuSet(False, frozenset({1})), MIN)
     if name == "cvc":
         return SigmaRhoSpec(MuSet(False, frozenset({0})), NATURALS, MIN, co=True)
-    m = re.match(r"d-regular:(\d+)\Z", name)
+    m = re.match(r"d-regular:([0-9]+)\Z", name)  # ASCII digits only
     if m:
         return SigmaRhoSpec(MuSet(False, frozenset({int(m.group(1))})), NATURALS, MAX)
     raise ValueError(f"unknown problem preset {name!r}")

@@ -15,6 +15,26 @@ CORPUS_SEED = 20240811
 FIXTURE_KINDS = ("clique", "path", "cycle", "star")
 
 
+def fold(program, leaf, ren, add, union):
+    """Bottom-up fold over an expression's program; returns the root's result.
+
+    ``leaf(node)``, ``ren(node, r)``, ``add(node, r)`` and
+    ``union(node, r_left, r_right)`` get the results of the node's children.
+    """
+    from cwsolve.cwexpr import LEAF, REN, UNION
+
+    results: list = []
+    for op, node in zip(program.op, program.node):
+        if op == LEAF:
+            results.append(leaf(node))
+        elif op == UNION:
+            right = results.pop()
+            results[-1] = union(node, results[-1], right)
+        else:
+            results[-1] = (ren if op == REN else add)(node, results[-1])
+    return results[0]
+
+
 def random_graph(n: int, rng: random.Random, max_weight: int = 10) -> LabeledGraph:
     names = [f"v{i}" for i in range(1, n + 1)]
     weights = {v: rng.randint(0, max_weight) for v in names}

@@ -14,14 +14,14 @@ import pytest
 
 from cwsolve import cli, evaluate, fixture, serialize, solve_fvs
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
-                            Relabel, Union, fold)
+                            Relabel, Union)
 from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
                             brute_steiner, check_solution)
 from cwsolve.sigma_rho import (NATURALS, MuSet, SigmaRhoSpec, preset_spec,
                                solve_connected_sigma_rho, solve_steiner)
 from cwsolve.wpsets import MAX, NEG_INF, POS_INF
 
-from conftest import random_expression, random_graph
+from conftest import fold, random_expression, random_graph
 
 SPECS = {name: preset_spec(name)
          for name in ("cds", "ctds", "perfect-cds", "cvc", "d-regular:2")}
@@ -39,7 +39,7 @@ def rebuild(expr, name=None, weight=None, label=None) -> CwExpression:
         out = Introduce(name(node.name), weight(node.weight))
         return out if label(1) == 1 else Relabel(1, label(1), out)
 
-    root = fold(expr.root, leaf,
+    root = fold(expr.program, leaf,
                 lambda node, child: Relabel(label(node.i), label(node.j), child),
                 lambda node, child: AddEdges(label(node.i), label(node.j), child),
                 lambda node, left, right: Union(left, right))
@@ -226,7 +226,7 @@ def multi_label_unions(expr) -> int:
         count += len(a) > 1 and len(b) > 1
         return a | b
 
-    fold(expr.root, lambda node: frozenset({1}),
+    fold(expr.program, lambda node: frozenset({1}),
          lambda node, c: c - {node.i} | {node.j} if node.i in c else c,
          lambda node, c: c, union)
     return count

@@ -163,6 +163,13 @@ class TestSolve:
         assert cli.run(command + [str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {where}: ")
 
+    def test_a_non_ascii_digit_in_a_preset_is_an_unknown_preset(self, capsys,
+                                                                 k3_file):
+        # "٢" is an Arabic-Indic two, which int() would read as 2
+        assert cli.run(["solve", "--problem", "d-regular:٢", "--expr",
+                        k3_file]) == 2
+        assert "unknown problem preset" in capsys.readouterr().err
+
     def test_human_readable_default(self, capsys, k3_file):
         assert cli.run(["solve", "--problem", "fvs", "--expr", k3_file]) == 0
         out = capsys.readouterr().out
@@ -182,6 +189,24 @@ class TestCheckExpr:
         assert "fully-redundant" in capsys.readouterr().out
 
 
+    def test_json_reports_the_live_width(self, tmp_path, capsys):
+        path = tmp_path / "path.cw"
+        path.write_text(serialize(fixture("path", 6)))
+        code, payload = run_json(capsys, ["check-expr", "--json", "--expr",
+                                          str(path)])
+        assert code == 0 and payload["irredundant"]
+        assert payload["live_width"] == 2  # the endpoint and the newcomer
+
+    def test_json_live_width_is_null_when_not_irredundant(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "bad.cw"
+        path.write_text("cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))\n")
+        code, payload = run_json(capsys, ["check-expr", "--json", "--expr",
+                                          str(path)])
+        assert code == 3 and not payload["irredundant"]
+        assert payload["live_width"] is None
+
+
 class TestGen:
     def test_fixture_roundtrip(self, capsys):
         assert cli.run(["gen", "--kind", "clique", "--n", "4"]) == 0
@@ -198,6 +223,22 @@ class TestGen:
     def test_bad_usage(self):
         assert cli.run(["gen", "--kind", "clique"]) == 1
         assert cli.run(["gen", "--kind", "naive"]) == 1
+
+    @pytest.mark.parametrize("option", ["--n", "--seed"])
+    @pytest.mark.parametrize("value", ["٣", "³", "3.0"])
+    def test_integer_options_take_ascii_digits_only(self, capsys, option,
+                                                    value):
+        argv = ["gen", "--kind", "random-cograph", "--n", "3", "--seed", "1"]
+        argv[argv.index(option) + 1] = value
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"invalid integer {value!r}" in captured.err
+
+    def test_a_negative_seed_is_still_an_integer(self, capsys):
+        assert cli.run(["gen", "--kind", "random-cograph", "--n", "4",
+                        "--seed", "-2"]) == 0
+        assert capsys.readouterr().out.startswith("cwexpr k=2")
 
 
 class TestOracle:

@@ -15,7 +15,7 @@ import cwsolve.sigma_rho
 import cwsolve.wpsets
 from cwsolve import fixture, naive_expression, parse_expression
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel,
-                            evaluate, future_degrees, iter_postorder,
+                            Union, evaluate, future_degrees, iter_postorder,
                             iter_preorder)
 from cwsolve.dp import Prune, SolveStats, root_optimum, run
 from cwsolve.fvs import solve_fvs
@@ -39,6 +39,19 @@ def _expressions():
     exprs += [fixture(kind, n, seed=n) for kind in ("path", "random-cograph")
               for n in (1, 5)]
     return exprs
+
+
+def _children(nodes):
+    """Per postorder position, the positions of the node's children, read
+    off the postorder node list alone."""
+    out, finished = [], []
+    for p, node in enumerate(nodes):
+        arity = (0 if isinstance(node, Introduce) else
+                 2 if isinstance(node, Union) else 1)
+        out.append(finished[len(finished) - arity:])
+        del finished[len(finished) - arity:]
+        finished.append(p)
+    return out
 
 
 def _present(k, node):
@@ -111,16 +124,15 @@ def test_run_against_independent_counts(cap, monkeypatch):
             (len(cell) for table in tables for cell in table.values()),
             default=0)
 
-        made = {id(node): call[3] for node, call in zip(nodes, fake.calls)}
-        fut = {} if cap is None else future_degrees(expr)
-        for node, (child_tables, masks, got_fut, _) in zip(nodes, fake.calls):
-            children = [getattr(node, name) for name in ("child", "left", "right")
-                        if hasattr(node, name)]
+        made = [call[3] for call in fake.calls]  # by position
+        fut = [] if cap is None else future_degrees(expr)
+        for p, (children, (child_tables, masks, got_fut, _)) in enumerate(
+                zip(_children(nodes), fake.calls)):
             assert [id(t) for t in child_tables] == \
-                [id(made[id(child)]) for child in children]
-            assert list(masks) == [_present(expr.k, child) for child in children]
+                [id(made[c]) for c in children]
+            assert list(masks) == [_present(expr.k, nodes[c]) for c in children]
             assert got_fut == (None if cap is None else
-                               tuple(min(cap, x) for x in fut[id(node)]))
+                               tuple(min(cap, x) for x in fut[p]))
 
 
 class RetiringProblem(FakeProblem):
@@ -155,8 +167,8 @@ def test_run_retires_where_a_dead_slot_changes(cap):
                          fake.leaf, fake.ren, fake.add, fake.union)
         nodes = list(iter_postorder(expr.root))
         fut = future_degrees(expr)
-        dead = [sum(2 << l for l, x in enumerate(fut[id(node)]) if not x)
-                for node in nodes]
+        dead = [sum(2 << l for l, x in enumerate(fut[p]) if not x)
+                for p in range(len(nodes))]
         assert [(index, mask) for index, _, mask, _ in fake.retired] == \
             [(index, dead[index]) for index, node in enumerate(nodes)
              if dead[index] & _touched(node)]
@@ -166,12 +178,10 @@ def test_run_retires_where_a_dead_slot_changes(cap):
             tables[index] = table_out
         # the retired table is the node's: its parent and the stats get it
         assert root_table is tables[-1]
-        made = {id(node): table for node, table in zip(nodes, tables)}
-        for node, (child_tables, _, _, _) in zip(nodes, fake.calls):
-            children = [getattr(node, name) for name in ("child", "left", "right")
-                        if hasattr(node, name)]
+        for children, (child_tables, _, _, _) in zip(_children(nodes),
+                                                     fake.calls):
             assert [id(t) for t in child_tables] == \
-                [id(made[id(child)]) for child in children]
+                [id(tables[c]) for c in children]
         assert stats.total_states == sum(map(len, tables))
         assert stats.peak_states == max(map(len, tables))
         assert stats.live_width == max(
@@ -234,16 +244,22 @@ def test_a_failing_transition_leaves_the_merge_memo_empty():
     assert not MERGE_MEMO
 
 
+class RecordingMemo(dict):
+    """A merge memo that records its size each time it is cleared."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def clear(self):
+        self.sizes.append(len(self))
+        super().clear()
+
+
 def test_solvers_leave_the_merge_memo_empty(monkeypatch):
-    filled = []  # the memo's size when each fold returns
-
-    def fold(*args):
-        out = fold_before(*args)
-        filled.append(len(MERGE_MEMO))
-        return out
-
-    fold_before = cwsolve.dp.fold
-    monkeypatch.setattr(cwsolve.dp, "fold", fold)
+    memo = RecordingMemo()  # the joins and the driver share the one memo
+    monkeypatch.setattr(cwsolve.wpsets, "MERGE_MEMO", memo)
+    monkeypatch.setattr(cwsolve.dp, "MERGE_MEMO", memo)
     rng = random.Random(808)
     for k in (2, 3, 4):
         expr = random_expression(rng, 8, k)
@@ -253,8 +269,11 @@ def test_solvers_leave_the_merge_memo_empty(monkeypatch):
                       lambda: solve_connected_sigma_rho(expr, preset_spec("cvc")),
                       lambda: solve_steiner(expr, {names[0], names[-1]})):
             solve()
-            assert not MERGE_MEMO
-    assert len(filled) == 12 and max(filled) > 0
+            assert not memo
+    # each solve clears the memo when it starts and when it ends; the end
+    # clears see what the solve filled
+    filled = memo.sizes[1::2]
+    assert len(memo.sizes) == 24 and max(filled) > 0
 
 
 def test_concurrent_solves_share_the_merge_memo_safely():

@@ -6,11 +6,13 @@ from cwsolve import (ExpressionError, PartiallyRedundantError,
                      check_irredundant, evaluate, fixture, naive_expression,
                      parse_expression, parse_graph, serialize,
                      serialize_graph, strip_redundant_adds)
-from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel, Union,
-                            edge_key, fold, future_degrees, iter_postorder,
-                            iter_preorder, vertex_weights)
+from cwsolve.cwexpr import (ADD, LEAF, REN, UNION, AddEdges, CwExpression,
+                            Introduce, Relabel, Union, edge_key,
+                            future_degrees, iter_postorder, iter_preorder,
+                            validate, vertex_weights)
+from cwsolve.fvs import solve_fvs
 
-from conftest import random_expression, random_graph
+from conftest import fold, random_expression, random_graph
 
 K3_TEXT = """cwexpr k=2
 (add 1 2 (u (ren 2 1 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))
@@ -168,7 +170,7 @@ def _with_extra_adds(rng: random.Random, expr: CwExpression) -> CwExpression:
             return AddEdges(i, j, node)
         return node
 
-    root = fold(expr.root,
+    root = fold(expr.program,
                 maybe_add,
                 lambda node, child: maybe_add(Relabel(node.i, node.j, child)),
                 lambda node, child: maybe_add(AddEdges(node.i, node.j, child)),
@@ -310,18 +312,19 @@ class TestGraphFiles:
 
 
 def _gained_neighbours(expr: CwExpression) -> dict[tuple[int, int], int]:
-    """Per (node id, label) of a nonempty class, by evaluating every subtree:
-    how many neighbours the class gains between the node and the root."""
+    """Per (postorder position, label) of a nonempty class, by evaluating
+    every subtree: how many neighbours the class gains between the node and
+    the root."""
     final = evaluate(expr).neighbors()
     out = {}
-    for node in iter_preorder(expr.root):
+    for p, node in enumerate(iter_postorder(expr.root)):
         sub = evaluate(CwExpression(expr.k, node))
         here = sub.neighbors()
         for lab in set(sub.labels.values()):
             members = {v for v, lbl in sub.labels.items() if lbl == lab}
             before = set().union(*(here[v] for v in members))
             after = set().union(*(final[v] for v in members))
-            out[id(node), lab] = len(after - before - members)
+            out[p, lab] = len(after - before - members)
     return out
 
 
@@ -337,8 +340,8 @@ def test_future_degrees_match_evaluated_neighbour_counts():
     for expr in exprs:
         assert check_irredundant(expr) == []
         fut = future_degrees(expr)
-        for (node_id, lab), gained in _gained_neighbours(expr).items():
-            assert fut[node_id][lab - 1] == gained, serialize(expr)
+        for (p, lab), gained in _gained_neighbours(expr).items():
+            assert fut[p][lab - 1] == gained, serialize(expr)
 
 
 def test_vertex_weights_match_the_evaluated_graph():
@@ -349,3 +352,100 @@ def test_vertex_weights_match_the_evaluated_graph():
     exprs += [fixture(kind, 6, seed=1) for kind in ("clique", "random-cograph")]
     for expr in exprs:
         assert vertex_weights(expr) == evaluate(expr).weights
+
+
+def _program_corpus():
+    rng = random.Random(4444)
+    exprs = [random_expression(rng, rng.randint(1, 9), k)
+             for k in range(2, 6) for _ in range(10)]
+    exprs += [naive_expression(random_graph(rng.randint(1, 7), rng))
+              for _ in range(10)]
+    exprs += [fixture(kind, n, seed=n)
+              for kind in ("clique", "path", "cycle", "star", "random-cograph")
+              for n in (1, 2, 7)]
+    return exprs
+
+
+def _recursive_postorder(node):
+    for child in (getattr(node, "left", None), getattr(node, "right", None),
+                  getattr(node, "child", None)):
+        if child is not None:
+            yield from _recursive_postorder(child)
+    yield node
+
+
+def test_iter_postorder_is_left_before_right():
+    for expr in _program_corpus():
+        assert [id(n) for n in iter_postorder(expr.root)] == \
+            [id(n) for n in _recursive_postorder(expr.root)]
+
+
+def test_the_program_agrees_with_the_postorder_nodes():
+    opcodes = {Introduce: LEAF, Relabel: REN, AddEdges: ADD, Union: UNION}
+    for expr in _program_corpus():
+        program = expr.program
+        assert program is expr.program  # compiled once
+        nodes = list(iter_postorder(expr.root))
+        assert len(program.op) == len(nodes)
+        assert all(len(column) == len(nodes) for column in program)
+        assert [id(n) for n in program.node] == [id(n) for n in nodes]
+        for p, node in enumerate(nodes):
+            assert program.op[p] == opcodes[type(node)]
+            unary = isinstance(node, (Relabel, AddEdges))
+            assert (program.i[p], program.j[p]) == (
+                (node.i, node.j) if unary else (0, 0))
+            leaf = isinstance(node, Introduce)
+            assert (program.name[p], program.weight[p]) == (
+                (node.name, node.weight) if leaf else (None, None))
+            if unary:
+                assert nodes[p - 1] is node.child
+            if isinstance(node, Union):
+                assert nodes[p - 1] is node.right
+                assert nodes[program.left[p]] is node.left
+            else:
+                assert program.left[p] == -1
+            labels = evaluate(CwExpression(expr.k, node)).labels.values()
+            assert program.present[p] == sum({1 << lab for lab in labels})
+        assert nodes[-1] is expr.root
+
+
+@pytest.mark.parametrize("root, message", [
+    (Relabel(0, 1, Introduce("a")), "label outside 1..2"),
+    (Relabel(1, -2, Introduce("a")), "label outside 1..2"),
+    (AddEdges(-1, 2, Introduce("a")), "label outside 1..2"),
+    (Relabel(1, 3, Introduce("a")), "label outside 1..2"),
+    (AddEdges(2, 2, Introduce("a")), "two distinct labels"),
+    (Union(Introduce("a"), Introduce("a")), "duplicate vertex name 'a'"),
+    (Introduce("a-b"), "bad vertex name 'a-b'"),
+    (Union(Introduce("a"), Introduce("b", -1)), "negative weight on vertex 'b'"),
+])
+def test_validate_rejects_malformed_trees(root, message):
+    expr = CwExpression(2, root)
+    with pytest.raises(ExpressionError, match=message):
+        validate(expr)
+    with pytest.raises(ExpressionError, match=message):
+        check_irredundant(expr)
+
+
+def _comb(n: int) -> CwExpression:
+    """A star whose n - 1 leaves join the hub's side one union at a time, so
+    every union's right child is the whole tree so far: n - 1 levels deep."""
+    cur = Relabel(1, 2, Introduce("v0"))
+    for i in range(1, n):
+        cur = Union(Introduce(f"v{i}"), cur)
+    return CwExpression(2, AddEdges(1, 2, cur))
+
+
+@pytest.mark.parametrize("expr", [fixture("path", 5000), _comb(3000)],
+                         ids=["path-5000", "comb-3000"])
+def test_deep_expressions_need_no_recursion(expr):
+    n = len(vertex_weights(expr))
+    validate(expr)
+    assert check_irredundant(expr) == []
+    fut = future_degrees(expr)
+    assert len(fut) == len(expr.program.op) and fut[-1] == (0,) * expr.k
+    for use_reduce in (True, False):
+        res = solve_fvs(expr, use_reduce=use_reduce)
+        assert res.fvs_weight == 0  # a path and a star are forests
+        assert res.stats.dp_nodes == len(expr.program.op)
+        assert res.stats.node_kinds["introduce"] == n

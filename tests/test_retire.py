@@ -6,6 +6,7 @@ The driver rewrites a table over its node's labels of future degree 0
 pruned DP with retirement switched off, and check the canonical form itself.
 """
 
+import json
 import random
 
 import pytest
@@ -13,8 +14,8 @@ import pytest
 import cwsolve.dp
 import cwsolve.fvs
 import cwsolve.sigma_rho
-from cwsolve import (evaluate, fixture, naive_expression, parse_expression,
-                     solve_fvs)
+from cwsolve import (cli, evaluate, fixture, naive_expression,
+                     parse_expression, serialize, solve_fvs)
 from cwsolve.fvs import ABSENT, MANY_DONE, MANY_WAIT, ONE, fvs_retire
 from cwsolve.oracle import check_solution
 from cwsolve.partitions import Partition
@@ -310,6 +311,16 @@ def test_cvc_builds_no_open_class_without_a_future_neighbour(instances,
 
 
 class TestLiveWidth:
+    def test_check_expr_predicts_the_pruned_fvs_live_width(
+            self, instances, tmp_path, capsys):
+        path = tmp_path / "expr.cw"
+        for expr, _ in instances:
+            path.write_text(serialize(expr))
+            assert cli.run(["check-expr", "--json", "--expr", str(path)]) == 0
+            width = json.loads(capsys.readouterr().out)["live_width"]
+            assert width == solve_fvs(expr).stats.live_width
+
+
     def test_naive_expressions_stay_below_k(self):
         rng = random.Random(77)
         for _ in range(10):

@@ -336,6 +336,13 @@ class TestSolvers:
         with pytest.raises(NotIrredundantError):
             solve_connected_sigma_rho(expr, preset_spec("cds"))
 
+    @pytest.mark.parametrize("name", ["d-regular:٢", "d-regular:²",
+                                      "d-regular:", "d-regular:-1"])
+    def test_d_regular_takes_ascii_digits_only(self, name):
+        assert preset_spec("d-regular:2") == preset_spec("d-regular:02")
+        with pytest.raises(ValueError, match="unknown problem preset"):
+            preset_spec(name)
+
     def test_d_regular_maximizes(self):
         expr = fixture("cycle", 5)
         res = solve_connected_sigma_rho(expr, preset_spec("d-regular:2"))
