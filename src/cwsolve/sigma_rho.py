@@ -13,8 +13,9 @@ they still gain an X-neighbor.  A promise nothing reads is a wildcard stored as
 0: q when b = 0, p without S vertices under rho = N.  A cell holds weighted
 partitions over the open labels (b = q = 1); blocks record which classes X
 already connects.  Only :class:`DomContext` knows the variant: the codes that
-exist (plain ties b = [c > 0] and q = b and [p > 0]) and each leaf's (in S, in X)
-placements.
+exist (plain ties b = [c > 0] and q = b and [p > 0]), each leaf's (in S, in X)
+placements, and the slot relations the transitions read (:meth:`DomContext.rel`),
+whose code pairs are each computed on first read and kept for one solve only.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
 :func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition the
@@ -212,12 +213,31 @@ class DomContext:
         keep = fut_s is None or _future_ok(self, slot, fut_s)
         return self.code.get(slot) if keep else None
 
-    def rel(self, fn, *args) -> list[list]:
-        """``[a][b] -> fn(self, slot a, slot b, *args)`` for all codes, memoized."""
-        if (fn, args) not in self._rels:
-            self._rels[fn, args] = [[fn(self, a, b, *args) for b in self.slots]
-                                    for a in self.slots]
-        return self._rels[fn, args]
+    def rel(self, fn, *args) -> _Lazy:
+        """``[a][b] -> fn(self, slot a, slot b, *args)`` for codes a and b.
+
+        Each code pair is computed the first time a transition reads it and
+        kept for the rest of this solve, so a relation costs the pairs the
+        tables hold, not |slots|² (which grows as (d + 1)^4)."""
+        rel = self._rels.get((fn, args))
+        if rel is None:
+            slots = self.slots
+            rel = self._rels[fn, args] = _Lazy(lambda a: _Lazy(
+                lambda b: fn(self, slots[a], slots[b], *args)))
+        return rel
+
+
+class _Lazy(dict):
+    """A dict that computes a missing key's value as ``make(key)`` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _merge(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,

@@ -9,16 +9,19 @@ renaming and scaling an instance move the optimum as they must.
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
-from cwsolve import cli, evaluate, fixture, serialize, solve_fvs
+from cwsolve import (cli, evaluate, fixture, naive_expression, serialize,
+                     solve_fvs)
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
-                            Relabel, Union)
+                            Relabel, Union, edge_key)
 from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
                             brute_steiner, check_solution)
-from cwsolve.sigma_rho import (NATURALS, MuSet, SigmaRhoSpec, preset_spec,
-                               solve_connected_sigma_rho, solve_steiner)
+from cwsolve.sigma_rho import (NATURALS, POSITIVES, MuSet, SigmaRhoSpec,
+                               preset_spec, solve_connected_sigma_rho,
+                               solve_steiner)
 from cwsolve.wpsets import MAX, NEG_INF, POS_INF
 
 from conftest import fold, random_expression, random_graph
@@ -252,6 +255,55 @@ def test_every_forest_witness_on_union_heavy_expressions(k, n, seed, reference):
         ref = solve_fvs(expr, use_reduce=False)
         assert (got["fvs"][0], got["mif"][0]) == \
             (ref.fvs_weight, ref.forest_weight)
+
+
+# ---------------------------------------------------------------------------
+# Specs with a wide slot alphabet, n <= 8: oracle, reference path, witness.
+
+# name -> (spec, the largest k at which the unpruned reference path is
+# compared too); under sigma = {1, 2}, rho = N+ that path takes 20-30 s on a
+# naive n = 8 expression, so for that spec it stops at k = 6.
+WIDE_SPECS = {
+    "d-regular:3": (preset_spec("d-regular:3"), 8),
+    "d-regular:4": (preset_spec("d-regular:4"), 8),
+    "sigma {1,2} rho N+": (SigmaRhoSpec(MuSet(False, frozenset({1, 2})),
+                                        POSITIVES), 6),
+}
+
+
+def _dense_graph(n: int, rng: random.Random) -> LabeledGraph:
+    """A random graph on n vertices with edge probability 0.8."""
+    names = [f"v{i}" for i in range(1, n + 1)]
+    return LabeledGraph({v: rng.randint(0, 10) for v in names},
+                        {edge_key(a, b) for a, b in combinations(names, 2)
+                         if rng.random() < 0.8})
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SPECS))
+def test_wide_specs_against_the_oracle_and_the_reference(name):
+    spec, reference_k = WIDE_SPECS[name]
+    rng = random.Random(f"wide:{name}")
+    for _ in range(12):
+        n = rng.randint(2, 8)
+        # coned and dense instances, so that the induced d-regular sets are
+        # often non-empty
+        for expr in (random_expression(rng, n, rng.randint(2, 4)),
+                     coned(random_expression(rng, n - 1, rng.randint(2, 3)),
+                           rng.randint(0, 10)),
+                     naive_expression(random_graph(n, rng)),
+                     naive_expression(_dense_graph(n, rng))):
+            graph = evaluate(expr)
+            res = solve_connected_sigma_rho(expr, spec, with_witness=True)
+            assert res.optimum == brute_sigma_rho(graph, spec)[0], \
+                sorted(graph.edges)
+            if expr.k <= reference_k:
+                assert solve_connected_sigma_rho(
+                    expr, spec, use_reduce=False).optimum == res.optimum
+            if res.feasible:
+                assert check_solution(graph, spec, res.witness,
+                                      res.optimum) is None, res.witness
+            else:
+                assert res.witness is None
 
 
 # ---------------------------------------------------------------------------

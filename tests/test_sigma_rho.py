@@ -8,9 +8,9 @@ from cwsolve.cwexpr import (AddEdges, Introduce, NotIrredundantError, Relabel,
 from cwsolve.oracle import brute_sigma_rho, brute_steiner
 from cwsolve.partitions import Partition
 from cwsolve.sigma_rho import (EMPTY_PARTITION, DomContext, MuSet, MuSetError,
-                               NATURALS, POSITIVES, SigmaRhoSpec, d_of,
-                               mu_contains_truncated, parse_mu, preset_spec,
-                               solve_connected_sigma_rho,
+                               NATURALS, POSITIVES, SigmaRhoSpec, _add_pairs,
+                               _merge, d_of, mu_contains_truncated, parse_mu,
+                               preset_spec, solve_connected_sigma_rho,
                                solve_steiner, srd_add, srd_leaf, srd_ren,
                                srd_union)
 from cwsolve.wpsets import MAX, MIN, POS_INF
@@ -482,3 +482,61 @@ def test_steiner_never_evaluates_the_graph(monkeypatch):
         assert (got.optimum, got.witness) == (want.optimum, want.witness)
     with pytest.raises(ValueError, match="unknown terminals"):
         solve_steiner(expr, ["nope"])
+
+
+# ---------------------------------------------------------------------------
+# The slot relations: each code pair computed on first read.
+
+RELATION_SPECS = [*map(preset_spec, ("cds", "ctds", "perfect-cds", "cvc",
+                                     "d-regular:1", "d-regular:2",
+                                     "d-regular:3")),
+                  SigmaRhoSpec(POSITIVES, NATURALS, MIN),  # Steiner
+                  SigmaRhoSpec(MuSet(True, frozenset({0, 1})), NATURALS, MIN,
+                               co=True)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("spec", RELATION_SPECS, ids=SigmaRhoSpec.describe)
+def test_relations_read_what_a_direct_call_gives(spec, k):
+    # every argument the transitions pass: present bits, and future degrees
+    # None (reference path) or 0..d; pairs read in a seeded random order
+    ctx = DomContext(spec, k, terminals=frozenset({"t"}))
+    slots, futs = ctx.slots, [None, *range(ctx.d + 1)]
+    pairs = [(a, b) for a in range(len(slots)) for b in range(len(slots))]
+    random.Random(f"{spec}:{k}").shuffle(pairs)
+    for fn, args in [*((_merge, (pa, pb, f)) for pa in (0, 1)
+                       for pb in (0, 1) for f in futs),
+                     *((_add_pairs, (pa, pb, fa, fb)) for pa in (0, 1)
+                       for pb in (0, 1) for fa in futs for fb in futs)]:
+        rel = ctx.rel(fn, *args)
+        assert ctx.rel(fn, *args) is rel
+        for a, b in pairs:
+            assert rel[a][b] == fn(ctx, slots[a], slots[b], *args), \
+                (fn.__name__, args, slots[a], slots[b])
+    assert DomContext(spec, k).rel(_merge, 1, 1, None) is not \
+        ctx.rel(_merge, 1, 1, None)  # nothing is shared across solves
+
+
+@pytest.mark.parametrize("name", ["cds", "perfect-cds", "cvc", "d-regular:2"])
+def test_a_solve_computes_each_relation_pair_once_and_only_when_read(
+        name, monkeypatch):
+    import cwsolve.sigma_rho
+
+    calls: dict = {}
+
+    def counted(fn):
+        def call(ctx, a, b, *args):
+            calls[fn, args, a, b] = calls.get((fn, args, a, b), 0) + 1
+            return fn(ctx, a, b, *args)
+        return call
+
+    monkeypatch.setattr(cwsolve.sigma_rho, "_merge", counted(_merge))
+    monkeypatch.setattr(cwsolve.sigma_rho, "_add_pairs", counted(_add_pairs))
+    graph = random_graph(7, random.Random(806))
+    spec = preset_spec(name)
+    res = solve_connected_sigma_rho(naive_expression(graph), spec)
+    assert res.optimum == brute_sigma_rho(graph, spec)[0]
+    assert calls and max(calls.values()) == 1
+    # an eager build computes all |slots|^2 pairs of every relation it reads
+    relations = {(fn, args) for fn, args, _, _ in calls}
+    assert len(calls) < len(relations) * len(DomContext(spec, 7).slots) ** 2
