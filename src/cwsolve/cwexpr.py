@@ -412,13 +412,27 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     """Classify every AddEdges node whose cross pairs already partly exist.
 
     An empty report means the expression is irredundant: each add is applied
-    while no edge between the two classes exists yet.  The pass keeps, per
-    open subtree, the class sizes and the edge count between each pair of
-    classes, not the edges: an add (i, j) finds ``E[i, j]`` of its ``|Ci| *
-    |Cj|`` pairs present and leaves all of them; a relabel i -> j moves i's
-    counts onto j and drops those between i and j (now one class); a union
-    adds its smaller side's counts into the larger (the two sides share no
-    vertex, hence no edge).  O(|expr| * k^2).
+    while no edge between the two classes exists yet.
+    """
+    found = _redundant_adds(expr)
+    if not found:
+        return []
+    program = expr.program
+    order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
+    return [RedundancyIssue(order[id(program.node[p])], program.i[p],
+                            program.j[p], kind) for p, kind in found]
+
+
+def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
+    """(program position, ``"full"`` or ``"partial"``) of every redundant
+    add, after validating ``expr``.
+
+    The pass keeps, per open subtree, the class sizes and the edge count
+    between each pair of classes, not the edges: an add (i, j) finds
+    ``E[i, j]`` of its ``|Ci| * |Cj|`` pairs present and leaves all of them;
+    a relabel i -> j moves i's counts onto j and drops those between i and j
+    (now one class); a union adds its smaller side's counts into the larger
+    (the two sides share no vertex, hence no edge).  O(|expr| * k^2).
     """
     validate(expr)
     program = expr.program
@@ -442,8 +456,7 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
             total = size.get(i, 0) * size.get(j, 0)
             existing = pairs.get(key, 0)
             if existing:
-                found.append((program.node[p],
-                              "full" if existing == total else "partial"))
+                found.append((p, "full" if existing == total else "partial"))
             if total:
                 pairs[key] = total
         else:
@@ -455,11 +468,7 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
                 size[lab] = size.get(lab, 0) + count
             for pair, count in right[1].items():
                 pairs[pair] = pairs.get(pair, 0) + count
-    if not found:
-        return []
-    order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
-    return [RedundancyIssue(order[id(node)], node.i, node.j, kind)
-            for node, kind in found]
+    return found
 
 
 def strip_redundant_adds(expr: CwExpression) -> CwExpression:
@@ -468,21 +477,20 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
     Raises :class:`PartiallyRedundantError` when a node re-adds only some of
     its pairs; that case cannot be repaired by removal.
     """
-    issues = check_irredundant(expr)
-    if any(issue.kind == "partial" for issue in issues):
+    found = _redundant_adds(expr)
+    if any(kind == "partial" for _, kind in found):
         raise PartiallyRedundantError(
             "expression has partially redundant add operations")
-    dead = {issue.node_index for issue in issues}
-    order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
+    dead = {p for p, _ in found}
     built: list[Node] = []  # per open subtree
-    for op, node in zip(expr.program.op, expr.program.node):
+    for p, (op, node) in enumerate(zip(expr.program.op, expr.program.node)):
         if op == LEAF:
             built.append(node)
         elif op == UNION:
             built[-2:] = [Union(*built[-2:])]
         elif op == REN:
             built[-1] = Relabel(node.i, node.j, built[-1])
-        elif order[id(node)] not in dead:
+        elif p not in dead:
             built[-1] = AddEdges(node.i, node.j, built[-1])
     return CwExpression(expr.k, built[0])
 

@@ -19,27 +19,13 @@ already linked; an entry survives to the root only if everything ends up in
 one tree hanging off the anchor, which makes the kept forest plus one anchor
 edge per component a single tree, i.e. the forest is genuinely acyclic.
 
-A union node allows 15 (child, child, parent) state combinations per label
-(:data:`UNION_STATE_OPTIONS`), the disjoint union of nine products of
-per-label state sets, or boxes (:data:`BOX_PAIRS`):
-
-=================================  =========
-boxes of the two children          parent
-=================================  =========
-{ABSENT} x {ABSENT}                ABSENT
-{ONE} x {ABSENT}, and mirrored     ONE
-{MANY_WAIT} x {ABSENT}, mirrored   MANY_WAIT
-{ONE, MANY_WAIT} x the same        MANY_WAIT
-{MANY_DONE} x {ABSENT}, mirrored   MANY_DONE
-{ONE↓, MANY_DONE} x the same       MANY_DONE
-=================================  =========
-
-where ONE↓ is a ONE class whose label element is projected out first.
-:func:`fvs_union` merges each child's cells per tuple of boxes and joins
-each pair of tuples that meet once, instead of once per state pair and
-target.  Joins work entry pair by entry pair, so each target cell is the
-same map from partition to weight as the state-by-state union's; only the
-witness kept among equal-weight entries may differ.
+A union node joins the two children's cells once per pair of states and
+target state.  Per label, the target comes from the 15 (child, child,
+parent) triples of :data:`UNION_STATE_OPTIONS`; a ``ONE`` class whose
+target is ``MANY_DONE`` loses its label element on that side first, as its
+connectivity is resolved per side.  Sound: each state pair and target is
+joined exactly once, and the joins of one target merge keeping the best
+weight per partition.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
 :func:`~cwsolve.dp.run` prunes in two ways.  It retires dead labels, those of
@@ -60,7 +46,6 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from operator import getitem
 
 from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
@@ -95,42 +80,6 @@ for _a in (ABSENT, ONE, MANY_WAIT, MANY_DONE):
         UNION_STATE_OPTIONS[(_a, _b)] = opts
 del _a, _b, opts
 
-# The union's boxes: per label, the child states one side puts into a
-# product.  OD holds its ONE members with their label element projected out
-# (ONE↓), as a class finished at the parent resolves its connectivity per side.
-Z, O, W, D, OW, OD = range(6)
-BOX_STATES: tuple[tuple[int, ...], ...] = (
-    (ABSENT,), (ONE,), (MANY_WAIT,), (MANY_DONE,), (ONE, MANY_WAIT),
-    (ONE, MANY_DONE))
-
-# (box of side a, box of side b) -> the parent's state at that label.  The
-# nine products are disjoint and cover exactly UNION_STATE_OPTIONS.
-BOX_PAIRS: dict[tuple[int, int], int] = {
-    (Z, Z): ABSENT,
-    (O, Z): ONE, (Z, O): ONE,
-    (W, Z): MANY_WAIT, (Z, W): MANY_WAIT, (OW, OW): MANY_WAIT,
-    (D, Z): MANY_DONE, (Z, D): MANY_DONE, (OD, OD): MANY_DONE,
-}
-
-# The parent's state at a label from either box of a pair: the larger one.
-BOX_TARGET = (ABSENT, ONE, MANY_WAIT, MANY_DONE, MANY_WAIT, MANY_DONE)
-
-
-def _box_options(others: frozenset[int], state: int) -> tuple[int, ...]:
-    """The boxes holding ``state`` with a partner box among the other side's
-    ``others`` states."""
-    return tuple(box for box in range(6) if state in BOX_STATES[box] and any(
-        not others.isdisjoint(BOX_STATES[partner])
-        for mine, partner in BOX_PAIRS if mine == box))
-
-
-# [the other side's states at a label][state] -> the boxes to expand into,
-# for every nonempty set of other states.
-BOX_OPTIONS = {
-    others: tuple(_box_options(others, state) for state in range(4))
-    for others in (frozenset(s for s in range(4) if mask >> s & 1)
-                   for mask in range(1, 16))}
-
 
 @dataclass
 class FvsResult:
@@ -141,12 +90,17 @@ class FvsResult:
     stats: SolveStats
 
 
-def state_ground(state: State) -> int:
-    mask = ANCHOR_BIT
+def label_mask(state: State, value: int) -> int:
+    """Bit l set for every label l in state ``value``."""
+    mask = 0
     for lbl, val in enumerate(state, start=1):
-        if val == ONE or val == MANY_WAIT:
+        if val == value:
             mask |= 1 << lbl
     return mask
+
+
+def state_ground(state: State) -> int:
+    return ANCHOR_BIT | label_mask(state, ONE) | label_mask(state, MANY_WAIT)
 
 
 def fvs_leaf(k: int, with_witness: bool, name: str, weight: int,
@@ -272,93 +226,47 @@ def fvs_retire(table: Table, dead: int) -> Table:
     return merge_cells(acc)
 
 
-def _boxed(table: Table, rows) -> Table:
-    """Each state's cell in every box tuple ``rows`` lets it take (row l maps
-    the state at label l to its boxes), merged per box tuple; a ONE label in
-    an OD box is projected out first."""
-    acc: dict[tuple[int, ...], list[WPSet]] = {}
-    for state, cell in table.items():
-        ones = [l for l, val in enumerate(state) if val == ONE]
-        for boxes in product(*map(getitem, rows, state)):
-            drop = 0
-            for l in ones:
-                if boxes[l] == OD:
-                    drop |= 2 << l
-            contrib(acc, boxes, proj(cell, drop) if drop else cell)
-    return merge_cells(acc)
-
-
-def _box_signature(boxes: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """A box tuple's OW/OD boxes (their labels and values), its mask of
-    labels with a single box (O, W, D), and its parent states."""
-    pairs = singles = 0
-    for l, box in enumerate(boxes):
-        if box >= OW:
-            pairs |= box << 3 * l
-        elif box:
-            singles |= 1 << l
-    return pairs, singles, tuple(map(BOX_TARGET.__getitem__, boxes))
-
-
 def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
               fut=None) -> Table:
-    """Disjoint union, one ``acjoin`` per pair of box tuples that meet.
+    """Disjoint union: one ``acjoin`` per pair of states and target.
 
-    Per label, the 15 (child, child, parent) combinations of
-    :data:`UNION_STATE_OPTIONS` are the disjoint union of the nine box
-    products of :data:`BOX_PAIRS`:
+    Per label, the pair's states (a, b) allow the parent states
+    ``UNION_STATE_OPTIONS[(a, b)]``; a target is one choice per label.  A
+    ``ONE`` label whose target is ``MANY_DONE`` is projected out of its
+    side's cell before the join, as its class is finished at the parent.
+    No ``MANY_WAIT`` target needs leaving out at a dead label (future degree
+    0): on the pruned path such a label is ``ABSENT`` in both children's
+    states, as the children share the union's dead labels and the driver
+    retires a dead label wherever its slot changes.
 
-    ======  ======  ==========
-    side a  side b  parent
-    ======  ======  ==========
-    Z       Z       ABSENT
-    O       Z       ONE
-    Z       O       ONE
-    W       Z       MANY_WAIT
-    Z       W       MANY_WAIT
-    OW      OW      MANY_WAIT
-    D       Z       MANY_DONE
-    Z       D       MANY_DONE
-    OD      OD      MANY_DONE
-    ======  ======  ==========
-
-    where Z = {ABSENT}, O = {ONE}, W = {MANY_WAIT}, D = {MANY_DONE},
-    OW = {ONE, MANY_WAIT} and OD = {ONE↓, MANY_DONE}: a ONE member of OD
-    loses its label element first, as its class is finished at the parent.
-    No MANY_WAIT pair needs leaving out at a dead label (future degree 0): on
-    the pruned path such a label is ABSENT in both children's states, as the
-    children share the union's dead labels and the driver retires a dead
-    label wherever its slot changes.  Each side expands a state only into
-    boxes with a partner among the other side's states at that label
-    (:data:`BOX_OPTIONS`) and merges its cells per box tuple; all cells of
-    one tuple share one ground.  A tuple of side a meets one of side b
-    exactly when their OW/OD boxes sit at the same labels with the same
-    values and no label holds a single box (O, W, D) on both sides; the
-    pair's join goes to the parent state they name.
-
-    Sound: the products cover exactly the state pairs and targets the
-    state-by-state union joins, once each, with the same projections.
-    ``acjoin`` works entry pair by entry pair, so joining merged cells keeps,
-    for every partition, the best weight the per-state-pair joins give it.
-    Every target cell is thus the same map from partition to weight; only
-    the choice among equal-weight entries may differ, which changes a
-    witness only where optima tie.
+    Sound: each state pair and target is joined exactly once, and cells of
+    one target merge keeping the best weight per partition.  A side's cell
+    is projected once per distinct label mask it loses, as several targets
+    can drop the same labels from it.
     """
-    if not table_a or not table_b:
-        return {}
-    rows_a = [BOX_OPTIONS[frozenset(column)] for column in zip(*table_b)]
-    rows_b = [BOX_OPTIONS[frozenset(column)] for column in zip(*table_a)]
-    buckets: dict[int, list[tuple[int, tuple[int, ...], WPSet]]] = {}
-    for key, cell in _boxed(table_b, rows_b).items():
-        pairs, singles, target = _box_signature(key)
-        buckets.setdefault(pairs, []).append((singles, target, cell))
     acc: dict[State, list[WPSet]] = {}
-    for key, cell in _boxed(table_a, rows_a).items():
-        pairs, singles, target = _box_signature(key)
-        for singles_b, target_b, cell_b in buckets.get(pairs, ()):
-            if not singles & singles_b:
-                contrib(acc, tuple(map(max, target, target_b)),
-                        acjoin(cell, cell_b))
+    projected: dict[tuple[int, int], WPSet] = {}
+
+    def projection(cell: WPSet, drop: int) -> WPSet:
+        if not drop:
+            return cell
+        key = (id(cell), drop)  # the cell is alive for the whole call
+        got = projected.get(key)
+        if got is None:
+            got = projected[key] = proj(cell, drop)
+        return got
+
+    side_b = [(sb, cb, label_mask(sb, ONE)) for sb, cb in table_b.items()]
+    for sa, ca in table_a.items():
+        ones_a = label_mask(sa, ONE)
+        for sb, cb, ones_b in side_b:
+            options = map(UNION_STATE_OPTIONS.__getitem__, zip(sa, sb))
+            for target in product(*options):
+                done = label_mask(target, MANY_DONE)
+                pa = projection(ca, ones_a & done)
+                pb = projection(cb, ones_b & done)
+                if pa.entries and pb.entries:
+                    contrib(acc, target, acjoin(pa, pb))
     return merge_cells(acc)
 
 

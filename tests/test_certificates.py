@@ -235,9 +235,10 @@ def multi_label_unions(expr) -> int:
     return count
 
 
-# (k, n, shape seed, whether the unpruned reference runs in under 2 s) of
-# union-heavy random expressions for the forest DP, whose unions merge cells
-# per box before joining and so may pick another witness among ties.
+# (k, n, shape seed, whether the unpruned reference runs in under 3 s) of
+# union-heavy random expressions for the forest DP.  The reference joins
+# every pair of states at a union; the slowest marked case, (5, 40, 0), takes
+# about 2.8 s of CPU for it on a 2-CPU x86-64 host.
 FOREST_UNIONS = [(4, 40, 0, True), (4, 40, 2, True), (5, 40, 0, True),
                  (5, 40, 2, False), (5, 30, 0, True), (6, 30, 0, True),
                  (6, 30, 1, False), (6, 24, 0, False), (6, 20, 1, True)]

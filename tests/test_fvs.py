@@ -5,10 +5,9 @@ import pytest
 
 from cwsolve import fixture, naive_expression, parse_expression, solve_fvs
 from cwsolve.cwexpr import NotIrredundantError, evaluate, parse_graph
-from cwsolve.fvs import (ABSENT, BOX_OPTIONS, BOX_PAIRS, BOX_STATES,
-                         MANY_DONE, MANY_WAIT, ONE, UNION_STATE_OPTIONS,
-                         _box_signature, fvs_add, fvs_leaf, fvs_ren, fvs_union,
-                         state_ground)
+from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
+                         UNION_STATE_OPTIONS, fvs_add, fvs_leaf, fvs_ren,
+                         fvs_union, state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
 from cwsolve.wpsets import MAX, WPSet, acjoin, contrib, merge_cells, proj
@@ -119,39 +118,7 @@ class TestUnion:
 
 
 class TestUnionBoxes:
-    """The box relation against the per-label union spec."""
-
-    STATES = (ABSENT, ONE, MANY_WAIT, MANY_DONE)
-
-    def test_each_state_triple_lies_in_exactly_one_box_pair(self):
-        for (a, b), targets in UNION_STATE_OPTIONS.items():
-            for target in self.STATES:
-                covering = [pair for pair, t in BOX_PAIRS.items()
-                            if t == target and a in BOX_STATES[pair[0]]
-                            and b in BOX_STATES[pair[1]]]
-                assert len(covering) == (target in targets), \
-                    (a, b, target, covering)
-
-    def test_offered_boxes_meet_in_exactly_the_spec_targets(self):
-        # one state per side: the boxes each side is offered meet in exactly
-        # the spec's targets, and every offered box meets one
-        for (a, b), targets in UNION_STATE_OPTIONS.items():
-            boxes_a = BOX_OPTIONS[frozenset({b})][a]
-            boxes_b = BOX_OPTIONS[frozenset({a})][b]
-            met = [(x, y) for x in boxes_a for y in boxes_b
-                   if (x, y) in BOX_PAIRS]
-            assert sorted(BOX_PAIRS[pair] for pair in met) == list(targets)
-            assert {x for x, _ in met} == set(boxes_a)
-            assert {y for _, y in met} == set(boxes_b)
-
-    def test_signatures_meet_exactly_the_box_pairs(self):
-        for x, y in product(range(len(BOX_STATES)), repeat=2):
-            pairs_x, singles_x, (target_x,) = _box_signature((x,))
-            pairs_y, singles_y, (target_y,) = _box_signature((y,))
-            meet = pairs_x == pairs_y and not singles_x & singles_y
-            assert meet == ((x, y) in BOX_PAIRS), (x, y)
-            if meet:
-                assert max(target_x, target_y) == BOX_PAIRS[(x, y)]
+    """The union against its per-label spec, one state per side."""
 
     @staticmethod
     def _cell(state, weight):
@@ -199,23 +166,23 @@ def _state_pair_union(table_a, table_b, k):
     return merge_cells(acc)
 
 
-def test_box_union_matches_the_state_pair_union():
+def _random_table(rng, k):
+    out = {}
+    for _ in range(rng.randint(0, 8)):
+        state = tuple(rng.randrange(4) for _ in range(k))
+        ground = state_ground(state)
+        out[state] = WPSet(ground, MAX)
+        for _ in range(rng.randint(1, 4)):
+            out[state].add(random_partition(rng, ground), rng.randint(0, 5))
+    return out
+
+
+def test_union_matches_the_state_pair_union():
     rng = random.Random(703)
-
-    def table(k):
-        out = {}
-        for _ in range(rng.randint(0, 8)):
-            state = tuple(rng.randrange(4) for _ in range(k))
-            ground = state_ground(state)
-            out[state] = WPSet(ground, MAX)
-            for _ in range(rng.randint(1, 4)):
-                out[state].add(random_partition(rng, ground), rng.randint(0, 5))
-        return out
-
     joined = 0
     for _ in range(400):
         k = rng.randint(1, 4)
-        table_a, table_b = table(k), table(k)
+        table_a, table_b = _random_table(rng, k), _random_table(rng, k)
         want = weights_of(_state_pair_union(table_a, table_b, k))
         got = fvs_union(table_a, 0, table_b, 0)
         assert weights_of(got) == want, (table_a, table_b)
@@ -223,6 +190,28 @@ def test_box_union_matches_the_state_pair_union():
                    for state, cell in got.items())
         joined += len(want)
     assert joined > 1000  # the random tables do meet
+
+
+def test_union_projects_each_cell_and_mask_once(monkeypatch):
+    import cwsolve.fvs
+
+    seen = []
+
+    def counting_proj(cell, drop):
+        seen.append((id(cell), drop))
+        return proj(cell, drop)
+
+    monkeypatch.setattr(cwsolve.fvs, "proj", counting_proj)
+    rng = random.Random(704)
+    calls = 0
+    for _ in range(200):
+        k = rng.randint(2, 4)
+        table_a, table_b = _random_table(rng, k), _random_table(rng, k)
+        seen.clear()
+        fvs_union(table_a, 0, table_b, 0)
+        assert len(seen) == len(set(seen)), (table_a, table_b)
+        calls += len(seen)
+    assert calls > 100  # the random tables do project
 
 
 class TestSolve:
