@@ -7,11 +7,11 @@ from .cwexpr import (CwExpression, ExpressionError, LabeledGraph,
                      strip_redundant_adds)
 from .fvs import FvsResult, solve_fvs
 from .partitions import Partition, PartitionError, acyclic, iter_partitions
-from .sigma_rho import (DomResult, MuSet, SigmaRhoSpec, d_of,
+from .sigma_rho import (MAX, MIN, DomResult, MuSet, SigmaRhoSpec, d_of,
                         mu_contains_truncated, parse_mu, preset_spec,
                         solve_connected_sigma_rho, solve_steiner)
-from .wpsets import (MAX, MIN, WPSet, ac_reduce, acjoin, join_sets,
-                     max_weight_basis, proj, query_opt, reduce_set)
+from .wpsets import (WPSet, ac_reduce, acjoin, join_sets, max_weight_basis,
+                     proj, query_opt, reduce_set)
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .cwexpr import LEAF, REN, UNION, CwExpression, future_degrees
-from .wpsets import (MAX, MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
+from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
                      witness_names)
 
 
@@ -156,15 +156,14 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
 _ROOT = ()  # the one partition of the empty ground set
 
 
-def root_optimum(entries, direction: str) -> tuple[int | float, tuple | None]:
-    """The best of the root's (weight, witness) ``entries``, None ones
+def root_optimum(entries) -> tuple[int | float, tuple | None]:
+    """The largest of the root's (weight, witness) ``entries``, None ones
     skipped, with its witness's sorted vertex names (None when untracked).
 
     Ties keep the first entry, as :meth:`~cwsolve.wpsets.WPSet.add` does.
-    Without an entry the weight is -inf (max) or +inf (min).
+    Without an entry the weight is -inf.
     """
     best = WPSet.from_pairs(((_ROOT, *entry) for entry in entries
-                             if entry is not None), 0, direction)
-    weight, wit = best.entries.get(
-        _ROOT, (NEG_INF if direction == MAX else POS_INF, None))
+                             if entry is not None), 0)
+    weight, wit = best.entries.get(_ROOT, (NEG_INF, None))
     return weight, None if wit is None else tuple(sorted(witness_names(wit)))

@@ -51,7 +51,7 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (MAX, InvariantError, WPSet, ac_reduce, acjoin, contrib,
+from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, contrib,
                      edge_cell, merge_cells, proj)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
@@ -107,9 +107,9 @@ def fvs_leaf(k: int, with_witness: bool, name: str, weight: int,
              fut=None) -> Table:
     wit0 = () if with_witness else None
     wit1 = name if with_witness else None
-    untouched = WPSet(ANCHOR_BIT, MAX)
+    untouched = WPSet(ANCHOR_BIT)
     untouched.add((ANCHOR_BIT,), 0, wit0)
-    lone = WPSet(ANCHOR_BIT | 2, MAX)
+    lone = WPSet(ANCHOR_BIT | 2)
     # The single vertex either already hangs off the anchor or does not.
     lone.add((ANCHOR_BIT | 2,), weight, wit1)
     lone.add((ANCHOR_BIT, 2), weight, wit1)
@@ -122,7 +122,7 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j, MAX)
+    edge = edge_cell(i, j)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
@@ -155,7 +155,7 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
     acc: dict[State, list[WPSet]] = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j, MAX)
+    edge = edge_cell(i, j)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT:
@@ -287,7 +287,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
         (cell.entries.get((state_ground(state),))
-         for state, cell in root_table.items() if MANY_WAIT not in state), MAX)
+         for state, cell in root_table.items() if MANY_WAIT not in state))
     if forest < 0:
         raise InvariantError("no root entry, yet the empty forest is always one")
     weights = vertex_weights(expr)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from .cwexpr import LabeledGraph
 from .partitions import iter_partitions
-from .wpsets import MAX, NEG_INF, POS_INF, InvariantError, WPSet, query_opt
+from .sigma_rho import MAX
+from .wpsets import NEG_INF, POS_INF, InvariantError, WPSet, query_opt
 
 SUBSET_LIMIT = 20
 

@@ -8,7 +8,11 @@ X = V minus S.  Steiner: plain with sigma = N+, rho = N and the terminals in X.
 One engine runs all three.  A key holds one code per label class, for its state
 (c, p, b, q): ``c`` S vertices and ``p`` S-neighbors still promised by future
 adds, both capped at ``d = max(d(sigma), d(rho))`` (values from d up pass the
-same membership tests); ``b`` whether it holds X vertices and ``q`` whether
+same membership tests) and at the vertex count n.  That cap changes no answer:
+every count the DP reads (a class's S vertices that still meet a partner, a
+vertex's S-neighbors, a promise) is below n, so min(x, d) = min(x, n), and a
+promise at the cap n needs n deliveries, where an irredundant expression
+delivers at most n - 1.  ``b`` whether it holds X vertices and ``q`` whether
 they still gain an X-neighbor.  A promise nothing reads is a wildcard stored as
 0: q when b = 0, p without S vertices under rho = N.  A cell holds weighted
 partitions over the open labels (b = q = 1); blocks record which classes X
@@ -16,6 +20,9 @@ already connects.  Only :class:`DomContext` knows the variant: the codes that
 exist (plain ties b = [c > 0] and q = b and [p > 0]), each leaf's (in S, in X)
 placements, and the slot relations the transitions read (:meth:`DomContext.rel`),
 whose code pairs are each computed on first read and kept for one solve only.
+The cells' weights are the vertex weights times :attr:`DomContext.sign`, -1
+for a minimising problem, since the :mod:`~cwsolve.wpsets` kernel only
+maximises; the root's largest weight times the sign is the optimum.
 
 Unless ``use_reduce`` is off (the unpruned reference path), the driver
 :func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition the
@@ -41,13 +48,15 @@ from itertools import product
 from operator import getitem
 
 from . import dp
-from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
-                     vertex_weights)
+from .cwexpr import (LEAF, CwExpression, NotIrredundantError,
+                     check_irredundant, vertex_weights)
 from .dp import SolveStats
-from .wpsets import (MAX, MIN, NEG_INF, POS_INF, WPSet, contrib, edge_cell,
-                     join_sets, merge_cells, proj, reduce_set)
+from .wpsets import (NEG_INF, POS_INF, WPSet, contrib, edge_cell, join_sets,
+                     merge_cells, proj, reduce_set)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
+
+MAX, MIN = "max", "min"  # a problem's direction
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +187,15 @@ class DomContext:
     k: int
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
+    n: int | None = None  # the vertex count, which caps d
 
     def __post_init__(self):
-        self.d = d = self.spec.d
-        if d < 1:
+        if self.spec.direction not in (MAX, MIN):
+            raise ValueError(f"unknown direction {self.spec.direction!r}")
+        if self.spec.d < 1:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
+        self.d = d = self.spec.d if self.n is None else min(self.spec.d, self.n)
+        self.sign = 1 if self.spec.direction == MAX else -1
         self.rho_wild = self.spec.rho == NATURALS
         # The slot alphabet, (c, p, b, q) by code; code 0 is the empty slot.
         # Wildcards are stored as 0; plain ties b and q to c and p.
@@ -314,9 +327,9 @@ def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
     for code in ctx.leaf_codes[name in ctx.terminals]:
         if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
             continue
-        cell = WPSet(2 if ctx.open[code] else 0, ctx.spec.direction)
+        cell = WPSet(2 if ctx.open[code] else 0)
         cell.add((2,) if ctx.open[code] else EMPTY_PARTITION,
-                 *((weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
+                 *((ctx.sign * weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
         cells[(code,) + (0,) * (ctx.k - 1)] = cell
     return cells
 
@@ -326,7 +339,7 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
-    edge = edge_cell(i, j, ctx.spec.direction)
+    edge = edge_cell(i, j)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -343,8 +356,7 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
             if res is None:
                 if not (rest_open or oi or oj):  # X is complete: keep weights
                     res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
-                                            in cell.entries.values()),
-                                           0, ctx.spec.direction)
+                                            in cell.entries.values()), 0)
                 elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
                     res = cell
                 else:  # link i and j, then drop the classes that closed
@@ -367,7 +379,7 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
     if not present >> i & 1 and (fut is None or fut[jj]):
         return table
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
-    edge = edge_cell(i, j, ctx.spec.direction)
+    edge = edge_cell(i, j)
     acc: dict = {}
     for key, cell in table.items():
         code = rel[key[ii]][key[jj]]
@@ -464,11 +476,11 @@ def _solve(expr: CwExpression, ctx: DomContext, use_reduce: bool,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),
                    partial(srd_add, ctx), partial(srd_union, ctx))
     final = ctx.final.__getitem__
-    optimum, witness = dp.root_optimum(
-        (cell.entries.get(EMPTY_PARTITION) for key, cell in table.items()
-         if all(map(final, key))), ctx.spec.direction)
+    best, witness = dp.root_optimum(
+        cell.entries.get(EMPTY_PARTITION) for key, cell in table.items()
+        if all(map(final, key)))
     stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return DomResult(optimum, witness, stats)
+    return DomResult(ctx.sign * best, witness, stats)
 
 
 def _check_irredundant(expr: CwExpression) -> None:
@@ -483,7 +495,8 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
     """Optimum weight of a connected (co-)(sigma, rho)-dominating set."""
     started = time.perf_counter()
     _check_irredundant(expr)
-    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness),
+    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
+                                   n=expr.program.op.count(LEAF)),
                   use_reduce, started)
 
 

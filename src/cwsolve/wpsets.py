@@ -1,12 +1,12 @@
 """Sets of weighted partitions and the operators the solvers are built from.
 
-A :class:`WPSet` maps partitions of one ground set to the best weight seen so
-far (per its optimization direction), optionally together with a witness.
+A :class:`WPSet` maps partitions of one ground set to the largest weight seen
+so far, optionally with a witness; a minimising problem negates its weights.
 The set holds the ground set once; each key is a partition's canonical block
 tuple (:mod:`cwsolve.partitions`), which the operators build directly.  A
 :class:`~cwsolve.partitions.Partition` is such a tuple, so it looks entries
 up and fills sets just as well.
-Insertion keeps the set normalized: one entry per partition, optimal weight,
+Insertion keeps the set normalized: one entry per partition, largest weight,
 and on a tie the entry inserted first.  Insertion order is deterministic, so
 the same input always keeps the same witness.
 
@@ -19,7 +19,7 @@ turns one witness into its name set, once, at the root.
 ``reduce_set`` and ``ac_reduce`` are the table-pruning workhorses.  Both
 encode each partition as a row of the cut matrix over GF(2) (columns indexed by
 the two-sided cuts of the ground set that fix the minimum element's side) and
-keep an optimum-weight row basis; a basis row set answers every completion
+keep a max-weight row basis; a basis row set answers every completion
 query exactly like the full set does.  ``ac_reduce`` takes one basis per block
 count, so that the surviving entries also preserve optima under the
 acyclicity constraint; its output can be larger by that factor.  When to
@@ -38,10 +38,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .partitions import Partition, as_mask, merge_blocks
-
-MAX = "max"
-MIN = "min"
+from .partitions import Partition, merge_blocks
 
 Blocks = tuple[int, ...]  # a canonical partition
 Entry = tuple[int, object]
@@ -90,39 +87,34 @@ def witness_names(w) -> set[str]:
 class WPSet:
     """A normalized set of weighted partitions over one ground set."""
 
-    __slots__ = ("ground", "direction", "entries")
+    __slots__ = ("ground", "entries")
 
-    def __init__(self, ground: int | Iterable[int], direction: str = MAX):
-        if direction not in (MAX, MIN):
-            raise ValueError(f"unknown direction {direction!r}")
-        self.ground = as_mask(ground)
-        self.direction = direction
+    def __init__(self, ground: int):
+        self.ground = ground  # a bit mask
         self.entries: dict[Blocks, Entry] = {}
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple], ground: int | Iterable[int],
-                   direction: str = MAX) -> WPSet:
+    def from_pairs(cls, pairs: Iterable[tuple], ground: int) -> WPSet:
         """Build a set from (partition, weight[, witness]) tuples, normalizing."""
-        out = cls(ground, direction)
+        out = cls(ground)
         for pair in pairs:
             out.add(*pair)
         return out
 
     def add(self, p: Blocks, weight: int, witness=None) -> None:
-        """Keep the better entry for ``p``; on equal weight, the incumbent."""
+        """Keep the heavier entry for ``p``; on equal weight, the incumbent."""
         cur = self.entries.get(p)
-        if cur is None or ((weight > cur[0]) if self.direction == MAX
-                           else (weight < cur[0])):
+        if cur is None or weight > cur[0]:
             self.entries[p] = (weight, witness)
 
     def update(self, other: WPSet) -> None:
-        if other.ground != self.ground or other.direction != self.direction:
-            raise ValueError("can only merge sets over one ground set and direction")
+        if other.ground != self.ground:
+            raise ValueError("can only merge sets over one ground set")
         for p, (w, wit) in other.entries.items():
             self.add(p, w, wit)
 
     def copy(self) -> WPSet:
-        out = WPSet(self.ground, self.direction)
+        out = WPSet(self.ground)
         out.entries = dict(self.entries)
         return out
 
@@ -131,18 +123,17 @@ class WPSet:
 
     def __repr__(self) -> str:
         body = ", ".join(f"({p!r}, {w})" for p, (w, _) in self.entries.items())
-        return f"WPSet[{self.direction}]{{{body}}}"
+        return f"WPSet{{{body}}}"
 
 
-def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
-    """Drop the given elements; entries owning a block inside them vanish."""
-    dmask = as_mask(drop)
-    if dmask & ~a.ground:
+def proj(a: WPSet, drop: int) -> WPSet:
+    """Drop the mask ``drop``; entries owning a block inside it vanish."""
+    if drop & ~a.ground:
         raise ValueError("proj: elements outside the ground set")
-    if not dmask:
+    if not drop:
         return a.copy()
-    keep = ~dmask
-    out = WPSet(a.ground & keep, a.direction)
+    keep = ~drop
+    out = WPSet(a.ground & keep)
     for p, (w, wit) in a.entries.items():
         blocks = []
         dead = False
@@ -159,7 +150,7 @@ def proj(a: WPSet, drop: int | Iterable[int]) -> WPSet:
     return out
 
 
-def edge_cell(i: int, j: int, direction: str) -> WPSet:
+def edge_cell(i: int, j: int) -> WPSet:
     """The cell whose one weight-0 entry links elements i and j.
 
     Its witness is ``None`` whether or not witnesses are tracked: joined as
@@ -167,13 +158,13 @@ def edge_cell(i: int, j: int, direction: str) -> WPSet:
     (:func:`combine_witness`).
     """
     mask = (1 << i) | (1 << j)
-    cell = WPSet(mask, direction)
+    cell = WPSet(mask)
     cell.add((mask,), 0)
     return cell
 
 
 def _shifted(base: WPSet, weight: int, witness, ground: int) -> WPSet:
-    out = WPSet(ground, base.direction)
+    out = WPSet(ground)
     if weight == 0 and not witness:
         out.entries = dict(base.entries)
         return out
@@ -187,11 +178,9 @@ MERGE_MEMO: dict[tuple[Blocks, Blocks], Blocks] = {}
 
 
 def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
-    if a.direction != b.direction:
-        raise ValueError("joined sets must share the optimization direction")
     ground = a.ground | b.ground
     if not a.entries or not b.entries:
-        return WPSet(ground, a.direction)
+        return WPSet(ground)
     # A single entry over the empty ground set only shifts weights; this also
     # holds under the acyclicity check (extending by fresh singletons never
     # closes a cycle).
@@ -201,7 +190,7 @@ def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
     if b.ground == 0 and len(b.entries) == 1:
         (w2, x2), = b.entries.values()
         return _shifted(a, w2, x2, ground)
-    out = WPSet(ground, a.direction)
+    out = WPSet(ground)
     n = ground.bit_count()
     ext_a = (b.ground & ~a.ground).bit_count()
     ext_b = (a.ground & ~b.ground).bit_count()
@@ -229,28 +218,19 @@ def acjoin(a: WPSet, b: WPSet) -> WPSet:
 
 
 def query_opt(a: WPSet, q: Partition, mode: str = "plain") -> int | float:
-    """Best weight of an entry that q completes into a single connected block.
+    """Largest weight of an entry that q completes into one connected block.
 
     ``mode="acyclic"`` additionally demands the completion closes no cycle.
-    Empty qualifying set yields -inf (max) or +inf (min).
+    An empty qualifying set yields -inf.
     """
     if mode not in ("plain", "acyclic"):
         raise ValueError(f"unknown query mode {mode!r}")
     if q.ground != a.ground:
         raise ValueError("query partition must share the ground set")
-    is_max = a.direction == MAX
-    best = NEG_INF if is_max else POS_INF
-    n = a.ground.bit_count()
-    nq = len(q)
-    for p, (w, _) in a.entries.items():
-        joined = merge_blocks(p, q)
-        if len(joined) != 1:
-            continue
-        if mode == "acyclic" and n + 1 - (len(p) + nq) != 0:
-            continue
-        if (w > best) if is_max else (w < best):
-            best = w
-    return best
+    n, nq = a.ground.bit_count(), len(q)
+    return max((w for p, (w, _) in a.entries.items()
+                if len(merge_blocks(p, q)) == 1
+                and (mode == "plain" or len(p) + nq == n + 1)), default=NEG_INF)
 
 
 def cut_row(blocks: Blocks, ground: int) -> int:
@@ -290,13 +270,13 @@ def cut_row(blocks: Blocks, ground: int) -> int:
     return row
 
 
-def max_weight_basis(rows: list[int], weights: list[int], direction: str = MAX) -> list[int]:
-    """Indices of an optimum-weight basis of the GF(2) row space.
+def max_weight_basis(rows: list[int], weights: list[int]) -> list[int]:
+    """Indices of a max-weight basis of the GF(2) row space.
 
-    Greedy in optimal-weight-first order (stable on input order for ties) with
+    Greedy in heaviest-first order (stable on input order for ties) with
     incremental elimination; optimal by the matroid exchange property.
     """
-    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=direction == MAX)
+    order = sorted(range(len(rows)), key=weights.__getitem__, reverse=True)
     pivots: list[tuple[int, int]] = []  # (pivot bit, row), kept sorted by bit desc
     chosen = []
     for idx in order:
@@ -315,7 +295,7 @@ def max_weight_basis(rows: list[int], weights: list[int], direction: str = MAX) 
 
 
 def _reduce(a: WPSet, group) -> WPSet:
-    """An optimum-weight cut-row basis within each group of entries.
+    """A max-weight cut-row basis within each group of entries.
 
     ``group(blocks)`` numbers an entry's group.  Each group's rows are
     shifted onto their own 2^(|V|-1) columns, so the row space is the direct
@@ -337,8 +317,8 @@ def _reduce(a: WPSet, group) -> WPSet:
         groups.add(key)
         rows.append(cut_row(p, ground) << key * width)
     weights = [w for w, _ in a.entries.values()]
-    keep = set(max_weight_basis(rows, weights, a.direction))
-    out = WPSet(ground, a.direction)
+    keep = set(max_weight_basis(rows, weights))
+    out = WPSet(ground)
     out.entries = {p: e for i, (p, e) in enumerate(a.entries.items()) if i in keep}
     return check_size(out, len(groups) * width)
 
@@ -358,10 +338,7 @@ def ac_reduce(a: WPSet) -> WPSet:
     Entries are grouped by their block count before taking per-group bases:
     within one group, any entry that joins with q into a single block does so
     with the same acyclicity status, so a plain basis suffices per group.
-    Maximization only.
     """
-    if a.direction != MAX:
-        raise ValueError("ac_reduce is defined for maximization sets only")
     return _reduce(a, len)
 
 

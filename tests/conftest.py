@@ -9,7 +9,7 @@ import pytest
 from cwsolve import LabeledGraph, fixture, naive_expression
 from cwsolve.cwexpr import edge_key
 from cwsolve.partitions import Partition, mask_elements
-from cwsolve.wpsets import MAX, WPSet
+from cwsolve.wpsets import WPSet
 
 CORPUS_SEED = 20240811
 FIXTURE_KINDS = ("clique", "path", "cycle", "star")
@@ -56,10 +56,12 @@ def random_partition(rng: random.Random, ground: int) -> Partition:
 
 
 def random_wpset(rng: random.Random, ground: int, size: int,
-                 direction: str = MAX, max_weight: int = 100) -> WPSet:
-    out = WPSet(ground, direction)
+                 sign: int = 1, max_weight: int = 100) -> WPSet:
+    """Weights are ``sign`` times 0..max_weight: a minimising problem's cells
+    hold negated weights."""
+    out = WPSet(ground)
     for _ in range(size):
-        out.add(random_partition(rng, ground), rng.randint(0, max_weight))
+        out.add(random_partition(rng, ground), sign * rng.randint(0, max_weight))
     return out
 
 

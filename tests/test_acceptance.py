@@ -17,8 +17,8 @@ from cwsolve.oracle import (brute_min_fvs, brute_sigma_rho, brute_steiner,
 from cwsolve.partitions import Partition, acyclic, iter_partitions
 from cwsolve.sigma_rho import (MuSet, d_of, preset_spec,
                                solve_connected_sigma_rho, solve_steiner)
-from cwsolve.wpsets import MAX, MIN, WPSet, ac_reduce, acjoin, cut_row, \
-    join_sets, proj, query_opt, reduce_set
+from cwsolve.wpsets import WPSet, ac_reduce, acjoin, cut_row, join_sets, \
+    proj, query_opt, reduce_set
 
 from conftest import random_graph, random_partition, random_wpset
 
@@ -111,8 +111,8 @@ def test_criterion_4_operator_preservation():
     trials = 500
     ground = 0b11110  # four elements
 
-    def sample(direction=MAX):
-        return random_wpset(rng, ground, rng.randint(1, 10), direction)
+    def sample(sign=1):
+        return random_wpset(rng, ground, rng.randint(1, 10), sign)
 
     for _ in range(trials):
         a = sample()
@@ -138,17 +138,18 @@ def test_criterion_4_operator_preservation():
         merged = small.copy()
         merged.update(c)
         assert _preserves(full, merged, "acyclic")
-    # plain-side operators against reduce, both directions
+    # plain-side operators against reduce, on weights of both signs (a
+    # minimising problem's cells hold negated weights)
     for i in range(trials):
-        direction = MAX if i % 2 else MIN
-        a = sample(direction)
+        sign = 1 if i % 2 else -1
+        a = sample(sign)
         small = reduce_set(a)
         assert _preserves(a.copy(), small.copy(), "plain")
         drop = 1 << rng.choice([1, 2, 3, 4])
         assert _preserves(proj(a, drop), proj(small, drop), "plain")
-        b = random_wpset(rng, 0b100110, 3, direction)
+        b = random_wpset(rng, 0b100110, 3, sign)
         assert _preserves(join_sets(a, b), join_sets(small, b), "plain")
-        c = sample(direction)
+        c = sample(sign)
         full = a.copy()
         full.update(c)
         merged = small.copy()

@@ -19,10 +19,10 @@ from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
                             Relabel, Union, edge_key)
 from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
                             brute_steiner, check_solution)
-from cwsolve.sigma_rho import (NATURALS, POSITIVES, MuSet, SigmaRhoSpec,
+from cwsolve.sigma_rho import (MAX, NATURALS, POSITIVES, MuSet, SigmaRhoSpec,
                                preset_spec, solve_connected_sigma_rho,
                                solve_steiner)
-from cwsolve.wpsets import MAX, NEG_INF, POS_INF
+from cwsolve.wpsets import NEG_INF, POS_INF
 
 from conftest import fold, random_expression, random_graph
 

@@ -16,10 +16,10 @@ from cwsolve import (check_irredundant, evaluate, fixture, naive_expression,
 from cwsolve.oracle import (_dominates, _is_connected, _is_forest,
                             brute_min_fvs, brute_sigma_rho, brute_steiner,
                             check_solution)
-from cwsolve.sigma_rho import (MuSet, NATURALS, POSITIVES, SigmaRhoSpec,
-                               preset_spec, solve_connected_sigma_rho,
-                               solve_steiner)
-from cwsolve.wpsets import MAX, MIN, check_size
+from cwsolve.sigma_rho import (MAX, MIN, MuSet, NATURALS, POSITIVES,
+                               SigmaRhoSpec, preset_spec,
+                               solve_connected_sigma_rho, solve_steiner)
+from cwsolve.wpsets import check_size
 
 from conftest import random_expression
 
@@ -131,6 +131,8 @@ FILTER_SOLVERS = {
         expr, preset_spec("cvc"), with_witness=True, **kw),
     "co-custom": lambda expr, **kw: solve_connected_sigma_rho(
         expr, CUSTOM_SPECS[4], with_witness=True, **kw),
+    "max-co-custom": lambda expr, **kw: solve_connected_sigma_rho(
+        expr, CUSTOM_SPECS[3], with_witness=True, **kw),
     "steiner": lambda expr, **kw: solve_steiner(
         expr, _two_terminals(expr), with_witness=True, **kw),
 }
@@ -191,8 +193,12 @@ def _eager(run):
     return eager_run
 
 
+# cds, cvc and steiner minimise, so their cells hold negated weights;
+# max-co-custom maximises.  (d-regular:2 would too, but on these instances
+# none of its cells ever holds two entries, so it reduces nothing.)
 EAGER_PROBLEMS = {"fvs": "fvs", "cds": preset_spec("cds"),
-                  "cvc": preset_spec("cvc"), "steiner": "steiner"}
+                  "cvc": preset_spec("cvc"), "steiner": "steiner",
+                  "max-co-custom": CUSTOM_SPECS[3]}
 
 
 @pytest.mark.parametrize("name", sorted(EAGER_PROBLEMS))

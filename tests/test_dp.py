@@ -22,8 +22,8 @@ from cwsolve.fvs import solve_fvs
 from cwsolve.partitions import iter_partitions
 from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
                                solve_steiner)
-from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF, WPSet,
-                            ac_reduce, join_sets, query_opt, reduce_set)
+from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, WPSet, ac_reduce, join_sets,
+                            query_opt, reduce_set)
 
 from conftest import random_expression, random_graph
 
@@ -200,11 +200,13 @@ def test_live_width_counts_every_nonempty_label_on_the_reference_path():
 
 def test_root_optimum_keeps_the_first_best_entry():
     entries = [None, (3, "a"), (5, ("b", "c")), None, (5, "d"), (1, ())]
-    assert root_optimum(entries, MAX) == (5, ("b", "c"))
-    assert root_optimum(entries, MIN) == (1, ())
-    assert root_optimum([(2, None), (2, "x")], MIN) == (2, None)
-    assert root_optimum([None], MAX) == (NEG_INF, None)
-    assert root_optimum([], MIN) == (POS_INF, None)
+    assert root_optimum(entries) == (5, ("b", "c"))
+    # a minimising problem's entries hold negated weights
+    negated = [e and (-e[0], e[1]) for e in entries]
+    assert root_optimum(negated) == (-1, ())
+    assert root_optimum([(-2, None), (-2, "x")]) == (-2, None)
+    assert root_optimum([None]) == (NEG_INF, None)
+    assert root_optimum([]) == (NEG_INF, None)
 
 
 class JoiningProblem(FakeProblem):
@@ -329,9 +331,9 @@ def _run_with_root_cell(kind, cell, prune):
     return table["s"], stats
 
 
-def _all_partitions_cell(rng, ground, direction=MAX):
-    return WPSet.from_pairs([(p, rng.randint(0, 20))
-                             for p in iter_partitions(ground)], ground, direction)
+def _all_partitions_cell(rng, ground, sign=1):
+    return WPSet.from_pairs([(p, sign * rng.randint(0, 20))
+                             for p in iter_partitions(ground)], ground)
 
 
 class TestPrune:
@@ -352,9 +354,8 @@ class TestPrune:
     def test_a_cell_above_its_bound_is_reduced_and_answers_alike(
             self, reducer, mode, ground, bound):
         rng = random.Random(61)
-        directions = (MAX, MIN) if reducer is reduce_set else (MAX,)
-        for direction in directions:
-            cell = _all_partitions_cell(rng, ground, direction)
+        for sign in (1, -1):
+            cell = _all_partitions_cell(rng, ground, sign)
             assert len(cell) > bound
             out, stats = _run_with_root_cell(
                 "union", cell, Prune(1, bound, reducer, _keep))

@@ -10,7 +10,7 @@ from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
                          fvs_union, state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
-from cwsolve.wpsets import MAX, WPSet, acjoin, contrib, merge_cells, proj
+from cwsolve.wpsets import WPSet, acjoin, contrib, merge_cells, proj
 
 from conftest import random_graph, random_partition
 
@@ -123,7 +123,7 @@ class TestUnionBoxes:
     @staticmethod
     def _cell(state, weight):
         ground = state_ground(state)
-        cell = WPSet(ground, MAX)
+        cell = WPSet(ground)
         cell.add((ground,), weight)
         if ground != ANCHOR:
             cell.add((ANCHOR, ground ^ ANCHOR), weight + 10)
@@ -171,7 +171,7 @@ def _random_table(rng, k):
     for _ in range(rng.randint(0, 8)):
         state = tuple(rng.randrange(4) for _ in range(k))
         ground = state_ground(state)
-        out[state] = WPSet(ground, MAX)
+        out[state] = WPSet(ground)
         for _ in range(rng.randint(1, 4)):
             out[state].add(random_partition(rng, ground), rng.randint(0, 5))
     return out

@@ -6,7 +6,7 @@ from cwsolve import parse_graph, preset_spec
 from cwsolve.oracle import (InstanceTooLargeError, brute_max_forest,
                             brute_min_fvs, brute_sigma_rho, brute_steiner,
                             check_representative)
-from cwsolve.wpsets import (MAX, POS_INF, InvariantError, WPSet, ac_reduce,
+from cwsolve.wpsets import (POS_INF, InvariantError, WPSet, ac_reduce,
                             reduce_set)
 from cwsolve.partitions import Partition
 
@@ -98,8 +98,8 @@ class TestCheckRepresentative:
 
     def test_empty_set_is_distinguished(self):
         ground = 0b110
-        a = WPSet.from_pairs([(Partition.singletons(ground), 5)], ground, MAX)
-        assert not check_representative(a, WPSet(ground, MAX), "plain")
+        a = WPSet.from_pairs([(Partition.singletons(ground), 5)], ground)
+        assert not check_representative(a, WPSet(ground), "plain")
 
     def test_reduced_sets_pass(self):
         rng = random.Random(61)

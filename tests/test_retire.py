@@ -19,10 +19,11 @@ from cwsolve import (cli, evaluate, fixture, naive_expression,
 from cwsolve.fvs import ABSENT, MANY_DONE, MANY_WAIT, ONE, fvs_retire
 from cwsolve.oracle import check_solution
 from cwsolve.partitions import Partition
-from cwsolve.sigma_rho import (DomContext, MuSet, SigmaRhoSpec, _future_ok,
-                               preset_spec, solve_connected_sigma_rho,
-                               solve_steiner, srd_retire)
-from cwsolve.wpsets import MAX, MIN, WPSet
+from cwsolve.sigma_rho import (MAX, DomContext, MuSet, SigmaRhoSpec,
+                               _future_ok, preset_spec,
+                               solve_connected_sigma_rho, solve_steiner,
+                               srd_retire)
+from cwsolve.wpsets import WPSet
 
 from conftest import random_expression, random_graph
 
@@ -232,8 +233,8 @@ class TestSrdRetire:
     def test_finished_x_becomes_one_marker_at_the_lowest_dead_label(self):
         ctx = DomContext(preset_spec("d-regular:2"), 3)  # d = 3
         one_s, two_s = ctx.code[1, 0, 1, 0], ctx.code[2, 0, 1, 0]
-        cell = WPSet.from_pairs([((), 3, "a")], 0, MAX)
-        other = WPSet.from_pairs([((), 2, "b")], 0, MAX)
+        cell = WPSet.from_pairs([((), 3, "a")], 0)
+        other = WPSet.from_pairs([((), 2, "b")], 0)
         out = srd_retire(ctx, {(0, one_s, two_s): cell,
                                (0, 0, one_s): other}, 0b1100)
         # labels 2 and 3 are dead: both keys keep only "X exists", at 2
@@ -243,7 +244,7 @@ class TestSrdRetire:
     def test_live_x_needs_no_marker_and_promises_drop_the_key(self):
         ctx = DomContext(preset_spec("cds"), 2)
         open_x = ctx.code[1, 1, 1, 1]  # still owes an S- and an X-neighbour
-        cell = WPSet.from_pairs([((0b10,), 1)], 0b10, MIN)
+        cell = WPSet.from_pairs([((0b10,), -1)], 0b10)  # cds minimises
         # label 2 is dead: its finished X needs no marker beside label 1's
         # X, and its open X is a promise no add will meet
         out = srd_retire(ctx, {(open_x, ctx.code[1, 0, 1, 0]): cell,

@@ -2,20 +2,21 @@ import random
 
 import pytest
 
+import cwsolve.sigma_rho
 from cwsolve import fixture, naive_expression, parse_expression
 from cwsolve.cwexpr import (AddEdges, Introduce, NotIrredundantError, Relabel,
                             Union, CwExpression, evaluate, parse_graph)
-from cwsolve.oracle import brute_sigma_rho, brute_steiner
+from cwsolve.oracle import brute_sigma_rho, brute_steiner, check_solution
 from cwsolve.partitions import Partition
-from cwsolve.sigma_rho import (EMPTY_PARTITION, DomContext, MuSet, MuSetError,
-                               NATURALS, POSITIVES, SigmaRhoSpec, _add_pairs,
-                               _merge, d_of, mu_contains_truncated, parse_mu,
-                               preset_spec, solve_connected_sigma_rho,
+from cwsolve.sigma_rho import (EMPTY_PARTITION, MAX, MIN, DomContext, MuSet,
+                               MuSetError, NATURALS, POSITIVES, SigmaRhoSpec,
+                               _add_pairs, _merge, d_of, mu_contains_truncated,
+                               parse_mu, preset_spec, solve_connected_sigma_rho,
                                solve_steiner, srd_add, srd_leaf, srd_ren,
                                srd_union)
-from cwsolve.wpsets import MAX, MIN, POS_INF
+from cwsolve.wpsets import POS_INF
 
-from conftest import random_graph
+from conftest import random_expression, random_graph
 
 
 class TestMuSets:
@@ -66,6 +67,7 @@ def ctx_for(name: str, k: int, **kw) -> DomContext:
 
 
 def cell_weights(table, key):
+    """The cell's stored weights, negated: every problem here minimises."""
     return {p: w for p, (w, _) in table[key].entries.items()}
 
 
@@ -89,8 +91,8 @@ class TestLeafTables:
         lone = Partition((2,))
         assert ((0,), (0,)) not in table          # 0 not in rho
         assert cell_weights(table, ((0,), (1,))) == {EMPTY_PARTITION: 0}
-        assert cell_weights(table, ((1,), (0,))) == {EMPTY_PARTITION: 4}
-        assert cell_weights(table, ((1,), (1,))) == {lone: 4}
+        assert cell_weights(table, ((1,), (0,))) == {EMPTY_PARTITION: -4}
+        assert cell_weights(table, ((1,), (1,))) == {lone: -4}
 
     def test_terminal_leaf_forces_membership(self):
         ctx = DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 1,
@@ -115,8 +117,8 @@ class TestLeafTables:
         assert set(table) == {((1,), (0,), (0,), (0,)), ((0,), (0,), (1,), (0,)),
                               ((0,), (0,), (1,), (1,))}
         assert cell_weights(table, ((1,), (0,), (0,), (0,))) == {EMPTY_PARTITION: 0}
-        assert cell_weights(table, ((0,), (0,), (1,), (0,))) == {EMPTY_PARTITION: 4}
-        assert cell_weights(table, ((0,), (0,), (1,), (1,))) == {LONE: 4}
+        assert cell_weights(table, ((0,), (0,), (1,), (0,))) == {EMPTY_PARTITION: -4}
+        assert cell_weights(table, ((0,), (0,), (1,), (1,))) == {LONE: -4}
 
     @pytest.mark.parametrize("fut,sprom", [(1, 0), (2, 1)])
     def test_co_future_filter_fixes_the_connected_promise(self, fut, sprom):
@@ -154,15 +156,15 @@ class TestRenTable:
         ctx = ctx_for("cds", 2)
         table = srd_leaf(ctx, "x", 4)
         out = decoded(ctx, srd_ren(ctx, table, 0b010, 1, 2))
-        assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: 4}
-        assert cell_weights(out, ((0, 1), (0, 1))) == {Partition((4,)): 4}
+        assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: -4}
+        assert cell_weights(out, ((0, 1), (0, 1))) == {Partition((4,)): -4}
 
     def test_cvc_moves_the_connected_side(self):
         ctx = ctx_for("cvc", 2)
         out = decoded(ctx, srd_ren(ctx, srd_leaf(ctx, "x", 4), 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0), (0, 0), (0, 0))) == {EMPTY_PARTITION: 0}
         assert cell_weights(out, ((0, 0), (0, 0), (0, 1), (0, 1))) == \
-            {Partition((4,)): 4}
+            {Partition((4,)): -4}
 
     def test_split_enumeration_reaches_full_class(self):
         # two vertices relabeled into one class: target counts reflect the sum
@@ -186,7 +188,7 @@ class TestRenTable:
                             ((1, 0), (0, 0), (1, 0), (0, 0)),
                             ((1, 0), (0, 0), (1, 0), (1, 0)),
                             ((0, 0), (0, 0), (1, 0), (1, 0))}
-        assert cell_weights(out, ((0, 0), (0, 0), (1, 0), (1, 0))) == {LONE: 2}
+        assert cell_weights(out, ((0, 0), (0, 0), (1, 0), (1, 0))) == {LONE: -2}
 
 
 class TestAddTable:
@@ -200,30 +202,30 @@ class TestAddTable:
         table, present = self._p2_table(ctx)
         out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         key = ((0, 1), (1, 0))  # x out (promised a neighbor), y in, final
-        assert cell_weights(out, key) == {EMPTY_PARTITION: 1}
+        assert cell_weights(out, key) == {EMPTY_PARTITION: -1}
 
     def test_cvc_copy_when_one_class_has_no_connected_vertex(self):
         ctx = ctx_for("cvc", 2)
         table, present = self._p2_table(ctx)
         out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         key = ((1, 0), (0, 0), (0, 1), (0, 0))  # x in S, y in X, final
-        assert cell_weights(out, key) == {EMPTY_PARTITION: 1}
+        assert cell_weights(out, key) == {EMPTY_PARTITION: -1}
 
     def test_active_empty_flattens_partitions(self):
         ctx = ctx_for("cds", 2)
         table, present = self._p2_table(ctx)
         out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         both_final = ((1, 1), (0, 0))
-        assert cell_weights(out, both_final) == {EMPTY_PARTITION: 2}
+        assert cell_weights(out, both_final) == {EMPTY_PARTITION: -2}
 
     def test_cvc_active_empty_flattens_partitions(self):
         ctx = ctx_for("cvc", 2)
         table, present = self._p2_table(ctx)
         out = decoded(ctx, srd_add(ctx, table, present, 1, 2))
         both_final = ((0, 0), (0, 0), (1, 1), (0, 0))
-        assert cell_weights(out, both_final) == {EMPTY_PARTITION: 2}
+        assert cell_weights(out, both_final) == {EMPTY_PARTITION: -2}
         both_open = ((0, 0), (0, 0), (1, 1), (1, 1))
-        assert cell_weights(out, both_open) == {Partition((6,)): 2}
+        assert cell_weights(out, both_open) == {Partition((6,)): -2}
 
     def test_infeasible_promises_produce_no_cell(self):
         ctx = ctx_for("cds", 2)
@@ -265,7 +267,7 @@ class TestUnionTable:
         tb = srd_leaf(ctx, "y", 1)
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         key = ((1,), (1,))
-        assert cell_weights(out, key)[Partition((2,))] == 1  # min weight of the three
+        assert cell_weights(out, key)[Partition((2,))] == -1  # the lightest of the three
 
     def test_zero_promises_split_sides(self):
         # cds: rho = N+ forbids an undominated outside vertex, so the cell
@@ -283,8 +285,8 @@ class TestUnionTable:
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         # two closed X vertices never connect; an S vertex joins freely
         assert ((0,), (0,), (1,), (0,)) not in out
-        assert cell_weights(out, ((1,), (0,), (1,), (0,))) == {EMPTY_PARTITION: 1}
-        assert cell_weights(out, ((0,), (0,), (1,), (1,))) == {LONE: 2}
+        assert cell_weights(out, ((1,), (0,), (1,), (0,))) == {EMPTY_PARTITION: -1}
+        assert cell_weights(out, ((0,), (0,), (1,), (1,))) == {LONE: -2}
 
     def test_rho_naturals_enables_promise_wildcards(self):
         assert ctx_for("cvc", 1).rho_wild
@@ -335,6 +337,48 @@ class TestSolvers:
             "cwexpr k=2\n(add 1 2 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))")
         with pytest.raises(NotIrredundantError):
             solve_connected_sigma_rho(expr, preset_spec("cds"))
+
+    def test_a_degree_cap_above_the_vertex_count_is_capped_at_it(
+            self, monkeypatch):
+        # d-regular:300 has d = 301, above n = 5: the slot alphabet is that
+        # of d = n, at most 4(n + 1)^2 codes, not 4 * 302^2
+        made = []
+
+        class Spy(DomContext):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(cwsolve.sigma_rho, "DomContext", Spy)
+        path, n = fixture("path", 5), 5
+        res = solve_connected_sigma_rho(path, preset_spec("d-regular:300"))
+        assert made and all(len(ctx.slots) <= 4 * (n + 1) ** 2 for ctx in made)
+        assert res.optimum == solve_connected_sigma_rho(
+            path, preset_spec("d-regular:100")).optimum
+
+    def test_degree_caps_above_the_vertex_count_match_the_oracle(self):
+        # sigma and rho values up to n + 2, so d often exceeds n
+        rng = random.Random(8)
+        for _ in range(150):
+            expr = random_expression(rng, rng.randint(1, 6), rng.randint(1, 3))
+            graph = evaluate(expr)
+
+            def mu():
+                values = rng.sample(range(graph.n + 3), rng.randint(1, 3))
+                return MuSet(rng.random() < 0.4, frozenset(values))
+
+            spec = SigmaRhoSpec(mu(), mu(), rng.choice((MAX, MIN)),
+                                co=rng.random() < 0.5)
+            if spec.d < 1:
+                continue
+            want = brute_sigma_rho(graph, spec)[0]
+            for use_reduce in (True, False):
+                res = solve_connected_sigma_rho(expr, spec, with_witness=True,
+                                                use_reduce=use_reduce)
+                assert res.optimum == want
+                if res.feasible:
+                    assert check_solution(graph, spec, res.witness,
+                                          res.optimum) is None
 
     @pytest.mark.parametrize("name", ["d-regular:٢", "d-regular:²",
                                       "d-regular:", "d-regular:-1"])

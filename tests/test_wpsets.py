@@ -5,11 +5,11 @@ import pytest
 import cwsolve.wpsets
 from cwsolve.oracle import check_representative
 from cwsolve.partitions import Partition, iter_partitions, merge_blocks
-from cwsolve.wpsets import (MAX, MERGE_MEMO, MIN, NEG_INF, POS_INF,
-                            InvariantError, WPSet, ac_reduce, acjoin,
-                            combine_witness, cut_row, edge_cell, join_sets,
-                            max_weight_basis, proj, query_opt, reduce_set,
-                            witness_names)
+from cwsolve.sigma_rho import NATURALS, POSITIVES, DomContext, SigmaRhoSpec
+from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, InvariantError, WPSet,
+                            ac_reduce, acjoin, combine_witness, cut_row,
+                            edge_cell, join_sets, max_weight_basis, proj,
+                            query_opt, reduce_set, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -23,33 +23,35 @@ def P(*blocks, ground=None):
 class TestRmc:
     def test_max_keeps_heavier(self):
         p = P({1, 2})
-        out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground, MAX)
+        out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground)
         assert out.entries[p] == (5, None)
 
     def test_min_keeps_lighter(self):
+        # a minimising problem's cells hold negated weights
         p = P({1, 2})
-        out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground, MIN)
-        assert out.entries[p] == (3, None)
+        out = WPSet.from_pairs([(p, -3), (p, -5)], p.ground)
+        assert out.entries[p] == (-3, None)
 
     def test_distinct_partitions_untouched(self):
         p, q = P({1, 2}), P({1}, {2})
-        out = WPSet.from_pairs([(p, 3), (q, 5)], p.ground, MAX)
+        out = WPSet.from_pairs([(p, 3), (q, 5)], p.ground)
         assert len(out) == 2
 
     def test_tie_keeps_the_first_witness(self):
         # the same input yields the same witness: of two equal-weight
         # entries the first is kept, whatever the names
+        # (a minimising problem's negated weights: sign -1)
         p, q = P({1, 2}), P({1}, {2})
-        pairs = [(q, 1, "c"), (p, 3, "b"), (p, 3, ("a", "d")), (q, 1, ())]
-        for direction, better in ((MAX, 4), (MIN, 2)):
-            out = WPSet.from_pairs(pairs, p.ground, direction)
-            assert out.entries == {q: (1, "c"), p: (3, "b")}
-            assert WPSet.from_pairs(pairs, p.ground, direction).entries == \
-                out.entries
-            assert WPSet.from_pairs(pairs[::-1], p.ground, direction).entries == \
-                {q: (1, ()), p: (3, ("a", "d"))}
-            out.add(p, better, "e")
-            assert out.entries[p] == (better, "e")
+        for sign, better in ((1, 4), (-1, 2)):
+            pairs = [(q, sign, "c"), (p, 3 * sign, "b"), (p, 3 * sign, ("a", "d")),
+                     (q, sign, ())]
+            out = WPSet.from_pairs(pairs, p.ground)
+            assert out.entries == {q: (sign, "c"), p: (3 * sign, "b")}
+            assert WPSet.from_pairs(pairs, p.ground).entries == out.entries
+            assert WPSet.from_pairs(pairs[::-1], p.ground).entries == \
+                {q: (sign, ()), p: (3 * sign, ("a", "d"))}
+            out.add(p, sign * better, "e")
+            assert out.entries[p] == (sign * better, "e")
 
 
 class TestWitness:
@@ -72,9 +74,9 @@ class TestWitness:
         assert len(witness_names(w)) == 50_000
 
     def test_join_builds_pairs_not_sets(self):
-        a = WPSet.from_pairs([(P({1}), 5, "x")], 0b10, MAX)
-        b = WPSet.from_pairs([(P({2}), 3, ("y", "z"))], 0b100, MAX)
-        edge = WPSet.from_pairs([(P({1, 2}), 0, ())], 0b110, MAX)
+        a = WPSet.from_pairs([(P({1}), 5, "x")], 0b10)
+        b = WPSet.from_pairs([(P({2}), 3, ("y", "z"))], 0b100)
+        edge = WPSet.from_pairs([(P({1, 2}), 0, ())], 0b110)
         joined = join_sets(join_sets(a, b), edge)
         assert joined.entries == {P({1, 2}): (8, ("x", ("y", "z")))}
 
@@ -84,53 +86,53 @@ class TestWitness:
         for witness in ("x", ("y", "z"), (), None):
             cell = WPSet.from_pairs([(P({1}, {2}), 5, witness),
                                      (P({1}, {2}, {3}), 3, witness)],
-                                    0b1110, MAX)
-            joined = join(cell, edge_cell(1, 2, MAX))
+                                    0b1110)
+            joined = join(cell, edge_cell(1, 2))
             assert joined.entries == {P({1, 2}): (5, witness),
                                       P({1, 2}, {3}): (3, witness)}
 
 
 class TestProj:
     def test_block_inside_dropped_set_kills_entry(self):
-        a = WPSet.from_pairs([(P({1, 2}, {3}), 4)], 0b1110, MAX)
-        assert len(proj(a, [3])) == 0
+        a = WPSet.from_pairs([(P({1, 2}, {3}), 4)], 0b1110)
+        assert len(proj(a, 1 << 3)) == 0
 
     def test_partial_overlap_restricts(self):
-        a = WPSet.from_pairs([(P({1, 2}, {3}), 4)], 0b1110, MAX)
-        out = proj(a, [2])
+        a = WPSet.from_pairs([(P({1, 2}, {3}), 4)], 0b1110)
+        out = proj(a, 1 << 2)
         assert out.entries == {P({1}, {3}, ground=[1, 3]): (4, None)}
 
     def test_empty_drop_is_identity(self):
-        a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110, MAX)
-        assert proj(a, []).entries == a.entries
+        a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
+        assert proj(a, 0).entries == a.entries
 
 
 class TestJoins:
     def test_disjoint_grounds(self):
-        a = WPSet.from_pairs([(P({1}), 5)], 0b10, MAX)
-        b = WPSet.from_pairs([(P({2}), 3)], 0b100, MAX)
+        a = WPSet.from_pairs([(P({1}), 5)], 0b10)
+        b = WPSet.from_pairs([(P({2}), 3)], 0b100)
         out = join_sets(a, b)
         assert out.entries == {P({1}, {2}): (8, None)}
 
     def test_overlapping_grounds_merge(self):
-        a = WPSet.from_pairs([(P({1}), 5)], 0b10, MAX)
-        b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110, MAX)
+        a = WPSet.from_pairs([(P({1}), 5)], 0b10)
+        b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110)
         out = join_sets(a, b)
         assert out.entries == {P({1, 2}): (8, None)}
 
     def test_empty_side_gives_empty(self):
-        a = WPSet(0b10, MAX)
-        b = WPSet.from_pairs([(P({1}), 3)], 0b10, MAX)
+        a = WPSet(0b10)
+        b = WPSet.from_pairs([(P({1}), 3)], 0b10)
         assert len(join_sets(a, b)) == 0
         assert len(acjoin(b, a)) == 0
 
     def test_acjoin_accepts_tree_link(self):
-        a = WPSet.from_pairs([(P({1}), 5)], 0b10, MAX)
-        b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110, MAX)
+        a = WPSet.from_pairs([(P({1}), 5)], 0b10)
+        b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110)
         assert acjoin(a, b).entries == {P({1, 2}): (8, None)}
 
     def test_acjoin_rejects_duplicate_link(self):
-        a = WPSet.from_pairs([(P({1, 2}), 1)], 0b110, MAX)
+        a = WPSet.from_pairs([(P({1, 2}), 1)], 0b110)
         assert len(acjoin(a, a)) == 0
 
     def test_acjoin_equals_filtered_bruteforce(self):
@@ -142,7 +144,7 @@ class TestJoins:
             b = random_wpset(rng, gb, 4)
             got = acjoin(a, b)
             union = ga | gb
-            expect = WPSet(union, MAX)
+            expect = WPSet(union)
             from cwsolve.partitions import acyclic
             for p, (w1, _) in a.entries.items():
                 for q, (w2, _) in b.entries.items():
@@ -155,16 +157,16 @@ class TestJoins:
 
 class TestBasis:
     def test_independent_rows_all_selected(self):
-        assert sorted(max_weight_basis([0b01, 0b10], [5, 3], MAX)) == [0, 1]
+        assert sorted(max_weight_basis([0b01, 0b10], [5, 3])) == [0, 1]
 
     def test_identical_rows_keep_best(self):
-        assert max_weight_basis([0b01, 0b01], [3, 5], MAX) == [1]
-        assert max_weight_basis([0b01, 0b01], [3, 5], MIN) == [0]
+        assert max_weight_basis([0b01, 0b01], [3, 5]) == [1]
+        assert max_weight_basis([0b01, 0b01], [-3, -5]) == [0]
 
     def test_dependent_triple_exchanges_up(self):
         r1, r2 = 0b011, 0b101
         r3 = r1 ^ r2
-        chosen = sorted(max_weight_basis([r1, r2, r3], [1, 1, 5], MAX))
+        chosen = sorted(max_weight_basis([r1, r2, r3], [1, 1, 5]))
         assert chosen == [0, 2]  # weight 6; verified against all candidate bases
 
     def test_exhaustive_optimality_small(self):
@@ -173,7 +175,7 @@ class TestBasis:
         for _ in range(100):
             rows = [rng.randrange(1, 16) for _ in range(5)]
             weights = [rng.randint(0, 9) for _ in range(5)]
-            chosen = max_weight_basis(rows, weights, MAX)
+            chosen = max_weight_basis(rows, weights)
             got = sum(weights[i] for i in chosen)
 
             def rank(idxs):
@@ -209,7 +211,7 @@ class TestCutRows:
 class TestReduce:
     def test_empty_ground_keeps_single_best(self):
         empty = Partition(())
-        a = WPSet.from_pairs([(empty, 7), (empty, 2)], 0, MAX)
+        a = WPSet.from_pairs([(empty, 7), (empty, 2)], 0)
         out = reduce_set(a)
         assert out.entries == {empty: (7, None)}
 
@@ -242,18 +244,17 @@ class TestReduce:
             a = random_wpset(rng, ground, 12)
             assert check_representative(a, reduce_set(a), "plain")
             assert check_representative(a, ac_reduce(a), "acyclic")
-            b = random_wpset(rng, ground, 12, direction=MIN)
+            b = random_wpset(rng, ground, 12, sign=-1)
             assert check_representative(b, reduce_set(b), "plain")
 
     def test_survivors_keep_input_order_and_witnesses(self):
         rng = random.Random(43)
         for ground, size in ((0b1110, 30), (0b11110, 80)):
-            for direction in (MAX, MIN):
-                a = random_wpset(rng, ground, size, direction=direction)
+            for sign in (1, -1):
+                a = random_wpset(rng, ground, size, sign=sign)
                 a.entries = {p: (w, f"w{i}") for i, (p, (w, _))
                              in enumerate(a.entries.items())}
-                outs = [reduce_set(a)] + ([ac_reduce(a)] if direction == MAX else [])
-                for out in outs:
+                for out in (reduce_set(a), ac_reduce(a)):
                     order = list(a.entries)
                     kept = [order.index(p) for p in out.entries]
                     assert kept == sorted(kept)
@@ -263,22 +264,18 @@ class TestReduce:
         # block counts 2, 1, 2: a body that emits group by group would put
         # the whole-ground entry last
         a = WPSet.from_pairs([(P({1, 2}, {3}), 1, "x"), (P({1, 2, 3}), 2, "y"),
-                              (P({1, 3}, {2}), 3, "z")], 0b1110, MAX)
+                              (P({1, 3}, {2}), 3, "z")], 0b1110)
         out = ac_reduce(a)
         assert list(out.entries.items()) == list(a.entries.items())
 
     def test_basis_above_the_rank_bound_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr("cwsolve.wpsets.max_weight_basis",
-                            lambda rows, weights, direction: range(len(rows)))
-        a = WPSet.from_pairs([(p, 1) for p in iter_partitions(0b1110)], 0b1110, MAX)
+                            lambda rows, weights: range(len(rows)))
+        a = WPSet.from_pairs([(p, 1) for p in iter_partitions(0b1110)], 0b1110)
         with pytest.raises(InvariantError):
             reduce_set(a)  # 5 partitions of 3 elements, bound 2^2 = 4
         # one group per block count: 1 + 3 + 1 entries, each at most 4
         assert len(ac_reduce(a)) == 5
-
-    def test_ac_reduce_rejects_minimization(self):
-        with pytest.raises(ValueError):
-            ac_reduce(WPSet(0b10, MIN))
 
 
 class TestMergeMemo:
@@ -316,50 +313,46 @@ class TestMergeMemo:
 
 
 class TestContracts:
-    def test_direction_mismatch_rejected(self):
-        a = WPSet(0b10, MAX)
-        b = WPSet(0b10, MIN)
+    def test_ground_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            join_sets(a, b)
-        with pytest.raises(ValueError):
-            a.update(WPSet(0b100, MAX))
+            WPSet(0b10).update(WPSet(0b100))
 
     def test_proj_outside_ground_rejected(self):
-        a = WPSet(0b10, MAX)
+        a = WPSet(0b10)
         with pytest.raises(ValueError):
-            proj(a, [5])
+            proj(a, 1 << 5)
 
     def test_unknown_direction_and_mode_rejected(self):
+        # a direction is a problem's, not a cell's
         with pytest.raises(ValueError):
-            WPSet(0b10, "best")
+            DomContext(SigmaRhoSpec(NATURALS, POSITIVES, "best"), 1)
         with pytest.raises(ValueError):
-            query_opt(WPSet(0b10, MAX), Partition.singletons(0b10), "fuzzy")
+            query_opt(WPSet(0b10), Partition.singletons(0b10), "fuzzy")
 
 
 class TestBlockTupleKeys:
     def test_cells_answer_partitions_and_block_tuples_alike(self):
         p = P({1, 2}, {3})
-        by_tuple = WPSet.from_pairs([((0b0110, 0b1000), 5)], 0b1110, MAX)
-        by_partition = WPSet.from_pairs([(p, 5)], 0b1110, MAX)
+        by_tuple = WPSet.from_pairs([((0b0110, 0b1000), 5)], 0b1110)
+        by_partition = WPSet.from_pairs([(p, 5)], 0b1110)
         assert by_tuple.entries == by_partition.entries
         assert by_tuple.entries[p] == by_partition.entries[(0b0110, 0b1000)]
         joined = join_sets(by_partition, WPSet.from_pairs([(P({2, 3}), 1)],
-                                                          0b1100, MAX))
+                                                          0b1100))
         assert joined.entries[P({1, 2, 3})] == (6, None)
 
 
 class TestQueryOpt:
     def test_acyclic_completion(self):
-        a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110, MAX)
+        a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
         assert query_opt(a, P({1}, {2}), "acyclic") == 4
 
     def test_empty_set_sentinels(self):
-        assert query_opt(WPSet(0b10, MAX), P({1}), "plain") == NEG_INF
-        assert query_opt(WPSet(0b10, MIN), P({1}), "plain") == POS_INF
+        assert query_opt(WPSet(0b10), P({1}), "plain") == NEG_INF
 
     def test_singletons_complete_against_whole(self):
         ground = 0b1110
-        a = WPSet.from_pairs([(Partition.singletons(ground), 9)], ground, MAX)
+        a = WPSet.from_pairs([(Partition.singletons(ground), 9)], ground)
         whole = Partition.whole(ground)
         assert query_opt(a, whole, "plain") == 9
         assert query_opt(a, whole, "acyclic") == 9
