@@ -51,8 +51,8 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, contrib,
-                     edge_cell, merge_cells, proj)
+from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, edge_cell,
+                     proj, put)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -128,7 +128,7 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
         if a == ABSENT or b == ABSENT:
             # no forest vertex on one side: nothing changes, so a waiting
             # class goes on waiting, which needs a later add
-            out[state] = cell
+            put(out, state, cell)
             continue
         # Classes that still wait for their allowed add get it consumed here;
         # every other populated/populated combination closes a cycle.
@@ -143,23 +143,19 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             drop = 1 << j
         else:
             continue
-        merged = acjoin(cell, edge)
-        if drop:
-            merged = proj(merged, drop)
-        if merged.entries:
-            out[target] = merged
+        put(out, target, proj(acjoin(cell, edge), drop))
     return out
 
 
 def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
-    acc: dict[State, list[WPSet]] = {}
+    out: Table = {}
     ii, jj = i - 1, j - 1
     edge = edge_cell(i, j)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT:
-            contrib(acc, state, cell)
+            put(out, state, cell)
             continue
         if b == ABSENT:
             target = list(state)
@@ -169,7 +165,7 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             else:
                 # Rename element i to j inside every partition.
                 moved = proj(acjoin(cell, edge), 1 << i)
-            contrib(acc, tuple(target), moved)
+            put(out, tuple(target), moved)
             continue
         if a in (ONE, MANY_DONE) and b in (ONE, MANY_DONE):
             # Both classes populated and finished: the merged class is
@@ -177,15 +173,15 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_DONE
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
-            contrib(acc, tuple(target), proj(cell, drop))
+            put(out, tuple(target), proj(cell, drop))
         if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_WAIT
-            contrib(acc, tuple(target), proj(acjoin(cell, edge), 1 << i))
-    return merge_cells(acc)
+            put(out, tuple(target), proj(acjoin(cell, edge), 1 << i))
+    return out
 
 
 def fvs_retire(table: Table, dead: int) -> Table:
@@ -210,7 +206,7 @@ def fvs_retire(table: Table, dead: int) -> Table:
     partition.
     """
     labels = [l for l in range(dead.bit_length()) if dead >> l + 1 & 1]
-    acc: dict[State, list[WPSet]] = {}
+    out: Table = {}
     for state, cell in table.items():
         target = list(state)
         drop = 0
@@ -222,8 +218,8 @@ def fvs_retire(table: Table, dead: int) -> Table:
                 drop |= 2 << l
             target[l] = ABSENT
         else:
-            contrib(acc, tuple(target), proj(cell, drop) if drop else cell)
-    return merge_cells(acc)
+            put(out, tuple(target), proj(cell, drop))
+    return out
 
 
 def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
@@ -244,12 +240,10 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     is projected once per distinct label mask it loses, as several targets
     can drop the same labels from it.
     """
-    acc: dict[State, list[WPSet]] = {}
+    out: Table = {}
     projected: dict[tuple[int, int], WPSet] = {}
 
     def projection(cell: WPSet, drop: int) -> WPSet:
-        if not drop:
-            return cell
         key = (id(cell), drop)  # the cell is alive for the whole call
         got = projected.get(key)
         if got is None:
@@ -266,8 +260,8 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
                 pa = projection(ca, ones_a & done)
                 pb = projection(cb, ones_b & done)
                 if pa.entries and pb.entries:
-                    contrib(acc, target, acjoin(pa, pb))
-    return merge_cells(acc)
+                    put(out, target, acjoin(pa, pb))
+    return out
 
 
 def solve_fvs(expr: CwExpression, with_witness: bool = False,

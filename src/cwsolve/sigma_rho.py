@@ -51,8 +51,8 @@ from . import dp
 from .cwexpr import (LEAF, CwExpression, NotIrredundantError,
                      check_irredundant, vertex_weights)
 from .dp import SolveStats
-from .wpsets import (NEG_INF, POS_INF, WPSet, contrib, edge_cell, join_sets,
-                     merge_cells, proj, reduce_set)
+from .wpsets import (NEG_INF, POS_INF, WPSet, edge_cell, join_sets, proj, put,
+                     reduce_set)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
 
@@ -360,14 +360,11 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
                 elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
                     res = cell
                 else:  # link i and j, then drop the classes that closed
-                    res = join_sets(cell, edge)
-                    drop = (0 if oi else 1 << i) | (0 if oj else 1 << j)
-                    if drop:
-                        res = proj(res, drop)
+                    res = proj(join_sets(cell, edge),
+                               (0 if oi else 1 << i) | (0 if oj else 1 << j))
                 done[oi, oj] = res
-            if res.entries:
-                slots[ii], slots[jj] = ni, nj
-                out[tuple(slots)] = res
+            slots[ii], slots[jj] = ni, nj
+            put(out, tuple(slots), res)
     return out
 
 
@@ -380,7 +377,7 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
         return table
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
     edge = edge_cell(i, j)
-    acc: dict = {}
+    out: dict = {}
     for key, cell in table.items():
         code = rel[key[ii]][key[jj]]
         if code is not None:
@@ -388,8 +385,8 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             slots[ii], slots[jj] = 0, code
             if ctx.open[code]:
                 cell = proj(join_sets(cell, edge), 1 << i)
-            contrib(acc, tuple(slots), cell)
-    return merge_cells(acc)
+            put(out, tuple(slots), cell)
+    return out
 
 
 def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
@@ -420,7 +417,7 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
     """
     labels = [l for l in range(ctx.k) if dead >> l + 1 & 1]
     final, has_x, marker = ctx.final, ctx.has_x, ctx.marker
-    acc: dict = {}
+    out: dict = {}
     for key, cell in table.items():
         x = 0
         for l in labels:
@@ -434,8 +431,8 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
                 slots[l] = 0
             if x and not any(map(has_x.__getitem__, slots)):
                 slots[labels[0]] = marker
-            contrib(acc, tuple(slots), cell)
-    return merge_cells(acc)
+            put(out, tuple(slots), cell)
+    return out
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
@@ -445,7 +442,7 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
     is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
     side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
               for key_b, cell_b in table_b.items()]
-    acc: dict = {}
+    out: dict = {}
     join_cache: dict[tuple[int, int], WPSet] = {}
     for key_a, cell_a in table_a.items():
         open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
@@ -462,8 +459,8 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             joined = join_cache.get(ck)
             if joined is None:
                 joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            contrib(acc, key, joined)
-    return merge_cells(acc)
+            put(out, key, joined)
+    return out
 
 
 def _solve(expr: CwExpression, ctx: DomContext, use_reduce: bool,

@@ -10,6 +10,10 @@ Insertion keeps the set normalized: one entry per partition, largest weight,
 and on a tie the entry inserted first.  Insertion order is deterministic, so
 the same input always keeps the same witness.
 
+A cell is never mutated once a table holds it, as tables share cells: the
+transitions store cells with :func:`put`, which merges into a copy, and
+:func:`proj` with nothing to drop returns its input.
+
 A witness is an O(1) provenance value, never a set: ``None`` means witnesses
 are not tracked, ``()`` is the empty witness, a vertex name is a leaf, and a
 pair ``(a, b)`` joins two non-empty witnesses.  Pairs share their parts, so
@@ -131,7 +135,7 @@ def proj(a: WPSet, drop: int) -> WPSet:
     if drop & ~a.ground:
         raise ValueError("proj: elements outside the ground set")
     if not drop:
-        return a.copy()
+        return a  # cells are never mutated once published
     keep = ~drop
     out = WPSet(a.ground & keep)
     for p, (w, wit) in a.entries.items():
@@ -163,33 +167,12 @@ def edge_cell(i: int, j: int) -> WPSet:
     return cell
 
 
-def _shifted(base: WPSet, weight: int, witness, ground: int) -> WPSet:
-    out = WPSet(ground)
-    if weight == 0 and not witness:
-        out.entries = dict(base.entries)
-        return out
-    for p, (w, wit) in base.entries.items():
-        out.entries[p] = (w + weight, combine_witness(wit, witness))
-    return out
-
-
 # (p, q) -> merge_blocks(p, q) for the block tuples the joins have merged.
 MERGE_MEMO: dict[tuple[Blocks, Blocks], Blocks] = {}
 
 
 def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
     ground = a.ground | b.ground
-    if not a.entries or not b.entries:
-        return WPSet(ground)
-    # A single entry over the empty ground set only shifts weights; this also
-    # holds under the acyclicity check (extending by fresh singletons never
-    # closes a cycle).
-    if a.ground == 0 and len(a.entries) == 1:
-        (w1, x1), = a.entries.values()
-        return _shifted(b, w1, x1, ground)
-    if b.ground == 0 and len(b.entries) == 1:
-        (w2, x2), = b.entries.values()
-        return _shifted(a, w2, x2, ground)
     out = WPSet(ground)
     n = ground.bit_count()
     ext_a = (b.ground & ~a.ground).bit_count()
@@ -342,20 +325,15 @@ def ac_reduce(a: WPSet) -> WPSet:
     return _reduce(a, len)
 
 
-def contrib(acc: dict, key, cell: WPSet) -> None:
-    """Collect a nonempty cell for ``key``; :func:`merge_cells` combines them."""
-    if cell.entries:
-        acc.setdefault(key, []).append(cell)
-
-
-def merge_cells(acc: dict) -> dict:
-    """The table of an accumulator: each key's cells merged into one."""
-    out = {}
-    for key, cells in acc.items():
-        merged = cells[0]
-        if len(cells) > 1:
-            merged = merged.copy()
-            for extra in cells[1:]:
-                merged.update(extra)
-        out[key] = merged
-    return out
+def put(table: dict, key, cell: WPSet) -> None:
+    """Store a nonempty ``cell`` at ``key``; at a taken key, a merged copy
+    (cells are shared, so neither is mutated) that keeps the best weight per
+    partition and, on a tie, the entry stored first."""
+    if not cell.entries:
+        return
+    cur = table.get(key)
+    if cur is not None:
+        merged = cur.copy()
+        merged.update(cell)
+        cell = merged
+    table[key] = cell

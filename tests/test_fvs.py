@@ -10,7 +10,7 @@ from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
                          fvs_union, state_ground)
 from cwsolve.oracle import brute_min_fvs
 from cwsolve.partitions import Partition
-from cwsolve.wpsets import WPSet, acjoin, contrib, merge_cells, proj
+from cwsolve.wpsets import WPSet, acjoin, proj, put
 
 from conftest import random_graph, random_partition
 
@@ -150,7 +150,7 @@ class TestUnionBoxes:
 
 def _state_pair_union(table_a, table_b, k):
     """The union as one join per state pair and target: the reference."""
-    acc = {}
+    out = {}
     for sa, ca in table_a.items():
         for sb, cb in table_b.items():
             options = [UNION_STATE_OPTIONS[(sa[l], sb[l])] for l in range(k)]
@@ -162,8 +162,8 @@ def _state_pair_union(table_a, table_b, k):
                         drop_b |= 2 << l if sb[l] == ONE else 0
                 pa, pb = proj(ca, drop_a), proj(cb, drop_b)
                 if pa.entries and pb.entries:
-                    contrib(acc, target, acjoin(pa, pb))
-    return merge_cells(acc)
+                    put(out, target, acjoin(pa, pb))
+    return out
 
 
 def _random_table(rng, k):

@@ -9,7 +9,7 @@ from cwsolve.sigma_rho import NATURALS, POSITIVES, DomContext, SigmaRhoSpec
 from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, InvariantError, WPSet,
                             ac_reduce, acjoin, combine_witness, cut_row,
                             edge_cell, join_sets, max_weight_basis, proj,
-                            query_opt, reduce_set, witness_names)
+                            put, query_opt, reduce_set, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -106,6 +106,11 @@ class TestProj:
         a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
         assert proj(a, 0).entries == a.entries
 
+    def test_empty_drop_returns_its_input(self):
+        # cells are never mutated once published, so no copy is needed
+        a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
+        assert proj(a, 0) is a
+
 
 class TestJoins:
     def test_disjoint_grounds(self):
@@ -125,6 +130,39 @@ class TestJoins:
         b = WPSet.from_pairs([(P({1}), 3)], 0b10)
         assert len(join_sets(a, b)) == 0
         assert len(acjoin(b, a)) == 0
+        empty = WPSet(0)
+        assert len(join_sets(empty, b)) == 0
+        assert len(acjoin(b, empty)) == 0
+
+    @pytest.mark.parametrize("join", [join_sets, acjoin])
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_one_entry_over_the_empty_ground_set_shifts_weights(self, join,
+                                                                tracked):
+        # the one partition of the empty ground set adds its weight and its
+        # witness's names to each entry of the other side, on either side;
+        # partitions and their order stay, and of two equal-weight entries
+        # each keeps its own witness
+        rng = random.Random(41)
+        for trial in range(60):
+            ground = rng.choice([0b10, 0b110, 0b1110, 0b11110])
+            other = WPSet(ground)
+            for idx in range(rng.randint(1, 6)):
+                other.add(random_partition(rng, ground), rng.randint(-3, 3),
+                          (f"o{idx}" if idx % 3 else ()) if tracked else None)
+            for wit in (("x", "y"), (), "z") if tracked else (None,):
+                weight = rng.randint(-5, 5)
+                one = WPSet.from_pairs([((), weight, wit)], 0)
+                for got in (join(one, other), join(other, one)):
+                    assert got.ground == ground
+                    assert list(got.entries) == list(other.entries)
+                    for p, (w, x) in other.entries.items():
+                        gw, gx = got.entries[p]
+                        assert gw == w + weight
+                        if tracked:
+                            assert witness_names(gx) == \
+                                witness_names(x) | witness_names(wit)
+                        else:
+                            assert gx is None
 
     def test_acjoin_accepts_tree_link(self):
         a = WPSet.from_pairs([(P({1}), 5)], 0b10)
@@ -153,6 +191,49 @@ class TestJoins:
                     if acyclic(pu, qu):
                         expect.add(pu.join(qu), w1 + w2)
             assert got.entries == expect.entries
+
+
+class TestPut:
+    def test_a_free_key_stores_the_cell_itself(self):
+        table = {}
+        cell = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
+        put(table, "k", cell)
+        assert table["k"] is cell
+        put(table, "e", WPSet(0b110))
+        assert "e" not in table  # an empty cell is not stored
+
+    def test_a_taken_key_gets_a_merged_copy(self):
+        # the merge keeps the best weight per partition and, on a tie, the
+        # entry stored first, in first-stored order; neither cell changes
+        rng = random.Random(42)
+        for _ in range(200):
+            ground = rng.choice([0b10, 0b110, 0b1110, 0b11110])
+            cells = [random_wpset(rng, ground, rng.randint(0, 5), max_weight=4)
+                     for _ in range(rng.randint(1, 4))]
+            for c, cell in enumerate(cells):
+                for p in cell.entries:
+                    cell.entries[p] = (cell.entries[p][0], f"w{c}")
+            before = [dict(cell.entries) for cell in cells]
+            table = {}
+            for cell in cells:
+                put(table, "k", cell)
+            want = {}
+            for cell in cells:
+                for p, (w, x) in cell.entries.items():
+                    if p not in want or w > want[p][0]:
+                        want[p] = (w, x)
+            assert [dict(cell.entries) for cell in cells] == before
+            if not want:
+                assert "k" not in table
+                continue
+            got = table["k"]
+            assert got.ground == ground
+            assert list(got.entries.items()) == list(want.items())
+            nonempty = [cell for cell in cells if cell.entries]
+            if len(nonempty) == 1:
+                assert got is nonempty[0]
+            else:
+                assert all(got is not cell for cell in cells)
 
 
 class TestBasis:
