@@ -1,12 +1,13 @@
 """Command-line front end: solve, check-expr, gen, oracle, bench.
 
 Exit codes: 0 success (check-expr: clean), 1 usage, 2 parse/validation,
-3 non-irredundant expression, 4 oracle instance too large.
+3 non-irredundant expression, 4 oracle instance too large, 5 out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -38,6 +39,7 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cwsolve", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,10 +62,12 @@ def _build_parser() -> _Parser:
     ps.add_argument("--no-reduce", action="store_true",
                     help="unpruned reference path: no reduction, no future filter")
     ps.add_argument("--json", action="store_true")
+    ps.set_defaults(handler=_cmd_solve)
 
     pc = sub.add_parser("check-expr", help="validate and report redundant adds")
     pc.add_argument("--expr", required=True)
     pc.add_argument("--json", action="store_true")
+    pc.set_defaults(handler=_cmd_check_expr)
 
     pg = sub.add_parser("gen", help="emit a fixture or naive expression")
     pg.add_argument("--kind", required=True,
@@ -71,15 +75,18 @@ def _build_parser() -> _Parser:
     pg.add_argument("--n", type=_ascii_int, default=0)
     pg.add_argument("--seed", type=_ascii_int, default=0)
     pg.add_argument("--graph", help="graph file (kind=naive)")
+    pg.set_defaults(handler=_cmd_gen)
 
     po = sub.add_parser("oracle", help="brute-force reference answer on a graph file")
     add_problem_args(po, with_expr=False)
     po.add_argument("--graph", required=True)
     po.add_argument("--json", action="store_true")
+    po.set_defaults(handler=_cmd_oracle)
 
     pb = sub.add_parser("bench", help="solve and emit per-node-kind stats as CSV")
     add_problem_args(pb, with_expr=True)
     pb.add_argument("--no-reduce", action="store_true")
+    pb.set_defaults(handler=_cmd_bench)
     return parser
 
 
@@ -223,20 +230,9 @@ def _cmd_bench(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "check-expr":
-            return _cmd_check_expr(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -249,6 +245,9 @@ def run(argv=None) -> int:
     except (ExpressionError, MuSetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 5
 
 
 def main() -> None:

@@ -285,3 +285,33 @@ def test_module_runs_as_a_script():
                           "path", "--n", "3"], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and out.stdout.startswith("cwexpr k=3"), out.stderr
+
+
+def test_out_of_memory_is_exit_code_5(capsys, monkeypatch, k3_file):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve_fvs", exhausted)
+    assert cli.run(["solve", "--problem", "fvs", "--expr", k3_file]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_one_process_serves_usage_errors_and_solves_alike(capsys, k3_file):
+    # the parser is built once per process; a usage error before or after
+    # a solve changes neither the solve's answer nor the next exit code
+    argv = ["solve", "--problem", "cvc", "--witness", "--json", "--expr", k3_file]
+    assert cli.run(["solve", "--problem", "fvs", "--bogus"]) == 1
+    assert cli.run(argv) == 0
+    here = json.loads(capsys.readouterr().out)
+    assert cli.run(["gen", "--kind", "clique"]) == 1
+    src = os.path.dirname(os.path.dirname(cwsolve.__file__))
+    alone = subprocess.run([sys.executable, "-m", "cwsolve.cli", *argv],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=60)
+    assert alone.returncode == 0, alone.stderr
+    alone = json.loads(alone.stdout)
+    for payload in (here, alone):
+        del payload["stats"]["elapsed_ms"]
+    assert here == alone
