@@ -24,11 +24,19 @@ The cells' weights are the vertex weights times :attr:`DomContext.sign`, -1
 for a minimising problem, since the :mod:`~cwsolve.wpsets` kernel only
 maximises; the root's largest weight times the sign is the optimum.
 
-Unless ``use_reduce`` is off (the unpruned reference path), the driver
-:func:`~cwsolve.dp.run` prunes in three ways.  It hands each transition the
-future degrees (:func:`~cwsolve.cwexpr.future_degrees`) capped at d, which
-drop the slot states they rule out, so keys no root key extends are never
-built; see :func:`_future_ok`.  It retires dead labels with
+Unless ``use_reduce`` is off (the unpruned reference path), a plain class
+without S vertices under rho = N minus {0, ..., r - 1} (r >= 1, as for cds and
+ctds) stores in ``p`` its *need*, the S-neighbours it still lacks, rather than
+the exact number still to come (:attr:`DomContext.at_least`): one code where
+exact promises take one per count that meets rho, which an add with an S
+partner would split again.  This is the exact-count to "at least" state change
+of van Rooij, Bodlaender and Rossmanith (ESA 2009), argued in
+:func:`_add_pairs` and :func:`_merge`; the reference path keeps exact counts,
+so the two check each other.  The driver :func:`~cwsolve.dp.run` also prunes
+in three ways.  It hands each transition the future degrees
+(:func:`~cwsolve.cwexpr.future_degrees`) capped at d, which drop the slot
+states they rule out, so keys no root key extends are never built; see
+:func:`_future_ok`.  It retires dead labels with
 :func:`srd_retire`: at a label of future degree 0 every final code becomes
 0, and one closed-X marker at the lowest dead label keeps the fact that a
 finished class held X, so the up to 2(d + 1) final codes of a finished class
@@ -188,6 +196,7 @@ class DomContext:
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
     n: int | None = None  # the vertex count, which caps d
+    pruned: bool = False  # the default path, which may store needs
 
     def __post_init__(self):
         if self.spec.direction not in (MAX, MIN):
@@ -196,7 +205,13 @@ class DomContext:
             raise ValueError("sigma = rho = N makes the problem trivial; d must be >= 1")
         self.d = d = self.spec.d if self.n is None else min(self.spec.d, self.n)
         self.sign = 1 if self.spec.direction == MAX else -1
-        self.rho_wild = self.spec.rho == NATURALS
+        rho = self.spec.rho
+        self.rho_wild = rho == NATURALS
+        # A class without S stores its need, not an exact promise, when rho
+        # is N minus {0, ..., r - 1} for some r >= 1 (plain, pruned path).
+        self.at_least = (self.pruned and not self.spec.co and not self.rho_wild
+                         and rho.cofinite
+                         and rho.values == frozenset(range(d_of(rho))))
         # The slot alphabet, (c, p, b, q) by code; code 0 is the empty slot.
         # Wildcards are stored as 0; plain ties b and q to c and p.
         self.slots = [(c, p, b, q) for c, p, b, q in
@@ -211,11 +226,14 @@ class DomContext:
         self.marker = min(code for code in range(len(self.slots))
                           if self.has_x[code] and self.final[code])
         # A vertex lies in S and X as (0, 0) or (1, 1) for plain, (1, 0) or
-        # (0, 1) for co; a terminal lies in X.  Leaf codes by terminality:
+        # (0, 1) for co; a terminal lies in X.  A vertex promises a count in
+        # sigma or rho, but under at_least one outside S needs r = d(rho),
+        # capped at d.  Leaf codes by terminality:
         placements = ((1, 0), (0, 1)) if self.spec.co else ((0, 0), (1, 1))
+        outside = {min(d_of(rho), d)} if self.at_least else rho
         self.leaf_codes = {t: [self.code[s, p, x, q] for s, x in placements
                                if x or not t for p in range(d + 1)
-                               if p in (self.spec.sigma if s else self.spec.rho)
+                               if p in (self.spec.sigma if s else outside)
                                for q in range(x + 1) if (s, p, x, q) in self.code]
                            for t in (False, True)}
         self._rels: dict = {}
@@ -257,14 +275,27 @@ def _merge(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
            fut_s: int | None) -> int | None:
     """The code of one class made of two, or None if their promises disagree
     where both are meaningful.  Union merges slot s of its two tables,
-    relabel i -> j slot i into slot j."""
+    relabel i -> j slot i into slot j.
+
+    The two classes gain the same neighbours from now on, so exact promises
+    must be equal.  Under :attr:`DomContext.at_least` a class without S holds
+    a need instead (:func:`_add_pairs`), and the smaller of two differing
+    values must be such a need: two needs keep the larger, since every
+    member must reach its own, and a need n beside an exact S promise p is
+    met iff n <= p, the merged class keeping p (at the cap d, p promises at
+    least d S-neighbours, which meets any need, as no need exceeds d)."""
     c1, p1, b1, q1 = a
     c2, p2, b2, q2 = b
     real1 = pres_a and (c1 or not ctx.rho_wild)
     real2 = pres_b and (c2 or not ctx.rho_wild)
-    if (real1 and real2 and p1 != p2) or (b1 and b2 and q1 != q2):
+    if b1 and b2 and q1 != q2:
         return None
-    p = p1 if real1 else (p2 if real2 else 0)
+    if real1 and real2:
+        if p1 != p2 and (not ctx.at_least or (c1 if p1 < p2 else c2)):
+            return None
+        p = max(p1, p2)
+    else:
+        p = p1 if real1 else (p2 if real2 else 0)
     return ctx.code_of((min(ctx.d, c1 + c2), p, b1 | b2, q1 if b1 else q2), fut_s)
 
 
@@ -272,12 +303,32 @@ def _add_pairs(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
                fut_a: int | None, fut_b: int | None) -> list[tuple[int, int]]:
     """The code pairs two classes can hold right after an add joins them: each
     gains the other's S and X vertices as neighbors, so what it promised below
-    the add is what remains plus what the add delivers."""
+    the add is what remains plus what the add delivers.
+
+    Under :attr:`DomContext.at_least` (rho = N minus {0, ..., r - 1}, plain,
+    pruned path) a class without S needs n = max(0, r - its S-neighbours so
+    far) more, one code where exact promises take one per possible
+    remainder; the add leaves max(0, n - partner's c).  Sound: an outside
+    vertex is satisfied iff it ends with at least r S-neighbours, and the
+    vertices of one class gain the same neighbours from now on, so the class
+    needs the largest of its members' needs (:func:`_merge`), and it is met
+    iff the adds to come deliver that many.  The partner's c is capped at d,
+    but c = d lowers any need to 0, as needs are at most d.  Where the vertex
+    count caps d below r, the leaf's need is d, which is never met, since the
+    expression delivers at most d - 1 S-neighbours; the future filter drops
+    it at once.  So a key with need n reaches the root iff one of the exact
+    keys it stands for (promises n, n + 1, ..., d) does, and keys that now
+    coincide answer every completion alike, so
+    :func:`~cwsolve.wpsets.put` merging their cells is sound."""
     def remaining(slot, partner, present):
         c, p, x, q = slot
-        return ([r for r in range(ctx.d + 1) if min(ctx.d, r + partner[0]) == p]
-                if present and (c or not ctx.rho_wild) else [0],
-                [r for r in (0, 1) if min(1, r + partner[2]) == q] if x else [0])
+        if not (present and (c or not ctx.rho_wild)):
+            ps = [0]
+        elif ctx.at_least and not c:
+            ps = [max(0, p - partner[0])]
+        else:
+            ps = [r for r in range(ctx.d + 1) if min(ctx.d, r + partner[0]) == p]
+        return ps, [r for r in (0, 1) if min(1, r + partner[2]) == q] if x else [0]
 
     (pas, qas), (pbs, qbs) = remaining(a, b, pres_a), remaining(b, a, pres_b)
     pairs = [(ctx.code_of((a[0], pa, a[2], qa), fut_a),
@@ -292,7 +343,9 @@ def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
     The class's vertices still gain exactly ``fut_s`` neighbours (capped at d;
     :func:`~cwsolve.cwexpr.future_degrees`).  A meaningful S promise (c > 0 or
     rho != N) counts S-neighbours among them, exactly below d and at least d
-    at d, so ``p > fut_s`` can never be met.  An X promise (q = 1) needs at
+    at d, or, for a class without S under :attr:`DomContext.at_least`, at
+    least ``p`` (a need; :func:`_add_pairs`), so ``p > fut_s`` can never be
+    met, and need 0 is final like promise 0.  An X promise (q = 1) needs at
     least one of them, whatever the S promise is.  Co also puts each of them
     in S or in X: a meaningful S promise below d leaves exactly ``fut_s - p``
     for X, which forces the X promise to ``min(1, fut_s - p)``.  A state that
@@ -493,7 +546,8 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
     started = time.perf_counter()
     _check_irredundant(expr)
     return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
-                                   n=expr.program.op.count(LEAF)),
+                                   n=expr.program.op.count(LEAF),
+                                   pruned=use_reduce),
                   use_reduce, started)
 
 

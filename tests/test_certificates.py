@@ -19,9 +19,9 @@ from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
                             Relabel, Union, edge_key)
 from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
                             brute_steiner, check_solution)
-from cwsolve.sigma_rho import (MAX, NATURALS, POSITIVES, MuSet, SigmaRhoSpec,
-                               preset_spec, solve_connected_sigma_rho,
-                               solve_steiner)
+from cwsolve.sigma_rho import (MAX, MIN, NATURALS, POSITIVES, MuSet,
+                               SigmaRhoSpec, preset_spec,
+                               solve_connected_sigma_rho, solve_steiner)
 from cwsolve.wpsets import NEG_INF, POS_INF
 
 from conftest import fold, random_expression, random_graph
@@ -300,6 +300,48 @@ def test_wide_specs_against_the_oracle_and_the_reference(name):
             if expr.k <= reference_k:
                 assert solve_connected_sigma_rho(
                     expr, spec, use_reduce=False).optimum == res.optimum
+            if res.feasible:
+                assert check_solution(graph, spec, res.witness,
+                                      res.optimum) is None, res.witness
+            else:
+                assert res.witness is None
+
+
+# Specs whose rho is N minus {0, ..., r - 1}: the pruned path stores a class
+# without S as its need (at least r S-neighbours), the reference path as its
+# exact future S-degree.  Name -> (spec, the largest k at which the reference
+# path is compared too); at d = 3 it takes 5-12 s on a naive n = 7
+# expression, so there it stops at k = 6.
+AT_LEAST_SPECS = {
+    "cds": (preset_spec("cds"), 8),
+    "ctds": (preset_spec("ctds"), 8),
+    "sigma {0,1,2} rho N-{0,1} min": (SigmaRhoSpec(
+        MuSet(False, frozenset({0, 1, 2})), MuSet(True, frozenset({0, 1})),
+        MIN), 6),
+    "sigma N rho N-{0,1,2} max": (SigmaRhoSpec(
+        NATURALS, MuSet(True, frozenset({0, 1, 2})), MAX), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_LEAST_SPECS))
+def test_at_least_needs_against_the_oracle_and_the_reference(name):
+    spec, reference_k = AT_LEAST_SPECS[name]
+    rng = random.Random(f"at-least:{name}")
+    for _ in range(15):
+        n = rng.randint(2, 8)
+        # random expressions merge classes whose members have different
+        # needs, and coned ones are connected, so that they are feasible
+        for expr in (random_expression(rng, n, rng.randint(2, 4)),
+                     *(coned(random_expression(rng, n - 1, rng.randint(2, 4)),
+                             rng.randint(0, 10)) for _ in range(2)),
+                     naive_expression(random_graph(n, rng))):
+            graph = evaluate(expr)
+            res = solve_connected_sigma_rho(expr, spec, with_witness=True)
+            want = brute_sigma_rho(graph, spec)[0]
+            assert res.optimum == want, sorted(graph.edges)
+            if expr.k <= reference_k:
+                assert solve_connected_sigma_rho(
+                    expr, spec, use_reduce=False).optimum == want
             if res.feasible:
                 assert check_solution(graph, spec, res.witness,
                                       res.optimum) is None, res.witness

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -291,6 +292,135 @@ class TestUnionTable:
     def test_rho_naturals_enables_promise_wildcards(self):
         assert ctx_for("cvc", 1).rho_wild
         assert not ctx_for("cds", 1).rho_wild
+
+
+RHO_2 = SigmaRhoSpec(NATURALS, MuSet(True, frozenset({0, 1})), MIN)  # r = 2
+
+
+class TestAtLeastNeeds:
+    """Under rho = N minus {0, ..., r - 1} the pruned path stores a plain
+    class without S as its need, not as its exact future S-degree."""
+
+    @pytest.mark.parametrize("spec,want", [
+        (preset_spec("cds"), True), (preset_spec("ctds"), True), (RHO_2, True),
+        (SigmaRhoSpec(MuSet(False, frozenset({0, 1, 2})),
+                      MuSet(True, frozenset({0, 1, 2})), MAX), True),
+        (preset_spec("perfect-cds"), False), (preset_spec("cvc"), False),
+        (preset_spec("d-regular:2"), False),
+        (SigmaRhoSpec(POSITIVES, NATURALS, MIN), False),  # Steiner
+        (SigmaRhoSpec(NATURALS, MuSet(True, frozenset({1})), MIN), False),
+        (SigmaRhoSpec(NATURALS, POSITIVES, MIN, co=True), False)],
+        ids=lambda x: x.describe() if isinstance(x, SigmaRhoSpec) else str(x))
+    def test_only_the_pruned_plain_upward_closed_rho_stores_needs(self, spec,
+                                                                   want):
+        assert DomContext(spec, 2, pruned=True).at_least is want
+        assert not DomContext(spec, 2).at_least
+
+    def test_an_add_leaves_one_need_where_exact_counts_leave_two(self):
+        # cds: an outside class needing one S-neighbour meets an S class
+        pruned, exact = ctx_for("cds", 2, pruned=True), ctx_for("cds", 2)
+        out, s_class = (0, 1, 0, 0), (1, 0, 1, 0)
+        needs = _add_pairs(pruned, out, s_class, 1, 1, None, None)
+        counts = _add_pairs(exact, out, s_class, 1, 1, None, None)
+        code = exact.code
+        assert needs == [(code[0, 0, 0, 0], code[s_class])]
+        assert sorted(counts) == sorted([(code[0, 0, 0, 0], code[s_class]),
+                                         (code[out], code[s_class])])
+        # a need of 2 drops by the partner's c
+        rho2 = DomContext(RHO_2, 2, pruned=True)
+        assert _add_pairs(rho2, (0, 2, 0, 0), (2, 0, 1, 0), 1, 1, None, None) \
+            == [(rho2.code[0, 0, 0, 0], rho2.code[2, 0, 1, 0])]
+        assert _add_pairs(rho2, (0, 2, 0, 0), (1, 1, 1, 1), 1, 1, None, None) \
+            == [(rho2.code[0, 1, 0, 0], rho2.code[1, 1, 1, 1])]
+
+    def test_merge_keeps_the_larger_need_and_meets_it_by_a_promise(self):
+        ctx = DomContext(RHO_2, 2, pruned=True)
+        exact = DomContext(RHO_2, 2)
+
+        def merge(c, a, b):
+            return (_merge(c, a, b, 1, 1, None), _merge(c, b, a, 1, 1, None))
+
+        # two classes without S: the larger need
+        assert merge(ctx, (0, 2, 0, 0), (0, 1, 0, 0)) == (ctx.code[0, 2, 0, 0],) * 2
+        assert merge(ctx, (0, 0, 0, 0), (0, 1, 0, 0)) == (ctx.code[0, 1, 0, 0],) * 2
+        assert merge(exact, (0, 2, 0, 0), (0, 1, 0, 0)) == (None, None)
+        # a need against an exact S promise: kept iff need <= promise, with
+        # the promise
+        assert merge(ctx, (0, 1, 0, 0), (1, 2, 1, 1)) == (ctx.code[1, 2, 1, 1],) * 2
+        assert merge(ctx, (0, 1, 0, 0), (1, 1, 1, 1)) == (ctx.code[1, 1, 1, 1],) * 2
+        assert merge(ctx, (0, 0, 0, 0), (2, 0, 1, 0)) == (ctx.code[2, 0, 1, 0],) * 2
+        assert merge(ctx, (0, 2, 0, 0), (1, 1, 1, 1)) == (None, None)
+        assert merge(ctx, (0, 1, 0, 0), (1, 0, 1, 0)) == (None, None)
+        assert merge(exact, (0, 1, 0, 0), (1, 2, 1, 1)) == (None, None)
+        # two S promises must still be equal
+        assert merge(ctx, (1, 1, 1, 1), (1, 2, 1, 1)) == (None, None)
+        assert merge(ctx, (1, 1, 1, 1), (1, 1, 1, 1)) == (ctx.code[2, 1, 1, 1],) * 2
+        # an absent class is no need
+        assert _merge(ctx, (0, 0, 0, 0), (0, 2, 0, 0), 0, 1, None) == \
+            ctx.code[0, 2, 0, 0]
+
+    def test_a_leaf_outside_s_needs_r_capped_at_d(self):
+        # sigma = {0, 1, 2}, rho = N minus {0, 1}: d = 3, r = 2
+        spec = SigmaRhoSpec(MuSet(False, frozenset({0, 1, 2})), RHO_2.rho, MIN)
+        pruned, exact = DomContext(spec, 1, pruned=True), DomContext(spec, 1)
+        outside = [(0, p, 0, 0) for p in range(4)]
+        assert [c for c in pruned.leaf_codes[False]
+                if pruned.slots[c] in outside] == [pruned.code[0, 2, 0, 0]]
+        assert [exact.slots[c] for c in exact.leaf_codes[False]
+                if exact.slots[c] in outside] == [(0, 2, 0, 0), (0, 3, 0, 0)]
+        # n = 2 caps d at 2 below r = 3: the need d is never met, and the
+        # future filter drops it at the leaf
+        spec = SigmaRhoSpec(NATURALS, MuSet(True, frozenset({0, 1, 2})), MAX)
+        capped = DomContext(spec, 1, n=2, pruned=True)
+        assert capped.d == 2
+        assert [capped.slots[c] for c in capped.leaf_codes[False]
+                if not capped.slots[c][0]] == [(0, 2, 0, 0)]
+        table = decoded(capped, srd_leaf(capped, "x", 1, (1,)))
+        assert table and all(counts == (1,) for counts, _ in table)
+
+    @pytest.mark.parametrize("spec", [
+        *map(preset_spec, ("cds", "ctds", "perfect-cds", "cvc", "d-regular:2")),
+        SigmaRhoSpec(POSITIVES, NATURALS, MIN), RHO_2,
+        SigmaRhoSpec(MuSet(False, frozenset({0, 1, 2})),
+                     MuSet(True, frozenset({0, 1, 2})), MAX),
+        SigmaRhoSpec(MuSet(True, frozenset({0, 1})), NATURALS, MIN, co=True)],
+        ids=SigmaRhoSpec.describe)
+    def test_slots_and_leaf_codes_are_the_exact_ones_elsewhere(self, spec):
+        # the exact encoding's alphabet and leaf codes, spelled out
+        for pruned in (False, True):
+            ctx = DomContext(spec, 2, terminals=frozenset({"t"}), pruned=pruned)
+            d = ctx.d
+            assert ctx.slots == [
+                (c, p, b, q) for c, p, b, q in
+                product(range(d + 1), range(d + 1), (0, 1), (0, 1))
+                if q <= b and not (ctx.rho_wild and p and not c)
+                and (spec.co or (b == (c > 0) and q == (b and p > 0)))]
+            if ctx.at_least:
+                continue
+            placements = ((1, 0), (0, 1)) if spec.co else ((0, 0), (1, 1))
+            assert ctx.leaf_codes == {
+                t: [ctx.code[s, p, x, q] for s, x in placements
+                    if x or not t for p in range(d + 1)
+                    if p in (spec.sigma if s else spec.rho)
+                    for q in range(x + 1) if (s, p, x, q) in ctx.code]
+                for t in (False, True)}
+
+    def test_only_the_pruned_path_stores_needs(self, monkeypatch):
+        made = []
+
+        class Spy(DomContext):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(cwsolve.sigma_rho, "DomContext", Spy)
+        expr = fixture("cycle", 5)
+        pruned = solve_connected_sigma_rho(expr, preset_spec("cds"))
+        reference = solve_connected_sigma_rho(expr, preset_spec("cds"),
+                                              use_reduce=False)
+        assert [ctx.at_least for ctx in made] == [True, False]
+        assert pruned.optimum == reference.optimum == 3
+        assert pruned.stats.total_states < reference.stats.total_states
 
 
 class TestSolvers:
