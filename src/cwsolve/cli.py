@@ -104,6 +104,19 @@ def _terminal_list(args) -> frozenset[str]:
     return frozenset(t.strip() for t in args.terminals.split(",") if t.strip())
 
 
+def _check_options(args) -> None:
+    """Refuse the problem options ``args.problem`` would ignore: the set
+    options outside ``custom``, and a direction where it is fixed."""
+    if args.problem != "custom":
+        given = [f"--{name}" for name in ("sigma", "rho", "co")
+                 if getattr(args, name) not in (None, False)]
+        if given:
+            raise UsageError(f"--problem {args.problem} does not take "
+                             f"{', '.join(given)} (only custom does)")
+    if args.opt and args.problem in ("mif", "fvs", "steiner"):
+        raise UsageError(f"--problem {args.problem} does not take --opt")
+
+
 def _spec_for(args) -> SigmaRhoSpec:
     name = args.problem
     if name == "custom":
@@ -140,6 +153,7 @@ def _report(problem: str, optimum, witness, stats, as_json: bool) -> None:
 
 def _solve(args, with_witness: bool) -> tuple:
     """Solve ``args.problem`` on ``args.expr``: (optimum, witness, stats)."""
+    _check_options(args)
     expr = cwexpr.parse_expression(_read(args.expr))
     use_reduce = not args.no_reduce
     if args.problem in ("mif", "fvs"):
@@ -199,6 +213,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_options(args)
     graph = cwexpr.parse_graph(_read(args.graph))
     name = args.problem
     if name in ("mif", "fvs"):

@@ -3,7 +3,10 @@
 Every solver is the same bottom-up pass over a k-expression's compiled
 program, a table per position; it keeps only its transitions, which
 :func:`run` applies, and its root rule.
-The transitions only build tables: every pruning decision is the driver's.
+The driver owns the one switch for pruning (a :class:`Prune`, or None on the
+reference path), the retirement of dead labels and the rank-bound reduction.
+The transitions only build tables, except that the domination ones drop the
+slot states that the future degrees the driver hands them rule out.
 """
 
 from __future__ import annotations

@@ -236,20 +236,9 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     retires a dead label wherever its slot changes.
 
     Sound: each state pair and target is joined exactly once, and cells of
-    one target merge keeping the best weight per partition.  A side's cell
-    is projected once per distinct label mask it loses, as several targets
-    can drop the same labels from it.
+    one target merge keeping the best weight per partition.
     """
     out: Table = {}
-    projected: dict[tuple[int, int], WPSet] = {}
-
-    def projection(cell: WPSet, drop: int) -> WPSet:
-        key = (id(cell), drop)  # the cell is alive for the whole call
-        got = projected.get(key)
-        if got is None:
-            got = projected[key] = proj(cell, drop)
-        return got
-
     side_b = [(sb, cb, label_mask(sb, ONE)) for sb, cb in table_b.items()]
     for sa, ca in table_a.items():
         ones_a = label_mask(sa, ONE)
@@ -257,8 +246,8 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
             options = map(UNION_STATE_OPTIONS.__getitem__, zip(sa, sb))
             for target in product(*options):
                 done = label_mask(target, MANY_DONE)
-                pa = projection(ca, ones_a & done)
-                pb = projection(cb, ones_b & done)
+                pa = proj(ca, ones_a & done)
+                pb = proj(cb, ones_b & done)
                 if pa.entries and pb.entries:
                     put(out, target, acjoin(pa, pb))
     return out

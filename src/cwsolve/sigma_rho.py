@@ -196,7 +196,7 @@ class DomContext:
     with_witness: bool = False
     terminals: frozenset[str] = frozenset()
     n: int | None = None  # the vertex count, which caps d
-    pruned: bool = False  # the default path, which may store needs
+    pruned: bool = False  # the default path: prunes and may store needs
 
     def __post_init__(self):
         if self.spec.direction not in (MAX, MIN):
@@ -401,21 +401,17 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
         if not cands:
             continue
         rest_open = sum(map(is_open.__getitem__, key)) > is_open[ci] + is_open[cj]
-        done: dict[tuple[int, int], WPSet] = {}  # result cell by (oi, oj)
         slots = list(key)
         for ni, nj in cands:
             oi, oj = is_open[ni], is_open[nj]
-            res = done.get((oi, oj))
-            if res is None:
-                if not (rest_open or oi or oj):  # X is complete: keep weights
-                    res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
-                                            in cell.entries.values()), 0)
-                elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
-                    res = cell
-                else:  # link i and j, then drop the classes that closed
-                    res = proj(join_sets(cell, edge),
-                               (0 if oi else 1 << i) | (0 if oj else 1 << j))
-                done[oi, oj] = res
+            if not (rest_open or oi or oj):  # X is complete: keep weights
+                res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
+                                        in cell.entries.values()), 0)
+            elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
+                res = cell
+            else:  # link i and j, then drop the classes that closed
+                res = proj(join_sets(cell, edge),
+                           (0 if oi else 1 << i) | (0 if oj else 1 << j))
             slots[ii], slots[jj] = ni, nj
             put(out, tuple(slots), res)
     return out
@@ -424,10 +420,6 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
 def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             fut=None) -> dict:
     ii, jj = i - 1, j - 1
-    # An empty class i holds nothing but maybe the closed-X marker, and
-    # only where it is dead, which is where j is dead above.
-    if not present >> i & 1 and (fut is None or fut[jj]):
-        return table
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
     edge = edge_cell(i, j)
     out: dict = {}
@@ -496,7 +488,6 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
     side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
               for key_b, cell_b in table_b.items()]
     out: dict = {}
-    join_cache: dict[tuple[int, int], WPSet] = {}
     for key_a, cell_a in table_a.items():
         open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
         rows = list(map(getitem, rels, key_a))
@@ -506,22 +497,17 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             if x_a and x_b and not (open_a and open_b):
                 continue
             key = tuple(map(getitem, rows, key_b))
-            if None in key:
-                continue
-            ck = (id(cell_a), id(cell_b))
-            joined = join_cache.get(ck)
-            if joined is None:
-                joined = join_cache[ck] = join_sets(cell_a, cell_b)
-            put(out, key, joined)
+            if None not in key:
+                put(out, key, join_sets(cell_a, cell_b))
     return out
 
 
-def _solve(expr: CwExpression, ctx: DomContext, use_reduce: bool,
-           started: float) -> DomResult:
-    """Run the transitions over the expression; the optimum at the root."""
+def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
+    """Run the transitions over the expression, pruned iff ``ctx.pruned``;
+    the optimum at the root."""
     stats = SolveStats()
     prune = (dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set,
-                      partial(srd_retire, ctx)) if use_reduce else None)
+                      partial(srd_retire, ctx)) if ctx.pruned else None)
     table = dp.run(expr, stats, prune,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),
                    partial(srd_add, ctx), partial(srd_union, ctx))
@@ -547,8 +533,7 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
     _check_irredundant(expr)
     return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
                                    n=expr.program.op.count(LEAF),
-                                   pruned=use_reduce),
-                  use_reduce, started)
+                                   pruned=use_reduce), started)
 
 
 def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
@@ -571,4 +556,6 @@ def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
         return DomResult(weights[term], (term,) if with_witness else None, stats)
     spec = SigmaRhoSpec(POSITIVES, NATURALS, MIN)
     return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
-                                   terminals=terms), use_reduce, started)
+                                   terminals=terms,
+                                   n=expr.program.op.count(LEAF),
+                                   pruned=use_reduce), started)

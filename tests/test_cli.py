@@ -92,6 +92,11 @@ class TestSolve:
     def test_custom_requires_sets(self, k3_file):
         assert cli.run(["solve", "--problem", "custom", "--expr", k3_file]) == 1
 
+    def test_opt_overrides_a_preset(self, capsys, k3_file):
+        code, payload = run_json(capsys, ["solve", "--problem", "cds", "--opt",
+                                          "max", "--expr", k3_file, "--json"])
+        assert code == 0 and payload["optimum"] == 3
+
     def test_no_reduce_agrees(self, capsys, k3_file):
         _, base = run_json(capsys, ["solve", "--problem", "cds",
                                     "--expr", k3_file, "--json"])
@@ -174,6 +179,32 @@ class TestSolve:
         assert cli.run(["solve", "--problem", "fvs", "--expr", k3_file]) == 0
         out = capsys.readouterr().out
         assert "optimum:  1" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "oracle"])
+@pytest.mark.parametrize("problem, ignored", [
+    ("cds", ["--co"]),
+    ("cds", ["--sigma", "{0}", "--rho", "N", "--co"]),
+    ("ctds", ["--sigma", "N"]),
+    ("cvc", ["--rho", "N+"]),
+    ("d-regular:1", ["--sigma", ""]),
+    ("fvs", ["--sigma", "N", "--rho", "N"]),
+    ("steiner", ["--co"]),
+    ("fvs", ["--opt", "max"]),
+    ("mif", ["--opt", "min"]),
+    ("steiner", ["--opt", "max"]),
+])
+def test_options_the_problem_ignores_are_usage_errors(
+        capsys, k3_file, p4_graph_file, command, problem, ignored):
+    # --terminals is accepted by every problem; the same call without the
+    # ignored options succeeds
+    source = (["--graph", p4_graph_file, "--terminals", "a,d"]
+              if command == "oracle" else
+              ["--expr", k3_file, "--terminals", "v1,v3"])
+    argv = [command, "--problem", problem, *source]
+    assert cli.run(argv + ignored) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert cli.run(argv) == 0
 
 
 class TestCheckExpr:

@@ -192,28 +192,6 @@ def test_union_matches_the_state_pair_union():
     assert joined > 1000  # the random tables do meet
 
 
-def test_union_projects_each_cell_and_mask_once(monkeypatch):
-    import cwsolve.fvs
-
-    seen = []
-
-    def counting_proj(cell, drop):
-        seen.append((id(cell), drop))
-        return proj(cell, drop)
-
-    monkeypatch.setattr(cwsolve.fvs, "proj", counting_proj)
-    rng = random.Random(704)
-    calls = 0
-    for _ in range(200):
-        k = rng.randint(2, 4)
-        table_a, table_b = _random_table(rng, k), _random_table(rng, k)
-        seen.clear()
-        fvs_union(table_a, 0, table_b, 0)
-        assert len(seen) == len(set(seen)), (table_a, table_b)
-        calls += len(seen)
-    assert calls > 100  # the random tables do project
-
-
 class TestSolve:
     def test_triangle(self):
         res = solve_fvs(fixture("clique", 3))

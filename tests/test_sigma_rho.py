@@ -149,9 +149,20 @@ class TestLeafTables:
 
 class TestRenTable:
     def test_empty_class_is_identity(self):
-        ctx = ctx_for("cds", 2)
-        table = srd_leaf(ctx, "x", 4)
-        assert srd_ren(ctx, table, 0b010, 2, 1) is table
+        # relabelling an empty class into a live one changes no key and no
+        # cell, on the pruned path (live future degrees) and the reference
+        # path alike
+        def contents(ctx, table):
+            return {key: (cell.ground, cell.entries)
+                    for key, cell in decoded(ctx, table).items()}
+
+        for name, (pruned, fut) in product(("cds", "cvc"),
+                                           ((True, (1, 1)), (False, None))):
+            ctx = ctx_for(name, 2, pruned=pruned)
+            table = srd_leaf(ctx, "x", 4, fut)
+            assert len(table) >= 2
+            assert contents(ctx, srd_ren(ctx, table, 0b010, 2, 1, fut)) == \
+                contents(ctx, table)
 
     def test_merge_keys_and_promises(self):
         ctx = ctx_for("cds", 2)
@@ -406,14 +417,21 @@ class TestAtLeastNeeds:
                 for t in (False, True)}
 
     def test_only_the_pruned_path_stores_needs(self, monkeypatch):
-        made = []
+        made, pruned_runs = [], []
 
         class Spy(DomContext):
             def __post_init__(self):
                 super().__post_init__()
                 made.append(self)
 
+        run = cwsolve.dp.run
+
+        def spy_run(expr, stats, prune, *transitions):
+            pruned_runs.append(prune is not None)
+            return run(expr, stats, prune, *transitions)
+
         monkeypatch.setattr(cwsolve.sigma_rho, "DomContext", Spy)
+        monkeypatch.setattr(cwsolve.dp, "run", spy_run)
         expr = fixture("cycle", 5)
         pruned = solve_connected_sigma_rho(expr, preset_spec("cds"))
         reference = solve_connected_sigma_rho(expr, preset_spec("cds"),
@@ -421,6 +439,14 @@ class TestAtLeastNeeds:
         assert [ctx.at_least for ctx in made] == [True, False]
         assert pruned.optimum == reference.optimum == 3
         assert pruned.stats.total_states < reference.stats.total_states
+        # Steiner builds its context the same way: one bit, the context's,
+        # switches the driver's pruning, and the vertex count caps d
+        tree = solve_steiner(expr, ["v1", "v3"])
+        tree_reference = solve_steiner(expr, ["v1", "v3"], use_reduce=False)
+        assert tree.optimum == tree_reference.optimum == 3
+        assert [(ctx.pruned, ctx.at_least, ctx.n) for ctx in made] == [
+            (True, True, 5), (False, False, 5), (True, False, 5), (False, False, 5)]
+        assert pruned_runs == [ctx.pruned for ctx in made]
 
 
 class TestSolvers:
