@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .cwexpr import LEAF, REN, UNION, CwExpression, future_degrees
+from .cwexpr import ADD, LEAF, REN, UNION, CwExpression, future_degrees
 from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
                      witness_names)
 
@@ -48,14 +49,16 @@ KIND_NAMES = ("introduce", "relabel", "add", "union")  # by opcode
 
 class Prune(NamedTuple):
     """The pruned path: future degrees capped at ``cap``, ``reducer`` for
-    every cell above ``bound`` entries, and ``retire(table, dead)``, which
+    every cell above ``bound`` entries, ``retire(table, dead)``, which
     rewrites a table's keys to their canonical form over the mask ``dead``
-    of labels with future degree 0."""
+    of labels with future degree 0, and whether the transitions take the
+    ``lookahead`` to a parent add (:func:`run`)."""
 
     cap: int
     bound: int
     reducer: Callable[[WPSet], WPSet]
     retire: Callable[[dict, int], dict]
+    lookahead: bool = False
 
 
 def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
@@ -71,6 +74,26 @@ def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
     return fut, dead
 
 
+def touched(op: int, i: int, j: int) -> int:
+    """The labels whose slots a node sets (bit l for label l): the leaf's
+    label 1, none at a union, and i and j at an add or a relabel."""
+    return 2 if op == LEAF else 0 if op == UNION else 1 << i | 1 << j
+
+
+def lookaheads(program, fut: list, dead: list) -> list:
+    """Per position: ``(i, j, present, fut)`` of the parent add, its labels,
+    its child's mask of nonempty labels and its future degrees, or None where
+    the parent is no add or this node retires one of the add's labels."""
+    out = [None] * len(program.op)
+    op, i, j = program.op, program.i, program.j
+    for p in range(1, len(op)):
+        c = p - 1  # an add's child comes right before it
+        if op[p] == ADD and not (dead[c] & touched(op[c], i[c], j[c])
+                                 and dead[c] & (1 << i[p] | 1 << j[p])):
+            out[c] = (i[p], j[p], program.present[c], fut[p])
+    return out
+
+
 def live_width(present, dead) -> int:
     """The most nonempty labels outside its ``dead`` mask any position has."""
     return max((mask & ~gone).bit_count() for mask, gone in zip(present, dead))
@@ -84,7 +107,11 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     j, fut)``, ``add(table, present, i, j, fut)`` or ``union(table_a, pres_a,
     table_b, pres_b, fut)``, where ``present`` is a child's mask of nonempty
     label classes (bit l for label l) and ``fut`` the node's future degree
-    vector capped at ``prune.cap`` (:func:`capped_degrees`).  Each node's
+    vector capped at ``prune.cap`` (:func:`capped_degrees`).  Under
+    ``prune.lookahead`` a node whose parent is an add also gets that add's
+    ``(i, j, present, fut)`` (:func:`lookaheads`) as one more argument, so
+    that it can leave out, before building their cells, the keys the add
+    has no successor for; see below.  Each node's
     kind, states and largest cell go into ``stats``.  The joins' merge memo
     (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
 
@@ -109,30 +136,40 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     at every node.  The decision reads only the cell's size.  Each
     retirement rule argues its own soundness.
 
+    The lookahead is sound: an add maps each key to its successors alone
+    and drops a key with none, so its table is the same without those keys,
+    and so is every table above it; only the child's table and the stats
+    shrink.  The driver's own steps keep the test valid: they neither change
+    a cell of a kept key, nor, as long as the child retires none of the
+    add's labels (the lookahead is withheld where it does), its two slots.
+
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
     label counts.
     """
     program = expr.program
     fut, dead = capped_degrees(expr, None if prune is None else prune.cap)
+    aheads = (lookaheads(program, fut, dead)
+              if prune is not None and prune.lookahead else repeat(None))
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
     MERGE_MEMO.clear()
     try:
-        for op, i, j, left, name, weight, mask, vec, dying in zip(
+        for op, i, j, left, name, weight, mask, vec, dying, ahead in zip(
                 program.op, program.i, program.j, program.left, program.name,
-                program.weight, program.present, fut, dead):
+                program.weight, program.present, fut, dead, aheads):
+            extra = () if ahead is None else (ahead,)
             if op == LEAF:
-                table, touched = leaf(name, weight, vec), 2
+                table = leaf(name, weight, vec, *extra)
             elif op == UNION:
                 right = tables.pop()
-                table, touched = union(tables.pop(), program.present[left],
-                                       right, child, vec), 0
+                table = union(tables.pop(), program.present[left], right,
+                              child, vec, *extra)
             else:
-                table, touched = ((ren if op == REN else add)(
-                    tables.pop(), child, i, j, vec), 1 << i | 1 << j)
+                table = (ren if op == REN else add)(tables.pop(), child, i, j,
+                                                    vec, *extra)
             child = mask
-            if dying & touched:
+            if dying & touched(op, i, j):
                 table = prune.retire(table, dying)
             biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
@@ -168,5 +205,5 @@ def root_optimum(entries) -> tuple[int | float, tuple | None]:
     """
     best = WPSet.from_pairs(((_ROOT, *entry) for entry in entries
                              if entry is not None), 0)
-    weight, wit = best.entries.get(_ROOT, (NEG_INF, None))
+    weight, wit = best.get(_ROOT, (NEG_INF, None))
     return weight, None if wit is None else tuple(sorted(witness_names(wit)))

@@ -51,8 +51,8 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, edge_cell,
-                     proj, put)
+from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, link, proj,
+                     put)
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -122,7 +122,6 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
     out: Table = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
@@ -143,7 +142,7 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             drop = 1 << j
         else:
             continue
-        put(out, target, proj(acjoin(cell, edge), drop))
+        put(out, target, link(cell, i, j, drop, acyclic=True))
     return out
 
 
@@ -151,7 +150,6 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
     out: Table = {}
     ii, jj = i - 1, j - 1
-    edge = edge_cell(i, j)
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT:
@@ -164,7 +162,7 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
                 moved = cell
             else:
                 # Rename element i to j inside every partition.
-                moved = proj(acjoin(cell, edge), 1 << i)
+                moved = link(cell, i, j, 1 << i, acyclic=True)
             put(out, tuple(target), moved)
             continue
         if a in (ONE, MANY_DONE) and b in (ONE, MANY_DONE):
@@ -180,7 +178,7 @@ def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             # would close a cycle).
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_WAIT
-            put(out, tuple(target), proj(acjoin(cell, edge), 1 << i))
+            put(out, tuple(target), link(cell, i, j, 1 << i, acyclic=True))
     return out
 
 
@@ -222,8 +220,20 @@ def fvs_retire(table: Table, dead: int) -> Table:
     return out
 
 
+def _union_plan(sa: State, sb: State) -> tuple:
+    """:func:`fvs_union`'s plan for a pair of states: each target they
+    allow, with the ``ONE`` labels each side projects out because the target
+    finishes them, as (target, drop a, drop b) triples."""
+    ones_a, ones_b = label_mask(sa, ONE), label_mask(sb, ONE)
+    plan = []
+    for target in product(*map(UNION_STATE_OPTIONS.__getitem__, zip(sa, sb))):
+        done = label_mask(target, MANY_DONE)
+        plan.append((target, ones_a & done, ones_b & done))
+    return tuple(plan)
+
+
 def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
-              fut=None) -> Table:
+              fut=None, plans: dict | None = None) -> Table:
     """Disjoint union: one ``acjoin`` per pair of states and target.
 
     Per label, the pair's states (a, b) allow the parent states
@@ -233,23 +243,29 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     No ``MANY_WAIT`` target needs leaving out at a dead label (future degree
     0): on the pruned path such a label is ``ABSENT`` in both children's
     states, as the children share the union's dead labels and the driver
-    retires a dead label wherever its slot changes.
+    retires a dead label wherever its slot changes.  A pair's targets and
+    projections are its plan (:func:`_union_plan`), which ``plans``, a dict
+    :func:`solve_fvs` keeps for one solve, holds from the first union that
+    meets the pair on.
 
     Sound: each state pair and target is joined exactly once, and cells of
-    one target merge keeping the best weight per partition.
+    one target merge keeping the best weight per partition; every cell in
+    the output is one this union made, so the joins merge into it in place.
     """
     out: Table = {}
-    side_b = [(sb, cb, label_mask(sb, ONE)) for sb, cb in table_b.items()]
+    plans = {} if plans is None else plans
     for sa, ca in table_a.items():
-        ones_a = label_mask(sa, ONE)
-        for sb, cb, ones_b in side_b:
-            options = map(UNION_STATE_OPTIONS.__getitem__, zip(sa, sb))
-            for target in product(*options):
-                done = label_mask(target, MANY_DONE)
-                pa = proj(ca, ones_a & done)
-                pb = proj(cb, ones_b & done)
-                if pa.entries and pb.entries:
-                    put(out, target, acjoin(pa, pb))
+        for sb, cb in table_b.items():
+            plan = plans.get((sa, sb))
+            if plan is None:
+                plan = plans[sa, sb] = _union_plan(sa, sb)
+            for target, drop_a, drop_b in plan:
+                pa = proj(ca, drop_a) if drop_a else ca
+                pb = proj(cb, drop_b) if drop_b else cb
+                if pa and pb:
+                    cell = acjoin(pa, pb, out.get(target))
+                    if cell:
+                        out[target] = cell
     return out
 
 
@@ -265,11 +281,11 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
     prune = (dp.Prune(1, (k + 1) << k, ac_reduce, fvs_retire) if use_reduce
              else None)
     root_table = dp.run(
-        expr, stats, prune,
-        partial(fvs_leaf, k, with_witness), fvs_ren, fvs_add, fvs_union)
+        expr, stats, prune, partial(fvs_leaf, k, with_witness), fvs_ren,
+        fvs_add, partial(fvs_union, plans={}))
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
-        (cell.entries.get((state_ground(state),))
+        (cell.get((state_ground(state),))
          for state, cell in root_table.items() if MANY_WAIT not in state))
     if forest < 0:
         raise InvariantError("no root entry, yet the empty forest is always one")

@@ -33,17 +33,21 @@ partner would split again.  This is the exact-count to "at least" state change
 of van Rooij, Bodlaender and Rossmanith (ESA 2009), argued in
 :func:`_add_pairs` and :func:`_merge`; the reference path keeps exact counts,
 so the two check each other.  The driver :func:`~cwsolve.dp.run` also prunes
-in three ways.  It hands each transition the future degrees
+in four ways.  It hands each transition the future degrees
 (:func:`~cwsolve.cwexpr.future_degrees`) capped at d, which drop the slot
 states they rule out, so keys no root key extends are never built; see
 :func:`_future_ok`.  It retires dead labels with
 :func:`srd_retire`: at a label of future degree 0 every final code becomes
 0, and one closed-X marker at the lowest dead label keeps the fact that a
 finished class held X, so the up to 2(d + 1) final codes of a finished class
-no longer split a table.  And it reduces each cell above the rank bound
-2^(k-1) with ``reduce_set``.  The first two drop or merge only keys that
+no longer split a table.  It reduces each cell above the rank bound
+2^(k-1) with ``reduce_set``.  And it hands a node whose parent is an add
+that add's labels, child mask and future degrees, with which the node leaves
+out the keys the add has no successor for (:func:`_successors`) before it
+links or joins their cells.  The first two drop or merge only keys that
 answer every completion alike, so the optimum is the reference path's; only
-the witness kept among equal-weight entries may differ.
+the witness kept among equal-weight entries may differ.  The lookahead
+changes no table from the add up, so no optimum and no witness.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ from . import dp
 from .cwexpr import (LEAF, CwExpression, NotIrredundantError,
                      check_irredundant, vertex_weights)
 from .dp import SolveStats
-from .wpsets import (NEG_INF, POS_INF, WPSet, edge_cell, join_sets, proj, put,
-                     reduce_set)
+from .wpsets import (NEG_INF, POS_INF, InvariantError, WPSet, join_sets, link,
+                     put, reduce_set)
+from .wpsets import proj  # noqa: F401  (unused; the traced benchmark hooks it)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
 
@@ -373,26 +378,47 @@ def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
 # Transitions.  ``fut`` is the node's future degree vector, capped at d, or
 # None on the unfiltered reference path.
 
-def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None) -> dict:
+def _successors(ctx: DomContext, ahead) -> tuple:
+    """The parent add's test on keys (:func:`~cwsolve.dp.run`'s lookahead):
+    for ``ahead = (i, j, present, fut)``, the add's labels, its child's
+    nonempty labels and its future degrees, the slots i - 1 and j - 1 and
+    the add's slot relation.  A key whose two codes have no pair there has
+    no successor at the add, which drops it.  Without a lookahead the
+    relation is None; the unpruned reference path takes none."""
+    if ahead is None:
+        return 0, 0, None
+    if not ctx.pruned:
+        raise InvariantError("the unpruned reference path takes no lookahead")
+    i, j, present, fut = ahead
+    return i - 1, j - 1, ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
+                                 fut and fut[i - 1], fut and fut[j - 1])
+
+
+def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None,
+             ahead=None) -> dict:
     wit_in = name if ctx.with_witness else None
     wit_out = () if ctx.with_witness else None
+    up_i, up_j, up = _successors(ctx, ahead)
     cells = {}
     for code in ctx.leaf_codes[name in ctx.terminals]:
         if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
             continue
+        key = (code,) + (0,) * (ctx.k - 1)
+        if up is not None and not up[key[up_i]][key[up_j]]:
+            continue
         cell = WPSet(2 if ctx.open[code] else 0)
         cell.add((2,) if ctx.open[code] else EMPTY_PARTITION,
                  *((ctx.sign * weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
-        cells[(code,) + (0,) * (ctx.k - 1)] = cell
+        cells[key] = cell
     return cells
 
 
 def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
-            fut=None) -> dict:
+            fut=None, ahead=None) -> dict:
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
-    edge = edge_cell(i, j)
+    up_i, up_j, up = _successors(ctx, ahead)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -400,36 +426,41 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
         cands = rel[ci][cj]
         if not cands:
             continue
-        rest_open = sum(map(is_open.__getitem__, key)) > is_open[ci] + is_open[cj]
-        slots = list(key)
+        slots, rest_open = list(key), None
         for ni, nj in cands:
+            slots[ii], slots[jj] = ni, nj
+            if up is not None and not up[slots[up_i]][slots[up_j]]:
+                continue
             oi, oj = is_open[ni], is_open[nj]
-            if not (rest_open or oi or oj):  # X is complete: keep weights
+            if not (oi or oj) and rest_open is None:
+                rest_open = (sum(map(is_open.__getitem__, key))
+                             > is_open[ci] + is_open[cj])
+            if not (oi or oj or rest_open):  # X is complete: keep weights
                 res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
-                                        in cell.entries.values()), 0)
+                                        in cell.values()), 0)
             elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
                 res = cell
             else:  # link i and j, then drop the classes that closed
-                res = proj(join_sets(cell, edge),
-                           (0 if oi else 1 << i) | (0 if oj else 1 << j))
-            slots[ii], slots[jj] = ni, nj
+                res = link(cell, i, j, (0 if oi else 1 << i) | (0 if oj else 1 << j))
             put(out, tuple(slots), res)
     return out
 
 
 def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
-            fut=None) -> dict:
+            fut=None, ahead=None) -> dict:
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
-    edge = edge_cell(i, j)
+    up_i, up_j, up = _successors(ctx, ahead)
     out: dict = {}
     for key, cell in table.items():
         code = rel[key[ii]][key[jj]]
         if code is not None:
             slots = list(key)
             slots[ii], slots[jj] = 0, code
+            if up is not None and not up[slots[up_i]][slots[up_j]]:
+                continue
             if ctx.open[code]:
-                cell = proj(join_sets(cell, edge), 1 << i)
+                cell = link(cell, i, j, 1 << i)
             put(out, tuple(slots), cell)
     return out
 
@@ -481,9 +512,10 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
-              table_b: dict, pres_b: int, fut=None) -> dict:
+              table_b: dict, pres_b: int, fut=None, ahead=None) -> dict:
     rels = [ctx.rel(_merge, pres_a >> s + 1 & 1, pres_b >> s + 1 & 1,
                     fut and fut[s]) for s in range(ctx.k)]
+    up_i, up_j, up = _successors(ctx, ahead)
     is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
     side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
               for key_b, cell_b in table_b.items()]
@@ -497,8 +529,12 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             if x_a and x_b and not (open_a and open_b):
                 continue
             key = tuple(map(getitem, rows, key_b))
-            if None not in key:
-                put(out, key, join_sets(cell_a, cell_b))
+            if None in key or up is not None and not up[key[up_i]][key[up_j]]:
+                continue
+            # every cell in ``out`` is one this union made, so it merges in place
+            cell = join_sets(cell_a, cell_b, out.get(key))
+            if cell:
+                out[key] = cell
     return out
 
 
@@ -507,13 +543,14 @@ def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
     the optimum at the root."""
     stats = SolveStats()
     prune = (dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set,
-                      partial(srd_retire, ctx)) if ctx.pruned else None)
+                      partial(srd_retire, ctx), lookahead=True)
+             if ctx.pruned else None)
     table = dp.run(expr, stats, prune,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),
                    partial(srd_add, ctx), partial(srd_union, ctx))
     final = ctx.final.__getitem__
     best, witness = dp.root_optimum(
-        cell.entries.get(EMPTY_PARTITION) for key, cell in table.items()
+        cell.get(EMPTY_PARTITION) for key, cell in table.items()
         if all(map(final, key)))
     stats.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return DomResult(ctx.sign * best, witness, stats)

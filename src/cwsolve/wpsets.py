@@ -1,18 +1,23 @@
 """Sets of weighted partitions and the operators the solvers are built from.
 
-A :class:`WPSet` maps partitions of one ground set to the largest weight seen
-so far, optionally with a witness; a minimising problem negates its weights.
-The set holds the ground set once; each key is a partition's canonical block
-tuple (:mod:`cwsolve.partitions`), which the operators build directly.  A
+A :class:`WPSet` is a dict from the partitions of one ground set to the
+largest weight seen so far with its witness, ``(weight, witness)``; a
+minimising problem negates its weights.  The set holds the ground set once;
+each key is a partition's canonical block tuple (:mod:`cwsolve.partitions`),
+which the operators build directly.  A
 :class:`~cwsolve.partitions.Partition` is such a tuple, so it looks entries
 up and fills sets just as well.
 Insertion keeps the set normalized: one entry per partition, largest weight,
 and on a tie the entry inserted first.  Insertion order is deterministic, so
 the same input always keeps the same witness.
 
-A cell is never mutated once a table holds it, as tables share cells: the
-transitions store cells with :func:`put`, which merges into a copy, and
-:func:`proj` with nothing to drop returns its input.
+A cell is never mutated once a table holds it, as tables share cells: adds,
+relabels and retirement store cells with :func:`put`, which merges into a
+copy, and :func:`proj` with nothing to drop returns its input.  A union
+owns every cell of the table it builds, so it merges each join into the cell
+already at its key (the ``into`` of :func:`join_sets` and :func:`acjoin`).
+:func:`link` is the adds' and relabels' one cell step: the join with the
+edge cell of two labels and the projection after it, in one pass.
 
 A witness is an O(1) provenance value, never a set: ``None`` means witnesses
 are not tracked, ``()`` is the empty witness, a vertex name is a leaf, and a
@@ -40,12 +45,12 @@ by one solve.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable
 
 from .partitions import Partition, merge_blocks
 
 Blocks = tuple[int, ...]  # a canonical partition
-Entry = tuple[int, object]
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -56,9 +61,9 @@ class InvariantError(RuntimeError):
 
 
 def check_size(cell: WPSet, bound: int) -> WPSet:
-    if len(cell.entries) > bound:
+    if len(cell) > bound:
         raise InvariantError(
-            f"cell holds {len(cell.entries)} entries, above its bound {bound}")
+            f"cell holds {len(cell)} entries, above its bound {bound}")
     return cell
 
 
@@ -88,14 +93,14 @@ def witness_names(w) -> set[str]:
     return names
 
 
-class WPSet:
-    """A normalized set of weighted partitions over one ground set."""
+class WPSet(dict):
+    """A normalized set of weighted partitions over one ground set: a dict
+    from each partition's block tuple to its (weight, witness) entry."""
 
-    __slots__ = ("ground", "entries")
+    __slots__ = ("ground",)
 
     def __init__(self, ground: int):
-        self.ground = ground  # a bit mask
-        self.entries: dict[Blocks, Entry] = {}
+        self.ground = ground  # a bit mask; the dict starts empty
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple], ground: int) -> WPSet:
@@ -107,26 +112,24 @@ class WPSet:
 
     def add(self, p: Blocks, weight: int, witness=None) -> None:
         """Keep the heavier entry for ``p``; on equal weight, the incumbent."""
-        cur = self.entries.get(p)
+        cur = self.get(p)
         if cur is None or weight > cur[0]:
-            self.entries[p] = (weight, witness)
+            self[p] = (weight, witness)
 
-    def update(self, other: WPSet) -> None:
+    def merge(self, other: WPSet) -> None:
+        """Add every entry of ``other``, in its order, in place."""
         if other.ground != self.ground:
             raise ValueError("can only merge sets over one ground set")
-        for p, (w, wit) in other.entries.items():
+        for p, (w, wit) in other.items():
             self.add(p, w, wit)
 
     def copy(self) -> WPSet:
         out = WPSet(self.ground)
-        out.entries = dict(self.entries)
+        out.update(self)
         return out
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def __repr__(self) -> str:
-        body = ", ".join(f"({p!r}, {w})" for p, (w, _) in self.entries.items())
+        body = ", ".join(f"({p!r}, {w})" for p, (w, _) in self.items())
         return f"WPSet{{{body}}}"
 
 
@@ -138,7 +141,7 @@ def proj(a: WPSet, drop: int) -> WPSet:
         return a  # cells are never mutated once published
     keep = ~drop
     out = WPSet(a.ground & keep)
-    for p, (w, wit) in a.entries.items():
+    for p, (w, wit) in a.items():
         blocks = []
         dead = False
         for b in p:
@@ -171,33 +174,99 @@ def edge_cell(i: int, j: int) -> WPSet:
 MERGE_MEMO: dict[tuple[Blocks, Blocks], Blocks] = {}
 
 
-def _join(a: WPSet, b: WPSet, check_acyclic: bool) -> WPSet:
+def _join(a: WPSet, b: WPSet, check_acyclic: bool, into: WPSet | None) -> WPSet:
     ground = a.ground | b.ground
-    out = WPSet(ground)
-    n = ground.bit_count()
-    ext_a = (b.ground & ~a.ground).bit_count()
-    ext_b = (a.ground & ~b.ground).bit_count()
+    if into is None:
+        out = WPSet(ground)
+    elif into.ground != ground or into is a or into is b:
+        raise ValueError("can only merge into a third set over the joined ground set")
+    else:
+        out = into
+    get = out.get
+    # A pair closes no cycle iff each shared element joins two blocks into
+    # one: |p| + |q| - |merged| = |a.ground & b.ground|.
+    shared = (a.ground & b.ground).bit_count()
     memo = MERGE_MEMO
-    for p, (w1, x1) in a.entries.items():
-        np_ext = len(p) + ext_a
-        for q, (w2, x2) in b.entries.items():
+    for p, (w1, x1) in a.items():
+        lost = len(p) - shared
+        for q, (w2, x2) in b.items():
             blocks = memo.get((p, q))
             if blocks is None:
                 blocks = memo[p, q] = merge_blocks(p, q)
-            if check_acyclic and n + len(blocks) != np_ext + len(q) + ext_b:
+            if check_acyclic and len(blocks) - len(q) != lost:
                 continue
-            out.add(blocks, w1 + w2, combine_witness(x1, x2))
+            w = w1 + w2
+            cur = get(blocks)
+            if cur is None or w > cur[0]:
+                out[blocks] = (w, combine_witness(x1, x2))
     return out
 
 
-def join_sets(a: WPSet, b: WPSet) -> WPSet:
-    """All pairwise joins with summed weights, over the united ground set."""
-    return _join(a, b, check_acyclic=False)
+def join_sets(a: WPSet, b: WPSet, into: WPSet | None = None) -> WPSet:
+    """All pairwise joins with summed weights, over the united ground set.
+
+    With ``into``, a third set over that ground set, the joins are merged
+    into it in place, as :meth:`WPSet.merge` of the joined set would, and
+    ``into`` is returned; neither operand changes.
+    """
+    return _join(a, b, False, into)
 
 
-def acjoin(a: WPSet, b: WPSet) -> WPSet:
+def acjoin(a: WPSet, b: WPSet, into: WPSet | None = None) -> WPSet:
     """Like :func:`join_sets` but keeps only cycle-free combinations."""
-    return _join(a, b, check_acyclic=True)
+    return _join(a, b, True, into)
+
+
+def link(cell: WPSet, i: int, j: int, drop: int, acyclic: bool = False) -> WPSet:
+    """``proj(join_sets(cell, edge_cell(i, j)), drop)`` in one pass, with
+    ``acjoin`` if ``acyclic``: the same entries in the same order, and the
+    same witness on a tie.
+
+    Each entry's blocks that meet {i, j} merge into one block with i and j
+    (an element outside the ground set joins it); in acyclic mode an entry
+    whose i and j already share a block is dropped, as the edge would close
+    a cycle.  ``drop`` is 0, ``1 << i``, ``1 << j`` or both; an entry whose
+    merged block lies inside it vanishes.  Weights and witnesses stay as
+    they are.  Only when both are dropped can entries of two joined
+    partitions meet at one key; there a tie goes, as in the composition, to
+    the joined partition made first.
+    """
+    edge = 1 << i | 1 << j
+    if i == j or drop & ~edge:
+        raise ValueError("link: i and j must differ, and only they may be dropped")
+    out = WPSet((cell.ground | edge) & ~drop)
+    get = out.get
+    keep = ~drop
+    both = drop == edge
+    if both:
+        first: dict[tuple[Blocks, int], int] = {}  # joined partition -> position
+        won: dict[Blocks, int] = {}  # key -> ``first`` of its winner's
+    for pos, (p, (w, wit)) in enumerate(cell.items()):
+        merged, rest = edge, []
+        for b in p:
+            if not b & edge:
+                rest.append(b)
+            elif acyclic and b & edge == edge:
+                break
+            else:
+                merged |= b
+        else:
+            merged &= keep
+            if not merged:
+                continue
+            insort(rest, merged)
+            key = tuple(rest)
+            cur = get(key)
+            if both:
+                # the key and its block that held i and j name the joined
+                # partition, which first appeared at position ``made``
+                made = first.setdefault((key, merged), pos)
+                if cur is None or w > cur[0] or (w == cur[0] and made < won[key]):
+                    out[key] = (w, wit)
+                    won[key] = made
+            elif cur is None or w > cur[0]:
+                out[key] = (w, wit)
+    return out
 
 
 def query_opt(a: WPSet, q: Partition, mode: str = "plain") -> int | float:
@@ -211,7 +280,7 @@ def query_opt(a: WPSet, q: Partition, mode: str = "plain") -> int | float:
     if q.ground != a.ground:
         raise ValueError("query partition must share the ground set")
     n, nq = a.ground.bit_count(), len(q)
-    return max((w for p, (w, _) in a.entries.items()
+    return max((w for p, (w, _) in a.items()
                 if len(merge_blocks(p, q)) == 1
                 and (mode == "plain" or len(p) + nq == n + 1)), default=NEG_INF)
 
@@ -288,21 +357,21 @@ def _reduce(a: WPSet, group) -> WPSet:
     ties downstream resolve as they would on the whole set.
     """
     n = a.ground.bit_count()
-    if n == 0 or len(a.entries) <= 1:
+    if n == 0 or len(a) <= 1:
         # The empty ground set admits a single partition, so normalization
         # already leaves at most one (optimal) entry.
         return a.copy()
     ground, width = a.ground, 1 << (n - 1)
     groups = set()
     rows = []
-    for p in a.entries:
+    for p in a:
         key = group(p)
         groups.add(key)
         rows.append(cut_row(p, ground) << key * width)
-    weights = [w for w, _ in a.entries.values()]
+    weights = [w for w, _ in a.values()]
     keep = set(max_weight_basis(rows, weights))
     out = WPSet(ground)
-    out.entries = {p: e for i, (p, e) in enumerate(a.entries.items()) if i in keep}
+    out.update((p, e) for i, (p, e) in enumerate(a.items()) if i in keep)
     return check_size(out, len(groups) * width)
 
 
@@ -329,11 +398,11 @@ def put(table: dict, key, cell: WPSet) -> None:
     """Store a nonempty ``cell`` at ``key``; at a taken key, a merged copy
     (cells are shared, so neither is mutated) that keeps the best weight per
     partition and, on a tie, the entry stored first."""
-    if not cell.entries:
+    if not cell:
         return
     cur = table.get(key)
     if cur is not None:
         merged = cur.copy()
-        merged.update(cell)
+        merged.merge(cell)
         cell = merged
     table[key] = cell

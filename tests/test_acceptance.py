@@ -134,9 +134,9 @@ def test_criterion_4_operator_preservation():
         small = ac_reduce(a)
         c = sample()
         full = a.copy()
-        full.update(c)
+        full.merge(c)
         merged = small.copy()
-        merged.update(c)
+        merged.merge(c)
         assert _preserves(full, merged, "acyclic")
     # plain-side operators against reduce, on weights of both signs (a
     # minimising problem's cells hold negated weights)
@@ -151,9 +151,9 @@ def test_criterion_4_operator_preservation():
         assert _preserves(join_sets(a, b), join_sets(small, b), "plain")
         c = sample(sign)
         full = a.copy()
-        full.update(c)
+        full.merge(c)
         merged = small.copy()
-        merged.update(c)
+        merged.merge(c)
         assert _preserves(full, merged, "plain")
     _passed(4, f"copy/proj/(ac)join/union preserve (ac-)representation, "
                f"{trials} trials per operator")

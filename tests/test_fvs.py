@@ -22,11 +22,11 @@ def Pm(*blocks):
 
 
 def cell_of(table, state):
-    return {p: w for p, (w, _) in table[state].entries.items()}
+    return {p: w for p, (w, _) in table[state].items()}
 
 
 def weights_of(table):
-    return {state: {p: w for p, (w, _) in cell.entries.items()}
+    return {state: {p: w for p, (w, _) in cell.items()}
             for state, cell in table.items()}
 
 
@@ -56,7 +56,7 @@ class TestAdd:
     def test_both_one_merges_blocks(self):
         table, _ = self._two_isolated()
         both = (ONE, ONE)
-        assert Pm(ANCHOR, 0b010, 0b100) in table[both].entries
+        assert Pm(ANCHOR, 0b010, 0b100) in table[both]
         out = fvs_add(table, 0b110, 1, 2)
         got = cell_of(out, both)
         # the isolated pair becomes one linked component; the variants that
@@ -114,7 +114,7 @@ class TestUnion:
         # both vertices keep their class position only through the anchor
         assert cell_of(out, done) == {Pm(ANCHOR): 2}
         wait = (MANY_WAIT,)
-        assert Pm(ANCHOR, 0b10) in out[wait].entries
+        assert Pm(ANCHOR, 0b10) in out[wait]
 
 
 class TestUnionBoxes:
@@ -139,9 +139,9 @@ class TestUnionBoxes:
                 done = target == MANY_DONE
                 joined = acjoin(proj(ca, 2 if done and a == ONE else 0),
                                 proj(cb, 2 if done and b == ONE else 0))
-                assert joined.entries, (a, b, target)
+                assert joined, (a, b, target)
                 want[(target,)] = {p: w for p, (w, _)
-                                   in joined.entries.items()}
+                                   in joined.items()}
             got = fvs_union({(a,): ca}, 0b10, {(b,): cb}, 0b10)
             assert weights_of(got) == want, (a, b)
             assert all(cell.ground == state_ground(state)
@@ -161,7 +161,7 @@ def _state_pair_union(table_a, table_b, k):
                         drop_a |= 2 << l if sa[l] == ONE else 0
                         drop_b |= 2 << l if sb[l] == ONE else 0
                 pa, pb = proj(ca, drop_a), proj(cb, drop_b)
-                if pa.entries and pb.entries:
+                if pa and pb:
                     put(out, target, acjoin(pa, pb))
     return out
 

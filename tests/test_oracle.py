@@ -114,7 +114,7 @@ class TestCheckRepresentative:
         ground = 0b1110
         a = random_wpset(rng, ground, 10)
         bigger = a.copy()
-        bigger.update(random_wpset(rng, ground, 3))
+        bigger.merge(random_wpset(rng, ground, 3))
         small = reduce_set(bigger)
         # a subset that represents also represents through any superset of
         # the represented side built from dominated entries

@@ -111,7 +111,7 @@ def _recording(retire, calls):
 
 
 def _entries(table):
-    return {key: cell.entries for key, cell in table.items()}
+    return {key: dict(cell) for key, cell in table.items()}
 
 
 def _labels(dead, k):
@@ -159,14 +159,14 @@ def test_fvs_transitions_see_dead_labels_only_absent(instances, monkeypatch):
     def checked(name):
         transition = getattr(cwsolve.fvs, name)
 
-        def run(*args):
+        def run(*args, **kwargs):
             tables, labels = _dead_inputs(name, args)
             for table in tables:
                 for state in table:
                     assert all(state[l] == ABSENT for l in labels), \
                         (name, state, labels)
                     read[name] += len(labels)
-            return transition(*args)
+            return transition(*args, **kwargs)
         return run
 
     def rooted(run):
@@ -221,8 +221,8 @@ class TestFvsRetire:
         assert list(out) == [(ABSENT, ONE)]
         # the entry whose element 2 was a block alone vanished; the rest
         # merged, keeping the better weight per partition
-        assert out[ABSENT, ONE].entries == {(0b101,): (7, "d"),
-                                            (0b1, 0b100): (6, "b")}
+        assert out[ABSENT, ONE] == {(0b101,): (7, "d"),
+                                    (0b1, 0b100): (6, "b")}
 
     def test_a_state_waiting_at_a_dead_label_is_dropped(self):
         cell = WPSet.from_pairs([(Partition([0b11]), 1)], 0b11)
@@ -239,7 +239,7 @@ class TestSrdRetire:
                                (0, 0, one_s): other}, 0b1100)
         # labels 2 and 3 are dead: both keys keep only "X exists", at 2
         assert list(out) == [(0, ctx.marker, 0)]
-        assert out[0, ctx.marker, 0].entries == {(): (3, "a")}
+        assert out[0, ctx.marker, 0] == {(): (3, "a")}
 
     def test_live_x_needs_no_marker_and_promises_drop_the_key(self):
         ctx = DomContext(preset_spec("cds"), 2)

@@ -69,7 +69,7 @@ def ctx_for(name: str, k: int, **kw) -> DomContext:
 
 def cell_weights(table, key):
     """The cell's stored weights, negated: every problem here minimises."""
-    return {p: w for p, (w, _) in table[key].entries.items()}
+    return {p: w for p, (w, _) in table[key].items()}
 
 
 def decoded(ctx, table):
@@ -153,7 +153,7 @@ class TestRenTable:
         # cell, on the pruned path (live future degrees) and the reference
         # path alike
         def contents(ctx, table):
-            return {key: (cell.ground, cell.entries)
+            return {key: (cell.ground, dict(cell))
                     for key, cell in decoded(ctx, table).items()}
 
         for name, (pruned, fut) in product(("cds", "cvc"),
@@ -259,8 +259,8 @@ class TestAddTable:
                 assert all(p <= f for c, p, f in zip(counts, promises, fut)
                            if c or not ctx.rho_wild)
         full = decoded(ctx, srd_add(ctx, table, present, 1, 2, (1, 1)))
-        assert {key: cell.entries for key, cell in full.items()} == \
-            {key: cell.entries for key, cell in unfiltered.items()}  # d = 1
+        assert {key: dict(cell) for key, cell in full.items()} == \
+            {key: dict(cell) for key, cell in unfiltered.items()}  # d = 1
 
     def test_cvc_infeasible_promises_produce_no_cell(self):
         ctx = ctx_for("cvc", 2)

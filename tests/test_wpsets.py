@@ -8,8 +8,8 @@ from cwsolve.partitions import Partition, iter_partitions, merge_blocks
 from cwsolve.sigma_rho import NATURALS, POSITIVES, DomContext, SigmaRhoSpec
 from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, InvariantError, WPSet,
                             ac_reduce, acjoin, combine_witness, cut_row,
-                            edge_cell, join_sets, max_weight_basis, proj,
-                            put, query_opt, reduce_set, witness_names)
+                            edge_cell, join_sets, link, max_weight_basis,
+                            proj, put, query_opt, reduce_set, witness_names)
 
 from conftest import random_partition, random_wpset
 
@@ -24,13 +24,13 @@ class TestRmc:
     def test_max_keeps_heavier(self):
         p = P({1, 2})
         out = WPSet.from_pairs([(p, 3), (p, 5)], p.ground)
-        assert out.entries[p] == (5, None)
+        assert out[p] == (5, None)
 
     def test_min_keeps_lighter(self):
         # a minimising problem's cells hold negated weights
         p = P({1, 2})
         out = WPSet.from_pairs([(p, -3), (p, -5)], p.ground)
-        assert out.entries[p] == (-3, None)
+        assert out[p] == (-3, None)
 
     def test_distinct_partitions_untouched(self):
         p, q = P({1, 2}), P({1}, {2})
@@ -46,12 +46,12 @@ class TestRmc:
             pairs = [(q, sign, "c"), (p, 3 * sign, "b"), (p, 3 * sign, ("a", "d")),
                      (q, sign, ())]
             out = WPSet.from_pairs(pairs, p.ground)
-            assert out.entries == {q: (sign, "c"), p: (3 * sign, "b")}
-            assert WPSet.from_pairs(pairs, p.ground).entries == out.entries
-            assert WPSet.from_pairs(pairs[::-1], p.ground).entries == \
+            assert out == {q: (sign, "c"), p: (3 * sign, "b")}
+            assert WPSet.from_pairs(pairs, p.ground) == out
+            assert WPSet.from_pairs(pairs[::-1], p.ground) == \
                 {q: (sign, ()), p: (3 * sign, ("a", "d"))}
             out.add(p, sign * better, "e")
-            assert out.entries[p] == (sign * better, "e")
+            assert out[p] == (sign * better, "e")
 
 
 class TestWitness:
@@ -78,7 +78,7 @@ class TestWitness:
         b = WPSet.from_pairs([(P({2}), 3, ("y", "z"))], 0b100)
         edge = WPSet.from_pairs([(P({1, 2}), 0, ())], 0b110)
         joined = join_sets(join_sets(a, b), edge)
-        assert joined.entries == {P({1, 2}): (8, ("x", ("y", "z")))}
+        assert joined == {P({1, 2}): (8, ("x", ("y", "z")))}
 
     @pytest.mark.parametrize("join", [join_sets, acjoin])
     def test_joining_an_edge_cell_keeps_every_witness(self, join):
@@ -88,8 +88,8 @@ class TestWitness:
                                      (P({1}, {2}, {3}), 3, witness)],
                                     0b1110)
             joined = join(cell, edge_cell(1, 2))
-            assert joined.entries == {P({1, 2}): (5, witness),
-                                      P({1, 2}, {3}): (3, witness)}
+            assert joined == {P({1, 2}): (5, witness),
+                              P({1, 2}, {3}): (3, witness)}
 
 
 class TestProj:
@@ -100,11 +100,11 @@ class TestProj:
     def test_partial_overlap_restricts(self):
         a = WPSet.from_pairs([(P({1, 2}, {3}), 4)], 0b1110)
         out = proj(a, 1 << 2)
-        assert out.entries == {P({1}, {3}, ground=[1, 3]): (4, None)}
+        assert out == {P({1}, {3}, ground=[1, 3]): (4, None)}
 
     def test_empty_drop_is_identity(self):
         a = WPSet.from_pairs([(P({1, 2}), 4)], 0b110)
-        assert proj(a, 0).entries == a.entries
+        assert proj(a, 0) == a
 
     def test_empty_drop_returns_its_input(self):
         # cells are never mutated once published, so no copy is needed
@@ -117,13 +117,13 @@ class TestJoins:
         a = WPSet.from_pairs([(P({1}), 5)], 0b10)
         b = WPSet.from_pairs([(P({2}), 3)], 0b100)
         out = join_sets(a, b)
-        assert out.entries == {P({1}, {2}): (8, None)}
+        assert out == {P({1}, {2}): (8, None)}
 
     def test_overlapping_grounds_merge(self):
         a = WPSet.from_pairs([(P({1}), 5)], 0b10)
         b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110)
         out = join_sets(a, b)
-        assert out.entries == {P({1, 2}): (8, None)}
+        assert out == {P({1, 2}): (8, None)}
 
     def test_empty_side_gives_empty(self):
         a = WPSet(0b10)
@@ -151,9 +151,9 @@ class TestJoins:
                 one = WPSet.from_pairs([((), weight, wit)], 0)
                 for got in (join(one, other), join(other, one)):
                     assert got.ground == ground
-                    assert list(got.entries) == list(other.entries)
-                    for p, (w, x) in other.entries.items():
-                        gw, gx = got.entries[p]
+                    assert list(got) == list(other)
+                    for p, (w, x) in other.items():
+                        gw, gx = got[p]
                         assert gw == w + weight
                         if tracked:
                             assert witness_names(gx) == \
@@ -164,7 +164,7 @@ class TestJoins:
     def test_acjoin_accepts_tree_link(self):
         a = WPSet.from_pairs([(P({1}), 5)], 0b10)
         b = WPSet.from_pairs([(P({1, 2}), 3)], 0b110)
-        assert acjoin(a, b).entries == {P({1, 2}): (8, None)}
+        assert acjoin(a, b) == {P({1, 2}): (8, None)}
 
     def test_acjoin_rejects_duplicate_link(self):
         a = WPSet.from_pairs([(P({1, 2}), 1)], 0b110)
@@ -181,13 +181,13 @@ class TestJoins:
             union = ga | gb
             expect = WPSet(union)
             from cwsolve.partitions import acyclic
-            for p, (w1, _) in a.entries.items():
-                for q, (w2, _) in b.entries.items():
+            for p, (w1, _) in a.items():
+                for q, (w2, _) in b.items():
                     pu = p.extend(union & ~ga)
                     qu = q.extend(union & ~gb)
                     if acyclic(pu, qu):
                         expect.add(pu.join(qu), w1 + w2)
-            assert got.entries == expect.entries
+            assert got == expect
 
 
 class TestPut:
@@ -208,29 +208,110 @@ class TestPut:
             cells = [random_wpset(rng, ground, rng.randint(0, 5), max_weight=4)
                      for _ in range(rng.randint(1, 4))]
             for c, cell in enumerate(cells):
-                for p in cell.entries:
-                    cell.entries[p] = (cell.entries[p][0], f"w{c}")
-            before = [dict(cell.entries) for cell in cells]
+                for p in cell:
+                    cell[p] = (cell[p][0], f"w{c}")
+            before = [dict(cell) for cell in cells]
             table = {}
             for cell in cells:
                 put(table, "k", cell)
             want = {}
             for cell in cells:
-                for p, (w, x) in cell.entries.items():
+                for p, (w, x) in cell.items():
                     if p not in want or w > want[p][0]:
                         want[p] = (w, x)
-            assert [dict(cell.entries) for cell in cells] == before
+            assert [dict(cell) for cell in cells] == before
             if not want:
                 assert "k" not in table
                 continue
             got = table["k"]
             assert got.ground == ground
-            assert list(got.entries.items()) == list(want.items())
-            nonempty = [cell for cell in cells if cell.entries]
+            assert list(got.items()) == list(want.items())
+            nonempty = [cell for cell in cells if cell]
             if len(nonempty) == 1:
                 assert got is nonempty[0]
             else:
                 assert all(got is not cell for cell in cells)
+
+
+def _witnessed(cell, tag):
+    """``cell`` with the witness ``tag`` + its position on every entry."""
+    for idx, (p, (w, _)) in enumerate(cell.items()):
+        cell[p] = (w, f"{tag}{idx}")
+    return cell
+
+
+class TestLink:
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_it_is_the_projected_join_with_an_edge_cell(self, acyclic):
+        # i and j inside the ground set or outside it, every drop, and
+        # weights 0..3, so that ties are common; each entry its own witness
+        join = acjoin if acyclic else join_sets
+        rng = random.Random(907 + acyclic)
+        for _ in range(500):
+            ground = sum(1 << e for e in rng.sample(range(1, 7), rng.randint(0, 5)))
+            i, j = rng.sample(range(1, 7), 2)
+            cell = _witnessed(random_wpset(rng, ground, rng.randint(0, 12),
+                                           max_weight=3), "w")
+            for drop in (0, 1 << i, 1 << j, 1 << i | 1 << j):
+                want = proj(join(cell, edge_cell(i, j)), drop)
+                got = link(cell, i, j, drop, acyclic)
+                assert got.ground == want.ground
+                assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("acyclic", [False, True])
+    def test_a_tie_goes_to_the_joined_partition_made_first(self, acyclic):
+        # with 1 and 2 both dropped, all three entries land on {3}{4}; the
+        # first joined partition, {1,2,3}{4}, gets its best entry from the
+        # third one, and it wins the tie against the second
+        cell = WPSet.from_pairs([(P({1, 3}, {2}, {4}), 5, "a"),
+                                 (P({1, 4}, {2}, {3}), 7, "b"),
+                                 (P({1}, {2, 3}, {4}), 7, "c")], 0b11110)
+        want = {P({3}, {4}): (7, "c")}
+        assert link(cell, 1, 2, 0b110, acyclic) == want
+        join = acjoin if acyclic else join_sets
+        assert proj(join(cell, edge_cell(1, 2)), 0b110) == want
+
+    def test_acyclic_mode_drops_an_entry_whose_i_and_j_share_a_block(self):
+        cell = WPSet.from_pairs([(P({1, 2}, {3}), 4), (P({1, 3}, {2}), 2)],
+                                0b1110)
+        assert link(cell, 1, 2, 0, acyclic=True) == {P({1, 2, 3}): (2, None)}
+        assert link(cell, 1, 2, 0) == {P({1, 2}, {3}): (4, None),
+                                       P({1, 2, 3}): (2, None)}
+
+    def test_it_links_two_distinct_labels_and_drops_only_them(self):
+        cell = WPSet.from_pairs([(P({1}, {2}, {3}), 4)], 0b1110)
+        for i, j, drop in ((1, 1, 0), (1, 2, 1 << 3), (1, 2, 1)):
+            with pytest.raises(ValueError):
+                link(cell, i, j, drop)
+
+
+class TestInto:
+    @pytest.mark.parametrize("join", [join_sets, acjoin])
+    def test_it_merges_as_put_does_and_leaves_the_operands(self, join):
+        rng = random.Random(911)
+        for _ in range(300):
+            ga = sum(1 << e for e in rng.sample(range(1, 6), rng.randint(0, 3)))
+            gb = sum(1 << e for e in rng.sample(range(1, 6), rng.randint(0, 3)))
+            a, b, cur = (_witnessed(random_wpset(rng, g, rng.randint(lo, 5),
+                                                 max_weight=4), tag)
+                         for g, lo, tag in ((ga, 0, "a"), (gb, 0, "b"),
+                                            (ga | gb, 1, "c")))
+            before = [list(cell.items()) for cell in (a, b)]
+            table = {"k": cur}
+            put(table, "k", join(a, b))
+            into = cur.copy()
+            assert join(a, b, into) is into
+            assert list(into.items()) == list(table["k"].items())
+            assert [list(cell.items()) for cell in (a, b)] == before
+
+    @pytest.mark.parametrize("join", [join_sets, acjoin])
+    def test_it_takes_a_third_set_over_the_joined_ground_set(self, join):
+        # neither a set over another ground set nor an operand
+        a = WPSet.from_pairs([(P({1, 2}), 5)], 0b110)
+        b = WPSet.from_pairs([(P({1}, {2}), 3)], 0b110)
+        for into in (WPSet(0b10), a, b):
+            with pytest.raises(ValueError):
+                join(a, b, into)
 
 
 class TestBasis:
@@ -291,7 +372,7 @@ class TestReduce:
         empty = Partition(())
         a = WPSet.from_pairs([(empty, 7), (empty, 2)], 0)
         out = reduce_set(a)
-        assert out.entries == {empty: (7, None)}
+        assert out == {empty: (7, None)}
 
     def test_size_bound_v4(self):
         rng = random.Random(23)
@@ -312,8 +393,8 @@ class TestReduce:
         ground = 0b1110
         a = random_wpset(rng, ground, 30)
         for out in (reduce_set(a), ac_reduce(a)):
-            for p, entry in out.entries.items():
-                assert a.entries[p] == entry
+            for p, entry in out.items():
+                assert a[p] == entry
 
     def test_exhaustive_queries_agree_v3(self):
         rng = random.Random(37)
@@ -330,13 +411,13 @@ class TestReduce:
         for ground, size in ((0b1110, 30), (0b11110, 80)):
             for sign in (1, -1):
                 a = random_wpset(rng, ground, size, sign=sign)
-                a.entries = {p: (w, f"w{i}") for i, (p, (w, _))
-                             in enumerate(a.entries.items())}
+                for i, (p, (w, _)) in enumerate(a.items()):
+                    a[p] = (w, f"w{i}")
                 for out in (reduce_set(a), ac_reduce(a)):
-                    order = list(a.entries)
-                    kept = [order.index(p) for p in out.entries]
+                    order = list(a)
+                    kept = [order.index(p) for p in out]
                     assert kept == sorted(kept)
-                    assert all(a.entries[p] == e for p, e in out.entries.items())
+                    assert all(a[p] == e for p, e in out.items())
 
     def test_ac_reduce_keeps_order_across_interleaved_groups(self):
         # block counts 2, 1, 2: a body that emits group by group would put
@@ -344,7 +425,7 @@ class TestReduce:
         a = WPSet.from_pairs([(P({1, 2}, {3}), 1, "x"), (P({1, 2, 3}), 2, "y"),
                               (P({1, 3}, {2}), 3, "z")], 0b1110)
         out = ac_reduce(a)
-        assert list(out.entries.items()) == list(a.entries.items())
+        assert list(out.items()) == list(a.items())
 
     def test_basis_above_the_rank_bound_is_an_invariant_error(self, monkeypatch):
         monkeypatch.setattr("cwsolve.wpsets.max_weight_basis",
@@ -370,7 +451,7 @@ class TestMergeMemo:
         cells = self._cells(71)
         pairs = [(a, b) for a in cells for b in cells]
         MERGE_MEMO.clear()
-        cold = [list(join(a, b).entries.items()) for a, b in pairs]
+        cold = [list(join(a, b).items()) for a, b in pairs]
         assert MERGE_MEMO
         assert all(v == merge_blocks(*key) for key, v in MERGE_MEMO.items())
         calls = []
@@ -384,7 +465,7 @@ class TestMergeMemo:
         for a, b in zip(self._cells(73), self._cells(79)):
             join(a, b)
         calls.clear()
-        warm = [list(join(a, b).entries.items()) for a, b in pairs]
+        warm = [list(join(a, b).items()) for a, b in pairs]
         assert warm == cold
         assert not calls  # every merge came from the memo
         MERGE_MEMO.clear()
@@ -393,7 +474,7 @@ class TestMergeMemo:
 class TestContracts:
     def test_ground_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            WPSet(0b10).update(WPSet(0b100))
+            WPSet(0b10).merge(WPSet(0b100))
 
     def test_proj_outside_ground_rejected(self):
         a = WPSet(0b10)
@@ -413,11 +494,11 @@ class TestBlockTupleKeys:
         p = P({1, 2}, {3})
         by_tuple = WPSet.from_pairs([((0b0110, 0b1000), 5)], 0b1110)
         by_partition = WPSet.from_pairs([(p, 5)], 0b1110)
-        assert by_tuple.entries == by_partition.entries
-        assert by_tuple.entries[p] == by_partition.entries[(0b0110, 0b1000)]
+        assert by_tuple == by_partition
+        assert by_tuple[p] == by_partition[(0b0110, 0b1000)]
         joined = join_sets(by_partition, WPSet.from_pairs([(P({2, 3}), 1)],
                                                           0b1100))
-        assert joined.entries[P({1, 2, 3})] == (6, None)
+        assert joined[P({1, 2, 3})] == (6, None)
 
 
 class TestQueryOpt:
@@ -450,7 +531,7 @@ class TestPreservationSmoke:
             b = random_wpset(rng, ground, 4)
             assert check_representative(acjoin(a, b), acjoin(small, b), "acyclic")
             merged_full = a.copy()
-            merged_full.update(b)
+            merged_full.merge(b)
             merged_small = small.copy()
-            merged_small.update(b)
+            merged_small.merge(b)
             assert check_representative(merged_full, merged_small, "acyclic")
