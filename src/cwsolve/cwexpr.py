@@ -8,8 +8,9 @@ Expression files are s-expressions with a one-line header::
 The four node kinds are Introduce ``(v NAME [WEIGHT])``, Relabel
 ``(ren I J e)``, AddEdges ``(add I J e)`` and Union ``(u e e)``.  Introduce
 always labels its vertex 1; a missing weight defaults to 1.  Every pass reads
-the :class:`Program` compiled once per expression, its nodes in postorder as
-columns; per-node results are lists indexed by position.
+an expression's :class:`Program`, its nodes in postorder as columns, which
+the parser fills straight from the text; a leaf carries its label, as
+``(ren 1 x (v ...))`` folds into one leaf.  Per-node results are lists.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -65,14 +66,30 @@ class Union:
 Node = Introduce | Relabel | AddEdges | Union
 
 
-@dataclass(frozen=True)
 class CwExpression:
-    k: int
-    root: Node
+    """A declared ``k`` and a :class:`Program`, compiled from a tree built in
+    code or the parser's, whose tree ``root`` is rebuilt on first read."""
+
+    def __init__(self, k: int, root: Node | None = None,
+                 program: Program | None = None):
+        self.k = k  # the other of root and program is filled on first read
+        vars(self).update({"root": root} if program is None else {"program": program})
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CwExpression)
+                and (self.k, self.program) == (other.k, other.program))
 
     @cached_property
     def program(self) -> "Program":
         return compile_program(self.root)
+
+    @cached_property
+    def root(self) -> Node:
+        return _tree(self.program)
+
+    @cached_property
+    def max_label(self) -> int:  # sizes per-label structures, not k
+        return max(max(self.program.i), max(self.program.j))
 
 
 @dataclass
@@ -103,32 +120,18 @@ def edge_key(u: str, v: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Traversal helpers (iterative; expression trees can be thousands deep).
-
-def iter_postorder(root: Node) -> Iterator[Node]:
-    """Left before right: a right-first preorder walk, reversed."""
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        kind = type(node)
-        if kind is Union:
-            stack += (node.left, node.right)
-        elif kind is not Introduce:
-            stack.append(node.child)
-    return reversed(order)
-
+# Programs (iterative walks: expression trees can be thousands deep).
 
 LEAF, REN, ADD, UNION = range(4)  # a program's opcodes
-_OPCODES = {Introduce: LEAF, Relabel: REN, AddEdges: ADD, Union: UNION}
 
 
 class Program(NamedTuple):
     """An expression's nodes in postorder, one column entry per position: a
     unary node's child and a union's right child sit just before it, ``left``
-    is a union's left child, and ``present`` the mask of nonempty label
-    classes (bit l for label l).  Entries that do not apply are 0, -1, None.
-    Passes only read the columns."""
+    is a union's left child, ``present`` the mask of nonempty label classes
+    (bit l for label l), and a leaf's ``i`` its vertex's label, as ``(ren 1 x
+    (v ...))`` is one leaf at label x.  Entries that do not apply are 0, -1,
+    None.  Passes only read the columns."""
 
     op: list[int]
     i: list[int]
@@ -137,45 +140,74 @@ class Program(NamedTuple):
     name: list[str | None]
     weight: list[int | None]
     present: list[int]
-    node: list[Node]
+
+
+def _assemble(nodes: Iterable[tuple]) -> Program:
+    """The program of ``nodes``, each ``(op, i, j, name, weight)`` in postorder,
+    for the parser and :func:`compile_program`; it folds ``(ren 1 x (v ...))``."""
+    program = ops, li, lj, left, names, weights, present = Program(*([] for _ in range(7)))
+    done: list[int] = []  # finished subtrees' positions, leftmost first
+    for op, i, j, name, weight in nodes:
+        if op == LEAF:
+            i, mask = 1, 2
+            done.append(0)
+        elif op == UNION:
+            lp = done.pop(-2)
+            mask = present[lp] | present[-1]
+        elif op == ADD:
+            mask = present[-1]
+        elif i == 1 < j and ops[-1] == LEAF and li[-1] == 1:
+            li[-1], present[-1] = j, 1 << j  # the leaf at label j
+            continue
+        else:
+            mask = present[-1]
+            # no bit stands for a label below 1; validate rejects it
+            if i > 0 < j and mask >> i & 1:
+                mask = mask & ~(1 << i) | 1 << j
+        done[-1] = len(ops)
+        ops.append(op)
+        li.append(i)
+        lj.append(j)
+        left.append(lp if op == UNION else -1)
+        names.append(name)
+        weights.append(weight)
+        present.append(mask)
+    return program
 
 
 def compile_program(root: Node) -> Program:
-    """The :class:`Program` of the tree rooted at ``root``."""
-    nodes = list(iter_postorder(root))
-    n = len(nodes)
-    ops = list(map(_OPCODES.__getitem__, map(type, nodes)))
-    li, lj, left, present = [0] * n, [0] * n, [-1] * n, [0] * n
-    name, weight = [None] * n, [None] * n
-    done: list[int] = []  # finished subtrees' positions, leftmost first
-    mask = 0  # the last position's
-    for p, (op, node) in enumerate(zip(ops, nodes)):
-        if op == LEAF:
-            name[p], weight[p], mask = node.name, node.weight, 2
-            done.append(p)
-        elif op == UNION:
-            left[p] = done.pop(-2)
-            mask |= present[left[p]]
-        else:
-            li[p], lj[p] = i, j = node.i, node.j
-            # no bit stands for a label below 1; validate rejects it
-            if op == REN and i > 0 < j and mask >> i & 1:
-                mask = mask & ~(1 << i) | 1 << j
-        done[-1] = p
-        present[p] = mask
-    return Program(ops, li, lj, left, name, weight, present, nodes)
-
-
-def iter_preorder(root: Node) -> Iterator[Node]:
-    stack = [root]
+    """The :class:`Program` of the tree rooted at ``root``, whose nodes a
+    right-first preorder walk, reversed, visits in postorder."""
+    nodes, stack = [], [root]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, (Relabel, AddEdges)):
+        kind = type(node)
+        if kind is Introduce:
+            nodes.append((LEAF, 0, 0, node.name, node.weight))
+        elif kind is Union:
+            nodes.append((UNION, 0, 0, None, None))
+            stack += (node.left, node.right)
+        else:
+            nodes.append((REN if kind is Relabel else ADD, node.i, node.j, None, None))
             stack.append(node.child)
-        elif isinstance(node, Union):
-            stack.append(node.right)
-            stack.append(node.left)
+    return _assemble(reversed(nodes))
+
+
+def _tree(program: Program, skip=frozenset()) -> Node:
+    """The tree of ``program``, without the adds at the positions in ``skip``."""
+    built: list[Node] = []  # per open subtree
+    for p, (op, i, j, name, weight) in enumerate(zip(
+            program.op, program.i, program.j, program.name, program.weight)):
+        if op == LEAF:
+            leaf = Introduce(name, weight)
+            built.append(leaf if i == 1 else Relabel(1, i, leaf))
+        elif op == UNION:
+            built[-2:] = [Union(*built[-2:])]
+        elif op == REN:
+            built[-1] = Relabel(i, j, built[-1])
+        elif p not in skip:
+            built[-1] = AddEdges(i, j, built[-1])
+    return built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +217,14 @@ def iter_preorder(root: Node) -> Iterator[Node]:
 # characters that are neither whitespace, parentheses nor ';'.  Comments match
 # as the empty string, since they hold no group.
 _TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+_COMMENT_RE = re.compile(r";[^\n]*")
 _INT_RE = re.compile(r"[0-9]+\Z")  # ASCII only: int() reads other digits too
-
-
-def _tokenize(text: str) -> list[str]:
-    return [tok for tok in _TOKEN_RE.findall(text) if tok]
+_LABELS = {str(lab): lab for lab in range(1, 65)}  # the common label tokens
 
 
 def _token_line_col(text: str, index: int) -> tuple[int, int]:
-    """1-based line and column of token number ``index`` of ``text``.
-
-    Only error paths need a position, so the tokenizer keeps none: this scans
-    the text again for the token's offset.
-    """
+    """1-based line and column of token number ``index`` of ``text``, which
+    only error paths need: the tokens keep no offsets, so this scans again."""
     tokens = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
     offset = next(islice(tokens, index, None)).start()
     return (text.count("\n", 0, offset) + 1,
@@ -205,14 +232,12 @@ def _token_line_col(text: str, index: int) -> tuple[int, int]:
 
 
 def parse_expression(text: str) -> CwExpression:
-    """Parse the file format (header + one s-expression)."""
+    """Parse the file format (header + one s-expression) straight into its
+    :class:`Program`, with no tree: nodes end in postorder at their closing
+    parentheses, in one loop over the tokens with a stack of open operators."""
     lines = text.splitlines()
-    header_idx = None
-    for idx, raw in enumerate(lines):
-        stripped = raw.split(";", 1)[0].strip()
-        if stripped:
-            header_idx = idx
-            break
+    header_idx = next((idx for idx, raw in enumerate(lines)
+                       if raw.split(";", 1)[0].strip()), None)
     if header_idx is None:
         raise ExpressionError("empty expression file")
     m = re.match(r"cwexpr\s+k=(\S+)\Z", lines[header_idx].split(";", 1)[0].strip())
@@ -222,123 +247,108 @@ def parse_expression(text: str) -> CwExpression:
     if k < 1:
         raise ExpressionError("declared k must be at least 1")
     body = "\n" * (header_idx + 1) + "\n".join(lines[header_idx + 1:])
-    tokens = _tokenize(body)
-    pos = 0
+    # _TOKEN_RE's tokens: str.split splits at the whitespace \s matches
+    tokens = (_COMMENT_RE.sub("", body) if ";" in body else body).replace(
+        "(", " ( ").replace(")", " ) ").split()
 
     def err(msg: str, at: int):
-        """Raise at token number ``at``; :func:`take` reports the end of input."""
         line, col = _token_line_col(body, at)
         raise ExpressionError(f"line {line} col {col}: {msg}")
 
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            where = (f"line {_token_line_col(body, len(tokens) - 1)[0]}"
-                     if tokens else "empty input")
-            raise ExpressionError(
-                f"syntax error: unexpected end of input ({where})")
-        pos += 1
-        return tokens[pos - 1]
-
-    def expect(value: str):
-        tok = take()
-        if tok != value:
-            err(f"expected {value!r}, got {tok!r}", pos - 1)
-
-    def parse_int(at: int) -> int:
+    def integer(at: int) -> int:
         tok = tokens[at]
         if not _INT_RE.match(tok):
             err(f"expected an integer, got {tok!r}", at)
         return int(tok)
 
-    def parse_label(at: int) -> int:
-        val = parse_int(at)
+    def label(at: int) -> int:
+        val = _LABELS.get(tokens[at]) or integer(at)
         if not 1 <= val <= k:
             err(f"label {val} outside 1..{k}", at)
         return val
 
-    seen_names: set[str] = set()
-
-    def parse_leaf() -> Node:
-        name = take()
-        if not NAME_RE.match(name):
-            err(f"bad vertex name {name!r}", pos - 1)
-        if name in seen_names:
-            err(f"duplicate vertex name {name!r}", pos - 1)
-        seen_names.add(name)
-        if take() == ")":
-            return Introduce(name)
-        weight = parse_int(pos - 1)
-        expect(")")
-        return Introduce(name, weight)
-
-    # Frames carry unfinished operators; explicit stack so nesting depth is
-    # not limited by the interpreter's recursion limit.
-    stack: list[list] = []
-    node: Node | None = None
-    while True:
-        expect("(")
-        head = take()
-        if head == "v":
-            node = parse_leaf()
-        elif head in ("ren", "add", "u"):
-            if head == "u":
-                stack.append(["u", None])
-            else:
-                take()
-                take()
-                i, j = parse_label(pos - 2), parse_label(pos - 1)
+    out: list[tuple] = []  # the nodes in postorder, as _assemble takes them
+    frames: list = []  # open operators' nodes; None: a union's left child
+    names: set[str] = set()
+    pos = 0  # the next token
+    try:
+        while True:
+            if tokens[pos] != "(":
+                err(f"expected '(', got {tokens[pos]!r}", pos)
+            head = tokens[pos + 1]
+            if head == "v":
+                name = tokens[pos + 2]
+                if not NAME_RE.match(name):
+                    err(f"bad vertex name {name!r}", pos + 2)
+                if name in names:
+                    err(f"duplicate vertex name {name!r}", pos + 2)
+                names.add(name)
+                if tokens[pos + 3] == ")":
+                    weight, pos = 1, pos + 4
+                else:
+                    weight = integer(pos + 3)
+                    if tokens[pos + 4] != ")":
+                        err(f"expected ')', got {tokens[pos + 4]!r}", pos + 4)
+                    pos += 5
+                out.append((LEAF, 0, 0, name, weight))
+            elif head == "u":
+                frames += (UNION, 0, 0, None, None), None
+                pos += 2
+                continue
+            elif head == "ren" or head == "add":
+                tokens[pos + 3]  # both labels are read before either is checked
+                i, j = label(pos + 2), label(pos + 3)
                 if i == j:
-                    err(f"'{head}' needs two distinct labels", pos - 1)
-                stack.append([head, i, j])
-            continue
-        else:
-            err(f"unknown operator {head!r}", pos - 1)
-        # a node is complete: fold it into pending frames
-        while stack:
-            frame = stack[-1]
-            if frame[0] == "u" and frame[1] is None:
-                frame[1] = node
-                node = None
-                break
-            expect(")")
-            if frame[0] == "u":
-                node = Union(frame[1], node)
-            elif frame[0] == "ren":
-                node = Relabel(frame[1], frame[2], node)
+                    err(f"'{head}' needs two distinct labels", pos + 3)
+                frames.append((REN if head == "ren" else ADD, i, j, None, None))
+                pos += 4
+                continue
             else:
-                node = AddEdges(frame[1], frame[2], node)
-            stack.pop()
-        if node is not None and not stack:
-            break
+                err(f"unknown operator {head!r}", pos + 1)
+            # a node ended: it ends every open operator it completes
+            while frames:
+                if frames[-1] is None:  # a union's left child: its right is next
+                    frames.pop()
+                    break
+                if tokens[pos] != ")":
+                    err(f"expected ')', got {tokens[pos]!r}", pos)
+                pos += 1
+                out.append(frames.pop())
+            else:
+                break
+    except IndexError:  # a token past the last one was read
+        where = (f"line {_token_line_col(body, len(tokens) - 1)[0]}"
+                 if tokens else "empty input")
+        raise ExpressionError(f"syntax error: unexpected end of input ({where})") from None
     if pos != len(tokens):
         err("trailing input after expression", pos)
-    return CwExpression(k, node)
+    return CwExpression(k, program=_assemble(out))
+
+
+def _preorder(program: Program) -> Iterator[int]:
+    """The positions in the tree's preorder, and a -1 where a subtree ends."""
+    stack = [len(program.op) - 1]
+    while stack:
+        p = stack.pop()
+        yield p
+        if p >= 0 and program.op[p] != LEAF:
+            stack += (-1, p - 1, program.left[p]) if program.op[p] == UNION \
+                else (-1, p - 1)
 
 
 def serialize(expr: CwExpression) -> str:
+    program = expr.program
     parts: list[str] = []
-    stack: list[Node | str] = [expr.root]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+    for p in _preorder(program):
+        if p < 0:
+            parts.append(")")
             continue
-        if isinstance(item, Introduce):
-            parts.append(f"(v {item.name} {item.weight})")
-        elif isinstance(item, Relabel):
-            parts.append(f"(ren {item.i} {item.j}")
-            stack.append(")")
-            stack.append(item.child)
-        elif isinstance(item, AddEdges):
-            parts.append(f"(add {item.i} {item.j}")
-            stack.append(")")
-            stack.append(item.child)
+        op, i, j = program.op[p], program.i[p], program.j[p]
+        if op == LEAF:
+            leaf = f"(v {program.name[p]} {program.weight[p]})"
+            parts.append(leaf if i == 1 else f"(ren 1 {i} {leaf})")
         else:
-            parts.append("(u")
-            stack.append(")")
-            stack.append(item.right)
-            stack.append(item.left)
+            parts.append("(u" if op == UNION else f"({'ren' if op == REN else 'add'} {i} {j}")
     body = " ".join(parts).replace(" )", ")")
     return f"cwexpr k={expr.k}\n{body}\n"
 
@@ -359,10 +369,10 @@ def validate(expr: CwExpression) -> None:
         if weight < 0:
             raise ExpressionError(f"negative weight on vertex {name!r}")
         names.add(name)
-    for i, j in set(zip(program.i, program.j)) - {(0, 0)}:
+    for op, i, j in set(zip(program.op, program.i, program.j)) - {(UNION, 0, 0)}:
         if i == j:
             raise ExpressionError("relabel/add needs two distinct labels")
-        if not (1 <= i <= expr.k and 1 <= j <= expr.k):
+        if not (1 <= i <= expr.k and (op == LEAF or 1 <= j <= expr.k)):
             raise ExpressionError(f"label outside 1..{expr.k}")
 
 
@@ -377,7 +387,7 @@ def evaluate(expr: CwExpression) -> LabeledGraph:
     edges: set[tuple[str, str]] = set()
     for op, i, j, name in zip(program.op, program.i, program.j, program.name):
         if op == LEAF:
-            classes.append({1: {name}})
+            classes.append({i: {name}})
         elif op == UNION:
             for lab, members in classes.pop().items():
                 classes[-1].setdefault(lab, set()).update(members)
@@ -417,10 +427,13 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     found = _redundant_adds(expr)
     if not found:
         return []
-    program = expr.program
-    order = {id(node): idx for idx, node in enumerate(iter_preorder(expr.root))}
-    return [RedundancyIssue(order[id(program.node[p])], program.i[p],
-                            program.j[p], kind) for p, kind in found]
+    program, index, at = expr.program, {}, 0
+    for p in _preorder(program):  # a leaf at label x != 1 is two tree nodes
+        if p >= 0:
+            index[p] = at
+            at += 1 + (program.op[p] == LEAF and program.i[p] != 1)
+    return [RedundancyIssue(index[p], program.i[p], program.j[p], kind)
+            for p, kind in found]
 
 
 def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
@@ -440,7 +453,7 @@ def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
     stack: list[tuple[dict, dict]] = []  # (sizes, pair counts) per subtree
     for p, (op, i, j) in enumerate(zip(program.op, program.i, program.j)):
         if op == LEAF:
-            stack.append(({1: 1}, {}))
+            stack.append(({i: 1}, {}))
         elif op == REN:
             size, pairs = stack[-1]
             size[j] = size.get(j, 0) + size.pop(i, 0)
@@ -481,23 +494,12 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
     if any(kind == "partial" for _, kind in found):
         raise PartiallyRedundantError(
             "expression has partially redundant add operations")
-    dead = {p for p, _ in found}
-    built: list[Node] = []  # per open subtree
-    for p, (op, node) in enumerate(zip(expr.program.op, expr.program.node)):
-        if op == LEAF:
-            built.append(node)
-        elif op == UNION:
-            built[-2:] = [Union(*built[-2:])]
-        elif op == REN:
-            built[-1] = Relabel(node.i, node.j, built[-1])
-        elif p not in dead:
-            built[-1] = AddEdges(node.i, node.j, built[-1])
-    return CwExpression(expr.k, built[0])
+    return CwExpression(expr.k, _tree(expr.program, {p for p, _ in found}))
 
 
 def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
-    """Per position: for each label l (at index l - 1), how many neighbours
-    its class still gains.
+    """Per position: for each label l up to the largest one the program uses
+    (at index l - 1), how many neighbours its class still gains.
 
     At every add above the node that touches the class, the class gains the
     partner class of that add.  On an irredundant expression these partner
@@ -505,12 +507,12 @@ def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
     would make some add re-add an edge), so the sum of their sizes counts the
     new neighbours exactly.  Sizes go up the program, sums down: O(|expr| k).
     """
-    program = expr.program
+    program, width = expr.program, expr.max_label
     ops, li, lj, left = program.op, program.i, program.j, program.left
     sizes, met = [], {}  # class sizes per open subtree; |Ci|, |Cj| per add
     for p, op in enumerate(ops):
         if op == LEAF:
-            sizes.append([0, 1] + [0] * (expr.k - 1))
+            sizes.append([0] * li[p] + [1] + [0] * (width - li[p]))
         elif op == REN:
             size = sizes[-1]
             size[lj[p]] += size[li[p]]
@@ -519,7 +521,7 @@ def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
             met[p] = sizes[-1][li[p]], sizes[-1][lj[p]]
         else:
             sizes[-2:] = [[a + b for a, b in zip(*sizes[-2:])]]
-    fut = [(0,) * expr.k] * len(ops)  # the root's stays
+    fut = [(0,) * width] * len(ops)  # the root's stays
     for p in range(len(ops) - 1, 0, -1):  # a parent sits after its children
         op, above = ops[p], fut[p]
         if op == UNION:

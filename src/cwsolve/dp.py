@@ -76,8 +76,8 @@ def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
 
 def touched(op: int, i: int, j: int) -> int:
     """The labels whose slots a node sets (bit l for label l): the leaf's
-    label 1, none at a union, and i and j at an add or a relabel."""
-    return 2 if op == LEAF else 0 if op == UNION else 1 << i | 1 << j
+    label i (its j is 0, no label), none at a union, and i and j otherwise."""
+    return 0 if op == UNION else 1 << i | 1 << j
 
 
 def lookaheads(program, fut: list, dead: list) -> list:
@@ -103,16 +103,16 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         leaf, ren, add, union) -> dict:
     """Run the transitions over ``expr.program``; returns the root's table.
 
-    A node's table is ``leaf(name, weight, fut)``, ``ren(table, present, i,
-    j, fut)``, ``add(table, present, i, j, fut)`` or ``union(table_a, pres_a,
-    table_b, pres_b, fut)``, where ``present`` is a child's mask of nonempty
-    label classes (bit l for label l) and ``fut`` the node's future degree
-    vector capped at ``prune.cap`` (:func:`capped_degrees`).  Under
-    ``prune.lookahead`` a node whose parent is an add also gets that add's
-    ``(i, j, present, fut)`` (:func:`lookaheads`) as one more argument, so
-    that it can leave out, before building their cells, the keys the add
-    has no successor for; see below.  Each node's
-    kind, states and largest cell go into ``stats``.  The joins' merge memo
+    A node's table is ``leaf(label, name, weight, fut)``, with its vertex's
+    label, ``ren(table, present, i, j, fut)``, ``add(table, present, i, j,
+    fut)`` or ``union(table_a, pres_a, table_b, pres_b, fut)``, where
+    ``present`` is a child's mask of nonempty label classes (bit l for label
+    l) and ``fut`` the node's future degree vector capped at ``prune.cap``
+    (:func:`capped_degrees`).  Under ``prune.lookahead`` a node whose parent
+    is an add also gets that add's ``(i, j, present, fut)``
+    (:func:`lookaheads`) as one more argument, so that it can leave out,
+    before building their cells, the keys the add has no successor for; see
+    below.  Each position's kind, states and largest cell go into ``stats``.  The joins' merge memo
     (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
 
     ``prune`` is the one switch for every prune.  None is the unpruned
@@ -121,7 +121,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
 
     * ``prune.retire`` rewrites the table over the node's dead labels, those
       whose future degree is 0, if the node changes the slot of one of them:
-      the leaf's label 1, the two classes of an add, or either label of a
+      the leaf's label, the two classes of an add, or either label of a
       relabel.  Elsewhere every dead slot is as its child left it: a union's
       children share its future degrees, and a label dies only where its
       slot changes, since going up a future degree falls only at the adds
@@ -160,7 +160,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 program.weight, program.present, fut, dead, aheads):
             extra = () if ahead is None else (ahead,)
             if op == LEAF:
-                table = leaf(name, weight, vec, *extra)
+                table = leaf(i, name, weight, vec, *extra)
             elif op == UNION:
                 right = tables.pop()
                 table = union(tables.pop(), program.present[left], right,

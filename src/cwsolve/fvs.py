@@ -103,19 +103,19 @@ def state_ground(state: State) -> int:
     return ANCHOR_BIT | label_mask(state, ONE) | label_mask(state, MANY_WAIT)
 
 
-def fvs_leaf(k: int, with_witness: bool, name: str, weight: int,
+def fvs_leaf(k: int, with_witness: bool, label: int, name: str, weight: int,
              fut=None) -> Table:
     wit0 = () if with_witness else None
     wit1 = name if with_witness else None
     untouched = WPSet(ANCHOR_BIT)
     untouched.add((ANCHOR_BIT,), 0, wit0)
-    lone = WPSet(ANCHOR_BIT | 2)
+    bit = 1 << label
+    lone = WPSet(ANCHOR_BIT | bit)
     # The single vertex either already hangs off the anchor or does not.
-    lone.add((ANCHOR_BIT | 2,), weight, wit1)
-    lone.add((ANCHOR_BIT, 2), weight, wit1)
+    lone.add((ANCHOR_BIT | bit,), weight, wit1)
+    lone.add((ANCHOR_BIT, bit), weight, wit1)
     zero = (ABSENT,) * k
-    one = (ONE,) + (ABSENT,) * (k - 1)
-    return {zero: untouched, one: lone}
+    return {zero: untouched, zero[:label - 1] + (ONE,) + zero[label:]: lone}
 
 
 def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
@@ -276,7 +276,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
         raise NotIrredundantError(
             "feedback vertex set requires an irredundant expression")
     stats = SolveStats()
-    k = expr.k
+    k = expr.max_label  # a state has a slot per label in use
     # retirement only asks whether a future degree is 0
     prune = (dp.Prune(1, (k + 1) << k, ac_reduce, fvs_retire) if use_reduce
              else None)

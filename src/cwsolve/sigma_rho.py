@@ -394,20 +394,20 @@ def _successors(ctx: DomContext, ahead) -> tuple:
                                  fut and fut[i - 1], fut and fut[j - 1])
 
 
-def srd_leaf(ctx: DomContext, name: str, weight: int, fut=None,
+def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
              ahead=None) -> dict:
     wit_in = name if ctx.with_witness else None
     wit_out = () if ctx.with_witness else None
     up_i, up_j, up = _successors(ctx, ahead)
     cells = {}
     for code in ctx.leaf_codes[name in ctx.terminals]:
-        if ctx.code_of(ctx.slots[code], fut and fut[0]) is None:
+        if ctx.code_of(ctx.slots[code], fut and fut[label - 1]) is None:
             continue
-        key = (code,) + (0,) * (ctx.k - 1)
+        key = (0,) * (label - 1) + (code,) + (0,) * (ctx.k - label)
         if up is not None and not up[key[up_i]][key[up_j]]:
             continue
-        cell = WPSet(2 if ctx.open[code] else 0)
-        cell.add((2,) if ctx.open[code] else EMPTY_PARTITION,
+        cell = WPSet(1 << label if ctx.open[code] else 0)
+        cell.add((1 << label,) if ctx.open[code] else EMPTY_PARTITION,
                  *((ctx.sign * weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
         cells[key] = cell
     return cells
@@ -538,9 +538,12 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
     return out
 
 
-def _solve(expr: CwExpression, ctx: DomContext, started: float) -> DomResult:
-    """Run the transitions over the expression, pruned iff ``ctx.pruned``;
-    the optimum at the root."""
+def _solve(expr: CwExpression, spec: SigmaRhoSpec, with_witness: bool,
+           use_reduce: bool, started: float, terminals=frozenset()) -> DomResult:
+    """Run the transitions over the expression, pruned iff ``use_reduce``,
+    with a key slot per label in use; the optimum at the root."""
+    ctx = DomContext(spec, expr.max_label, with_witness, terminals,
+                     n=expr.program.op.count(LEAF), pruned=use_reduce)
     stats = SolveStats()
     prune = (dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set,
                       partial(srd_retire, ctx), lookahead=True)
@@ -568,9 +571,7 @@ def solve_connected_sigma_rho(expr: CwExpression, spec: SigmaRhoSpec,
     """Optimum weight of a connected (co-)(sigma, rho)-dominating set."""
     started = time.perf_counter()
     _check_irredundant(expr)
-    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
-                                   n=expr.program.op.count(LEAF),
-                                   pruned=use_reduce), started)
+    return _solve(expr, spec, with_witness, use_reduce, started)
 
 
 def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
@@ -592,7 +593,4 @@ def solve_steiner(expr: CwExpression, terminals, with_witness: bool = False,
         stats = SolveStats(elapsed_ms=(time.perf_counter() - started) * 1000.0)
         return DomResult(weights[term], (term,) if with_witness else None, stats)
     spec = SigmaRhoSpec(POSITIVES, NATURALS, MIN)
-    return _solve(expr, DomContext(spec, expr.k, with_witness=with_witness,
-                                   terminals=terms,
-                                   n=expr.program.op.count(LEAF),
-                                   pruned=use_reduce), started)
+    return _solve(expr, spec, with_witness, use_reduce, started, terms)

@@ -15,24 +15,81 @@ CORPUS_SEED = 20240811
 FIXTURE_KINDS = ("clique", "path", "cycle", "star")
 
 
-def fold(program, leaf, ren, add, union):
-    """Bottom-up fold over an expression's program; returns the root's result.
+def fold(root, leaf, ren, add, union):
+    """Bottom-up fold over the tree rooted at ``root``; returns the root's
+    result.
 
     ``leaf(node)``, ``ren(node, r)``, ``add(node, r)`` and
     ``union(node, r_left, r_right)`` get the results of the node's children.
+    Every tree node is visited, so a relabel that the program folds into its
+    leaf (``(ren 1 x (v ...))``) is a leaf and then a relabel here.
     """
-    from cwsolve.cwexpr import LEAF, REN, UNION
+    from cwsolve.cwexpr import AddEdges, Introduce, Union
 
     results: list = []
-    for op, node in zip(program.op, program.node):
-        if op == LEAF:
+    for node in iter_postorder(root):
+        kind = type(node)
+        if kind is Introduce:
             results.append(leaf(node))
-        elif op == UNION:
+        elif kind is Union:
             right = results.pop()
             results[-1] = union(node, results[-1], right)
         else:
-            results[-1] = (ren if op == REN else add)(node, results[-1])
+            results[-1] = (add if kind is AddEdges else ren)(node, results[-1])
     return results[0]
+
+
+def iter_postorder(root):
+    """The tree's nodes in postorder, a union's left child first: a
+    right-first preorder walk, reversed (iterative)."""
+    from cwsolve.cwexpr import Introduce, Union
+
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if type(node) is Union:
+            stack += (node.left, node.right)
+        elif type(node) is not Introduce:
+            stack.append(node.child)
+    return reversed(order)
+
+
+def iter_preorder(root):
+    """The tree's nodes in preorder, a union's left child first; iterative,
+    as trees can be thousands deep."""
+    from cwsolve.cwexpr import Introduce, Union
+
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if type(node) is Union:
+            stack += (node.right, node.left)
+        elif type(node) is not Introduce:
+            stack.append(node.child)
+
+
+def folded(node) -> bool:
+    """Whether ``node`` is a relabel the program folds into its leaf: exactly
+    ``Relabel(1, x, Introduce(...))`` with x > 1."""
+    from cwsolve.cwexpr import Introduce, Relabel
+
+    return (type(node) is Relabel and node.i == 1 < node.j
+            and type(node.child) is Introduce)
+
+
+def program_nodes(root) -> list:
+    """The tree's node at each program position: postorder, except that a
+    folded relabel (:func:`folded`) stands for its leaf, which has no
+    position of its own."""
+    out: list = []
+    for node in iter_postorder(root):
+        if folded(node):
+            out[-1] = node
+        else:
+            out.append(node)
+    return out
 
 
 def random_graph(n: int, rng: random.Random, max_weight: int = 10) -> LabeledGraph:

@@ -42,7 +42,7 @@ def rebuild(expr, name=None, weight=None, label=None) -> CwExpression:
         out = Introduce(name(node.name), weight(node.weight))
         return out if label(1) == 1 else Relabel(1, label(1), out)
 
-    root = fold(expr.program, leaf,
+    root = fold(expr.root, leaf,
                 lambda node, child: Relabel(label(node.i), label(node.j), child),
                 lambda node, child: AddEdges(label(node.i), label(node.j), child),
                 lambda node, left, right: Union(left, right))
@@ -229,7 +229,7 @@ def multi_label_unions(expr) -> int:
         count += len(a) > 1 and len(b) > 1
         return a | b
 
-    fold(expr.program, lambda node: frozenset({1}),
+    fold(expr.root, lambda node: frozenset({1}),
          lambda node, c: c - {node.i} | {node.j} if node.i in c else c,
          lambda node, c: c, union)
     return count

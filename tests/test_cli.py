@@ -228,6 +228,25 @@ class TestCheckExpr:
         assert code == 0 and payload["irredundant"]
         assert payload["live_width"] == 2  # the endpoint and the newcomer
 
+    @pytest.mark.parametrize("body", ["(v a)", "(u (v a) (v b))",
+                                      "(add 1 2 (u (v a) (ren 1 2 (v b))))"])
+    def test_a_huge_declared_k_answers_as_k_2(self, tmp_path, capsys, body):
+        # the DP is sized by the labels in use, not by the header
+        out = {}
+        for k in ("2", "99999999999999999999", "1000000"):
+            path = tmp_path / f"k{k}.cw"
+            path.write_text(f"cwexpr k={k}\n{body}\n")
+            out[k] = [run_json(capsys, ["check-expr", "--json", "--expr",
+                                        str(path)])]
+            for problem in ("fvs", "cds"):
+                code, payload = run_json(capsys, [
+                    "solve", "--problem", problem, "--json", "--witness",
+                    "--expr", str(path)])
+                payload["stats"].pop("elapsed_ms")
+                out[k].append((code, payload))
+        assert out["2"][0][0] == 0
+        assert out["99999999999999999999"] == out["2"] == out["1000000"]
+
     def test_json_live_width_is_null_when_not_irredundant(self, tmp_path,
                                                           capsys):
         path = tmp_path / "bad.cw"

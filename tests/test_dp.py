@@ -15,8 +15,7 @@ import cwsolve.sigma_rho
 import cwsolve.wpsets
 from cwsolve import fixture, naive_expression, parse_expression
 from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel,
-                            Union, evaluate, future_degrees, iter_postorder,
-                            iter_preorder)
+                            evaluate, future_degrees)
 from cwsolve.dp import Prune, SolveStats, root_optimum, run
 from cwsolve.fvs import solve_fvs
 from cwsolve.partitions import iter_partitions
@@ -25,9 +24,14 @@ from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
 from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, WPSet, ac_reduce, join_sets,
                             query_opt, reduce_set)
 
-from conftest import random_expression, random_graph
+from conftest import folded, program_nodes, random_expression, random_graph
 
 KINDS = {Introduce: "introduce", Relabel: "relabel", AddEdges: "add"}
+
+
+def _kind(node) -> str:
+    """The kind of the program position ``node`` stands for."""
+    return "introduce" if folded(node) else KINDS.get(type(node), "union")
 
 
 def _expressions():
@@ -46,8 +50,7 @@ def _children(nodes):
     off the postorder node list alone."""
     out, finished = [], []
     for p, node in enumerate(nodes):
-        arity = (0 if isinstance(node, Introduce) else
-                 2 if isinstance(node, Union) else 1)
+        arity = {"introduce": 0, "union": 2}.get(_kind(node), 1)
         out.append(finished[len(finished) - arity:])
         del finished[len(finished) - arity:]
         finished.append(p)
@@ -66,6 +69,7 @@ class FakeProblem:
     def __init__(self, seed):
         self.rng = random.Random(seed)
         self.calls = []  # (child tables, child present masks, fut, table)
+        self.labels = []  # each leaf's label
 
     def _table(self, tables, masks, fut):
         table = {n: [None] * self.rng.randint(0, 4)
@@ -73,7 +77,8 @@ class FakeProblem:
         self.calls.append((tables, masks, fut, table))
         return table
 
-    def leaf(self, name, weight, fut):
+    def leaf(self, label, name, weight, fut):
+        self.labels.append(label)
         return self._table((), (), fut)
 
     def ren(self, table, present, i, j, fut):
@@ -109,13 +114,14 @@ def test_run_against_independent_counts(cap, monkeypatch):
     for seed, expr in enumerate(_expressions()):
         fake, stats = FakeProblem(seed), SolveStats()
         root_table = fake.run(expr, stats, cap)
-        nodes = list(iter_postorder(expr.root))
+        nodes = program_nodes(expr.root)
         assert len(fake.calls) == len(nodes)
         assert fake.calls[-1][3] is root_table
 
-        kinds = Counter(KINDS.get(type(node), "union")
-                        for node in iter_preorder(expr.root))
+        kinds = Counter(map(_kind, nodes))
         assert stats.node_kinds == kinds
+        assert fake.labels == [node.j if folded(node) else 1 for node in nodes
+                               if _kind(node) == "introduce"]
         assert stats.dp_nodes == sum(kinds.values())
         tables = [call[3] for call in fake.calls]
         assert stats.total_states == sum(map(len, tables))
@@ -154,6 +160,8 @@ def _touched(node):
     """The labels whose slots a node sets: bit l for label l."""
     if isinstance(node, Introduce):
         return 2
+    if folded(node):
+        return 1 << node.j
     if isinstance(node, (Relabel, AddEdges)):
         return 1 << node.i | 1 << node.j
     return 0
@@ -165,7 +173,7 @@ def test_run_retires_where_a_dead_slot_changes(cap):
         fake, stats = RetiringProblem(seed), SolveStats()
         root_table = run(expr, stats, Prune(cap, 4, _refuse, fake.retire),
                          fake.leaf, fake.ren, fake.add, fake.union)
-        nodes = list(iter_postorder(expr.root))
+        nodes = program_nodes(expr.root)
         fut = future_degrees(expr)
         dead = [sum(2 << l for l, x in enumerate(fut[p]) if not x)
                 for p in range(len(nodes))]
@@ -195,7 +203,7 @@ def test_live_width_counts_every_nonempty_label_on_the_reference_path():
         FakeProblem(seed).run(expr, stats, None)
         assert stats.live_width == max(
             _present(expr.k, node).bit_count()
-            for node in iter_postorder(expr.root))
+            for node in program_nodes(expr.root))
 
 
 def test_root_optimum_keeps_the_first_best_entry():
@@ -310,7 +318,7 @@ def test_concurrent_solves_share_the_merge_memo_safely():
 
 ROOTED = {  # an expression whose root is a node of the kind
     "introduce": "cwexpr k=1\n(v a)",
-    "relabel": "cwexpr k=2\n(ren 1 2 (v a))",
+    "relabel": "cwexpr k=3\n(ren 2 3 (ren 1 2 (v a)))",
     "add": "cwexpr k=2\n(add 1 2 (u (v a) (ren 1 2 (v b))))",
     "union": "cwexpr k=1\n(u (v a) (v b))",
 }
@@ -401,7 +409,7 @@ cell = WPSet.from_pairs([((0b110,), 1), ((0b010, 0b100), 2)], 0b110)
 try:
     run(parse_expression("cwexpr k=1\\n(v a)"), SolveStats(),
         Prune(1, 1, lambda c: c, lambda table, dead: table),
-        lambda name, weight, fut: {"s": cell}, None, None, None)
+        lambda label, name, weight, fut: {"s": cell}, None, None, None)
 except InvariantError:
     print(__debug__, "raised")
 """

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -7,12 +9,14 @@ from cwsolve import (ExpressionError, PartiallyRedundantError,
                      parse_expression, parse_graph, serialize,
                      serialize_graph, strip_redundant_adds)
 from cwsolve.cwexpr import (ADD, LEAF, REN, UNION, AddEdges, CwExpression,
-                            Introduce, Relabel, Union, edge_key,
-                            future_degrees, iter_postorder, iter_preorder,
-                            validate, vertex_weights)
+                            Introduce, Relabel, Union, compile_program, edge_key,
+                            future_degrees, validate, vertex_weights)
 from cwsolve.fvs import solve_fvs
+from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
+                               solve_steiner)
 
-from conftest import fold, random_expression, random_graph
+from conftest import (fold, folded, iter_postorder, iter_preorder,
+                      program_nodes, random_expression, random_graph)
 
 K3_TEXT = """cwexpr k=2
 (add 1 2 (u (ren 2 1 (add 1 2 (u (v a 1) (ren 1 2 (v b 1)))))
@@ -170,7 +174,7 @@ def _with_extra_adds(rng: random.Random, expr: CwExpression) -> CwExpression:
             return AddEdges(i, j, node)
         return node
 
-    root = fold(expr.program,
+    root = fold(expr.root,
                 maybe_add,
                 lambda node, child: maybe_add(Relabel(node.i, node.j, child)),
                 lambda node, child: maybe_add(AddEdges(node.i, node.j, child)),
@@ -312,12 +316,12 @@ class TestGraphFiles:
 
 
 def _gained_neighbours(expr: CwExpression) -> dict[tuple[int, int], int]:
-    """Per (postorder position, label) of a nonempty class, by evaluating
+    """Per (program position, label) of a nonempty class, by evaluating
     every subtree: how many neighbours the class gains between the node and
     the root."""
     final = evaluate(expr).neighbors()
     out = {}
-    for p, node in enumerate(iter_postorder(expr.root)):
+    for p, node in enumerate(program_nodes(expr.root)):
         sub = evaluate(CwExpression(expr.k, node))
         here = sub.neighbors()
         for lab in set(sub.labels.values()):
@@ -381,24 +385,31 @@ def test_iter_postorder_is_left_before_right():
 
 
 def test_the_program_agrees_with_the_postorder_nodes():
+    # a position per tree node in postorder, but a folded relabel
+    # Relabel(1, x, Introduce(...)) is one leaf whose i is its label x
     opcodes = {Introduce: LEAF, Relabel: REN, AddEdges: ADD, Union: UNION}
     for expr in _program_corpus():
         program = expr.program
         assert program is expr.program  # compiled once
-        nodes = list(iter_postorder(expr.root))
+        nodes = program_nodes(expr.root)
         assert len(program.op) == len(nodes)
         assert all(len(column) == len(nodes) for column in program)
-        assert [id(n) for n in program.node] == [id(n) for n in nodes]
         for p, node in enumerate(nodes):
-            assert program.op[p] == opcodes[type(node)]
-            unary = isinstance(node, (Relabel, AddEdges))
-            assert (program.i[p], program.j[p]) == (
-                (node.i, node.j) if unary else (0, 0))
-            leaf = isinstance(node, Introduce)
-            assert (program.name[p], program.weight[p]) == (
-                (node.name, node.weight) if leaf else (None, None))
-            if unary:
-                assert nodes[p - 1] is node.child
+            leaf = node.child if folded(node) else node
+            if isinstance(leaf, Introduce):
+                assert program.op[p] == LEAF
+                assert (program.i[p], program.j[p]) == (
+                    (node.j if folded(node) else 1), 0)
+                assert (program.name[p], program.weight[p]) == (
+                    leaf.name, leaf.weight)
+            else:
+                assert program.op[p] == opcodes[type(node)]
+                unary = isinstance(node, (Relabel, AddEdges))
+                assert (program.i[p], program.j[p]) == (
+                    (node.i, node.j) if unary else (0, 0))
+                assert program.name[p] is program.weight[p] is None
+                if unary:
+                    assert nodes[p - 1] is node.child
             if isinstance(node, Union):
                 assert nodes[p - 1] is node.right
                 assert nodes[program.left[p]] is node.left
@@ -407,6 +418,138 @@ def test_the_program_agrees_with_the_postorder_nodes():
             labels = evaluate(CwExpression(expr.k, node)).labels.values()
             assert program.present[p] == sum({1 << lab for lab in labels})
         assert nodes[-1] is expr.root
+
+
+def _bench_texts() -> list[str]:
+    """The expression files of the three benchmark workloads at seed 1."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    return sorted({inst.expr.text for workload in workloads.WORKLOADS
+                   for inst in workloads.build(workload, 1)})
+
+
+def _tree_text(expr: CwExpression) -> str:
+    """The file text of ``expr`` written from its tree, as the serializer
+    wrote it before it read the program."""
+    parts, stack = [], [expr.root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Introduce):
+            parts.append(f"(v {item.name} {item.weight})")
+        elif isinstance(item, Union):
+            parts.append("(u")
+            stack += (")", item.right, item.left)
+        else:
+            op = "ren" if isinstance(item, Relabel) else "add"
+            parts.append(f"({op} {item.i} {item.j}")
+            stack += (")", item.child)
+    body = " ".join(parts).replace(" )", ")")
+    return f"cwexpr k={expr.k}\n{body}\n"
+
+
+def test_parsed_columns_equal_the_compiled_tree():
+    texts = [serialize(expr) for expr in _program_corpus()] + _bench_texts()
+    for text in texts:
+        parsed = parse_expression(text)
+        assert parsed.program == compile_program(parsed.root)
+        assert CwExpression(parsed.k, parsed.root) == parsed
+    for expr in _program_corpus():
+        assert parse_expression(serialize(expr)).program == expr.program
+
+
+def test_serialize_writes_what_the_tree_does():
+    text = ("; lead\ncwexpr k=3 ; header\n(add 1 2 (u (ren 1 2 (v a)) ; one\n"
+            " (ren 2 3 (u (ren 1 2 (v b 4)) (v c 0)))))\n")
+    assert serialize(parse_expression(text)) == (
+        "cwexpr k=3\n(add 1 2 (u (ren 1 2 (v a 1)) "
+        "(ren 2 3 (u (ren 1 2 (v b 4)) (v c 0)))))\n")
+    for expr in _program_corpus():
+        assert serialize(expr) == _tree_text(expr)
+        assert serialize(parse_expression(serialize(expr))) == _tree_text(expr)
+    for text in _bench_texts():
+        parsed = parse_expression(text)
+        assert serialize(parsed) == _tree_text(parsed)
+
+
+@pytest.mark.parametrize("body, ops, labels, present", [
+    ("(ren 1 2 (v a))", [LEAF], [2], [0b100]),
+    # a relabel from any label but 1 stays, even over a leaf
+    ("(ren 2 3 (v a))", [LEAF, REN], [1, 2], [0b10, 0b10]),
+    ("(ren 2 1 (ren 1 2 (v a)))", [LEAF, REN], [2, 2], [0b100, 0b10]),
+    # only the inner relabel of two over one leaf folds
+    ("(ren 1 3 (ren 1 2 (v a)))", [LEAF, REN], [2, 1], [0b100, 0b100]),
+    ("(ren 1 2 (u (v a) (v b)))", [LEAF, LEAF, UNION, REN], [1, 1, 0, 1],
+     [0b10, 0b10, 0b10, 0b100]),
+    ("(u (ren 1 3 (v a)) (add 1 2 (v b)))", [LEAF, LEAF, ADD, UNION],
+     [3, 1, 1, 0], [0b1000, 0b10, 0b10, 0b1010]),
+])
+def test_only_a_relabel_from_1_of_a_leaf_folds(body, ops, labels, present):
+    text = f"cwexpr k=3\n{body}\n"
+    expr = parse_expression(text)
+    assert expr.program.op == ops
+    assert expr.program.i == labels
+    assert expr.program.present == present
+    assert serialize(expr) == text.replace("(v a)", "(v a 1)").replace(
+        "(v b)", "(v b 1)")
+    assert compile_program(expr.root) == expr.program
+    tree = {
+        "(ren 1 3 (ren 1 2 (v a)))":
+            Relabel(1, 3, Relabel(1, 2, Introduce("a"))),
+        "(ren 1 2 (v a))": Relabel(1, 2, Introduce("a")),
+    }.get(body)
+    if tree is not None:  # the rebuilt tree keeps every relabel
+        assert expr.root == tree
+
+
+def test_a_redundant_add_right_of_a_folded_leaf_keeps_its_node_index():
+    # preorder: u, ren, v a, add (index 3), add, u, v b, ren, v c
+    text = ("cwexpr k=2\n(u (ren 1 2 (v a)) (add 1 2 (add 1 2 "
+            "(u (v b) (ren 1 2 (v c))))))\n")
+    issues = check_irredundant(parse_expression(text))
+    assert [(issue.node_index, issue.kind) for issue in issues] == [(3, "full")]
+    rng = random.Random(4145)
+    for _ in range(60):
+        expr = _with_extra_adds(rng, random_expression(
+            rng, rng.randint(1, 9), rng.randint(2, 4)))
+        assert check_irredundant(parse_expression(serialize(expr))) == \
+            check_irredundant(expr)
+
+
+# the same bodies as the first at k = 2, under headers far above their labels
+HUGE_K = ("99999999999999999999", "1000000")
+
+
+@pytest.mark.parametrize("body, terminals", [
+    ("(v a)", ("a",)),
+    ("(u (v a) (v b))", ("a", "b")),
+    ("(add 1 2 (u (v a 3) (ren 1 2 (v b 2))))", ("a", "b")),
+    ("(add 1 2 (u (u (v a) (v c 4)) (ren 1 2 (v b 2))))", ("a", "c")),
+])
+def test_the_declared_k_does_not_size_the_dp(body, terminals):
+    answers = []
+    for k in ("2", *HUGE_K):
+        expr = parse_expression(f"cwexpr k={k}\n{body}\n")
+        assert serialize(expr).startswith(f"cwexpr k={k}\n")
+        assert expr.max_label <= 2
+        fvs = solve_fvs(expr, with_witness=True)
+        out = [(fvs.fvs_weight, fvs.witness, fvs.stats.as_dict())]
+        for problem in ("cds", "cvc"):
+            res = solve_connected_sigma_rho(expr, preset_spec(problem),
+                                            with_witness=True)
+            out.append((res.optimum, res.witness, res.stats.as_dict()))
+        res = solve_steiner(expr, terminals, with_witness=True)
+        out.append((res.optimum, res.witness, res.stats.as_dict()))
+        for _, _, stats in out:
+            stats.pop("elapsed_ms")
+        answers.append(out)
+    assert answers[1] == answers[0] and answers[2] == answers[0]
 
 
 @pytest.mark.parametrize("root, message", [
@@ -449,3 +592,7 @@ def test_deep_expressions_need_no_recursion(expr):
         assert res.fvs_weight == 0  # a path and a star are forests
         assert res.stats.dp_nodes == len(expr.program.op)
         assert res.stats.node_kinds["introduce"] == n
+    # parsed, its tree rebuilt and compiled again, and solved
+    parsed = parse_expression(serialize(expr))
+    assert parsed == expr and compile_program(parsed.root) == expr.program
+    assert solve_fvs(parsed).fvs_weight == 0

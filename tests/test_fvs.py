@@ -32,7 +32,7 @@ def weights_of(table):
 
 class TestLeaf:
     def test_single_vertex_states(self):
-        table = fvs_leaf(1, False, "x", 3)
+        table = fvs_leaf(1, False, 1, "x", 3)
         lone = (ONE,)
         assert cell_of(table, lone) == {Pm(0b11): 3, Pm(ANCHOR, 0b10): 3}
         assert cell_of(table, (ABSENT,)) == {Pm(ANCHOR): 0}
@@ -43,8 +43,8 @@ class TestAdd:
     def _two_isolated(self):
         # two unit vertices labeled 1 and 2
         expr = parse_expression("cwexpr k=2\n(u (v a 1) (ren 1 2 (v b 1)))")
-        ta = fvs_leaf(2, False, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, False, "b", 1), 0b010, 1, 2)
+        ta = fvs_leaf(2, False, 1, "a", 1)
+        tb = fvs_ren(fvs_leaf(2, False, 1, "b", 1), 0b010, 1, 2)
         return fvs_union(ta, 0b010, tb, 0b100), expr
 
     def test_absent_class_copies_cell(self):
@@ -76,20 +76,20 @@ class TestAdd:
 
 class TestRen:
     def test_rename_moves_state_and_partition_element(self):
-        table = fvs_leaf(2, False, "a", 5)
+        table = fvs_leaf(2, False, 1, "a", 5)
         out = fvs_ren(table, 0b010, 1, 2)
         assert cell_of(out, (ABSENT, ONE)) == {Pm(0b101): 5, Pm(ANCHOR, 0b100): 5}
         assert cell_of(out, (ABSENT, ABSENT)) == cell_of(table, (ABSENT, ABSENT))
 
     def test_empty_source_class_copies_cells_verbatim(self):
-        table = fvs_leaf(2, False, "a", 5)
+        table = fvs_leaf(2, False, 1, "a", 5)
         out = fvs_ren(table, 0b010, 2, 1)
         assert cell_of(out, (ONE, ABSENT)) == cell_of(table, (ONE, ABSENT))
 
     def test_merge_after_add_keeps_anchor_connected_entries(self):
         # two linked unit vertices, then fold class 2 into class 1
-        ta = fvs_leaf(2, False, "a", 1)
-        tb = fvs_ren(fvs_leaf(2, False, "b", 1), 0b010, 1, 2)
+        ta = fvs_leaf(2, False, 1, "a", 1)
+        tb = fvs_ren(fvs_leaf(2, False, 1, "b", 1), 0b010, 1, 2)
         table = fvs_add(fvs_union(ta, 0b010, tb, 0b100), 0b110, 1, 2)
         out = fvs_ren(table, 0b110, 2, 1)
         done = (MANY_DONE, ABSENT)
@@ -102,13 +102,13 @@ class TestUnion:
         assert sum(len(v) for v in UNION_STATE_OPTIONS.values()) == 15
 
     def test_empty_side_empties_everything(self):
-        ta = fvs_leaf(1, False, "a", 1)
+        ta = fvs_leaf(1, False, 1, "a", 1)
         out = fvs_union(ta, 0b010, {}, 0)
         assert out == {}
 
     def test_two_singletons_merging_to_done_need_anchor_links(self):
-        ta = fvs_leaf(1, False, "a", 1)
-        tb = fvs_leaf(1, False, "b", 1)
+        ta = fvs_leaf(1, False, 1, "a", 1)
+        tb = fvs_leaf(1, False, 1, "b", 1)
         out = fvs_union(ta, 0b010, tb, 0b010)
         done = (MANY_DONE,)
         # both vertices keep their class position only through the anchor

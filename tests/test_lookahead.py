@@ -117,7 +117,7 @@ def test_a_node_leaves_out_exactly_the_keys_its_add_has_no_successor_for(
             return out
         return run
 
-    for transition, arity in ((srd_leaf, 3), (srd_add, 5), (srd_ren, 5),
+    for transition, arity in ((srd_leaf, 4), (srd_add, 5), (srd_ren, 5),
                               (srd_union, 5)):
         monkeypatch.setattr(cwsolve.sigma_rho, transition.__name__,
                             checked(transition, arity))
@@ -136,15 +136,16 @@ def test_the_lookahead_is_withheld_where_the_child_retires_an_add_label():
     pair = parse_expression(
         "cwexpr k=2\n(add 1 2 (u (v a 1) (ren 1 2 (v b 1))))")
     fut, dead = capped_degrees(pair, 1)
+    # positions: a, b at label 2 (its relabel folds into the leaf), u, add
     assert lookaheads(pair.program, fut, dead) == \
-        [None, None, None, (1, 2, 0b110, fut[4]), None]
+        [None, None, (1, 2, 0b110, fut[3]), None]
 
 
 def test_the_reference_path_takes_no_lookahead():
     ctx = DomContext(preset_spec("cds"), 2)  # unpruned
-    table = srd_leaf(ctx, "a", 1)
+    table = srd_leaf(ctx, 1, "a", 1)
     ahead = (1, 2, 0b110, None)
-    for call in (lambda: srd_leaf(ctx, "a", 1, None, ahead),
+    for call in (lambda: srd_leaf(ctx, 1, "a", 1, None, ahead),
                  lambda: srd_add(ctx, table, 0b10, 1, 2, None, ahead),
                  lambda: srd_ren(ctx, table, 0b10, 1, 2, None, ahead),
                  lambda: srd_union(ctx, table, 0b10, table, 0b10, None, ahead)):

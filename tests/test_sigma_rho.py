@@ -88,7 +88,7 @@ LONE = Partition((2,))
 class TestLeafTables:
     def test_cds_leaf(self):
         ctx = ctx_for("cds", 1)
-        table = decoded(ctx, srd_leaf(ctx, "x", 4))
+        table = decoded(ctx, srd_leaf(ctx, 1, "x", 4))
         lone = Partition((2,))
         assert ((0,), (0,)) not in table          # 0 not in rho
         assert cell_weights(table, ((0,), (1,))) == {EMPTY_PARTITION: 0}
@@ -98,21 +98,21 @@ class TestLeafTables:
     def test_terminal_leaf_forces_membership(self):
         ctx = DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 1,
                          terminals=frozenset({"t"}))
-        table = decoded(ctx, srd_leaf(ctx, "t", 2))
+        table = decoded(ctx, srd_leaf(ctx, 1, "t", 2))
         assert set(table) == {((1,), (1,))}
-        other = decoded(ctx, srd_leaf(ctx, "u", 2))
+        other = decoded(ctx, srd_leaf(ctx, 1, "u", 2))
         assert ((0,), (0,)) in other
 
     def test_sigma_zero_leaf(self):
         spec = SigmaRhoSpec(MuSet(False, frozenset({0})), NATURALS, MIN)
         ctx = DomContext(spec, 1)
-        table = decoded(ctx, srd_leaf(ctx, "x", 3))
+        table = decoded(ctx, srd_leaf(ctx, 1, "x", 3))
         ins = [key for key in table if key[0] == (1,)]
         assert ins == [((1,), (0,))]
 
     def test_cvc_leaf_weighs_the_connected_side(self):
         ctx = ctx_for("cvc", 1)
-        table = decoded(ctx, srd_leaf(ctx, "x", 4))
+        table = decoded(ctx, srd_leaf(ctx, 1, "x", 4))
         # in S: unweighted, no S-neighbor allowed; in X: weighted, promising
         # an X-neighbor (open, a partition block) or not
         assert set(table) == {((1,), (0,), (0,), (0,)), ((0,), (0,), (1,), (0,)),
@@ -127,21 +127,21 @@ class TestLeafTables:
         # future neighbors fut - 1 join X; no S promise exceeds fut
         spec = SigmaRhoSpec(NATURALS, MuSet(False, frozenset({1})), MIN, co=True)
         ctx = DomContext(spec, 1)
-        table = decoded(ctx, srd_leaf(ctx, "x", 4, (fut,)))
+        table = decoded(ctx, srd_leaf(ctx, 1, "x", 4, (fut,)))
         assert [key[3] for key in table if key[2] == (1,)] == [(sprom,)]
         dropped = {1: {((1,), (2,), (0,), (0,)), ((0,), (1,), (1,), (1,))},
                    2: {((0,), (1,), (1,), (0,))}}[fut]
-        unfiltered = decoded(ctx, srd_leaf(ctx, "x", 4))
+        unfiltered = decoded(ctx, srd_leaf(ctx, 1, "x", 4))
         assert set(unfiltered) - set(table) == dropped
         assert set(table) <= set(unfiltered)
 
     @pytest.mark.parametrize("fut", [0, 1])
     def test_promises_never_exceed_the_future_degree(self, fut):
         cds = ctx_for("cds", 1)
-        table = decoded(cds, srd_leaf(cds, "x", 4, (fut,)))
+        table = decoded(cds, srd_leaf(cds, 1, "x", 4, (fut,)))
         assert table and all(key[1][0] <= fut for key in table)
         steiner = DomContext(SigmaRhoSpec(POSITIVES, NATURALS, MIN), 1)
-        table = decoded(steiner, srd_leaf(steiner, "x", 4, (fut,)))
+        table = decoded(steiner, srd_leaf(steiner, 1, "x", 4, (fut,)))
         # an S vertex needs an S-neighbor, so with none to come it stays out
         assert (((1,), (1,)) in table) is (fut == 1)
         assert all(key[1][0] <= fut for key in table)
@@ -159,21 +159,21 @@ class TestRenTable:
         for name, (pruned, fut) in product(("cds", "cvc"),
                                            ((True, (1, 1)), (False, None))):
             ctx = ctx_for(name, 2, pruned=pruned)
-            table = srd_leaf(ctx, "x", 4, fut)
+            table = srd_leaf(ctx, 1, "x", 4, fut)
             assert len(table) >= 2
             assert contents(ctx, srd_ren(ctx, table, 0b010, 2, 1, fut)) == \
                 contents(ctx, table)
 
     def test_merge_keys_and_promises(self):
         ctx = ctx_for("cds", 2)
-        table = srd_leaf(ctx, "x", 4)
+        table = srd_leaf(ctx, 1, "x", 4)
         out = decoded(ctx, srd_ren(ctx, table, 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0))) == {EMPTY_PARTITION: -4}
         assert cell_weights(out, ((0, 1), (0, 1))) == {Partition((4,)): -4}
 
     def test_cvc_moves_the_connected_side(self):
         ctx = ctx_for("cvc", 2)
-        out = decoded(ctx, srd_ren(ctx, srd_leaf(ctx, "x", 4), 0b010, 1, 2))
+        out = decoded(ctx, srd_ren(ctx, srd_leaf(ctx, 1, "x", 4), 0b010, 1, 2))
         assert cell_weights(out, ((0, 1), (0, 0), (0, 0), (0, 0))) == {EMPTY_PARTITION: 0}
         assert cell_weights(out, ((0, 0), (0, 0), (0, 1), (0, 1))) == \
             {Partition((4,)): -4}
@@ -181,8 +181,8 @@ class TestRenTable:
     def test_split_enumeration_reaches_full_class(self):
         # two vertices relabeled into one class: target counts reflect the sum
         ctx = ctx_for("cds", 2)
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_ren(ctx, srd_leaf(ctx, 1, "y", 1), 0b010, 1, 2)
         tu = srd_union(ctx, ta, 0b010, tb, 0b100)
         out = decoded(ctx, srd_ren(ctx, tu, 0b110, 2, 1))
         # d = 1: the merged class count saturates at 1
@@ -191,8 +191,8 @@ class TestRenTable:
 
     def test_cvc_merged_classes_share_one_partition_node(self):
         ctx = ctx_for("cvc", 2)
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_ren(ctx, srd_leaf(ctx, 1, "y", 1), 0b010, 1, 2)
         tu = srd_union(ctx, ta, 0b010, tb, 0b100)
         out = decoded(ctx, srd_ren(ctx, tu, 0b110, 2, 1))
         # S and X presence add up; both open X vertices become one node
@@ -205,8 +205,8 @@ class TestRenTable:
 
 class TestAddTable:
     def _p2_table(self, ctx):
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_ren(ctx, srd_leaf(ctx, "y", 1), 0b010, 1, 2)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_ren(ctx, srd_leaf(ctx, 1, "y", 1), 0b010, 1, 2)
         return srd_union(ctx, ta, 0b010, tb, 0b100), 0b110
 
     def test_copy_when_one_class_unoccupied(self):
@@ -275,8 +275,8 @@ class TestUnionTable:
         # d = 1, both sides can hold the single class vertex: count 1 arises
         # from (0,1), (1,0) and (1,1) side pairs
         ctx = ctx_for("ctds", 1)
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_leaf(ctx, "y", 1)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_leaf(ctx, 1, "y", 1)
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         key = ((1,), (1,))
         assert cell_weights(out, key)[Partition((2,))] == -1  # the lightest of the three
@@ -285,15 +285,15 @@ class TestUnionTable:
         # cds: rho = N+ forbids an undominated outside vertex, so the cell
         # holding two final solo vertices must be empty
         ctx = ctx_for("cds", 1)
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_leaf(ctx, "y", 1)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_leaf(ctx, 1, "y", 1)
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         assert ((1,), (0,)) not in out
 
     def test_cvc_finished_connected_side_pairs_only_without_one(self):
         ctx = ctx_for("cvc", 1)
-        ta = srd_leaf(ctx, "x", 1)
-        tb = srd_leaf(ctx, "y", 1)
+        ta = srd_leaf(ctx, 1, "x", 1)
+        tb = srd_leaf(ctx, 1, "y", 1)
         out = decoded(ctx, srd_union(ctx, ta, 0b010, tb, 0b010))
         # two closed X vertices never connect; an S vertex joins freely
         assert ((0,), (0,), (1,), (0,)) not in out
@@ -386,7 +386,7 @@ class TestAtLeastNeeds:
         assert capped.d == 2
         assert [capped.slots[c] for c in capped.leaf_codes[False]
                 if not capped.slots[c][0]] == [(0, 2, 0, 0)]
-        table = decoded(capped, srd_leaf(capped, "x", 1, (1,)))
+        table = decoded(capped, srd_leaf(capped, 1, "x", 1, (1,)))
         assert table and all(counts == (1,) for counts, _ in table)
 
     @pytest.mark.parametrize("spec", [
