@@ -72,12 +72,20 @@ class CwExpression:
 
     def __init__(self, k: int, root: Node | None = None,
                  program: Program | None = None):
+        if (root is None) == (program is None):
+            raise ValueError("a CwExpression takes one of root and program")
         self.k = k  # the other of root and program is filled on first read
         vars(self).update({"root": root} if program is None else {"program": program})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CwExpression)
                 and (self.k, self.program) == (other.k, other.program))
+
+    def __hash__(self) -> int:
+        return hash((self.k, tuple(self.program.op)))
+
+    def __repr__(self) -> str:
+        return f"CwExpression(k={self.k}, {len(self.program.op)} positions)"
 
     @cached_property
     def program(self) -> "Program":
@@ -216,19 +224,9 @@ def _tree(program: Program, skip=frozenset()) -> Node:
 # A comment runs to the end of its line; a token is a parenthesis or a run of
 # characters that are neither whitespace, parentheses nor ';'.  Comments match
 # as the empty string, since they hold no group.
-_TOKEN_RE = re.compile(r";[^\n]*|([()]|[^\s();]+)")
 _COMMENT_RE = re.compile(r";[^\n]*")
+_TOKEN_RE = re.compile(_COMMENT_RE.pattern + r"|([()]|[^\s();]+)")
 _INT_RE = re.compile(r"[0-9]+\Z")  # ASCII only: int() reads other digits too
-_LABELS = {str(lab): lab for lab in range(1, 65)}  # the common label tokens
-
-
-def _token_line_col(text: str, index: int) -> tuple[int, int]:
-    """1-based line and column of token number ``index`` of ``text``, which
-    only error paths need: the tokens keep no offsets, so this scans again."""
-    tokens = (m for m in _TOKEN_RE.finditer(text) if m.lastindex)
-    offset = next(islice(tokens, index, None)).start()
-    return (text.count("\n", 0, offset) + 1,
-            offset - text.rfind("\n", 0, offset))
 
 
 def parse_expression(text: str) -> CwExpression:
@@ -251,9 +249,13 @@ def parse_expression(text: str) -> CwExpression:
     tokens = (_COMMENT_RE.sub("", body) if ";" in body else body).replace(
         "(", " ( ").replace(")", " ) ").split()
 
+    def where(at: int) -> tuple[int, int]:  # errors only: it scans again
+        found = (m for m in _TOKEN_RE.finditer(body) if m.lastindex)
+        offset = next(islice(found, at, None)).start()
+        return body.count("\n", 0, offset) + 1, offset - body.rfind("\n", 0, offset)
+
     def err(msg: str, at: int):
-        line, col = _token_line_col(body, at)
-        raise ExpressionError(f"line {line} col {col}: {msg}")
+        raise ExpressionError("line {} col {}: ".format(*where(at)) + msg)
 
     def integer(at: int) -> int:
         tok = tokens[at]
@@ -262,7 +264,7 @@ def parse_expression(text: str) -> CwExpression:
         return int(tok)
 
     def label(at: int) -> int:
-        val = _LABELS.get(tokens[at]) or integer(at)
+        val = integer(at)
         if not 1 <= val <= k:
             err(f"label {val} outside 1..{k}", at)
         return val
@@ -317,9 +319,8 @@ def parse_expression(text: str) -> CwExpression:
             else:
                 break
     except IndexError:  # a token past the last one was read
-        where = (f"line {_token_line_col(body, len(tokens) - 1)[0]}"
-                 if tokens else "empty input")
-        raise ExpressionError(f"syntax error: unexpected end of input ({where})") from None
+        end = f"line {where(len(tokens) - 1)[0]}" if tokens else "empty input"
+        raise ExpressionError(f"syntax error: unexpected end of input ({end})") from None
     if pos != len(tokens):
         err("trailing input after expression", pos)
     return CwExpression(k, program=_assemble(out))
@@ -404,8 +405,7 @@ def evaluate(expr: CwExpression) -> LabeledGraph:
 
 def vertex_weights(expr: CwExpression) -> dict[str, int]:
     """Vertex name -> weight, read off the program's leaf columns."""
-    program = expr.program
-    weights = dict(zip(program.name, program.weight))
+    weights = dict(zip(expr.program.name, expr.program.weight))
     weights.pop(None, None)  # the key of every position but a leaf
     return weights
 

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -99,9 +100,61 @@ class TestParse:
         expr = parse_expression("cwexpr k=1 ; header\n; intro\n(v a 2) ; done")
         assert expr.root == Introduce("a", 2)
 
+    def test_error_positions_under_unicode_whitespace_and_comments(self):
+        # tokens split at every character str.isspace() accepts, as \s does
+        text = ("cwexpr k=2 ; header\n(u\u00a0(v a)\u3000; (v z) ;\n"
+                "\x1f(ren 1\u00a0x (v b)))\n")
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        assert str(info.value) == "line 3 col 9: expected an integer, got 'x'"
+        text = "cwexpr k=2\n(u (v a)\x1f;\u3000(v b)\n\u00a0\u3000(v\u00a0a))"
+        with pytest.raises(ExpressionError) as info:
+            parse_expression(text)
+        assert str(info.value) == "line 3 col 6: duplicate vertex name 'a'"
+
+    def test_error_positions_point_at_the_offending_token(self):
+        # a late token replaced in a randomly spaced file: the reported
+        # line and column start the token the message names
+        spaces = (" ", "\t", "\n", "\u00a0", "\u3000", "\x1f", " ; (v q) x\u00a0;\n")
+        rng, checked = random.Random(4646), 0
+        for _ in range(300):
+            expr = random_expression(rng, rng.randint(1, 8), rng.randint(2, 4))
+            tokens = serialize(expr).split("\n")[1].replace("(", " ( ").replace(
+                ")", " ) ").split()
+            tokens[rng.randrange(len(tokens) // 2, len(tokens))] = rng.choice(
+                ("x", "w", "(", ")", "9", "v1", "0"))
+            text = "cwexpr k=4\n" + "".join(tok + rng.choice(spaces) for tok in tokens)
+            try:
+                parse_expression(text)
+            except ExpressionError as exc:
+                found = re.match(r"line (\d+) col (\d+): (.*)", str(exc))
+                if found is None:  # the end of input has no column
+                    continue
+                line = text.splitlines()[int(found[1]) - 1]
+                col = int(found[2])
+                assert col == 1 or line[col - 2].isspace(), str(exc)
+                token = re.match(r"[()]|[^\s();]+", line[col - 1:])[0]
+                named = re.search(r"(?:got|operator|name) '(.*)'$", found[3])
+                label = re.match(r"label (\d+) outside", found[3])
+                assert token == (named[1] if named else label[1] if label
+                                 else token), str(exc)
+                checked += 1
+        assert checked > 200
+
     def test_roundtrip_identity(self):
         expr = parse_expression(K3_TEXT)
         assert parse_expression(serialize(expr)) == expr
+
+    def test_an_expression_takes_one_of_root_and_program(self):
+        expr = parse_expression(K3_TEXT)
+        built = CwExpression(expr.k, expr.root)
+        assert built == expr and hash(built) == hash(expr)
+        assert len({expr, built, CwExpression(3, expr.root)}) == 2
+        assert repr(expr) == "CwExpression(k=2, 8 positions)"
+        with pytest.raises(ValueError):
+            CwExpression(2)
+        with pytest.raises(ValueError):
+            CwExpression(2, expr.root, expr.program)
 
     def test_deep_nesting_beyond_recursion_limit(self):
         expr = fixture("clique", 400)  # operator depth around 1600
