@@ -5,12 +5,14 @@ Expression files are s-expressions with a one-line header::
     cwexpr k=3
     (add 1 2 (u (v a 2) (ren 1 2 (v b))))   ; comments run to end of line
 
-The four node kinds are Introduce ``(v NAME [WEIGHT])``, Relabel
-``(ren I J e)``, AddEdges ``(add I J e)`` and Union ``(u e e)``.  Introduce
-always labels its vertex 1; a missing weight defaults to 1.  Every pass reads
-an expression's :class:`Program`, its nodes in postorder as columns, which
-the parser fills straight from the text; a leaf carries its label, as
-``(ren 1 x (v ...))`` folds into one leaf.  Per-node results are lists.
+The four node kinds are a leaf ``(v NAME [WEIGHT])``, a relabel ``(ren I J
+e)``, an add ``(add I J e)`` and a union ``(u e e)``.  A leaf always labels
+its vertex 1; a missing weight defaults to 1.  An expression is its
+:class:`Program`, its nodes in postorder as columns, which the parser and the
+generators fill through :func:`_assemble`; a leaf carries its label, as
+``(ren 1 x (v ...))`` folds into one leaf, and the labels in use are ranked
+1..L, so the declared k and the size of a label do not size the DP.
+Per-node results are lists.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -30,7 +32,7 @@ class ExpressionError(ValueError):
 
 
 class PartiallyRedundantError(ExpressionError):
-    """An AddEdges node re-adds some but not all of its cross edges."""
+    """An add node re-adds some but not all of its cross edges."""
 
 
 class NotIrredundantError(ExpressionError):
@@ -38,48 +40,11 @@ class NotIrredundantError(ExpressionError):
 
 
 @dataclass(frozen=True)
-class Introduce:
-    name: str
-    weight: int = 1
-
-
-@dataclass(frozen=True)
-class Relabel:
-    i: int
-    j: int
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class AddEdges:
-    i: int
-    j: int
-    child: "Node"
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "Node"
-    right: "Node"
-
-
-Node = Introduce | Relabel | AddEdges | Union
-
-
 class CwExpression:
-    """A declared ``k`` and a :class:`Program`, compiled from a tree built in
-    code or the parser's, whose tree ``root`` is rebuilt on first read."""
+    """A declared ``k`` and the :class:`Program` of the expression's nodes."""
 
-    def __init__(self, k: int, root: Node | None = None,
-                 program: Program | None = None):
-        if (root is None) == (program is None):
-            raise ValueError("a CwExpression takes one of root and program")
-        self.k = k  # the other of root and program is filled on first read
-        vars(self).update({"root": root} if program is None else {"program": program})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CwExpression)
-                and (self.k, self.program) == (other.k, other.program))
+    k: int
+    program: Program
 
     def __hash__(self) -> int:
         return hash((self.k, tuple(self.program.op)))
@@ -87,17 +52,9 @@ class CwExpression:
     def __repr__(self) -> str:
         return f"CwExpression(k={self.k}, {len(self.program.op)} positions)"
 
-    @cached_property
-    def program(self) -> "Program":
-        return compile_program(self.root)
-
-    @cached_property
-    def root(self) -> Node:
-        return _tree(self.program)
-
-    @cached_property
-    def max_label(self) -> int:  # sizes per-label structures, not k
-        return max(max(self.program.i), max(self.program.j))
+    @property
+    def max_label(self) -> int:  # L, the number of labels in use
+        return len(self.program.labels) - 1
 
 
 @dataclass
@@ -139,7 +96,9 @@ class Program(NamedTuple):
     is a union's left child, ``present`` the mask of nonempty label classes
     (bit l for label l), and a leaf's ``i`` its vertex's label, as ``(ren 1 x
     (v ...))`` is one leaf at label x.  Entries that do not apply are 0, -1,
-    None.  Passes only read the columns."""
+    None.  A label in the columns is the rank of a label in use, and
+    ``labels[l]`` the file's label of rank l (``labels[0]`` is 0).  Passes
+    only read the columns."""
 
     op: list[int]
     i: list[int]
@@ -148,12 +107,38 @@ class Program(NamedTuple):
     name: list[str | None]
     weight: list[int | None]
     present: list[int]
+    labels: tuple[int, ...]
 
 
-def _assemble(nodes: Iterable[tuple]) -> Program:
-    """The program of ``nodes``, each ``(op, i, j, name, weight)`` in postorder,
-    for the parser and :func:`compile_program`; it folds ``(ren 1 x (v ...))``."""
-    program = ops, li, lj, left, names, weights, present = Program(*([] for _ in range(7)))
+def _v(name: str, weight: int = 1) -> tuple:
+    return LEAF, 0, 0, name, weight
+
+
+def _ren(i: int, j: int) -> tuple:
+    return REN, i, j, None, None
+
+
+def _add(i: int, j: int) -> tuple:
+    return ADD, i, j, None, None
+
+
+_U = UNION, 0, 0, None, None
+
+
+def _assemble(nodes: list[tuple]) -> Program:
+    """The program of ``nodes``, each ``(op, i, j, name, weight)`` in postorder
+    with the file's labels, as the parser and the generators make them.
+
+    The labels in use, 1 always among them, are ranked 1..L in order before
+    any mask is built (a label below 1 stays; validate rejects it), and
+    ``(ren 1 x (v ...))`` folds into one leaf."""
+    used = {1, *map(itemgetter(1), nodes), *map(itemgetter(2), nodes)}
+    labels = (0, *sorted(lab for lab in used if lab > 0))  # 0: no label
+    if labels[-1] != len(labels) - 1:  # not 1..L already
+        rank = {lab: r for r, lab in enumerate(labels)}
+        nodes = [(op, rank.get(i, i), rank.get(j, j), name, weight)
+                 for op, i, j, name, weight in nodes]
+    ops, li, lj, left, names, weights, present = columns = [[] for _ in range(7)]
     done: list[int] = []  # finished subtrees' positions, leftmost first
     for op, i, j, name, weight in nodes:
         if op == LEAF:
@@ -169,7 +154,7 @@ def _assemble(nodes: Iterable[tuple]) -> Program:
             continue
         else:
             mask = present[-1]
-            # no bit stands for a label below 1; validate rejects it
+            # no bit stands for a label below 1
             if i > 0 < j and mask >> i & 1:
                 mask = mask & ~(1 << i) | 1 << j
         done[-1] = len(ops)
@@ -180,42 +165,7 @@ def _assemble(nodes: Iterable[tuple]) -> Program:
         names.append(name)
         weights.append(weight)
         present.append(mask)
-    return program
-
-
-def compile_program(root: Node) -> Program:
-    """The :class:`Program` of the tree rooted at ``root``, whose nodes a
-    right-first preorder walk, reversed, visits in postorder."""
-    nodes, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is Introduce:
-            nodes.append((LEAF, 0, 0, node.name, node.weight))
-        elif kind is Union:
-            nodes.append((UNION, 0, 0, None, None))
-            stack += (node.left, node.right)
-        else:
-            nodes.append((REN if kind is Relabel else ADD, node.i, node.j, None, None))
-            stack.append(node.child)
-    return _assemble(reversed(nodes))
-
-
-def _tree(program: Program, skip=frozenset()) -> Node:
-    """The tree of ``program``, without the adds at the positions in ``skip``."""
-    built: list[Node] = []  # per open subtree
-    for p, (op, i, j, name, weight) in enumerate(zip(
-            program.op, program.i, program.j, program.name, program.weight)):
-        if op == LEAF:
-            leaf = Introduce(name, weight)
-            built.append(leaf if i == 1 else Relabel(1, i, leaf))
-        elif op == UNION:
-            built[-2:] = [Union(*built[-2:])]
-        elif op == REN:
-            built[-1] = Relabel(i, j, built[-1])
-        elif p not in skip:
-            built[-1] = AddEdges(i, j, built[-1])
-    return built[0]
+    return Program(*columns, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +244,7 @@ def parse_expression(text: str) -> CwExpression:
                     pos += 5
                 out.append((LEAF, 0, 0, name, weight))
             elif head == "u":
-                frames += (UNION, 0, 0, None, None), None
+                frames += _U, None
                 pos += 2
                 continue
             elif head == "ren" or head == "add":
@@ -323,7 +273,7 @@ def parse_expression(text: str) -> CwExpression:
         raise ExpressionError(f"syntax error: unexpected end of input ({end})") from None
     if pos != len(tokens):
         err("trailing input after expression", pos)
-    return CwExpression(k, program=_assemble(out))
+    return CwExpression(k, _assemble(out))
 
 
 def _preorder(program: Program) -> Iterator[int]:
@@ -338,7 +288,7 @@ def _preorder(program: Program) -> Iterator[int]:
 
 
 def serialize(expr: CwExpression) -> str:
-    program = expr.program
+    program, lab = expr.program, expr.program.labels
     parts: list[str] = []
     for p in _preorder(program):
         if p < 0:
@@ -347,15 +297,17 @@ def serialize(expr: CwExpression) -> str:
         op, i, j = program.op[p], program.i[p], program.j[p]
         if op == LEAF:
             leaf = f"(v {program.name[p]} {program.weight[p]})"
-            parts.append(leaf if i == 1 else f"(ren 1 {i} {leaf})")
+            parts.append(leaf if i == 1 else f"(ren 1 {lab[i]} {leaf})")
         else:
-            parts.append("(u" if op == UNION else f"({'ren' if op == REN else 'add'} {i} {j}")
+            parts.append("(u" if op == UNION else
+                         f"({'ren' if op == REN else 'add'} {lab[i]} {lab[j]}")
     body = " ".join(parts).replace(" )", ")")
     return f"cwexpr k={expr.k}\n{body}\n"
 
 
 def validate(expr: CwExpression) -> None:
-    """Structural checks for programmatically built trees."""
+    """Structural checks for programs assembled in code; the parser's
+    errors say the same with a position."""
     if expr.k < 1:
         raise ExpressionError("declared k must be at least 1")
     program = expr.program
@@ -373,8 +325,10 @@ def validate(expr: CwExpression) -> None:
     for op, i, j in set(zip(program.op, program.i, program.j)) - {(UNION, 0, 0)}:
         if i == j:
             raise ExpressionError("relabel/add needs two distinct labels")
-        if not (1 <= i <= expr.k and (op == LEAF or 1 <= j <= expr.k)):
+        if i < 1 or j < 1 and op != LEAF:
             raise ExpressionError(f"label outside 1..{expr.k}")
+    if program.labels[-1] > expr.k:
+        raise ExpressionError(f"label outside 1..{expr.k}")
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +353,8 @@ def evaluate(expr: CwExpression) -> LabeledGraph:
         else:
             ci, cj = classes[-1].get(i, ()), classes[-1].get(j, ())
             edges.update(edge_key(u, v) for u in ci for v in cj)
-    labels = {v: lab for lab, members in classes[0].items() for v in members}
+    labels = {v: program.labels[lab] for lab, members in classes[0].items()
+              for v in members}
     return LabeledGraph(vertex_weights(expr), edges, labels)
 
 
@@ -412,14 +367,14 @@ def vertex_weights(expr: CwExpression) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class RedundancyIssue:
-    node_index: int  # preorder position of the offending AddEdges node
+    node_index: int  # preorder position of the offending add node
     i: int
     j: int
     kind: str  # "full" | "partial"
 
 
 def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
-    """Classify every AddEdges node whose cross pairs already partly exist.
+    """Classify every add node whose cross pairs already partly exist.
 
     An empty report means the expression is irredundant: each add is applied
     while no edge between the two classes exists yet.
@@ -432,7 +387,8 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
         if p >= 0:
             index[p] = at
             at += 1 + (program.op[p] == LEAF and program.i[p] != 1)
-    return [RedundancyIssue(index[p], program.i[p], program.j[p], kind)
+    lab = program.labels
+    return [RedundancyIssue(index[p], lab[program.i[p]], lab[program.j[p]], kind)
             for p, kind in found]
 
 
@@ -485,7 +441,7 @@ def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
 
 
 def strip_redundant_adds(expr: CwExpression) -> CwExpression:
-    """Drop AddEdges nodes whose every cross pair already exists.
+    """Drop the add nodes whose every cross pair already exists.
 
     Raises :class:`PartiallyRedundantError` when a node re-adds only some of
     its pairs; that case cannot be repaired by removal.
@@ -494,12 +450,22 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
     if any(kind == "partial" for _, kind in found):
         raise PartiallyRedundantError(
             "expression has partially redundant add operations")
-    return CwExpression(expr.k, _tree(expr.program, {p for p, _ in found}))
+    skip = {p for p, _ in found}
+    program, lab, nodes = expr.program, expr.program.labels, []
+    for p, (op, i, j, name, weight) in enumerate(zip(
+            program.op, program.i, program.j, program.name, program.weight)):
+        if op == LEAF:  # a leaf at label x != 1 is (ren 1 x (v ...))
+            nodes.append(_v(name, weight))
+            if i != 1:
+                nodes.append(_ren(1, lab[i]))
+        elif p not in skip:
+            nodes.append((op, lab[i], lab[j], name, weight))
+    return CwExpression(expr.k, _assemble(nodes))
 
 
 def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
-    """Per position: for each label l up to the largest one the program uses
-    (at index l - 1), how many neighbours its class still gains.
+    """Per position: for each label l of the program's 1..L (at index
+    l - 1), how many neighbours its class still gains.
 
     At every add above the node that touches the class, the class gains the
     partner class of that add.  On an irredundant expression these partner
@@ -556,85 +522,79 @@ def naive_expression(graph: LabeledGraph) -> CwExpression:
         iu, iv = index[u], index[v]
         lo, hi = min(iu, iv), max(iu, iv)
         by_peak.setdefault(hi, []).append((lo, hi))
-    cur: Node = Introduce(names[0], graph.weights[names[0]])
+    nodes = [_v(names[0], graph.weights[names[0]])]
     for m, name in enumerate(names[1:], start=2):
-        cur = Union(cur, Relabel(1, m, Introduce(name, graph.weights[name])))
-        for lo, hi in sorted(by_peak.get(m, ())):
-            cur = AddEdges(lo, hi, cur)
-    return CwExpression(len(names), cur)
+        nodes += _v(name, graph.weights[name]), _ren(1, m), _U
+        nodes += (_add(lo, hi) for lo, hi in sorted(by_peak.get(m, ())))
+    return CwExpression(len(names), _assemble(nodes))
 
+
+# Each builder returns the declared k and the nodes in postorder, for n >= 2.
 
 def _names(n: int) -> list[str]:
     return [f"v{i}" for i in range(1, n + 1)]
 
 
-def _clique(n: int) -> CwExpression:
+def _clique(n: int) -> tuple[int, list]:
     names = _names(n)
-    cur: Node = Introduce(names[0])
+    nodes = [_v(names[0])]
     for name in names[1:]:
-        cur = Relabel(2, 1, AddEdges(1, 2, Union(cur, Relabel(1, 2, Introduce(name)))))
-    return CwExpression(1 if n == 1 else 2, cur)
+        nodes += _v(name), _ren(1, 2), _U, _add(1, 2), _ren(2, 1)
+    return 2, nodes
 
 
-def _path(n: int) -> CwExpression:
+def _path(n: int) -> tuple[int, list]:
     # Labels: 1 = settled interior, 2 = current endpoint, 3 = incoming vertex.
     names = _names(n)
-    if n == 1:
-        return CwExpression(1, Introduce(names[0]))
     if n == 2:
-        root = AddEdges(1, 2, Union(Relabel(1, 2, Introduce(names[0])),
-                                    Introduce(names[1])))
-        return CwExpression(2, root)
-    cur: Node = Relabel(1, 2, Introduce(names[0]))
+        return 2, [_v(names[0]), _ren(1, 2), _v(names[1]), _U, _add(1, 2)]
+    nodes = [_v(names[0]), _ren(1, 2)]
     for name in names[1:]:
-        cur = Union(cur, Relabel(1, 3, Introduce(name)))
-        cur = Relabel(3, 2, Relabel(2, 1, AddEdges(2, 3, cur)))
-    return CwExpression(3, cur)
+        nodes += _v(name), _ren(1, 3), _U, _add(2, 3), _ren(2, 1), _ren(3, 2)
+    return 3, nodes
 
 
-def _cycle(n: int) -> CwExpression:
+def _cycle(n: int) -> tuple[int, list]:
     # Labels: 1 = incoming vertex, 2 = current endpoint, 3 = start vertex
     # (kept apart for the closing edge), 4 = settled interior.  Four labels
     # are required: long cycles admit no 3-label construction.
     names = _names(n)
-    if n == 1:
-        return CwExpression(1, Introduce(names[0]))
     if n == 2:
         return _path(2)
-    cur: Node = Relabel(1, 3, Introduce(names[0]))
-    cur = AddEdges(3, 2, Union(cur, Relabel(1, 2, Introduce(names[1]))))
+    nodes = [_v(names[0]), _ren(1, 3), _v(names[1]), _ren(1, 2), _U, _add(3, 2)]
     for name in names[2:]:
-        cur = Union(cur, Introduce(name))
-        cur = Relabel(1, 2, Relabel(2, 4, AddEdges(2, 1, cur)))
-    return CwExpression(4, AddEdges(2, 3, cur))
+        nodes += _v(name), _U, _add(2, 1), _ren(2, 4), _ren(1, 2)
+    return 4, nodes + [_add(2, 3)]
 
 
-def _star(n: int) -> CwExpression:
+def _star(n: int) -> tuple[int, list]:
     names = _names(n)
-    if n == 1:
-        return CwExpression(1, Introduce(names[0]))
-    cur: Node = Relabel(1, 2, Introduce(names[0]))
+    nodes = [_v(names[0]), _ren(1, 2)]
     for name in names[1:]:
-        cur = Union(cur, Introduce(name))
-    return CwExpression(2, AddEdges(1, 2, cur))
+        nodes += _v(name), _U
+    return 2, nodes + [_add(1, 2)]
 
 
-def _random_cograph(n: int, seed: int) -> CwExpression:
+def _random_cograph(n: int, seed: int) -> tuple[int, list]:
     # Cographs: closed under disjoint union and full join, every vertex
     # labeled 1 between composite steps, label 2 only transiently.
     rng = random.Random(seed)
-    names = _names(n)
+    names, nodes = _names(n), []
 
-    def build(lo: int, hi: int) -> Node:
+    def build(lo: int, hi: int) -> None:
         if hi - lo == 1:
-            return Introduce(names[lo])
+            nodes.append(_v(names[lo]))
+            return
         split = rng.randint(lo + 1, hi - 1)
-        left, right = build(lo, split), build(split, hi)
+        build(lo, split)
+        build(split, hi)
         if rng.random() < 0.5:
-            return Union(left, right)
-        return Relabel(2, 1, AddEdges(1, 2, Union(left, Relabel(1, 2, right))))
+            nodes.append(_U)
+        else:  # the right side moves to label 2 for the join
+            nodes.extend((_ren(1, 2), _U, _add(1, 2), _ren(2, 1)))
 
-    return CwExpression(1 if n == 1 else 2, build(0, n))
+    build(0, n)
+    return 2, nodes
 
 
 FIXTURE_KINDS = ("clique", "path", "cycle", "star", "random-cograph")
@@ -656,7 +616,8 @@ def fixture(kind: str, n: int, seed: int = 0) -> CwExpression:
     if builder is None:
         raise ExpressionError(
             f"unknown fixture kind {kind!r}; expected one of {', '.join(FIXTURE_KINDS)}")
-    return builder(n, seed)
+    k, nodes = (1, [_v("v1")]) if n == 1 else builder(n, seed)
+    return CwExpression(k, _assemble(nodes))
 
 
 # ---------------------------------------------------------------------------

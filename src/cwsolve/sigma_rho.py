@@ -65,7 +65,6 @@ from .cwexpr import (LEAF, CwExpression, NotIrredundantError,
 from .dp import SolveStats
 from .wpsets import (NEG_INF, POS_INF, InvariantError, WPSet, join_sets, link,
                      put, reduce_set)
-from .wpsets import proj  # noqa: F401  (unused; the traced benchmark hooks it)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
 

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from cwsolve import LabeledGraph, fixture, naive_expression
-from cwsolve.cwexpr import edge_key
+from cwsolve import (LabeledGraph, evaluate, fixture, naive_expression,
+                     parse_expression)
+from cwsolve.cwexpr import LEAF, REN, UNION, edge_key
 from cwsolve.partitions import Partition, mask_elements
 from cwsolve.wpsets import WPSet
 
@@ -15,81 +16,46 @@ CORPUS_SEED = 20240811
 FIXTURE_KINDS = ("clique", "path", "cycle", "star")
 
 
-def fold(root, leaf, ren, add, union):
-    """Bottom-up fold over the tree rooted at ``root``; returns the root's
-    result.
+def expression(k: int, body: str):
+    """The parsed expression of ``body`` under the header ``cwexpr k=<k>``."""
+    return parse_expression(f"cwexpr k={k}\n{body}\n")
 
-    ``leaf(node)``, ``ren(node, r)``, ``add(node, r)`` and
-    ``union(node, r_left, r_right)`` get the results of the node's children.
-    Every tree node is visited, so a relabel that the program folds into its
-    leaf (``(ren 1 x (v ...))``) is a leaf and then a relabel here.
+
+def subtree_texts(expr, wrap=lambda text: text) -> list[str]:
+    """Per program position, the text of the subtree rooted there, with the
+    file's labels, written bottom-up from the columns op, i, j, name and
+    weight alone: a union's children are the two subtrees finished last.
+
+    ``wrap`` maps each node's text as it is written; a leaf at label x != 1
+    is ``(v ...)`` and then ``(ren 1 x (v ...))``, two nodes.
     """
-    from cwsolve.cwexpr import AddEdges, Introduce, Union
-
-    results: list = []
-    for node in iter_postorder(root):
-        kind = type(node)
-        if kind is Introduce:
-            results.append(leaf(node))
-        elif kind is Union:
-            right = results.pop()
-            results[-1] = union(node, results[-1], right)
+    program, lab = expr.program, expr.program.labels
+    texts: list[str] = []
+    done: list[str] = []  # finished subtrees, leftmost first
+    for op, i, j, name, weight in zip(program.op, program.i, program.j,
+                                      program.name, program.weight):
+        if op == LEAF:
+            text = wrap(f"(v {name} {weight})")
+            if i != 1:
+                text = wrap(f"(ren 1 {lab[i]} {text})")
+        elif op == UNION:
+            right = done.pop()
+            text = wrap(f"(u {done.pop()} {right})")
         else:
-            results[-1] = (add if kind is AddEdges else ren)(node, results[-1])
-    return results[0]
+            op_name = "ren" if op == REN else "add"
+            text = wrap(f"({op_name} {lab[i]} {lab[j]} {done.pop()})")
+        done.append(text)
+        texts.append(text)
+    return texts
 
 
-def iter_postorder(root):
-    """The tree's nodes in postorder, a union's left child first: a
-    right-first preorder walk, reversed (iterative)."""
-    from cwsolve.cwexpr import Introduce, Union
-
-    order, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        if type(node) is Union:
-            stack += (node.left, node.right)
-        elif type(node) is not Introduce:
-            stack.append(node.child)
-    return reversed(order)
-
-
-def iter_preorder(root):
-    """The tree's nodes in preorder, a union's left child first; iterative,
-    as trees can be thousands deep."""
-    from cwsolve.cwexpr import Introduce, Union
-
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if type(node) is Union:
-            stack += (node.right, node.left)
-        elif type(node) is not Introduce:
-            stack.append(node.child)
-
-
-def folded(node) -> bool:
-    """Whether ``node`` is a relabel the program folds into its leaf: exactly
-    ``Relabel(1, x, Introduce(...))`` with x > 1."""
-    from cwsolve.cwexpr import Introduce, Relabel
-
-    return (type(node) is Relabel and node.i == 1 < node.j
-            and type(node.child) is Introduce)
-
-
-def program_nodes(root) -> list:
-    """The tree's node at each program position: postorder, except that a
-    folded relabel (:func:`folded`) stands for its leaf, which has no
-    position of its own."""
-    out: list = []
-    for node in iter_postorder(root):
-        if folded(node):
-            out[-1] = node
-        else:
-            out.append(node)
-    return out
+def present_masks(expr) -> list[int]:
+    """Per program position, the mask of the nonempty label classes of the
+    evaluated subtree, bit r for the label of rank r."""
+    rank = {lab: r for r, lab in enumerate(expr.program.labels)}
+    return [sum({1 << rank[lab]
+                 for lab in evaluate(expression(expr.k, text)).labels.values()})
+            for text in subtree_texts(expr)]
 
 
 def random_graph(n: int, rng: random.Random, max_weight: int = 10) -> LabeledGraph:
@@ -129,21 +95,20 @@ def random_expression(rng: random.Random, n: int, k: int):
     unions, and adds; adds are only applied when no edge between the two
     classes exists yet, so the result is irredundant by construction.
     Classes routinely hold several vertices, unlike naive expressions.
+    The expression is written as text and parsed.
     """
-    from cwsolve.cwexpr import AddEdges, CwExpression, Introduce, Relabel, Union
-
-    pool = []
+    pool = []  # (text, classes, edges)
     for idx in range(1, n + 1):
-        node = Introduce(f"v{idx}", rng.randint(0, 10))
+        text = f"(v v{idx} {rng.randint(0, 10)})"
         classes = {1: {f"v{idx}"}}
         lbl = rng.randint(1, k)
         if lbl != 1:
-            node = Relabel(1, lbl, node)
+            text = f"(ren 1 {lbl} {text})"
             classes = {lbl: {f"v{idx}"}}
-        pool.append((node, classes, set()))
+        pool.append((text, classes, set()))
 
     def try_add(entry):
-        node, classes, edges = entry
+        text, classes, edges = entry
         labs = [l for l, vs in classes.items() if vs]
         rng.shuffle(labs)
         for ai in range(len(labs)):
@@ -152,7 +117,7 @@ def random_expression(rng: random.Random, n: int, k: int):
                 if any(edge_key(u, v) in edges for u in ci for v in cj):
                     continue
                 new_edges = edges | {edge_key(u, v) for u in ci for v in cj}
-                return (AddEdges(labs[ai], labs[bi], node), classes, new_edges)
+                return (f"(add {labs[ai]} {labs[bi]} {text})", classes, new_edges)
         return None
 
     while len(pool) > 1 or rng.random() < 0.5:
@@ -163,18 +128,18 @@ def random_expression(rng: random.Random, n: int, k: int):
             classes = {l: set(vs) for l, vs in a[1].items()}
             for l, vs in b[1].items():
                 classes.setdefault(l, set()).update(vs)
-            pool.append((Union(a[0], b[0]), classes, a[2] | b[2]))
+            pool.append((f"(u {a[0]} {b[0]})", classes, a[2] | b[2]))
         elif k < 2:
             break
         elif roll < 0.75:
             idx = rng.randrange(len(pool))
-            node, classes, edges = pool[idx]
+            text, classes, edges = pool[idx]
             i, j = rng.sample(range(1, k + 1), 2)
             classes = {l: set(vs) for l, vs in classes.items()}
             moving = classes.pop(i, set())
             if moving:
                 classes.setdefault(j, set()).update(moving)
-            pool.append((Relabel(i, j, node), classes, edges))
+            pool.append((f"(ren {i} {j} {text})", classes, edges))
             pool.pop(idx)
         else:
             idx = rng.randrange(len(pool))
@@ -183,7 +148,7 @@ def random_expression(rng: random.Random, n: int, k: int):
                 pool[idx] = grown
             elif len(pool) == 1:
                 break
-    return CwExpression(k, pool[0][0])
+    return expression(k, pool[0][0])
 
 
 @pytest.fixture(scope="session")
@@ -201,8 +166,6 @@ def corpus_expressions(corpus):
 @pytest.fixture(scope="session")
 def fixture_instances():
     """All deterministic fixture families at n <= 7, with evaluated graphs."""
-    from cwsolve import evaluate
-
     out = []
     for kind in FIXTURE_KINDS:
         for n in range(1, 8):

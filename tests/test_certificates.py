@@ -9,14 +9,15 @@ renaming and scaling an instance move the optimum as they must.
 
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 from cwsolve import (cli, evaluate, fixture, naive_expression, serialize,
                      solve_fvs)
-from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, LabeledGraph,
-                            Relabel, Union, edge_key)
+from cwsolve.cwexpr import (UNION, CwExpression, LabeledGraph, edge_key,
+                            parse_expression)
 from cwsolve.oracle import (brute_max_forest, brute_min_fvs, brute_sigma_rho,
                             brute_steiner, check_solution)
 from cwsolve.sigma_rho import (MAX, MIN, NATURALS, POSITIVES, MuSet,
@@ -24,7 +25,7 @@ from cwsolve.sigma_rho import (MAX, MIN, NATURALS, POSITIVES, MuSet,
                                solve_connected_sigma_rho, solve_steiner)
 from cwsolve.wpsets import NEG_INF, POS_INF
 
-from conftest import fold, random_expression, random_graph
+from conftest import expression, random_expression, random_graph
 
 SPECS = {name: preset_spec(name)
          for name in ("cds", "ctds", "perfect-cds", "cvc", "d-regular:2")}
@@ -32,21 +33,24 @@ SPECS["co-custom"] = SigmaRhoSpec(MuSet(True, frozenset({0, 1})), NATURALS,
                                   co=True)
 
 
+# a relabel's or an add's opening, or a whole leaf, in serialized text
+_NODE_RE = re.compile(r"\((ren|add) (\d+) (\d+) |\(v (\w+) (\d+)\)")
+
+
 def rebuild(expr, name=None, weight=None, label=None) -> CwExpression:
-    """The expression with vertex names, weights or labels mapped."""
+    """The expression with vertex names, weights or labels mapped in its
+    text; a leaf whose label 1 maps to x becomes ``(ren 1 x (v ...))``."""
     name = name or (lambda v: v)
     weight = weight or (lambda w: w)
     label = label or (lambda lbl: lbl)
 
-    def leaf(node):
-        out = Introduce(name(node.name), weight(node.weight))
-        return out if label(1) == 1 else Relabel(1, label(1), out)
+    def node(m) -> str:
+        if m[1]:
+            return f"({m[1]} {label(int(m[2]))} {label(int(m[3]))} "
+        leaf = f"(v {name(m[4])} {weight(int(m[5]))})"
+        return leaf if label(1) == 1 else f"(ren 1 {label(1)} {leaf})"
 
-    root = fold(expr.root, leaf,
-                lambda node, child: Relabel(label(node.i), label(node.j), child),
-                lambda node, child: AddEdges(label(node.i), label(node.j), child),
-                lambda node, left, right: Union(left, right))
-    return CwExpression(expr.k, root)
+    return parse_expression(_NODE_RE.sub(node, serialize(expr)))
 
 
 def coned(expr, weight: int) -> CwExpression:
@@ -56,10 +60,10 @@ def coned(expr, weight: int) -> CwExpression:
     the first time: the result is connected and still irredundant.
     """
     k = expr.k + 1
-    root = Union(expr.root, Relabel(1, k, Introduce("hub", weight)))
+    body = f"(u {serialize(expr).splitlines()[1]} (ren 1 {k} (v hub {weight})))"
     for lbl in range(1, k):
-        root = AddEdges(lbl, k, root)
-    return CwExpression(k, root)
+        body = f"(add {lbl} {k} {body})"
+    return expression(k, body)
 
 
 def answers(expr, problems, terminals=()) -> dict:
@@ -222,17 +226,11 @@ def test_every_witness_on_random_expressions(k, n):
 
 def multi_label_unions(expr) -> int:
     """The union nodes both of whose children use two or more labels."""
-    count = 0
-
-    def union(node, a, b):
-        nonlocal count
-        count += len(a) > 1 and len(b) > 1
-        return a | b
-
-    fold(expr.root, lambda node: frozenset({1}),
-         lambda node, c: c - {node.i} | {node.j} if node.i in c else c,
-         lambda node, c: c, union)
-    return count
+    program = expr.program
+    present, left = program.present, program.left
+    return sum(op == UNION and present[left[p]].bit_count() > 1
+               and present[p - 1].bit_count() > 1
+               for p, op in enumerate(program.op))
 
 
 # (k, n, shape seed, whether the unpruned reference runs in under 3 s) of

@@ -247,6 +247,34 @@ class TestCheckExpr:
         assert out["2"][0][0] == 0
         assert out["99999999999999999999"] == out["2"] == out["1000000"]
 
+    @pytest.mark.parametrize("k, body", [
+        ("99999999999999999999", "(ren 1 {} (v a))"),
+        ("3000000", "(u (ren 1 {} (v a)) (v b))"),
+    ], ids=["one-vertex", "two-vertices"])
+    def test_a_huge_label_answers_as_label_2(self, tmp_path, capsys, k, body):
+        # the labels in use are ranked: 1 and the huge one are 1 and 2
+        out = {}
+        for label in (k, "2"):
+            path = tmp_path / f"k{label}.cw"
+            path.write_text(f"cwexpr k={label}\n{body.format(label)}\n")
+            out[label] = [run_json(capsys, ["check-expr", "--json", "--expr",
+                                            str(path)])]
+            for problem in ("fvs", "cds"):
+                code, payload = run_json(capsys, [
+                    "solve", "--problem", problem, "--json", "--witness",
+                    "--expr", str(path)])
+                payload["stats"].pop("elapsed_ms")
+                out[label].append((code, payload))
+        assert out["2"][0][0] == 0 and out["2"][1][1]["optimum"] == 0
+        assert out[k] == out["2"]
+
+    def test_a_redundant_add_prints_the_files_labels(self, tmp_path, capsys):
+        path = tmp_path / "sparse.cw"
+        path.write_text("cwexpr k=9\n"
+                        "(add 5 9 (add 5 9 (u (ren 1 5 (v a)) (ren 1 9 (v b)))))\n")
+        assert cli.run(["check-expr", "--expr", str(path)]) == 3
+        assert capsys.readouterr().out == "node 0: add 5 9 is fully-redundant\n"
+
     def test_json_live_width_is_null_when_not_irredundant(self, tmp_path,
                                                           capsys):
         path = tmp_path / "bad.cw"

@@ -14,8 +14,7 @@ import cwsolve.fvs
 import cwsolve.sigma_rho
 import cwsolve.wpsets
 from cwsolve import fixture, naive_expression, parse_expression
-from cwsolve.cwexpr import (AddEdges, CwExpression, Introduce, Relabel,
-                            evaluate, future_degrees)
+from cwsolve.cwexpr import LEAF, UNION, evaluate, future_degrees
 from cwsolve.dp import Prune, SolveStats, root_optimum, run
 from cwsolve.fvs import solve_fvs
 from cwsolve.partitions import iter_partitions
@@ -24,14 +23,9 @@ from cwsolve.sigma_rho import (preset_spec, solve_connected_sigma_rho,
 from cwsolve.wpsets import (MERGE_MEMO, NEG_INF, WPSet, ac_reduce, join_sets,
                             query_opt, reduce_set)
 
-from conftest import folded, program_nodes, random_expression, random_graph
+from conftest import present_masks, random_expression, random_graph
 
-KINDS = {Introduce: "introduce", Relabel: "relabel", AddEdges: "add"}
-
-
-def _kind(node) -> str:
-    """The kind of the program position ``node`` stands for."""
-    return "introduce" if folded(node) else KINDS.get(type(node), "union")
+KINDS = ("introduce", "relabel", "add", "union")  # by opcode
 
 
 def _expressions():
@@ -45,21 +39,16 @@ def _expressions():
     return exprs
 
 
-def _children(nodes):
+def _children(ops):
     """Per postorder position, the positions of the node's children, read
-    off the postorder node list alone."""
+    off the opcodes alone."""
     out, finished = [], []
-    for p, node in enumerate(nodes):
-        arity = {"introduce": 0, "union": 2}.get(_kind(node), 1)
+    for p, op in enumerate(ops):
+        arity = {LEAF: 0, UNION: 2}.get(op, 1)
         out.append(finished[len(finished) - arity:])
         del finished[len(finished) - arity:]
         finished.append(p)
     return out
-
-
-def _present(k, node):
-    labels = evaluate(CwExpression(k, node)).labels.values()
-    return sum({1 << lab for lab in labels})
 
 
 class FakeProblem:
@@ -114,14 +103,14 @@ def test_run_against_independent_counts(cap, monkeypatch):
     for seed, expr in enumerate(_expressions()):
         fake, stats = FakeProblem(seed), SolveStats()
         root_table = fake.run(expr, stats, cap)
-        nodes = program_nodes(expr.root)
-        assert len(fake.calls) == len(nodes)
+        program = expr.program
+        assert len(fake.calls) == len(program.op)
         assert fake.calls[-1][3] is root_table
 
-        kinds = Counter(map(_kind, nodes))
+        kinds = Counter(KINDS[op] for op in program.op)
         assert stats.node_kinds == kinds
-        assert fake.labels == [node.j if folded(node) else 1 for node in nodes
-                               if _kind(node) == "introduce"]
+        assert fake.labels == [i for op, i in zip(program.op, program.i)
+                               if op == LEAF]
         assert stats.dp_nodes == sum(kinds.values())
         tables = [call[3] for call in fake.calls]
         assert stats.total_states == sum(map(len, tables))
@@ -132,11 +121,12 @@ def test_run_against_independent_counts(cap, monkeypatch):
 
         made = [call[3] for call in fake.calls]  # by position
         fut = [] if cap is None else future_degrees(expr)
+        present = present_masks(expr)
         for p, (children, (child_tables, masks, got_fut, _)) in enumerate(
-                zip(_children(nodes), fake.calls)):
+                zip(_children(program.op), fake.calls)):
             assert [id(t) for t in child_tables] == \
                 [id(made[c]) for c in children]
-            assert list(masks) == [_present(expr.k, nodes[c]) for c in children]
+            assert list(masks) == [present[c] for c in children]
             assert got_fut == (None if cap is None else
                                tuple(min(cap, x) for x in fut[p]))
 
@@ -156,15 +146,13 @@ class RetiringProblem(FakeProblem):
         return out
 
 
-def _touched(node):
+def _touched(op, i, j):
     """The labels whose slots a node sets: bit l for label l."""
-    if isinstance(node, Introduce):
-        return 2
-    if folded(node):
-        return 1 << node.j
-    if isinstance(node, (Relabel, AddEdges)):
-        return 1 << node.i | 1 << node.j
-    return 0
+    if op == LEAF:
+        return 1 << i
+    if op == UNION:
+        return 0
+    return 1 << i | 1 << j
 
 
 @pytest.mark.parametrize("cap", [1, 2])
@@ -173,28 +161,28 @@ def test_run_retires_where_a_dead_slot_changes(cap):
         fake, stats = RetiringProblem(seed), SolveStats()
         root_table = run(expr, stats, Prune(cap, 4, _refuse, fake.retire),
                          fake.leaf, fake.ren, fake.add, fake.union)
-        nodes = program_nodes(expr.root)
+        program = expr.program
         fut = future_degrees(expr)
-        dead = [sum(2 << l for l, x in enumerate(fut[p]) if not x)
-                for p in range(len(nodes))]
+        dead = [sum(2 << l for l, x in enumerate(vec) if not x) for vec in fut]
+        touched = map(_touched, program.op, program.i, program.j)
         assert [(index, mask) for index, _, mask, _ in fake.retired] == \
-            [(index, dead[index]) for index, node in enumerate(nodes)
-             if dead[index] & _touched(node)]
+            [(index, dead[index]) for index, labels in enumerate(touched)
+             if dead[index] & labels]
         tables = [call[3] for call in fake.calls]
         for index, table_in, _, table_out in fake.retired:
             assert table_in is tables[index]
             tables[index] = table_out
         # the retired table is the node's: its parent and the stats get it
         assert root_table is tables[-1]
-        for children, (child_tables, _, _, _) in zip(_children(nodes),
+        for children, (child_tables, _, _, _) in zip(_children(program.op),
                                                      fake.calls):
             assert [id(t) for t in child_tables] == \
                 [id(tables[c]) for c in children]
         assert stats.total_states == sum(map(len, tables))
         assert stats.peak_states == max(map(len, tables))
         assert stats.live_width == max(
-            (_present(expr.k, node) & ~mask).bit_count()
-            for node, mask in zip(nodes, dead))
+            (present & ~mask).bit_count()
+            for present, mask in zip(present_masks(expr), dead))
 
 
 def test_live_width_counts_every_nonempty_label_on_the_reference_path():
@@ -202,8 +190,7 @@ def test_live_width_counts_every_nonempty_label_on_the_reference_path():
         stats = SolveStats()
         FakeProblem(seed).run(expr, stats, None)
         assert stats.live_width == max(
-            _present(expr.k, node).bit_count()
-            for node in program_nodes(expr.root))
+            present.bit_count() for present in present_masks(expr))
 
 
 def test_root_optimum_keeps_the_first_best_entry():

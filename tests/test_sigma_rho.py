@@ -5,8 +5,7 @@ import pytest
 
 import cwsolve.sigma_rho
 from cwsolve import fixture, naive_expression, parse_expression
-from cwsolve.cwexpr import (AddEdges, Introduce, NotIrredundantError, Relabel,
-                            Union, CwExpression, evaluate, parse_graph)
+from cwsolve.cwexpr import NotIrredundantError, evaluate, parse_graph
 from cwsolve.oracle import brute_sigma_rho, brute_steiner, check_solution
 from cwsolve.partitions import Partition
 from cwsolve.sigma_rho import (EMPTY_PARTITION, MAX, MIN, DomContext, MuSet,
