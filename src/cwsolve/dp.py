@@ -6,7 +6,8 @@ program, a table per position; it keeps only its transitions, which
 The driver owns the one switch for pruning (a :class:`Prune`, or None on the
 reference path), the retirement of dead labels and the rank-bound reduction.
 The transitions only build tables, except that the domination ones drop the
-slot states that the future degrees the driver hands them rule out.
+slot states that the future degrees the driver hands them rule out, and the
+keys holding a finished X where the driver's verdict says none survives.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .cwexpr import ADD, LEAF, REN, UNION, CwExpression, future_degrees
+from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
+                     future_degrees)
 from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
                      witness_names)
 
@@ -51,22 +53,31 @@ class Prune(NamedTuple):
     """The pruned path: future degrees capped at ``cap``, ``reducer`` for
     every cell above ``bound`` entries, ``retire(table, dead)``, which
     rewrites a table's keys to their canonical form over the mask ``dead``
-    of labels with future degree 0, and whether the transitions take the
-    ``lookahead`` to a parent add (:func:`run`)."""
+    of labels with future degree 0, whether the transitions take the
+    ``lookahead`` to a parent add, and ``doomed(program, degrees)``, the
+    positions where no key holding a finished X survives, from the
+    uncapped future degrees (:func:`run`)."""
 
     cap: int
     bound: int
     reducer: Callable[[WPSet], WPSet]
     retire: Callable[[dict, int], dict]
     lookahead: bool = False
+    doomed: Callable[[Program, list], set[int]] | None = None
 
 
-def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
-    """Per position: the future degrees capped at ``cap`` and the mask of the
-    labels at 0 (bit l for label l); without a cap, None and 0, uncomputed."""
+def capped_degrees(expr: CwExpression, cap: int | None,
+                   degrees=None) -> tuple[list, list]:
+    """Per position: the future degrees (``degrees``, unless given
+    :func:`~cwsolve.cwexpr.future_degrees`) capped at ``cap`` and the mask
+    of the labels at 0 (bit l for label l); without a cap, None and 0,
+    uncomputed."""
     fut, dead = [None] * len(expr.program.op), [0] * len(expr.program.op)
+    if cap is None:
+        return fut, dead
     seen: dict[tuple, tuple] = {}  # few distinct vectors recur everywhere
-    for p, vec in enumerate(() if cap is None else future_degrees(expr)):
+    for p, vec in enumerate(future_degrees(expr) if degrees is None
+                            else degrees):
         if vec not in seen:
             low = tuple(min(cap, x) for x in vec)
             seen[vec] = low, sum(2 << l for l, x in enumerate(low) if not x)
@@ -112,12 +123,17 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     is an add also gets that add's ``(i, j, present, fut)``
     (:func:`lookaheads`) as one more argument, so that it can leave out,
     before building their cells, the keys the add has no successor for; see
-    below.  Each position's kind, states and largest cell go into ``stats``.  The joins' merge memo
-    (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends the run empty.
+    below.  At each position of ``prune.doomed``, where the transitions'
+    own rule shows that no key holding a finished X reaches the root, the
+    node also gets the keyword ``doomed=True``, and builds no such key.
+    Each position's kind, states and largest cell go into ``stats``.  The
+    joins' merge memo (:data:`~cwsolve.wpsets.MERGE_MEMO`) starts and ends
+    the run empty.
 
     ``prune`` is the one switch for every prune.  None is the unpruned
-    reference path: no future degree is computed, ``fut`` is None, and every
-    table is kept whole.  Otherwise, after each node's transition:
+    reference path: no future degree is computed, ``fut`` is None, no node
+    is doomed, and every table is kept whole.  Otherwise, after each node's
+    transition:
 
     * ``prune.retire`` rewrites the table over the node's dead labels, those
       whose future degree is 0, if the node changes the slot of one of them:
@@ -142,32 +158,40 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     shrink.  The driver's own steps keep the test valid: they neither change
     a cell of a kept key, nor, as long as the child retires none of the
     add's labels (the lookahead is withheld where it does), its two slots.
+    The verdict's rule argues its own soundness; like the lookahead, it
+    drops only keys with no root descendant.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
     label counts.
     """
     program = expr.program
-    fut, dead = capped_degrees(expr, None if prune is None else prune.cap)
+    degrees = None if prune is None else future_degrees(expr)
+    fut, dead = capped_degrees(expr, None if prune is None else prune.cap,
+                               degrees)
     aheads = (lookaheads(program, fut, dead)
               if prune is not None and prune.lookahead else repeat(None))
+    doomed = prune.doomed(program, degrees) if degrees and prune.doomed else ()
+    del degrees  # one tuple per position: free it before the tables grow
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
     MERGE_MEMO.clear()
     try:
-        for op, i, j, left, name, weight, mask, vec, dying, ahead in zip(
-                program.op, program.i, program.j, program.left, program.name,
-                program.weight, program.present, fut, dead, aheads):
+        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead) in \
+                enumerate(zip(program.op, program.i, program.j, program.left,
+                              program.name, program.weight, program.present,
+                              fut, dead, aheads)):
             extra = () if ahead is None else (ahead,)
+            verdict = {"doomed": True} if p in doomed else {}
             if op == LEAF:
-                table = leaf(i, name, weight, vec, *extra)
+                table = leaf(i, name, weight, vec, *extra, **verdict)
             elif op == UNION:
                 right = tables.pop()
                 table = union(tables.pop(), program.present[left], right,
-                              child, vec, *extra)
+                              child, vec, *extra, **verdict)
             else:
                 table = (ren if op == REN else add)(tables.pop(), child, i, j,
-                                                    vec, *extra)
+                                                    vec, *extra, **verdict)
             child = mask
             if dying & touched(op, i, j):
                 table = prune.retire(table, dying)

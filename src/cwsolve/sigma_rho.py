@@ -33,7 +33,7 @@ partner would split again.  This is the exact-count to "at least" state change
 of van Rooij, Bodlaender and Rossmanith (ESA 2009), argued in
 :func:`_add_pairs` and :func:`_merge`; the reference path keeps exact counts,
 so the two check each other.  The driver :func:`~cwsolve.dp.run` also prunes
-in four ways.  It hands each transition the future degrees
+in five ways.  It hands each transition the future degrees
 (:func:`~cwsolve.cwexpr.future_degrees`) capped at d, which drop the slot
 states they rule out, so keys no root key extends are never built; see
 :func:`_future_ok`.  It retires dead labels with
@@ -41,13 +41,17 @@ states they rule out, so keys no root key extends are never built; see
 0, and one closed-X marker at the lowest dead label keeps the fact that a
 finished class held X, so the up to 2(d + 1) final codes of a finished class
 no longer split a table.  It reduces each cell above the rank bound
-2^(k-1) with ``reduce_set``.  And it hands a node whose parent is an add
+2^(k-1) with ``reduce_set``.  It hands a node whose parent is an add
 that add's labels, child mask and future degrees, with which the node leaves
 out the keys the add has no successor for (:func:`_successors`) before it
-links or joins their cells.  The first two drop or merge only keys that
-answer every completion alike, so the optimum is the reference path's; only
-the witness kept among equal-weight entries may differ.  The lookahead
-changes no table from the add up, so no optimum and no witness.
+links or joins their cells.  And at a leaf, add or union where the vertices
+still to come cannot complete an X that is finished, by the variant's rule
+(:func:`_doomed`), it has the node build no key holding X without an open
+class.  The first two drop or merge only keys that answer every completion
+alike, so the optimum is the reference path's; only the witness kept among
+equal-weight entries may differ.  The lookahead changes no table from the
+add up, and the verdict drops only keys with no root descendant, so neither
+changes the root table, its optimum or its witness.
 """
 
 from __future__ import annotations
@@ -56,12 +60,13 @@ import re
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import accumulate, compress, product
 from operator import getitem
 
 from . import dp
-from .cwexpr import (LEAF, CwExpression, NotIrredundantError,
-                     check_irredundant, vertex_weights)
+from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression,
+                     NotIrredundantError, Program, check_irredundant,
+                     vertex_weights)
 from .dp import SolveStats
 from .wpsets import (NEG_INF, POS_INF, InvariantError, WPSet, join_sets, link,
                      put, reduce_set)
@@ -106,6 +111,7 @@ class MuSet:
 
 NATURALS = MuSet(True, frozenset())
 POSITIVES = MuSet(True, frozenset({0}))
+_ZERO = MuSet(False, frozenset({0}))
 
 
 def d_of(mu: MuSet) -> int:
@@ -373,6 +379,70 @@ def _future_ok(ctx: DomContext, slot: tuple, fut_s: int) -> bool:
     return True
 
 
+def _doomed(ctx: DomContext, program: Program, degrees) -> set[int]:
+    """The leaves, adds and unions (where keys holding X with no open class
+    are made) at which no such key reaches the root, by the variant's rule,
+    from the uncapped future ``degrees``
+    (:func:`~cwsolve.cwexpr.future_degrees`):
+
+    * T (Steiner): a terminal lies outside the node's subtree.
+    * I (plain, 0 not in rho): the future degrees of the node's nonempty
+      classes sum to less than the number of vertices still to come.
+    * E (co, sigma = {0}): the edge count m exceeds D - I, for D the
+      degrees of the subtree's vertices summed and I the edges its adds make.
+
+    Sound: such a key's X classes have q = 0, an exact promise capped at 1,
+    so no X vertex gains an X-neighbour above the node, and every edge
+    between the node's vertices and one still to come is added above it.  X
+    is connected at the root, so no vertex still to come joins X.  Then T: a
+    terminal still to come is outside X.  I: every vertex still to come is
+    outside S = X and needs an S-neighbour in the subtree; the members of
+    class l all gain the same fut_l neighbours (the expression is
+    irredundant), so at most the sum of the fut_l vertices still to come
+    meet the subtree, and one stays undominated.  E: every vertex still to
+    come is in S, and at most D - I edges touch the subtree, so some edge
+    joins two vertices still to come, each of which then has an
+    S-neighbour, which sigma = {0} forbids.  A dropped key has no root
+    descendant, so the root table, its optimum and its witness are as
+    without the verdict.
+
+    The subtree of position p is the postorder range [start(p), p], where
+    start(p) is p at a leaf, start(p - 1) at a relabel or add and
+    start(left[p]) at a union, so its counts are prefix-sum differences.  An
+    add's two classes gain each other's vertices, so the future degrees
+    fall across it by |Cj| and |Ci|, whose product is the edges it makes."""
+    spec, terms, ops = ctx.spec, ctx.terminals, program.op
+    plain = not spec.co and 0 not in spec.rho
+    if not (terms or plain or spec.co and spec.sigma == _ZERO):
+        return set()
+    start: list[int] = []  # per position, the first one of its subtree
+    for p, (op, left) in enumerate(zip(ops, program.left)):
+        start.append(p if op == LEAF else start[left if op == UNION else p - 1])
+    makers = [p for p, op in enumerate(ops) if op != REN]
+    if terms:  # T
+        held = list(accumulate(map(terms.__contains__, program.name),
+                               initial=0))
+        return {p for p in makers if held[p + 1] - held[start[p]] < len(terms)}
+    if plain:  # I
+        verts = list(accumulate((op == LEAF for op in ops), initial=0))
+        present = program.present
+        # the nonempty classes of each mask, as selectors
+        chosen = {mask: tuple(mask >> l & 1 for l in range(1, ctx.k + 1))
+                  for mask in set(present)}
+        return {p for p in makers
+                if sum(compress(degrees[p], chosen[present[p]]))
+                < verts[-1] - verts[p + 1] + verts[start[p]]}
+    li, lj = program.i, program.j  # E
+    degs = list(accumulate((vec[i - 1] if op == LEAF else 0 for op, i, vec
+                            in zip(ops, li, degrees)), initial=0))
+    made = list(accumulate(
+        ((below[i - 1] - vec[i - 1]) * (below[j - 1] - vec[j - 1])
+         if op == ADD else 0 for op, i, j, below, vec
+         in zip(ops, li, lj, [None, *degrees], degrees)), initial=0))
+    return {p for p in makers if made[-1] > degs[p + 1] - degs[start[p]]
+            - made[p + 1] + made[start[p]]}
+
+
 # ---------------------------------------------------------------------------
 # Transitions.  ``fut`` is the node's future degree vector, capped at d, or
 # None on the unfiltered reference path.
@@ -393,14 +463,24 @@ def _successors(ctx: DomContext, ahead) -> tuple:
                                  fut and fut[i - 1], fut and fut[j - 1])
 
 
+def _check_verdict(ctx: DomContext, doomed: bool) -> None:
+    """``doomed``: the node builds no key holding a finished X
+    (:func:`_doomed`).  The unpruned reference path takes no such verdict."""
+    if doomed and not ctx.pruned:
+        raise InvariantError("the unpruned reference path takes no verdict")
+
+
 def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
-             ahead=None) -> dict:
+             ahead=None, *, doomed: bool = False) -> dict:
     wit_in = name if ctx.with_witness else None
     wit_out = () if ctx.with_witness else None
     up_i, up_j, up = _successors(ctx, ahead)
+    _check_verdict(ctx, doomed)
     cells = {}
     for code in ctx.leaf_codes[name in ctx.terminals]:
         if ctx.code_of(ctx.slots[code], fut and fut[label - 1]) is None:
+            continue
+        if doomed and ctx.has_x[code] and not ctx.open[code]:
             continue
         key = (0,) * (label - 1) + (code,) + (0,) * (ctx.k - label)
         if up is not None and not up[key[up_i]][key[up_j]]:
@@ -413,11 +493,12 @@ def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
 
 
 def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
-            fut=None, ahead=None) -> dict:
+            fut=None, ahead=None, *, doomed: bool = False) -> dict:
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
     up_i, up_j, up = _successors(ctx, ahead)
+    _check_verdict(ctx, doomed)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -435,6 +516,8 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
                 rest_open = (sum(map(is_open.__getitem__, key))
                              > is_open[ci] + is_open[cj])
             if not (oi or oj or rest_open):  # X is complete: keep weights
+                if doomed and any(map(has_x.__getitem__, key)):
+                    continue
                 res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
                                         in cell.values()), 0)
             elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
@@ -511,16 +594,25 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
-              table_b: dict, pres_b: int, fut=None, ahead=None) -> dict:
+              table_b: dict, pres_b: int, fut=None, ahead=None, *,
+              doomed: bool = False) -> dict:
     rels = [ctx.rel(_merge, pres_a >> s + 1 & 1, pres_b >> s + 1 & 1,
                     fut and fut[s]) for s in range(ctx.k)]
     up_i, up_j, up = _successors(ctx, ahead)
+    _check_verdict(ctx, doomed)
     is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
     side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
               for key_b, cell_b in table_b.items()]
+    # Where a finished X is doomed, a side holding one pairs with nothing:
+    # not with a side holding X (below), nor with an X-free one, which
+    # would make a key holding a finished X.
+    if doomed:
+        side_b = [side for side in side_b if side[2] or not side[3]]
     out: dict = {}
     for key_a, cell_a in table_a.items():
         open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
+        if doomed and x_a and not open_a:
+            continue
         rows = list(map(getitem, rels, key_a))
         for key_b, cell_b, open_b, x_b in side_b:
             # A side whose X has no open class is a finished connected X; it
@@ -545,7 +637,8 @@ def _solve(expr: CwExpression, spec: SigmaRhoSpec, with_witness: bool,
                      n=expr.program.op.count(LEAF), pruned=use_reduce)
     stats = SolveStats()
     prune = (dp.Prune(ctx.d, 1 << (ctx.k - 1), reduce_set,
-                      partial(srd_retire, ctx), lookahead=True)
+                      partial(srd_retire, ctx), lookahead=True,
+                      doomed=partial(_doomed, ctx))
              if ctx.pruned else None)
     table = dp.run(expr, stats, prune,
                    partial(srd_leaf, ctx), partial(srd_ren, ctx),

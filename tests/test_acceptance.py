@@ -8,19 +8,17 @@ import json
 import random
 import time
 
-import pytest
-
-from cwsolve import cli, fixture, naive_expression, solve_fvs
+from cwsolve import cli, fixture, solve_fvs
 from cwsolve.fvs import UNION_STATE_OPTIONS
 from cwsolve.oracle import (brute_min_fvs, brute_sigma_rho, brute_steiner,
                             check_representative)
-from cwsolve.partitions import Partition, acyclic, iter_partitions
+from cwsolve.partitions import Partition, acyclic
 from cwsolve.sigma_rho import (MuSet, d_of, preset_spec,
                                solve_connected_sigma_rho, solve_steiner)
-from cwsolve.wpsets import WPSet, ac_reduce, acjoin, cut_row, join_sets, \
-    proj, query_opt, reduce_set
+from cwsolve.wpsets import ac_reduce, acjoin, cut_row, join_sets, proj, \
+    reduce_set
 
-from conftest import random_graph, random_partition, random_wpset
+from conftest import random_partition, random_wpset
 
 DOM_PROBLEMS = ("cds", "ctds", "perfect-cds", "cvc")
 

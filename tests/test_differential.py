@@ -180,8 +180,8 @@ def _eager(run):
     entries, not only those above the bound."""
     def eager_run(expr, stats, prune, *transitions):
         def eager(transition):
-            def reduced(*args):
-                table = transition(*args)
+            def reduced(*args, **verdict):
+                table = transition(*args, **verdict)
                 for key, cell in table.items():
                     if len(cell) > 1:
                         table[key] = check_size(prune.reducer(cell),

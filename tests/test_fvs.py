@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from cwsolve import fixture, naive_expression, parse_expression, solve_fvs
-from cwsolve.cwexpr import NotIrredundantError, evaluate, parse_graph
+from cwsolve.cwexpr import NotIrredundantError, evaluate
 from cwsolve.fvs import (ABSENT, MANY_DONE, MANY_WAIT, ONE,
                          UNION_STATE_OPTIONS, fvs_add, fvs_leaf, fvs_ren,
                          fvs_union, state_ground)

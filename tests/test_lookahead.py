@@ -58,9 +58,9 @@ def _run(monkeypatch, name, expr, lookahead):
     them, with the lookahead on or off."""
     tables = []
 
-    def recorded(ctx, table, present, i, j, fut, *ahead):
-        whole = _contents(srd_add(ctx, table, present, i, j, fut))
-        out = srd_add(ctx, table, present, i, j, fut, *ahead)
+    def recorded(ctx, table, present, i, j, fut, *ahead, **verdict):
+        whole = _contents(srd_add(ctx, table, present, i, j, fut, **verdict))
+        out = srd_add(ctx, table, present, i, j, fut, *ahead, **verdict)
         # the add's own lookahead only leaves keys out
         assert all(item in whole for item in _contents(out))
         tables.append(whole)
@@ -102,14 +102,14 @@ def test_a_node_leaves_out_exactly_the_keys_its_add_has_no_successor_for(
     dropped = 0
 
     def checked(transition, arity):
-        def run(ctx, *args):
-            out = transition(ctx, *args)
+        def run(ctx, *args, **verdict):
+            out = transition(ctx, *args, **verdict)
             if len(args) > arity:
                 nonlocal dropped
                 i, j, present, fut = args[-1]
                 rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                               fut[i - 1], fut[j - 1])
-                whole = transition(ctx, *args[:arity])
+                whole = transition(ctx, *args[:arity], **verdict)
                 kept = {key: cell for key, cell in whole.items()
                         if rel[key[i - 1]][key[j - 1]]}
                 assert _contents(out) == _contents(kept)

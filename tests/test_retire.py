@@ -288,8 +288,8 @@ def test_cvc_builds_no_open_class_without_a_future_neighbour(instances,
     seen = []
 
     def checked(transition):
-        def run(ctx, *args):
-            table = transition(ctx, *args)
+        def run(ctx, *args, **verdict):
+            table = transition(ctx, *args, **verdict)
             fut = args[-1]
             if fut is not None:
                 for key in table:
