@@ -241,6 +241,8 @@ def _cmd_bench(args) -> int:
         print(f"nodes_{kind},{stats.node_kinds.get(kind, 0)}")
     for key, value in stats.as_dict().items():
         print(f"{key},{value}")
+    print(f"plans_recorded,{stats.plans_recorded}")
+    print(f"plans_replayed,{stats.plans_replayed}")
     return 0
 
 

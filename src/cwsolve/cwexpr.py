@@ -21,7 +21,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -463,22 +463,30 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
     return CwExpression(expr.k, _assemble(nodes))
 
 
-def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
+def future_degrees(expr: CwExpression,
+                   cap: int | None = None) -> list[tuple[int, ...]]:
     """Per position: for each label l of the program's 1..L (at index
-    l - 1), how many neighbours its class still gains.
+    l - 1), how many neighbours its class still gains, capped at ``cap``
+    if given.
 
     At every add above the node that touches the class, the class gains the
     partner class of that add.  On an irredundant expression these partner
     classes are disjoint and hold no neighbour the class already has (either
     would make some add re-add an edge), so the sum of their sizes counts the
     new neighbours exactly.  Sizes go up the program, sums down: O(|expr| k).
+    The cap is taken on the way down, as min(cap, x + s) = min(cap,
+    min(cap, x) + s) for the non-negative partner sizes s, and capped
+    vectors that are equal are one tuple.
     """
     program, width = expr.program, expr.max_label
     ops, li, lj, left = program.op, program.i, program.j, program.left
     sizes, met = [], {}  # class sizes per open subtree; |Ci|, |Cj| per add
+    empty = [0] * (width + 1)
     for p, op in enumerate(ops):
         if op == LEAF:
-            sizes.append([0] * li[p] + [1] + [0] * (width - li[p]))
+            size = empty.copy()
+            size[li[p]] = 1
+            sizes.append(size)
         elif op == REN:
             size = sizes[-1]
             size[lj[p]] += size[li[p]]
@@ -486,20 +494,31 @@ def future_degrees(expr: CwExpression) -> list[tuple[int, ...]]:
         elif op == ADD:
             met[p] = sizes[-1][li[p]], sizes[-1][lj[p]]
         else:
-            sizes[-2:] = [[a + b for a, b in zip(*sizes[-2:])]]
-    fut = [(0,) * width] * len(ops)  # the root's stays
+            right = sizes.pop()
+            sizes[-1] = list(map(add, sizes[-1], right))
+    root = (0,) * width
+    fut = [root] * len(ops)  # the root's stays
+    seen = {root: root}  # the capped vectors: few, met everywhere
     for p in range(len(ops) - 1, 0, -1):  # a parent sits after its children
         op, above = ops[p], fut[p]
         if op == UNION:
             fut[p - 1] = fut[left[p]] = above
         elif op != LEAF:
             below = list(above)
+            a, b = li[p] - 1, lj[p] - 1
             if op == ADD:
-                below[li[p] - 1] += met[p][1]
-                below[lj[p] - 1] += met[p][0]
+                size_i, size_j = met[p]
+                below[a] += size_j
+                below[b] += size_i
+                if cap is not None:
+                    if below[a] > cap:
+                        below[a] = cap
+                    if below[b] > cap:
+                        below[b] = cap
             else:  # the child's class i becomes part of class j here
-                below[li[p] - 1] = above[lj[p] - 1]
-            fut[p - 1] = tuple(below)
+                below[a] = above[b]
+            below = tuple(below)
+            fut[p - 1] = below if cap is None else seen.setdefault(below, below)
     return fut
 
 

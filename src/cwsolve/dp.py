@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, count
+from operator import ne
 from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
@@ -33,6 +34,8 @@ class SolveStats:
     total_states: int = 0
     live_width: int = 0
     node_kinds: Counter = field(default_factory=Counter)
+    plans_recorded: int = 0  # key plans (:func:`run`); not in as_dict
+    plans_replayed: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -53,7 +56,8 @@ class Prune(NamedTuple):
     """The pruned path: future degrees capped at ``cap``, ``reducer`` for
     every cell above ``bound`` entries, ``retire(table, dead)``, which
     rewrites a table's keys to their canonical form over the mask ``dead``
-    of labels with future degree 0, whether the transitions take the
+    of labels with future degree 0 (and takes a key plan as a transition
+    does), whether the transitions take the
     ``lookahead`` to a parent add, and ``doomed(program, degrees)``, the
     positions where no key holding a finished X survives, from the
     uncapped future degrees (:func:`run`)."""
@@ -66,22 +70,20 @@ class Prune(NamedTuple):
     doomed: Callable[[Program, list], set[int]] | None = None
 
 
-def capped_degrees(expr: CwExpression, cap: int | None,
-                   degrees=None) -> tuple[list, list]:
-    """Per position: the future degrees (``degrees``, unless given
-    :func:`~cwsolve.cwexpr.future_degrees`) capped at ``cap`` and the mask
-    of the labels at 0 (bit l for label l); without a cap, None and 0,
-    uncomputed."""
+def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
+    """Per position: the future degrees capped at ``cap``
+    (:func:`~cwsolve.cwexpr.future_degrees`), one tuple per distinct vector,
+    and the mask of the labels at 0 (bit l for label l); without a cap,
+    None and 0, uncomputed."""
     fut, dead = [None] * len(expr.program.op), [0] * len(expr.program.op)
     if cap is None:
         return fut, dead
-    seen: dict[tuple, tuple] = {}  # few distinct vectors recur everywhere
-    for p, vec in enumerate(future_degrees(expr) if degrees is None
-                            else degrees):
-        if vec not in seen:
-            low = tuple(min(cap, x) for x in vec)
-            seen[vec] = low, sum(2 << l for l, x in enumerate(low) if not x)
-        fut[p], dead[p] = seen[vec]
+    masks: dict[tuple, int] = {}
+    for p, vec in enumerate(future_degrees(expr, cap)):
+        mask = masks.get(vec)
+        if mask is None:
+            mask = masks[vec] = sum(2 << l for l, x in enumerate(vec) if not x)
+        fut[p], dead[p] = vec, mask
     return fut, dead
 
 
@@ -103,6 +105,43 @@ def lookaheads(program, fut: list, dead: list) -> list:
                                  and dead[c] & (1 << i[p] | 1 << j[p])):
             out[c] = (i[p], j[p], program.present[c], fut[p])
     return out
+
+
+def repeated_contexts(program, fut: list, aheads: list, doomed) -> list:
+    """Per position: a number naming the node's context where another
+    position shares it, else None, as at every leaf, whose cells come from
+    its vertex.  A context is all that a transition and the retirement after
+    it read besides the children's tables: the opcode, the labels, the
+    children's masks, the capped future degrees (and with them the dead
+    labels), the lookahead and the verdict."""
+    op, present = program.op, program.present
+    ids: dict[tuple, int] = {}  # a context -> the first position it is at
+    contexts = list(map(ids.setdefault, zip(
+        op, program.i, program.j, [0, *present[:-1]],
+        map(present.__getitem__, program.left), fut, aheads,
+        map(doomed.__contains__, range(len(op)))), count()))
+    # the contexts met again: each at a position past its first
+    again = set(compress(contexts, map(ne, contexts, count())))
+    shared = {context: context for context in again if op[context] != LEAF}
+    return list(map(shared.get, contexts))
+
+
+class Plan:
+    """A key plan (:func:`run`): the cell steps, in order, by which one call
+    of a transition or retirement made its table from its input's, which
+    the call records into ``steps`` while it runs, and the ``keys`` that
+    table got, numbered by ``shape``, which the driver sets when the call
+    returns.  A plan with keys is replayed, not recorded."""
+
+    __slots__ = ("steps", "keys", "shape")
+
+    def __init__(self):
+        self.steps = self.keys = self.shape = None
+
+    def record(self) -> list:
+        """A new, empty step list for this call to record into."""
+        self.steps = []
+        return self.steps
 
 
 def live_width(present, dead) -> int:
@@ -161,40 +200,103 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     The verdict's rule argues its own soundness; like the lookahead, it
     drops only keys with no root descendant.
 
+    Key plans, on both paths.  Before the first node, the driver marks the
+    positions whose context (:func:`repeated_contexts`) another position
+    shares.  Only there does a transition, and the retirement after it, get
+    the keyword ``plan``: a :class:`Plan` for the context and the shapes of
+    its input tables, a shape being the number of a table's key sequence.
+    At the first such call the plan is empty, and the call runs as at any
+    other position while it records its cell steps; at every later one the
+    call replays them over its own input's cells, in the recorded order,
+    with the same cell operations and stores.  Its output gets the plan's
+    shape if its keys are the recorded ones, else the number of its own
+    keys; a table from an unmarked position is numbered when a marked
+    parent needs it.  Sound: a transition's output keys, its cell steps and
+    their order depend only on its context and its inputs' key sequences,
+    while the cells only flow through them, so a replay builds the table
+    the transition would, with the same cells, witnesses and ties; only a
+    cell step that comes out empty on other cells can drop a key, which the
+    shape check sees.  The reduction after a call changes no key.  Where no
+    context repeats, as on naive expressions, nothing is recorded.  The
+    plans live for one run; ``stats`` counts those recorded and replayed.
+
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
     label counts.
     """
     program = expr.program
-    degrees = None if prune is None else future_degrees(expr)
-    fut, dead = capped_degrees(expr, None if prune is None else prune.cap,
-                               degrees)
+    doom = prune is not None and prune.doomed
+    degrees = future_degrees(expr) if doom else None
+    fut, dead = capped_degrees(expr, None if prune is None else prune.cap)
     aheads = (lookaheads(program, fut, dead)
-              if prune is not None and prune.lookahead else repeat(None))
-    doomed = prune.doomed(program, degrees) if degrees and prune.doomed else ()
+              if prune is not None and prune.lookahead else [None] * len(fut))
+    doomed = prune.doomed(program, degrees) if doom and degrees else ()
     del degrees  # one tuple per position: free it before the tables grow
+    marks = repeated_contexts(program, fut, aheads, doomed)
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
+    shapes: dict[int, int] = {}  # position -> its table's shape, where known
+    plans: dict[tuple, Plan] = {}  # (context, input shapes) -> its plan
+    numbers: dict[tuple, int] = {}  # key sequence -> shape
+    number = numbers.setdefault
+
+    def planned(memo_key: tuple, kw: dict) -> Plan:  # also the call's keyword
+        plan = kw["plan"] = plans.get(memo_key)
+        if plan is None:
+            plan = kw["plan"] = plans[memo_key] = Plan()
+        else:
+            stats.plans_replayed += 1
+        return plan
+
+    def shape_of(table: dict, plan: Plan) -> int:  # after the plan's call
+        keys = tuple(table)
+        if plan.keys is None:  # recorded
+            plan.keys, plan.shape = keys, number(keys, len(numbers))
+        elif keys != plan.keys:  # a replayed cell step came out empty
+            return number(keys, len(numbers))
+        return plan.shape
+
     MERGE_MEMO.clear()
     try:
-        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead) in \
-                enumerate(zip(program.op, program.i, program.j, program.left,
-                              program.name, program.weight, program.present,
-                              fut, dead, aheads)):
+        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead,
+                mark) in enumerate(zip(program.op, program.i, program.j,
+                                       program.left, program.name,
+                                       program.weight, program.present, fut,
+                                       dead, aheads, marks)):
             extra = () if ahead is None else (ahead,)
-            verdict = {"doomed": True} if p in doomed else {}
+            kw = {"doomed": True} if p in doomed else {}
+            if mark is not None:  # the child shapes, numbered on demand
+                shape = shapes.get(p - 1)
+                if shape is None:
+                    shape = number(tuple(tables[-1]), len(numbers))
+                if op == UNION:
+                    first = shapes.get(left)
+                    if first is None:
+                        first = number(tuple(tables[-2]), len(numbers))
+                    plan = planned((mark, first, shape), kw)
+                else:
+                    plan = planned((mark, shape), kw)
             if op == LEAF:
-                table = leaf(i, name, weight, vec, *extra, **verdict)
+                table = leaf(i, name, weight, vec, *extra, **kw)
             elif op == UNION:
                 right = tables.pop()
                 table = union(tables.pop(), program.present[left], right,
-                              child, vec, *extra, **verdict)
+                              child, vec, *extra, **kw)
             else:
                 table = (ren if op == REN else add)(tables.pop(), child, i, j,
-                                                    vec, *extra, **verdict)
+                                                    vec, *extra, **kw)
             child = mask
-            if dying & touched(op, i, j):
-                table = prune.retire(table, dying)
+            if mark is None:
+                if dying & touched(op, i, j):
+                    table = prune.retire(table, dying)
+            else:
+                shape = shape_of(table, plan)
+                if dying & touched(op, i, j):
+                    kw = {}  # ~mark < 0 keys the retirement's plans apart
+                    plan = planned((~mark, shape), kw)
+                    table = prune.retire(table, dying, **kw)
+                    shape = shape_of(table, plan)
+                shapes[p] = shape
             biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
                 for key, cell in table.items():
@@ -207,6 +309,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
             cells.append(biggest)
     finally:
         MERGE_MEMO.clear()
+    stats.plans_recorded += len(plans)
     stats.node_kinds.update(map(KIND_NAMES.__getitem__, program.op))
     stats.dp_nodes = stats.node_kinds.total()
     stats.total_states += sum(states)

@@ -38,6 +38,11 @@ longer split a table.  And it reduces each cell above the rank bound
 (k + 1) * 2^k with ``ac_reduce``.  Retirement drops or merges only states
 that answer every completion alike, so the optimum is the reference path's;
 only the witness kept among equal-weight entries may differ.
+
+On both paths, where a node's context repeats, each transition and
+:func:`fvs_retire` gets a key plan (:class:`~cwsolve.dp.Plan`): it records its
+cell steps into the first one, and replays them over its own input's cells
+from the second on (:func:`_replay`, :func:`_replay_union`).
 """
 
 from __future__ import annotations
@@ -118,8 +123,12 @@ def fvs_leaf(k: int, with_witness: bool, label: int, name: str, weight: int,
     return {zero: untouched, zero[:label - 1] + (ONE,) + zero[label:]: lone}
 
 
-def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
+def fvs_add(table: Table, present: int, i: int, j: int, fut=None, *,
+            plan: dp.Plan | None = None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table, i, j)
+    steps = None if plan is None else plan.record()
     out: Table = {}
     ii, jj = i - 1, j - 1
     for state, cell in table.items():
@@ -127,6 +136,8 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
         if a == ABSENT or b == ABSENT:
             # no forest vertex on one side: nothing changes, so a waiting
             # class goes on waiting, which needs a later add
+            if steps is not None:
+                steps.append((state, state, None))
             put(out, state, cell)
             continue
         # Classes that still wait for their allowed add get it consumed here;
@@ -142,47 +153,65 @@ def fvs_add(table: Table, present: int, i: int, j: int, fut=None) -> Table:
             drop = 1 << j
         else:
             continue
+        if steps is not None:
+            steps.append((state, target, drop))
         put(out, target, link(cell, i, j, drop, acyclic=True))
     return out
 
 
-def fvs_ren(table: Table, present: int, i: int, j: int, fut=None) -> Table:
+def fvs_ren(table: Table, present: int, i: int, j: int, fut=None, *,
+            plan: dp.Plan | None = None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table, i, j)
+    steps = None if plan is None else plan.record()
     out: Table = {}
     ii, jj = i - 1, j - 1
     for state, cell in table.items():
         a, b = state[ii], state[jj]
         if a == ABSENT:
+            if steps is not None:
+                steps.append((state, state, None))
             put(out, state, cell)
             continue
         if b == ABSENT:
             target = list(state)
             target[ii], target[jj] = ABSENT, a
+            target = tuple(target)
             if a == MANY_DONE:
-                moved = cell
+                step, moved = None, cell
             else:
                 # Rename element i to j inside every partition.
-                moved = link(cell, i, j, 1 << i, acyclic=True)
-            put(out, tuple(target), moved)
+                step, moved = 1 << i, link(cell, i, j, 1 << i, acyclic=True)
+            if steps is not None:
+                steps.append((state, target, step))
+            put(out, target, moved)
             continue
         if a in (ONE, MANY_DONE) and b in (ONE, MANY_DONE):
             # Both classes populated and finished: the merged class is
             # finished too; its members must already be connected onward.
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_DONE
+            target = tuple(target)
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
-            put(out, tuple(target), proj(cell, drop))
+            if steps is not None:
+                steps.append((state, target, ~drop))
+            put(out, target, proj(cell, drop))
         if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
             target = list(state)
             target[ii], target[jj] = ABSENT, MANY_WAIT
-            put(out, tuple(target), link(cell, i, j, 1 << i, acyclic=True))
+            target = tuple(target)
+            if steps is not None:
+                steps.append((state, target, 1 << i))
+            put(out, target, link(cell, i, j, 1 << i, acyclic=True))
     return out
 
 
-def fvs_retire(table: Table, dead: int) -> Table:
+def fvs_retire(table: Table, dead: int, *,
+               plan: dp.Plan | None = None) -> Table:
     """Each state over the mask ``dead`` of labels with future degree 0 (bit
     l for label l): ``ABSENT`` at every dead label, a ``ONE`` one's label
     element projected out first.  A state ``MANY_WAIT`` at a dead label is
@@ -203,6 +232,9 @@ def fvs_retire(table: Table, dead: int) -> Table:
     completion alike, so their cells merge, keeping the best weight per
     partition.
     """
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table)
+    steps = None if plan is None else plan.record()
     labels = [l for l in range(dead.bit_length()) if dead >> l + 1 & 1]
     out: Table = {}
     for state, cell in table.items():
@@ -216,24 +248,48 @@ def fvs_retire(table: Table, dead: int) -> Table:
                 drop |= 2 << l
             target[l] = ABSENT
         else:
-            put(out, tuple(target), proj(cell, drop))
+            target = tuple(target)
+            if steps is not None:
+                steps.append((state, target, ~drop))
+            put(out, target, proj(cell, drop))
     return out
 
 
-def _union_plan(sa: State, sb: State) -> tuple:
-    """:func:`fvs_union`'s plan for a pair of states: each target they
+def _replay(steps: list, table: Table, i: int = 0, j: int = 0) -> Table:
+    """The table a recorded add, relabel or retirement makes of ``table``'s
+    cells (:class:`~cwsolve.dp.Plan`): each step (input state, state made,
+    step) stores the input state's cell as it is (step None), linked,
+    ``link(cell, i, j, step, acyclic=True)`` for a step of 0 or more, or
+    projected, ``proj(cell, ~step)`` for a negative one; the masks are the
+    labels dropped."""
+    out: Table = {}
+    for source, state, step in steps:
+        cell = table[source]
+        if step is not None:
+            cell = (link(cell, i, j, step, acyclic=True) if step >= 0
+                    else proj(cell, ~step))
+        if state in out:
+            put(out, state, cell)
+        elif cell:  # put's common case, inline
+            out[state] = cell
+    return out
+
+
+def _union_targets(sa: State, sb: State) -> tuple:
+    """:func:`fvs_union`'s targets for a pair of states: each target they
     allow, with the ``ONE`` labels each side projects out because the target
     finishes them, as (target, drop a, drop b) triples."""
     ones_a, ones_b = label_mask(sa, ONE), label_mask(sb, ONE)
-    plan = []
+    out = []
     for target in product(*map(UNION_STATE_OPTIONS.__getitem__, zip(sa, sb))):
         done = label_mask(target, MANY_DONE)
-        plan.append((target, ones_a & done, ones_b & done))
-    return tuple(plan)
+        out.append((target, ones_a & done, ones_b & done))
+    return tuple(out)
 
 
 def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
-              fut=None, plans: dict | None = None) -> Table:
+              fut=None, pairs: dict | None = None, *,
+              plan: dp.Plan | None = None) -> Table:
     """Disjoint union: one ``acjoin`` per pair of states and target.
 
     Per label, the pair's states (a, b) allow the parent states
@@ -244,28 +300,52 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     0): on the pruned path such a label is ``ABSENT`` in both children's
     states, as the children share the union's dead labels and the driver
     retires a dead label wherever its slot changes.  A pair's targets and
-    projections are its plan (:func:`_union_plan`), which ``plans``, a dict
-    :func:`solve_fvs` keeps for one solve, holds from the first union that
-    meets the pair on.
+    projections (:func:`_union_targets`) are kept in ``pairs``, a dict
+    :func:`solve_fvs` keeps for one solve, from the first union that meets
+    the pair on.
 
     Sound: each state pair and target is joined exactly once, and cells of
     one target merge keeping the best weight per partition; every cell in
     the output is one this union made, so the joins merge into it in place.
     """
+    if plan is not None and plan.keys is not None:
+        return _replay_union(plan.steps, table_a, table_b)
+    steps = None if plan is None else plan.record()
     out: Table = {}
-    plans = {} if plans is None else plans
-    for sa, ca in table_a.items():
-        for sb, cb in table_b.items():
-            plan = plans.get((sa, sb))
-            if plan is None:
-                plan = plans[sa, sb] = _union_plan(sa, sb)
-            for target, drop_a, drop_b in plan:
+    pairs = {} if pairs is None else pairs
+    for a, (sa, ca) in enumerate(table_a.items()):
+        for b, (sb, cb) in enumerate(table_b.items()):
+            targets = pairs.get((sa, sb))
+            if targets is None:
+                targets = pairs[sa, sb] = _union_targets(sa, sb)
+            if steps is not None:
+                steps.append((a, b, targets))
+            for target, drop_a, drop_b in targets:
                 pa = proj(ca, drop_a) if drop_a else ca
                 pb = proj(cb, drop_b) if drop_b else cb
                 if pa and pb:
                     cell = acjoin(pa, pb, out.get(target))
                     if cell:
                         out[target] = cell
+    return out
+
+
+def _replay_union(steps: list, table_a: Table, table_b: Table) -> Table:
+    """The table a recorded union makes of its children's cells: each step
+    (position in ``table_a``, position in ``table_b``, the pair's targets)
+    projects and joins the two cells for each target as :func:`fvs_union`
+    does."""
+    cells_a, cells_b = list(table_a.values()), list(table_b.values())
+    out: Table = {}
+    for a, b, targets in steps:
+        ca, cb = cells_a[a], cells_b[b]
+        for target, drop_a, drop_b in targets:
+            pa = proj(ca, drop_a) if drop_a else ca
+            pb = proj(cb, drop_b) if drop_b else cb
+            if pa and pb:
+                cell = acjoin(pa, pb, out.get(target))
+                if cell:
+                    out[target] = cell
     return out
 
 
@@ -282,7 +362,7 @@ def solve_fvs(expr: CwExpression, with_witness: bool = False,
              else None)
     root_table = dp.run(
         expr, stats, prune, partial(fvs_leaf, k, with_witness), fvs_ren,
-        fvs_add, partial(fvs_union, plans={}))
+        fvs_add, partial(fvs_union, pairs={}))
     # the forest hangs off the anchor as one tree, and no promised add is owed
     forest, kept = dp.root_optimum(
         (cell.get((state_ground(state),))

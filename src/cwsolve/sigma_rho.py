@@ -52,6 +52,11 @@ alike, so the optimum is the reference path's; only the witness kept among
 equal-weight entries may differ.  The lookahead changes no table from the
 add up, and the verdict drops only keys with no root descendant, so neither
 changes the root table, its optimum or its witness.
+
+On both paths, where a node's context repeats, each transition and
+:func:`srd_retire` gets a key plan (:class:`~cwsolve.dp.Plan`): it records its
+cell steps into the first one, and replays them over its own input's cells
+from the second on (:func:`_replay`, :func:`_replay_union`).
 """
 
 from __future__ import annotations
@@ -453,29 +458,71 @@ def _successors(ctx: DomContext, ahead) -> tuple:
     nonempty labels and its future degrees, the slots i - 1 and j - 1 and
     the add's slot relation.  A key whose two codes have no pair there has
     no successor at the add, which drops it.  Without a lookahead the
-    relation is None; the unpruned reference path takes none."""
+    relation is None."""
     if ahead is None:
         return 0, 0, None
-    if not ctx.pruned:
-        raise InvariantError("the unpruned reference path takes no lookahead")
     i, j, present, fut = ahead
     return i - 1, j - 1, ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                                  fut and fut[i - 1], fut and fut[j - 1])
 
 
-def _check_verdict(ctx: DomContext, doomed: bool) -> None:
-    """``doomed``: the node builds no key holding a finished X
-    (:func:`_doomed`).  The unpruned reference path takes no such verdict."""
-    if doomed and not ctx.pruned:
-        raise InvariantError("the unpruned reference path takes no verdict")
+def _check_unpruned(ahead, doomed: bool) -> None:
+    """The unpruned reference path takes no lookahead (:func:`_successors`)
+    and no verdict ``doomed``, under which a node builds no key holding a
+    finished X (:func:`_doomed`)."""
+    if ahead is not None or doomed:
+        raise InvariantError(
+            "the unpruned reference path takes no lookahead and no verdict")
+
+
+def _complete(cell: WPSet) -> WPSet:
+    """A cell whose X is complete: each entry's weight and witness on the
+    empty partition."""
+    return WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
+                             in cell.values()), 0)
+
+
+COMPLETE = -1  # a recorded cell step: X is complete (srd_add)
+
+
+def _replay(steps: list, table: dict, i: int = 0, j: int = 0) -> dict:
+    """The table a recorded add, relabel or retirement makes of ``table``'s
+    cells (:class:`~cwsolve.dp.Plan`): each step (input key, key made,
+    step) stores the input key's cell as it is (step None), complete
+    (:data:`COMPLETE`, :func:`_complete`) or linked, ``link(cell, i, j,
+    step)``, where the step is the mask of the labels dropped."""
+    out: dict = {}
+    for source, key, step in steps:
+        cell = table[source]
+        if step is not None:
+            cell = _complete(cell) if step == COMPLETE else link(cell, i, j, step)
+        if key in out:
+            put(out, key, cell)
+        elif cell:  # put's common case, inline
+            out[key] = cell
+    return out
+
+
+def _replay_union(steps: list, table_a: dict, table_b: dict) -> dict:
+    """The table a recorded union makes of its children's cells: each step
+    (position in ``table_a``, position in ``table_b``, key made) joins the
+    two cells into the one at the key."""
+    cells_a, cells_b = list(table_a.values()), list(table_b.values())
+    out: dict = {}
+    for a, b, key in steps:
+        cell = join_sets(cells_a[a], cells_b[b], out.get(key))
+        if cell:
+            out[key] = cell
+    return out
 
 
 def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
              ahead=None, *, doomed: bool = False) -> dict:
     wit_in = name if ctx.with_witness else None
     wit_out = () if ctx.with_witness else None
+    if not ctx.pruned:
+        _check_unpruned(ahead, doomed)
     up_i, up_j, up = _successors(ctx, ahead)
-    _check_verdict(ctx, doomed)
     cells = {}
     for code in ctx.leaf_codes[name in ctx.terminals]:
         if ctx.code_of(ctx.slots[code], fut and fut[label - 1]) is None:
@@ -493,12 +540,17 @@ def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
 
 
 def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
-            fut=None, ahead=None, *, doomed: bool = False) -> dict:
+            fut=None, ahead=None, *, doomed: bool = False,
+            plan: dp.Plan | None = None) -> dict:
+    if not ctx.pruned:
+        _check_unpruned(ahead, doomed)
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table, i, j)
+    steps = None if plan is None else plan.record()
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
     up_i, up_j, up = _successors(ctx, ahead)
-    _check_verdict(ctx, doomed)
     is_open, has_x = ctx.open, ctx.has_x
     out: dict = {}
     for key, cell in table.items():
@@ -518,18 +570,26 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
             if not (oi or oj or rest_open):  # X is complete: keep weights
                 if doomed and any(map(has_x.__getitem__, key)):
                     continue
-                res = WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
-                                        in cell.values()), 0)
+                step, res = COMPLETE, _complete(cell)
             elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
-                res = cell
+                step, res = None, cell
             else:  # link i and j, then drop the classes that closed
-                res = link(cell, i, j, (0 if oi else 1 << i) | (0 if oj else 1 << j))
-            put(out, tuple(slots), res)
+                step = (0 if oi else 1 << i) | (0 if oj else 1 << j)
+                res = link(cell, i, j, step)
+            made = tuple(slots)
+            if steps is not None:
+                steps.append((key, made, step))
+            put(out, made, res)
     return out
 
 
 def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
-            fut=None, ahead=None) -> dict:
+            fut=None, ahead=None, *, plan: dp.Plan | None = None) -> dict:
+    if not ctx.pruned:
+        _check_unpruned(ahead, False)
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table, i, j)
+    steps = None if plan is None else plan.record()
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
     up_i, up_j, up = _successors(ctx, ahead)
@@ -543,11 +603,15 @@ def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
                 continue
             if ctx.open[code]:
                 cell = link(cell, i, j, 1 << i)
-            put(out, tuple(slots), cell)
+            made = tuple(slots)
+            if steps is not None:
+                steps.append((key, made, 1 << i if ctx.open[code] else None))
+            put(out, made, cell)
     return out
 
 
-def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
+def srd_retire(ctx: DomContext, table: dict, dead: int, *,
+               plan: dp.Plan | None = None) -> dict:
     """Each key over the mask ``dead`` of labels with future degree 0 (bit l
     for label l): a key owing a promise at a dead label is dropped; every
     other one gets code 0 at every dead label, and the closed-X marker
@@ -573,6 +637,9 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
     their cells, over the same open labels, merge, keeping the best weight
     per partition.
     """
+    if plan is not None and plan.keys is not None:
+        return _replay(plan.steps, table)
+    steps = None if plan is None else plan.record()
     labels = [l for l in range(ctx.k) if dead >> l + 1 & 1]
     final, has_x, marker = ctx.final, ctx.has_x, ctx.marker
     out: dict = {}
@@ -589,32 +656,40 @@ def srd_retire(ctx: DomContext, table: dict, dead: int) -> dict:
                 slots[l] = 0
             if x and not any(map(has_x.__getitem__, slots)):
                 slots[labels[0]] = marker
-            put(out, tuple(slots), cell)
+            made = tuple(slots)
+            if steps is not None:
+                steps.append((key, made, None))
+            put(out, made, cell)
     return out
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
               table_b: dict, pres_b: int, fut=None, ahead=None, *,
-              doomed: bool = False) -> dict:
+              doomed: bool = False, plan: dp.Plan | None = None) -> dict:
+    if not ctx.pruned:
+        _check_unpruned(ahead, doomed)
+    if plan is not None and plan.keys is not None:
+        return _replay_union(plan.steps, table_a, table_b)
+    steps = None if plan is None else plan.record()
     rels = [ctx.rel(_merge, pres_a >> s + 1 & 1, pres_b >> s + 1 & 1,
                     fut and fut[s]) for s in range(ctx.k)]
     up_i, up_j, up = _successors(ctx, ahead)
-    _check_verdict(ctx, doomed)
     is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
-    side_b = [(key_b, cell_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
-              for key_b, cell_b in table_b.items()]
+    side_b = [(b, key_b, cell_b, any(map(is_open, key_b)),
+               any(map(has_x, key_b)))
+              for b, (key_b, cell_b) in enumerate(table_b.items())]
     # Where a finished X is doomed, a side holding one pairs with nothing:
     # not with a side holding X (below), nor with an X-free one, which
     # would make a key holding a finished X.
     if doomed:
-        side_b = [side for side in side_b if side[2] or not side[3]]
+        side_b = [side for side in side_b if side[3] or not side[4]]
     out: dict = {}
-    for key_a, cell_a in table_a.items():
+    for a, (key_a, cell_a) in enumerate(table_a.items()):
         open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
         if doomed and x_a and not open_a:
             continue
         rows = list(map(getitem, rels, key_a))
-        for key_b, cell_b, open_b, x_b in side_b:
+        for b, key_b, cell_b, open_b, x_b in side_b:
             # A side whose X has no open class is a finished connected X; it
             # can never link up, so it may only pair with a side without X.
             if x_a and x_b and not (open_a and open_b):
@@ -622,6 +697,8 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             key = tuple(map(getitem, rows, key_b))
             if None in key or up is not None and not up[key[up_i]][key[up_j]]:
                 continue
+            if steps is not None:
+                steps.append((a, b, key))
             # every cell in ``out`` is one this union made, so it merges in place
             cell = join_sets(cell_a, cell_b, out.get(key))
             if cell:
@@ -640,9 +717,14 @@ def _solve(expr: CwExpression, spec: SigmaRhoSpec, with_witness: bool,
                       partial(srd_retire, ctx), lookahead=True,
                       doomed=partial(_doomed, ctx))
              if ctx.pruned else None)
-    table = dp.run(expr, stats, prune,
-                   partial(srd_leaf, ctx), partial(srd_ren, ctx),
-                   partial(srd_add, ctx), partial(srd_union, ctx))
+    try:
+        table = dp.run(expr, stats, prune,
+                       partial(srd_leaf, ctx), partial(srd_ren, ctx),
+                       partial(srd_add, ctx), partial(srd_union, ctx))
+    finally:
+        # the relations' rows are closures over ctx: break the cycle, so
+        # that the context is freed as the solve returns
+        ctx._rels.clear()
     final = ctx.final.__getitem__
     best, witness = dp.root_optimum(
         cell.get(EMPTY_PARTITION) for key, cell in table.items()

@@ -70,12 +70,12 @@ class FakeProblem:
         self.labels.append(label)
         return self._table((), (), fut)
 
-    def ren(self, table, present, i, j, fut):
+    def ren(self, table, present, i, j, fut, plan=None):
         return self._table((table,), (present,), fut)
 
     add = ren
 
-    def union(self, table_a, pres_a, table_b, pres_b, fut):
+    def union(self, table_a, pres_a, table_b, pres_b, fut, plan=None):
         return self._table((table_a, table_b), (pres_a, pres_b), fut)
 
     def run(self, expr, stats, cap):
@@ -89,7 +89,7 @@ def _refuse(*args):
     raise RuntimeError("reducer called")
 
 
-def _keep(table, dead):
+def _keep(table, dead, plan=None):
     """A retirement rule that keeps every table as it is."""
     return table
 
@@ -139,7 +139,7 @@ class RetiringProblem(FakeProblem):
         super().__init__(seed)
         self.retired = []  # (the node's call index, table in, dead, table out)
 
-    def retire(self, table, dead):
+    def retire(self, table, dead, plan=None):
         out = {n: [None] * self.rng.randint(0, 4)
                for n in range(self.rng.randint(0, 3))}
         self.retired.append((len(self.calls) - 1, table, dead, out))

@@ -225,11 +225,11 @@ def test_the_driver_hands_the_verdict_to_the_named_positions_alone():
     named = {0, 2, len(expr.program.op) - 2}
     verdicts = []
 
-    def transition(*args, doomed=False):
+    def transition(*args, doomed=False, plan=None):
         verdicts.append(doomed)
         return {}
 
-    prune = Prune(1, 4, None, lambda table, dead: table,
+    prune = Prune(1, 4, None, lambda table, dead, plan=None: table,
                   doomed=lambda program, degrees: named)
     run(expr, SolveStats(), prune, *[transition] * 4)
     assert {p for p, doomed in enumerate(verdicts) if doomed} == named

@@ -220,7 +220,7 @@ class TestSolve:
 def test_reference_path_never_computes_future_degrees(monkeypatch):
     import cwsolve.dp
 
-    def refuse(expr):
+    def refuse(expr, cap=None):
         raise RuntimeError("future degrees computed")
 
     monkeypatch.setattr(cwsolve.dp, "future_degrees", refuse)

@@ -1,0 +1,268 @@
+"""Key plans: a node whose context repeats replays the cell steps its
+transition recorded at the first such node (``dp.run``)."""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+import cwsolve.dp
+import cwsolve.fvs
+import cwsolve.sigma_rho
+from cwsolve import cli, fixture, naive_expression
+from cwsolve.cwexpr import FIXTURE_KINDS, evaluate, future_degrees, serialize
+from cwsolve.dp import Plan, SolveStats, capped_degrees, run
+from cwsolve.fvs import fvs_add, fvs_leaf, fvs_ren, fvs_union, solve_fvs
+from cwsolve.sigma_rho import (DomContext, preset_spec,
+                               solve_connected_sigma_rho, solve_steiner,
+                               srd_add, srd_leaf)
+from cwsolve.wpsets import InvariantError, WPSet
+
+from conftest import expression, random_expression, random_graph
+
+TRANSITIONS = {
+    cwsolve.fvs: ("fvs_leaf", "fvs_add", "fvs_ren", "fvs_union", "fvs_retire"),
+    cwsolve.sigma_rho: ("srd_leaf", "srd_add", "srd_ren", "srd_union",
+                        "srd_retire"),
+}
+
+
+def _contents(table):
+    """A table's keys in order, with each cell's ground set and entries
+    (weights and witnesses) in order."""
+    return [(key, cell.ground, list(cell.items())) for key, cell in table.items()]
+
+
+def _unmarked(monkeypatch):
+    """No position is marked: every transition runs without a plan."""
+    monkeypatch.setattr(cwsolve.dp, "repeated_contexts",
+                        lambda program, *args: [None] * len(program.op))
+
+
+def _recorded(monkeypatch, solve, marked):
+    """The result of ``solve()`` and every table its transitions and
+    retirements built, in the order they were built."""
+    tables = []
+
+    def recording(fn):
+        def call(*args, **kw):
+            out = fn(*args, **kw)
+            tables.append(_contents(out))
+            return out
+        return call
+
+    with monkeypatch.context() as patch:
+        for module, names in TRANSITIONS.items():
+            for name in names:
+                patch.setattr(module, name, recording(getattr(module, name)))
+        if not marked:
+            _unmarked(patch)
+        return solve(), tables
+
+
+def _stats(stats):
+    """The stats a replay must leave as they were: all but the elapsed time
+    and the plan counts."""
+    out = stats.as_dict()
+    del out["elapsed_ms"]
+    return out, stats.node_kinds
+
+
+def _solver(name, expr, use_reduce):
+    if name == "fvs":
+        return lambda: solve_fvs(expr, with_witness=True, use_reduce=use_reduce)
+    if name == "steiner":
+        names = sorted(evaluate(expr).weights)
+        return lambda: solve_steiner(expr, {names[0], names[len(names) // 2],
+                                            names[-1]}, with_witness=True,
+                                     use_reduce=use_reduce)
+    return lambda: solve_connected_sigma_rho(expr, preset_spec(name),
+                                             with_witness=True,
+                                             use_reduce=use_reduce)
+
+
+@pytest.fixture(scope="module")
+def instances():
+    rng = random.Random(2525)
+    return ([fixture(kind, 40, seed=1) for kind in FIXTURE_KINDS]
+            + [random_expression(rng, rng.randint(8, 14), k)
+               for k in (2, 3, 4) for _ in range(3)])
+
+
+@pytest.mark.parametrize("use_reduce", [True, False], ids=["pruned", "reference"])
+@pytest.mark.parametrize("name", ["fvs", "cds", "cvc", "steiner", "perfect-cds"])
+def test_a_replay_builds_the_table_its_transition_would(
+        instances, name, use_reduce, monkeypatch):
+    replayed = 0
+    for expr in instances:
+        solve = _solver(name, expr, use_reduce)
+        res, tables = _recorded(monkeypatch, solve, marked=True)
+        ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
+        assert tables == ref_tables
+        assert _stats(res.stats) == _stats(ref.stats)
+        assert (ref.stats.plans_recorded, ref.stats.plans_replayed) == (0, 0)
+        replayed += res.stats.plans_replayed
+    assert replayed > 0
+
+
+# Two copies of one subexpression: every node of the second has the context
+# of its twin in the first, so the reference path replays the first's plans.
+TWINS = expression(3, "(u (ren 2 3 (ren 1 3 (add 1 2 (u (v a) (ren 1 2 (v b))))))"
+                      "   (ren 2 3 (ren 1 3 (add 1 2 (u (v x) (ren 1 2 (v y)))))))")
+
+
+def _anchored_leaf(label, name, weight, fut, **kw):
+    """``fvs_leaf``, except that x and y keep only the entry hanging off
+    the anchor: the twins' tables then hold the same keys, yet the second
+    add's acyclic link drops every entry of the (ONE, ONE) cell, as the
+    anchor already joins x and y."""
+    table = fvs_leaf(3, True, label, name, weight, fut)
+    if name in ("x", "y"):
+        for key, cell in table.items():
+            table[key] = WPSet.from_pairs(
+                [(p, *entry) for p, entry in cell.items() if len(p) == 1],
+                cell.ground)
+    return table
+
+
+def test_a_replayed_step_that_comes_out_empty_renumbers_the_table():
+    short = []  # replays whose keys are not the plan's
+
+    def watched(fn):
+        def call(*args, plan=None, **kw):
+            out = fn(*args, plan=plan, **kw)
+            if plan is not None and plan.keys is not None \
+                    and tuple(out) != plan.keys:
+                short.append(fn.__name__)
+            tables.append(_contents(out))
+            return out
+        return call
+
+    runs = []
+    for marked in (True, False):
+        tables = []
+        stats = SolveStats()
+        with pytest.MonkeyPatch.context() as patch:
+            if not marked:
+                _unmarked(patch)
+            root = run(TWINS, stats, None, _anchored_leaf, watched(fvs_ren),
+                       watched(fvs_add), watched(fvs_union))
+        runs.append((tables, _contents(root), _stats(stats)))
+    assert short == ["fvs_add"]
+    assert runs[0] == runs[1]
+
+
+def test_the_transitions_get_a_plan_only_where_the_context_repeats():
+    expr = fixture("path", 12)
+    got = []
+
+    def transition(*args, plan=None, **kw):
+        got.append(plan is not None)
+        return {(0,): WPSet(0)}
+
+    run(expr, SolveStats(), None, *[transition] * 4)
+    fut, dead = capped_degrees(expr, None)
+    marks = cwsolve.dp.repeated_contexts(expr.program, fut, [None] * len(fut), ())
+    assert got == [mark is not None for mark in marks]
+    assert any(got) and not all(got)
+
+
+def test_naive_expressions_record_no_plan():
+    # k = n: every add joins labels of its own, so no context repeats
+    rng = random.Random(31)
+    for _ in range(5):
+        expr = naive_expression(random_graph(rng.randint(5, 8), rng))
+        for res in (solve_fvs(expr), solve_connected_sigma_rho(
+                expr, preset_spec("cds"))):
+            assert (res.stats.plans_recorded, res.stats.plans_replayed) == (0, 0)
+
+
+def test_the_plans_are_freed_when_the_run_returns(monkeypatch):
+    plans = []
+
+    class Spy(Plan):  # without slots, so a weak reference can watch it
+        def __init__(self):
+            super().__init__()
+            plans.append(weakref.ref(self))
+
+    monkeypatch.setattr(cwsolve.dp, "Plan", Spy)
+    enabled = gc.isenabled()
+    gc.disable()  # what frees them must be their reference counts
+    try:
+        res = solve_fvs(fixture("path", 20), with_witness=True)
+        assert len(plans) == res.stats.plans_recorded > 0
+        assert all(ref() is None for ref in plans)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_domination_context_is_freed_when_the_solve_returns(monkeypatch):
+    contexts = []
+
+    class Spy(DomContext):
+        def __post_init__(self):
+            super().__post_init__()
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(cwsolve.sigma_rho, "DomContext", Spy)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(3):
+            solve_connected_sigma_rho(fixture("path", 30), preset_spec("cds"),
+                                      with_witness=True)
+            assert contexts[-1]() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_reference_path_refuses_a_lookahead_or_verdict_on_replay():
+    ctx = DomContext(preset_spec("cds"), 2)  # unpruned
+    table = srd_leaf(ctx, 1, "a", 1)
+    plan = Plan()
+    srd_add(ctx, table, 0b10, 1, 2, plan=plan)
+    plan.keys, plan.shape = (), 0  # as the driver closes a recording
+    for call in (lambda: srd_add(ctx, table, 0b10, 1, 2, None,
+                                 (1, 2, 0b110, None), plan=plan),
+                 lambda: srd_add(ctx, table, 0b10, 1, 2, doomed=True,
+                                 plan=plan)):
+        with pytest.raises(InvariantError):
+            call()
+
+
+def _old_capped_degrees(expr, cap):
+    """The capped vectors and dead masks as the driver once made them: each
+    uncapped vector capped entry by entry."""
+    fut = [tuple(min(cap, x) for x in vec) for vec in future_degrees(expr)]
+    return fut, [sum(2 << l for l, x in enumerate(vec) if not x) for vec in fut]
+
+
+def test_capped_degrees_cap_the_future_degrees():
+    rng = random.Random(4242)
+    exprs = [fixture(kind, n, seed=n) for kind in FIXTURE_KINDS
+             for n in (1, 7, 60)]
+    exprs += [random_expression(rng, rng.randint(1, 12), k)
+              for k in range(1, 6) for _ in range(8)]
+    for expr in exprs:
+        for cap in (1, 2, 3, 5):
+            fut, dead = capped_degrees(expr, cap)
+            assert (fut, dead) == _old_capped_degrees(expr, cap)
+            # one tuple per distinct vector
+            assert len(set(map(id, fut))) == len(set(fut))
+        assert capped_degrees(expr, None) == ([None] * len(fut), [0] * len(fut))
+
+
+def test_bench_prints_the_plan_counts_and_solve_json_does_not(tmp_path, capsys):
+    path = tmp_path / "path.cw"
+    path.write_text(serialize(fixture("path", 30)))
+    assert cli.run(["bench", "--problem", "cds", "--expr", str(path)]) == 0
+    rows = dict(line.split(",", 1)
+                for line in capsys.readouterr().out.strip().splitlines())
+    assert int(rows["plans_recorded"]) > 0
+    assert int(rows["plans_replayed"]) > int(rows["plans_recorded"])
+    assert cli.run(["solve", "--problem", "cds", "--json", "--expr",
+                    str(path)]) == 0
+    assert "plans" not in capsys.readouterr().out

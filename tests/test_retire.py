@@ -74,7 +74,7 @@ def _without_retirement(run):
     """``dp.run`` with the solver's prune minus its retirement rule."""
     def run_unretired(expr, stats, prune, *transitions):
         if prune is not None:
-            prune = prune._replace(retire=lambda table, dead: table)
+            prune = prune._replace(retire=lambda table, dead, plan=None: table)
         return run(expr, stats, prune, *transitions)
     return run_unretired
 
@@ -103,8 +103,8 @@ def test_retirement_keeps_the_optimum_and_shrinks_the_tables(
 
 
 def _recording(retire, calls):
-    def recorded(*args):
-        out = retire(*args)
+    def recorded(*args, **plan):
+        out = retire(*args, **plan)
         calls.append((args, out))
         return out
     return recorded
