@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -45,6 +46,8 @@ class CwExpression:
 
     k: int
     program: Program
+    # made by the parser or a generator, so valid by construction
+    _valid: bool = field(default=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         return hash((self.k, tuple(self.program.op)))
@@ -55,6 +58,17 @@ class CwExpression:
     @property
     def max_label(self) -> int:  # L, the number of labels in use
         return len(self.program.labels) - 1
+
+    @cached_property
+    def adds(self) -> dict[int, tuple[int, int, str | None]]:
+        """Per add's position: the sizes |Ci| and |Cj| of the classes it
+        joins, and None, ``"full"`` or ``"partial"``, as it is redundant,
+        from the irredundancy pass (:func:`_redundant_adds`), once per
+        expression, after :func:`validate` unless the program is valid by
+        construction."""
+        if not self._valid:
+            validate(self)
+        return _redundant_adds(self.program)
 
 
 @dataclass
@@ -213,15 +227,15 @@ def parse_expression(text: str) -> CwExpression:
             err(f"expected an integer, got {tok!r}", at)
         return int(tok)
 
-    def label(at: int) -> int:
-        val = integer(at)
+    def label(at: int) -> int:  # first met: checked, and known from now on
+        val = known[tokens[at]] = integer(at)
         if not 1 <= val <= k:
             err(f"label {val} outside 1..{k}", at)
         return val
 
     out: list[tuple] = []  # the nodes in postorder, as _assemble takes them
     frames: list = []  # open operators' nodes; None: a union's left child
-    names: set[str] = set()
+    names, known = set(), {}  # vertex names met; label tokens met -> labels
     pos = 0  # the next token
     try:
         while True:
@@ -235,10 +249,12 @@ def parse_expression(text: str) -> CwExpression:
                 if name in names:
                     err(f"duplicate vertex name {name!r}", pos + 2)
                 names.add(name)
-                if tokens[pos + 3] == ")":
+                weight = tokens[pos + 3]
+                if weight == ")":
                     weight, pos = 1, pos + 4
-                else:
-                    weight = integer(pos + 3)
+                else:  # ASCII digits only, as _INT_RE
+                    weight = (int(weight) if weight.isdigit() and weight.isascii()
+                              else integer(pos + 3))
                     if tokens[pos + 4] != ")":
                         err(f"expected ')', got {tokens[pos + 4]!r}", pos + 4)
                     pos += 5
@@ -248,10 +264,11 @@ def parse_expression(text: str) -> CwExpression:
                 pos += 2
                 continue
             elif head == "ren" or head == "add":
-                tokens[pos + 3]  # both labels are read before either is checked
-                i, j = label(pos + 2), label(pos + 3)
-                if i == j:
-                    err(f"'{head}' needs two distinct labels", pos + 3)
+                i, j = known.get(tokens[pos + 2]), known.get(tokens[pos + 3])
+                if i is None or j is None or i == j:  # both read, then checked
+                    i, j = label(pos + 2), label(pos + 3)
+                    if i == j:
+                        err(f"'{head}' needs two distinct labels", pos + 3)
                 frames.append((REN if head == "ren" else ADD, i, j, None, None))
                 pos += 4
                 continue
@@ -273,7 +290,7 @@ def parse_expression(text: str) -> CwExpression:
         raise ExpressionError(f"syntax error: unexpected end of input ({end})") from None
     if pos != len(tokens):
         err("trailing input after expression", pos)
-    return CwExpression(k, _assemble(out))
+    return CwExpression(k, _assemble(out), _valid=True)
 
 
 def _preorder(program: Program) -> Iterator[int]:
@@ -379,7 +396,7 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
     An empty report means the expression is irredundant: each add is applied
     while no edge between the two classes exists yet.
     """
-    found = _redundant_adds(expr)
+    found = [(p, kind) for p, (_, _, kind) in expr.adds.items() if kind]
     if not found:
         return []
     program, index, at = expr.program, {}, 0
@@ -392,9 +409,10 @@ def check_irredundant(expr: CwExpression) -> list[RedundancyIssue]:
             for p, kind in found]
 
 
-def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
-    """(program position, ``"full"`` or ``"partial"``) of every redundant
-    add, after validating ``expr``.
+def _redundant_adds(program: Program) -> dict[int, tuple[int, int, str | None]]:
+    """The one bottom-up pass over a valid program before the DP
+    (:attr:`CwExpression.adds`): the sizes of the two classes each add
+    joins, which :func:`future_degrees` reads, and its redundancy.
 
     The pass keeps, per open subtree, the class sizes and the edge count
     between each pair of classes, not the edges: an add (i, j) finds
@@ -403,9 +421,7 @@ def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
     (now one class); a union adds its smaller side's counts into the larger
     (the two sides share no vertex, hence no edge).  O(|expr| * k^2).
     """
-    validate(expr)
-    program = expr.program
-    found = []
+    adds = {}
     stack: list[tuple[dict, dict]] = []  # (sizes, pair counts) per subtree
     for p, (op, i, j) in enumerate(zip(program.op, program.i, program.j)):
         if op == LEAF:
@@ -422,12 +438,11 @@ def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
         elif op == ADD:
             size, pairs = stack[-1]
             key = (i, j) if i < j else (j, i)
-            total = size.get(i, 0) * size.get(j, 0)
-            existing = pairs.get(key, 0)
-            if existing:
-                found.append((p, "full" if existing == total else "partial"))
-            if total:
-                pairs[key] = total
+            size_i, size_j, existing = size.get(i, 0), size.get(j, 0), pairs.get(key)
+            adds[p] = size_i, size_j, existing and (  # None where irredundant
+                "full" if existing == size_i * size_j else "partial")
+            if size_i and size_j:
+                pairs[key] = size_i * size_j
         else:
             right = stack.pop()
             if len(stack[-1][1]) < len(right[1]):
@@ -437,7 +452,7 @@ def _redundant_adds(expr: CwExpression) -> list[tuple[int, str]]:
                 size[lab] = size.get(lab, 0) + count
             for pair, count in right[1].items():
                 pairs[pair] = pairs.get(pair, 0) + count
-    return found
+    return adds
 
 
 def strip_redundant_adds(expr: CwExpression) -> CwExpression:
@@ -446,11 +461,10 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
     Raises :class:`PartiallyRedundantError` when a node re-adds only some of
     its pairs; that case cannot be repaired by removal.
     """
-    found = _redundant_adds(expr)
-    if any(kind == "partial" for _, kind in found):
+    kinds = {p: kind for p, (_, _, kind) in expr.adds.items() if kind}
+    if "partial" in kinds.values():
         raise PartiallyRedundantError(
             "expression has partially redundant add operations")
-    skip = {p for p, _ in found}
     program, lab, nodes = expr.program, expr.program.labels, []
     for p, (op, i, j, name, weight) in enumerate(zip(
             program.op, program.i, program.j, program.name, program.weight)):
@@ -458,9 +472,9 @@ def strip_redundant_adds(expr: CwExpression) -> CwExpression:
             nodes.append(_v(name, weight))
             if i != 1:
                 nodes.append(_ren(1, lab[i]))
-        elif p not in skip:
+        elif p not in kinds:
             nodes.append((op, lab[i], lab[j], name, weight))
-    return CwExpression(expr.k, _assemble(nodes))
+    return CwExpression(expr.k, _assemble(nodes), _valid=True)
 
 
 def future_degrees(expr: CwExpression,
@@ -473,30 +487,15 @@ def future_degrees(expr: CwExpression,
     partner class of that add.  On an irredundant expression these partner
     classes are disjoint and hold no neighbour the class already has (either
     would make some add re-add an edge), so the sum of their sizes counts the
-    new neighbours exactly.  Sizes go up the program, sums down: O(|expr| k).
+    new neighbours exactly.  The sizes are the irredundancy pass's
+    (:attr:`CwExpression.adds`), so this is one pass down: O(|expr| k).
     The cap is taken on the way down, as min(cap, x + s) = min(cap,
     min(cap, x) + s) for the non-negative partner sizes s, and capped
     vectors that are equal are one tuple.
     """
-    program, width = expr.program, expr.max_label
+    program, adds = expr.program, expr.adds
     ops, li, lj, left = program.op, program.i, program.j, program.left
-    sizes, met = [], {}  # class sizes per open subtree; |Ci|, |Cj| per add
-    empty = [0] * (width + 1)
-    for p, op in enumerate(ops):
-        if op == LEAF:
-            size = empty.copy()
-            size[li[p]] = 1
-            sizes.append(size)
-        elif op == REN:
-            size = sizes[-1]
-            size[lj[p]] += size[li[p]]
-            size[li[p]] = 0
-        elif op == ADD:
-            met[p] = sizes[-1][li[p]], sizes[-1][lj[p]]
-        else:
-            right = sizes.pop()
-            sizes[-1] = list(map(add, sizes[-1], right))
-    root = (0,) * width
+    root = (0,) * expr.max_label
     fut = [root] * len(ops)  # the root's stays
     seen = {root: root}  # the capped vectors: few, met everywhere
     for p in range(len(ops) - 1, 0, -1):  # a parent sits after its children
@@ -507,7 +506,7 @@ def future_degrees(expr: CwExpression,
             below = list(above)
             a, b = li[p] - 1, lj[p] - 1
             if op == ADD:
-                size_i, size_j = met[p]
+                size_i, size_j, _ = adds[p]
                 below[a] += size_j
                 below[b] += size_i
                 if cap is not None:
@@ -636,7 +635,7 @@ def fixture(kind: str, n: int, seed: int = 0) -> CwExpression:
         raise ExpressionError(
             f"unknown fixture kind {kind!r}; expected one of {', '.join(FIXTURE_KINDS)}")
     k, nodes = (1, [_v("v1")]) if n == 1 else builder(n, seed)
-    return CwExpression(k, _assemble(nodes))
+    return CwExpression(k, _assemble(nodes), _valid=True)
 
 
 # ---------------------------------------------------------------------------

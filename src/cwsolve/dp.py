@@ -171,8 +171,9 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
 
     ``prune`` is the one switch for every prune.  None is the unpruned
     reference path: no future degree is computed, ``fut`` is None, no node
-    is doomed, and every table is kept whole.  Otherwise, after each node's
-    transition:
+    is doomed, and every table is kept whole.  Otherwise the future degrees
+    read the add sizes of the irredundancy pass the solver ran before
+    (:attr:`~cwsolve.cwexpr.CwExpression.adds`), and after each transition:
 
     * ``prune.retire`` rewrites the table over the node's dead labels, those
       whose future degree is 0, if the node changes the slot of one of them:

@@ -252,6 +252,7 @@ class DomContext:
                                for q in range(x + 1) if (s, p, x, q) in self.code]
                            for t in (False, True)}
         self._rels: dict = {}
+        self.leaf_rows: dict = {}  # a leaf context -> its rows (srd_leaf)
 
     def code_of(self, slot: tuple, fut_s: int | None) -> int | None:
         """The code of a slot state; None if it is not in the alphabet or,
@@ -415,11 +416,23 @@ def _doomed(ctx: DomContext, program: Program, degrees) -> set[int]:
     start(p) is p at a leaf, start(p - 1) at a relabel or add and
     start(left[p]) at a union, so its counts are prefix-sum differences.  An
     add's two classes gain each other's vertices, so the future degrees
-    fall across it by |Cj| and |Ci|, whose product is the edges it makes."""
+    fall across it by |Cj| and |Ci|, whose product is the edges it makes.
+
+    Rule I first tries a bound that needs no sum.  A vertex v of the
+    subtree gains all its neighbours outside it above the node, so its class
+    has future degree at least deg(v) - (|subtree| - 1).  Where deg(v) is
+    n - 1, that is n - |subtree|, the vertices still to come, and no
+    position above v's leaf qualifies.  At the leaf its future degree is
+    deg(v), so where every leaf's is n - 1 (a complete graph), none does."""
     spec, terms, ops = ctx.spec, ctx.terminals, program.op
     plain = not spec.co and 0 not in spec.rho
     if not (terms or plain or spec.co and spec.sigma == _ZERO):
         return set()
+    if plain:  # I's bound (below): is every vertex adjacent to all others?
+        n = ops.count(LEAF)
+        if all(vec[i - 1] == n - 1 for op, i, vec
+               in zip(ops, program.i, degrees) if op == LEAF):
+            return set()
     start: list[int] = []  # per position, the first one of its subtree
     for p, (op, left) in enumerate(zip(ops, program.left)):
         start.append(p if op == LEAF else start[left if op == UNION else p - 1])
@@ -516,26 +529,47 @@ def _replay_union(steps: list, table_a: dict, table_b: dict) -> dict:
     return out
 
 
-def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
-             ahead=None, *, doomed: bool = False) -> dict:
-    wit_in = name if ctx.with_witness else None
-    wit_out = () if ctx.with_witness else None
-    if not ctx.pruned:
-        _check_unpruned(ahead, doomed)
+def _leaf_rows(ctx: DomContext, label: int, fut_s: int | None, ahead,
+               doomed: bool, terminal: bool) -> list[tuple]:
+    """The rows of a leaf's table, for a vertex at ``label`` with future
+    degree ``fut_s`` (terminal or not): per key, in order, the key, its
+    cell's ground mask and one partition, and whether the cell's entry holds
+    the vertex, which its weight and witness fill in (:func:`srd_leaf`)."""
     up_i, up_j, up = _successors(ctx, ahead)
-    cells = {}
-    for code in ctx.leaf_codes[name in ctx.terminals]:
-        if ctx.code_of(ctx.slots[code], fut and fut[label - 1]) is None:
+    rows = []
+    for code in ctx.leaf_codes[terminal]:
+        if ctx.code_of(ctx.slots[code], fut_s) is None:
             continue
         if doomed and ctx.has_x[code] and not ctx.open[code]:
             continue
         key = (0,) * (label - 1) + (code,) + (0,) * (ctx.k - label)
         if up is not None and not up[key[up_i]][key[up_j]]:
             continue
-        cell = WPSet(1 << label if ctx.open[code] else 0)
-        cell.add((1 << label,) if ctx.open[code] else EMPTY_PARTITION,
-                 *((ctx.sign * weight, wit_in) if ctx.has_x[code] else (0, wit_out)))
-        cells[key] = cell
+        ground = 1 << label if ctx.open[code] else 0
+        rows.append((key, ground, (ground,) if ground else EMPTY_PARTITION,
+                     ctx.has_x[code]))
+    return rows
+
+
+def srd_leaf(ctx: DomContext, label: int, name: str, weight: int, fut=None,
+             ahead=None, *, doomed: bool = False) -> dict:
+    """A leaf's table.  Its rows depend only on the leaf's context, all
+    that :func:`_leaf_rows` reads, so each context's are built once per
+    solve (:attr:`DomContext.leaf_rows`); a leaf fills in its weight and
+    witness."""
+    if not ctx.pruned:
+        _check_unpruned(ahead, doomed)
+    context = (label, fut and fut[label - 1], ahead, doomed,
+               name in ctx.terminals)
+    rows = ctx.leaf_rows.get(context)
+    if rows is None:
+        rows = ctx.leaf_rows[context] = _leaf_rows(ctx, *context)
+    held = (ctx.sign * weight, name if ctx.with_witness else None)
+    empty = (0, () if ctx.with_witness else None)
+    cells = {}
+    for key, ground, partition, x in rows:
+        cell = cells[key] = WPSet(ground)
+        cell[partition] = held if x else empty
     return cells
 
 

@@ -15,7 +15,8 @@ import pytest
 import cwsolve.dp
 import cwsolve.sigma_rho
 from cwsolve import evaluate, fixture, naive_expression
-from cwsolve.cwexpr import LEAF, REN, UNION, future_degrees
+from cwsolve.cwexpr import (FIXTURE_KINDS, LEAF, REN, UNION,
+                            future_degrees)
 from cwsolve.dp import Prune, SolveStats, run
 from cwsolve.oracle import brute_sigma_rho, brute_steiner, check_solution
 from cwsolve.sigma_rho import (MAX, MIN, DomContext, MuSet, NATURALS,
@@ -198,6 +199,31 @@ def test_each_rule_names_only_positions_where_its_conclusion_holds(
                 assert any(not adj[v] & below[p] for v in rest)
         named += len(doomed)
     assert named
+
+
+def _rule_i(expr):
+    """Rule I's positions by its sums, at every leaf, add and union: the
+    future degrees of the nonempty classes summed, against the vertices
+    still to come."""
+    program, degrees, below = expr.program, future_degrees(expr), \
+        _subtrees(expr.program)
+    return {p for p, op in enumerate(program.op) if op != REN
+            and sum(x for l, x in enumerate(degrees[p], 1)
+                    if program.present[p] >> l & 1)
+            < len(below[-1]) - len(below[p])}
+
+
+def test_rule_i_names_what_its_sums_name(instances):
+    # its bound, which needs no sum, shows that no position of a complete
+    # graph qualifies, and changes no verdict elsewhere
+    exprs = [fixture(kind, n, seed=n) for kind in FIXTURE_KINDS
+             for n in (2, 7, 40)] + instances
+    for expr in exprs:
+        doomed = _rule_i(expr)
+        for name in ("cds", "ctds", "perfect-cds", "plain-min", "plain-max"):
+            assert _doomed(_ctx(name, expr), expr.program,
+                           future_degrees(expr)) == doomed
+    assert _rule_i(fixture("clique", 40)) == set() < _rule_i(fixture("star", 40))
 
 
 def test_every_rule_names_positions_and_a_spec_without_one_none():
