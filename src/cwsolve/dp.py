@@ -5,9 +5,12 @@ program, a table per position; it keeps only its transitions, which
 :func:`run` applies, and its root rule.
 The driver owns the one switch for pruning (a :class:`Prune`, or None on the
 reference path), the retirement of dead labels and the rank-bound reduction.
-The transitions only build tables, except that the domination ones drop the
-slot states that the future degrees the driver hands them rule out, and the
-keys holding a finished X where the driver's verdict says none survives.
+A non-leaf transition, and a retirement, only plans keys: it lists the cell
+step by which each key it makes comes from its input's cells, and
+:func:`build` makes every cell, live or replayed from a key plan.  The
+domination transitions leave out the slot states that the future degrees
+the driver hands them rule out, and the keys holding a finished X where the
+driver's verdict says none survives.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
                      future_degrees)
-from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, WPSet, check_size,
-                     witness_names)
+from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, InvariantError, WPSet,
+                     check_size, link, proj, put, witness_names)
 
 
 @dataclass
@@ -128,20 +131,61 @@ def repeated_contexts(program, fut: list, aheads: list, doomed) -> list:
 
 class Plan:
     """A key plan (:func:`run`): the cell steps, in order, by which one call
-    of a transition or retirement made its table from its input's, which
-    the call records into ``steps`` while it runs, and the ``keys`` that
-    table got, numbered by ``shape``, which the driver sets when the call
-    returns.  A plan with keys is replayed, not recorded."""
+    of a transition or retirement made its table from its input's, with the
+    arguments of those steps (:func:`build` keeps both), and the ``keys``
+    that table got, numbered by ``shape``, which the driver sets when the
+    call returns.  A plan with keys is replayed, not recorded."""
 
-    __slots__ = ("steps", "keys", "shape")
+    __slots__ = ("steps", "args", "keys", "shape")
 
     def __init__(self):
-        self.steps = self.keys = self.shape = None
+        self.steps = self.args = self.keys = self.shape = None
 
-    def record(self) -> list:
-        """A new, empty step list for this call to record into."""
-        self.steps = []
-        return self.steps
+
+def build(plan: Plan | None, steps: list, args: tuple, table: dict,
+          table_b: dict | None = None) -> dict:
+    """The table that ``steps`` make of ``table``'s cells, or of a union's
+    two children's ``table`` and ``table_b``: the one place where a
+    non-leaf node's cells are made, live or replayed.  Given a ``plan``, it
+    keeps the steps and ``args`` in it.
+
+    A unary step is ``(input key, key made, step)``, with ``args = (i, j,
+    acyclic, other)``: the input key's cell as it is for step None,
+    ``link(cell, i, j, step, acyclic)`` for a step of 0 or more, and
+    ``other(cell, ~step)`` for a negative one; it is stored as
+    :func:`~cwsolve.wpsets.put` stores it.  A union step is ``(position
+    a, position b, key made, drop_a, drop_b)``, with ``args = (join,)``:
+    the cells at those positions of the two tables, each with its drop
+    projected out, are joined into the cell at the key, in place, as every
+    cell of a union's output is one it made."""
+    if plan is not None:
+        plan.steps, plan.args = steps, args
+    out: dict = {}
+    if table_b is None:
+        i, j, acyclic, other = args
+        for source, key, step in steps:
+            cell = table[source]
+            if step is not None:
+                cell = (link(cell, i, j, step, acyclic) if step >= 0
+                        else other(cell, ~step))
+            if key in out:
+                put(out, key, cell)
+            elif cell:  # put's common case, inline
+                out[key] = cell
+        return out
+    (join,) = args
+    cells_a, cells_b = list(table.values()), list(table_b.values())
+    for a, b, key, drop_a, drop_b in steps:
+        cell_a, cell_b = cells_a[a], cells_b[b]
+        if drop_a:
+            cell_a = proj(cell_a, drop_a)
+        if drop_b:
+            cell_b = proj(cell_b, drop_b)
+        if cell_a and cell_b:
+            cell = join(cell_a, cell_b, out.get(key))
+            if cell:
+                out[key] = cell
+    return out
 
 
 def live_width(present, dead) -> int:
@@ -201,25 +245,28 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     The verdict's rule argues its own soundness; like the lookahead, it
     drops only keys with no root descendant.
 
-    Key plans, on both paths.  Before the first node, the driver marks the
-    positions whose context (:func:`repeated_contexts`) another position
-    shares.  Only there does a transition, and the retirement after it, get
-    the keyword ``plan``: a :class:`Plan` for the context and the shapes of
-    its input tables, a shape being the number of a table's key sequence.
-    At the first such call the plan is empty, and the call runs as at any
-    other position while it records its cell steps; at every later one the
-    call replays them over its own input's cells, in the recorded order,
-    with the same cell operations and stores.  Its output gets the plan's
-    shape if its keys are the recorded ones, else the number of its own
-    keys; a table from an unmarked position is numbered when a marked
-    parent needs it.  Sound: a transition's output keys, its cell steps and
-    their order depend only on its context and its inputs' key sequences,
-    while the cells only flow through them, so a replay builds the table
-    the transition would, with the same cells, witnesses and ties; only a
-    cell step that comes out empty on other cells can drop a key, which the
-    shape check sees.  The reduction after a call changes no key.  Where no
-    context repeats, as on naive expressions, nothing is recorded.  The
-    plans live for one run; ``stats`` counts those recorded and replayed.
+    Key plans, on both paths.  Every non-leaf transition and retirement
+    lists its cell steps and makes its table with :func:`build`.  Before
+    the first node, the driver marks the positions whose context
+    (:func:`repeated_contexts`) another position shares.  Only there does a
+    transition, and the retirement after it, get the keyword ``plan``: a
+    :class:`Plan` for the context and the shapes of its input tables, a
+    shape being the number of a table's key sequence.  At the first such
+    call the plan is empty, and :func:`build` keeps the call's steps in it;
+    a call that leaves it without steps raises
+    :class:`~cwsolve.wpsets.InvariantError`.  At every later one the driver
+    calls no transition: it runs :func:`build` over the plan's steps and
+    its own input's cells.  The output gets the plan's shape if its keys
+    are the recorded ones, else the number of its own keys; a table from an
+    unmarked position is numbered when a marked parent needs it.  Sound: a
+    transition's steps depend only on its context and its inputs' key
+    sequences, never on their cells, and a live call and its replays run
+    the same :func:`build` over the same steps, so they make the same
+    cells, witnesses and ties; only a step that comes out empty on other
+    cells can drop a key, which the shape check sees.  The reduction after
+    a call changes no key.  Where no context repeats, as on naive
+    expressions, nothing is recorded.  The plans live for one run;
+    ``stats`` counts those recorded and replayed.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
@@ -252,6 +299,9 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     def shape_of(table: dict, plan: Plan) -> int:  # after the plan's call
         keys = tuple(table)
         if plan.keys is None:  # recorded
+            if plan.steps is None:
+                raise InvariantError("a call given a key plan did not make "
+                                     "its table with dp.build")
             plan.keys, plan.shape = keys, number(keys, len(numbers))
         elif keys != plan.keys:  # a replayed cell step came out empty
             return number(keys, len(numbers))
@@ -277,7 +327,14 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                     plan = planned((mark, first, shape), kw)
                 else:
                     plan = planned((mark, shape), kw)
-            if op == LEAF:
+            if mark is not None and plan.keys is not None:  # replayed
+                if op == UNION:
+                    right = tables.pop()
+                    table = build(None, plan.steps, plan.args, tables.pop(),
+                                  right)
+                else:
+                    table = build(None, plan.steps, plan.args, tables.pop())
+            elif op == LEAF:
                 table = leaf(i, name, weight, vec, *extra, **kw)
             elif op == UNION:
                 right = tables.pop()
@@ -295,7 +352,9 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 if dying & touched(op, i, j):
                     kw = {}  # ~mark < 0 keys the retirement's plans apart
                     plan = planned((~mark, shape), kw)
-                    table = prune.retire(table, dying, **kw)
+                    table = (prune.retire(table, dying, **kw)
+                             if plan.keys is None
+                             else build(None, plan.steps, plan.args, table))
                     shape = shape_of(table, plan)
                 shapes[p] = shape
             biggest = max(map(len, table.values()), default=0)

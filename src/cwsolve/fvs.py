@@ -39,10 +39,12 @@ longer split a table.  And it reduces each cell above the rank bound
 that answer every completion alike, so the optimum is the reference path's;
 only the witness kept among equal-weight entries may differ.
 
-On both paths, where a node's context repeats, each transition and
-:func:`fvs_retire` gets a key plan (:class:`~cwsolve.dp.Plan`): it records its
-cell steps into the first one, and replays them over its own input's cells
-from the second on (:func:`_replay`, :func:`_replay_union`).
+Each transition but the leaf's, and :func:`fvs_retire`, only plans keys: it
+lists a cell step per key it makes, and :func:`~cwsolve.dp.build` makes the
+cells, linking with ``acyclic`` and projecting with ``proj``, and a union's
+with ``acjoin``.  Where a node's context repeats, the driver keeps the first
+call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and replays them
+from the second on, without calling the transition.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ from . import dp
 from .cwexpr import (CwExpression, NotIrredundantError, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (InvariantError, WPSet, ac_reduce, acjoin, link, proj,
-                     put)
+from .wpsets import InvariantError, WPSet, ac_reduce, acjoin, proj
 
 ABSENT, ONE, MANY_WAIT, MANY_DONE = 0, 1, 2, 3
 ANCHOR_BIT = 1
@@ -126,88 +127,58 @@ def fvs_leaf(k: int, with_witness: bool, label: int, name: str, weight: int,
 def fvs_add(table: Table, present: int, i: int, j: int, fut=None, *,
             plan: dp.Plan | None = None) -> Table:
     """Add all edges between classes i and j (none may exist beforehand)."""
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table, i, j)
-    steps = None if plan is None else plan.record()
-    out: Table = {}
+    steps = []
     ii, jj = i - 1, j - 1
-    for state, cell in table.items():
+    for state in table:
         a, b = state[ii], state[jj]
         if a == ABSENT or b == ABSENT:
             # no forest vertex on one side: nothing changes, so a waiting
             # class goes on waiting, which needs a later add
-            if steps is not None:
-                steps.append((state, state, None))
-            put(out, state, cell)
-            continue
+            steps.append((state, state, None))
         # Classes that still wait for their allowed add get it consumed here;
         # every other populated/populated combination closes a cycle.
-        if a == ONE and b == ONE:
-            target = state
-            drop = 0
+        elif a == ONE and b == ONE:
+            steps.append((state, state, 0))
         elif a == MANY_WAIT and b == ONE:
-            target = state[:ii] + (MANY_DONE,) + state[ii + 1:]
-            drop = 1 << i
+            steps.append((state, state[:ii] + (MANY_DONE,) + state[ii + 1:],
+                          1 << i))
         elif a == ONE and b == MANY_WAIT:
-            target = state[:jj] + (MANY_DONE,) + state[jj + 1:]
-            drop = 1 << j
-        else:
-            continue
-        if steps is not None:
-            steps.append((state, target, drop))
-        put(out, target, link(cell, i, j, drop, acyclic=True))
-    return out
+            steps.append((state, state[:jj] + (MANY_DONE,) + state[jj + 1:],
+                          1 << j))
+    return dp.build(plan, steps, (i, j, True, proj), table)
 
 
 def fvs_ren(table: Table, present: int, i: int, j: int, fut=None, *,
             plan: dp.Plan | None = None) -> Table:
     """Relabel class i to j; table keys keep length k with slot i pinned ABSENT."""
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table, i, j)
-    steps = None if plan is None else plan.record()
-    out: Table = {}
+    steps = []
     ii, jj = i - 1, j - 1
-    for state, cell in table.items():
+    for state in table:
         a, b = state[ii], state[jj]
         if a == ABSENT:
-            if steps is not None:
-                steps.append((state, state, None))
-            put(out, state, cell)
+            steps.append((state, state, None))
             continue
+        target = list(state)
+        target[ii] = ABSENT
         if b == ABSENT:
-            target = list(state)
-            target[ii], target[jj] = ABSENT, a
-            target = tuple(target)
-            if a == MANY_DONE:
-                step, moved = None, cell
-            else:
-                # Rename element i to j inside every partition.
-                step, moved = 1 << i, link(cell, i, j, 1 << i, acyclic=True)
-            if steps is not None:
-                steps.append((state, target, step))
-            put(out, target, moved)
+            # Rename element i to j inside every partition.
+            target[jj] = a
+            steps.append((state, tuple(target),
+                          None if a == MANY_DONE else 1 << i))
             continue
         if a in (ONE, MANY_DONE) and b in (ONE, MANY_DONE):
             # Both classes populated and finished: the merged class is
             # finished too; its members must already be connected onward.
-            target = list(state)
-            target[ii], target[jj] = ABSENT, MANY_DONE
-            target = tuple(target)
+            target[jj] = MANY_DONE
             drop = (1 << i if a == ONE else 0) | (1 << j if b == ONE else 0)
-            if steps is not None:
-                steps.append((state, target, ~drop))
-            put(out, target, proj(cell, drop))
+            steps.append((state, tuple(target), ~drop))
         if a in (ONE, MANY_WAIT) and b in (ONE, MANY_WAIT):
             # Both still expecting their shared future add: merge the two
             # connectivity nodes, rejecting pairs already linked (that add
             # would close a cycle).
-            target = list(state)
-            target[ii], target[jj] = ABSENT, MANY_WAIT
-            target = tuple(target)
-            if steps is not None:
-                steps.append((state, target, 1 << i))
-            put(out, target, link(cell, i, j, 1 << i, acyclic=True))
-    return out
+            target[jj] = MANY_WAIT
+            steps.append((state, tuple(target), 1 << i))
+    return dp.build(plan, steps, (i, j, True, proj), table)
 
 
 def fvs_retire(table: Table, dead: int, *,
@@ -232,12 +203,9 @@ def fvs_retire(table: Table, dead: int, *,
     completion alike, so their cells merge, keeping the best weight per
     partition.
     """
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table)
-    steps = None if plan is None else plan.record()
     labels = [l for l in range(dead.bit_length()) if dead >> l + 1 & 1]
-    out: Table = {}
-    for state, cell in table.items():
+    steps = []
+    for state in table:
         target = list(state)
         drop = 0
         for l in labels:
@@ -248,31 +216,8 @@ def fvs_retire(table: Table, dead: int, *,
                 drop |= 2 << l
             target[l] = ABSENT
         else:
-            target = tuple(target)
-            if steps is not None:
-                steps.append((state, target, ~drop))
-            put(out, target, proj(cell, drop))
-    return out
-
-
-def _replay(steps: list, table: Table, i: int = 0, j: int = 0) -> Table:
-    """The table a recorded add, relabel or retirement makes of ``table``'s
-    cells (:class:`~cwsolve.dp.Plan`): each step (input state, state made,
-    step) stores the input state's cell as it is (step None), linked,
-    ``link(cell, i, j, step, acyclic=True)`` for a step of 0 or more, or
-    projected, ``proj(cell, ~step)`` for a negative one; the masks are the
-    labels dropped."""
-    out: Table = {}
-    for source, state, step in steps:
-        cell = table[source]
-        if step is not None:
-            cell = (link(cell, i, j, step, acyclic=True) if step >= 0
-                    else proj(cell, ~step))
-        if state in out:
-            put(out, state, cell)
-        elif cell:  # put's common case, inline
-            out[state] = cell
-    return out
+            steps.append((state, tuple(target), ~drop))
+    return dp.build(plan, steps, (0, 0, True, proj), table)
 
 
 def _union_targets(sa: State, sb: State) -> tuple:
@@ -290,7 +235,7 @@ def _union_targets(sa: State, sb: State) -> tuple:
 def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
               fut=None, pairs: dict | None = None, *,
               plan: dp.Plan | None = None) -> Table:
-    """Disjoint union: one ``acjoin`` per pair of states and target.
+    """Disjoint union: one ``acjoin`` step per pair of states and target.
 
     Per label, the pair's states (a, b) allow the parent states
     ``UNION_STATE_OPTIONS[(a, b)]``; a target is one choice per label.  A
@@ -304,49 +249,20 @@ def fvs_union(table_a: Table, pres_a: int, table_b: Table, pres_b: int,
     :func:`solve_fvs` keeps for one solve, from the first union that meets
     the pair on.
 
-    Sound: each state pair and target is joined exactly once, and cells of
-    one target merge keeping the best weight per partition; every cell in
-    the output is one this union made, so the joins merge into it in place.
+    Sound: each state pair and target is joined exactly once, and the joins
+    of one target merge keeping the best weight per partition
+    (:func:`~cwsolve.dp.build`).
     """
-    if plan is not None and plan.keys is not None:
-        return _replay_union(plan.steps, table_a, table_b)
-    steps = None if plan is None else plan.record()
-    out: Table = {}
+    steps = []
     pairs = {} if pairs is None else pairs
-    for a, (sa, ca) in enumerate(table_a.items()):
-        for b, (sb, cb) in enumerate(table_b.items()):
+    for a, sa in enumerate(table_a):
+        for b, sb in enumerate(table_b):
             targets = pairs.get((sa, sb))
             if targets is None:
                 targets = pairs[sa, sb] = _union_targets(sa, sb)
-            if steps is not None:
-                steps.append((a, b, targets))
             for target, drop_a, drop_b in targets:
-                pa = proj(ca, drop_a) if drop_a else ca
-                pb = proj(cb, drop_b) if drop_b else cb
-                if pa and pb:
-                    cell = acjoin(pa, pb, out.get(target))
-                    if cell:
-                        out[target] = cell
-    return out
-
-
-def _replay_union(steps: list, table_a: Table, table_b: Table) -> Table:
-    """The table a recorded union makes of its children's cells: each step
-    (position in ``table_a``, position in ``table_b``, the pair's targets)
-    projects and joins the two cells for each target as :func:`fvs_union`
-    does."""
-    cells_a, cells_b = list(table_a.values()), list(table_b.values())
-    out: Table = {}
-    for a, b, targets in steps:
-        ca, cb = cells_a[a], cells_b[b]
-        for target, drop_a, drop_b in targets:
-            pa = proj(ca, drop_a) if drop_a else ca
-            pb = proj(cb, drop_b) if drop_b else cb
-            if pa and pb:
-                cell = acjoin(pa, pb, out.get(target))
-                if cell:
-                    out[target] = cell
-    return out
+                steps.append((a, b, target, drop_a, drop_b))
+    return dp.build(plan, steps, (acjoin,), table_a, table_b)
 
 
 def solve_fvs(expr: CwExpression, with_witness: bool = False,

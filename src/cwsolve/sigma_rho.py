@@ -53,10 +53,12 @@ equal-weight entries may differ.  The lookahead changes no table from the
 add up, and the verdict drops only keys with no root descendant, so neither
 changes the root table, its optimum or its witness.
 
-On both paths, where a node's context repeats, each transition and
-:func:`srd_retire` gets a key plan (:class:`~cwsolve.dp.Plan`): it records its
-cell steps into the first one, and replays them over its own input's cells
-from the second on (:func:`_replay`, :func:`_replay_union`).
+Each transition but the leaf's, and :func:`srd_retire`, only plans keys: it
+lists a cell step per key it makes, and :func:`~cwsolve.dp.build` makes the
+cells, with ``link``, :func:`_complete` for the step :data:`COMPLETE`, and a
+union's with ``join_sets``.  Where a node's context repeats, the driver
+keeps the first call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and
+replays them from the second on, without calling the transition.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression,
                      NotIrredundantError, Program, check_irredundant,
                      vertex_weights)
 from .dp import SolveStats
-from .wpsets import (NEG_INF, POS_INF, InvariantError, WPSet, join_sets, link,
-                     put, reduce_set)
+from .wpsets import (NEG_INF, POS_INF, InvariantError, WPSet, join_sets,
+                     reduce_set)
 
 EMPTY_PARTITION = ()  # the one partition of the empty ground set
 
@@ -335,7 +337,7 @@ def _add_pairs(ctx: DomContext, a: tuple, b: tuple, pres_a: int, pres_b: int,
     it at once.  So a key with need n reaches the root iff one of the exact
     keys it stands for (promises n, n + 1, ..., d) does, and keys that now
     coincide answer every completion alike, so
-    :func:`~cwsolve.wpsets.put` merging their cells is sound."""
+    :func:`~cwsolve.dp.build` merging their cells is sound."""
     def remaining(slot, partner, present):
         c, p, x, q = slot
         if not (present and (c or not ctx.rho_wild)):
@@ -488,45 +490,15 @@ def _check_unpruned(ahead, doomed: bool) -> None:
             "the unpruned reference path takes no lookahead and no verdict")
 
 
-def _complete(cell: WPSet) -> WPSet:
+def _complete(cell: WPSet, drop: int = 0) -> WPSet:
     """A cell whose X is complete: each entry's weight and witness on the
-    empty partition."""
+    empty partition.  ``drop`` is 0, the one :func:`~cwsolve.dp.build`
+    passes for the step :data:`COMPLETE`."""
     return WPSet.from_pairs(((EMPTY_PARTITION, *entry) for entry
                              in cell.values()), 0)
 
 
-COMPLETE = -1  # a recorded cell step: X is complete (srd_add)
-
-
-def _replay(steps: list, table: dict, i: int = 0, j: int = 0) -> dict:
-    """The table a recorded add, relabel or retirement makes of ``table``'s
-    cells (:class:`~cwsolve.dp.Plan`): each step (input key, key made,
-    step) stores the input key's cell as it is (step None), complete
-    (:data:`COMPLETE`, :func:`_complete`) or linked, ``link(cell, i, j,
-    step)``, where the step is the mask of the labels dropped."""
-    out: dict = {}
-    for source, key, step in steps:
-        cell = table[source]
-        if step is not None:
-            cell = _complete(cell) if step == COMPLETE else link(cell, i, j, step)
-        if key in out:
-            put(out, key, cell)
-        elif cell:  # put's common case, inline
-            out[key] = cell
-    return out
-
-
-def _replay_union(steps: list, table_a: dict, table_b: dict) -> dict:
-    """The table a recorded union makes of its children's cells: each step
-    (position in ``table_a``, position in ``table_b``, key made) joins the
-    two cells into the one at the key."""
-    cells_a, cells_b = list(table_a.values()), list(table_b.values())
-    out: dict = {}
-    for a, b, key in steps:
-        cell = join_sets(cells_a[a], cells_b[b], out.get(key))
-        if cell:
-            out[key] = cell
-    return out
+COMPLETE = -1  # a cell step: X is complete (srd_add)
 
 
 def _leaf_rows(ctx: DomContext, label: int, fut_s: int | None, ahead,
@@ -578,16 +550,13 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
             plan: dp.Plan | None = None) -> dict:
     if not ctx.pruned:
         _check_unpruned(ahead, doomed)
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table, i, j)
-    steps = None if plan is None else plan.record()
+    steps = []
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_add_pairs, present >> i & 1, present >> j & 1,
                   fut and fut[ii], fut and fut[jj])
     up_i, up_j, up = _successors(ctx, ahead)
     is_open, has_x = ctx.open, ctx.has_x
-    out: dict = {}
-    for key, cell in table.items():
+    for key in table:
         ci, cj = key[ii], key[jj]
         cands = rel[ci][cj]
         if not cands:
@@ -604,44 +573,33 @@ def srd_add(ctx: DomContext, table: dict, present: int, i: int, j: int,
             if not (oi or oj or rest_open):  # X is complete: keep weights
                 if doomed and any(map(has_x.__getitem__, key)):
                     continue
-                step, res = COMPLETE, _complete(cell)
+                step = COMPLETE
             elif not (has_x[ci] and has_x[cj]):  # it links no X vertices
-                step, res = None, cell
+                step = None
             else:  # link i and j, then drop the classes that closed
                 step = (0 if oi else 1 << i) | (0 if oj else 1 << j)
-                res = link(cell, i, j, step)
-            made = tuple(slots)
-            if steps is not None:
-                steps.append((key, made, step))
-            put(out, made, res)
-    return out
+            steps.append((key, tuple(slots), step))
+    return dp.build(plan, steps, (i, j, False, _complete), table)
 
 
 def srd_ren(ctx: DomContext, table: dict, present: int, i: int, j: int,
             fut=None, ahead=None, *, plan: dp.Plan | None = None) -> dict:
     if not ctx.pruned:
         _check_unpruned(ahead, False)
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table, i, j)
-    steps = None if plan is None else plan.record()
+    steps = []
     ii, jj = i - 1, j - 1
     rel = ctx.rel(_merge, present >> i & 1, present >> j & 1, fut and fut[jj])
     up_i, up_j, up = _successors(ctx, ahead)
-    out: dict = {}
-    for key, cell in table.items():
+    for key in table:
         code = rel[key[ii]][key[jj]]
         if code is not None:
             slots = list(key)
             slots[ii], slots[jj] = 0, code
             if up is not None and not up[slots[up_i]][slots[up_j]]:
                 continue
-            if ctx.open[code]:
-                cell = link(cell, i, j, 1 << i)
-            made = tuple(slots)
-            if steps is not None:
-                steps.append((key, made, 1 << i if ctx.open[code] else None))
-            put(out, made, cell)
-    return out
+            steps.append((key, tuple(slots),
+                          1 << i if ctx.open[code] else None))
+    return dp.build(plan, steps, (i, j, False, _complete), table)
 
 
 def srd_retire(ctx: DomContext, table: dict, dead: int, *,
@@ -671,13 +629,10 @@ def srd_retire(ctx: DomContext, table: dict, dead: int, *,
     their cells, over the same open labels, merge, keeping the best weight
     per partition.
     """
-    if plan is not None and plan.keys is not None:
-        return _replay(plan.steps, table)
-    steps = None if plan is None else plan.record()
     labels = [l for l in range(ctx.k) if dead >> l + 1 & 1]
     final, has_x, marker = ctx.final, ctx.has_x, ctx.marker
-    out: dict = {}
-    for key, cell in table.items():
+    steps = []
+    for key in table:
         x = 0
         for l in labels:
             code = key[l]
@@ -690,11 +645,8 @@ def srd_retire(ctx: DomContext, table: dict, dead: int, *,
                 slots[l] = 0
             if x and not any(map(has_x.__getitem__, slots)):
                 slots[labels[0]] = marker
-            made = tuple(slots)
-            if steps is not None:
-                steps.append((key, made, None))
-            put(out, made, cell)
-    return out
+            steps.append((key, tuple(slots), None))
+    return dp.build(plan, steps, (0, 0, False, _complete), table)
 
 
 def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
@@ -702,28 +654,24 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
               doomed: bool = False, plan: dp.Plan | None = None) -> dict:
     if not ctx.pruned:
         _check_unpruned(ahead, doomed)
-    if plan is not None and plan.keys is not None:
-        return _replay_union(plan.steps, table_a, table_b)
-    steps = None if plan is None else plan.record()
     rels = [ctx.rel(_merge, pres_a >> s + 1 & 1, pres_b >> s + 1 & 1,
                     fut and fut[s]) for s in range(ctx.k)]
     up_i, up_j, up = _successors(ctx, ahead)
     is_open, has_x = ctx.open.__getitem__, ctx.has_x.__getitem__
-    side_b = [(b, key_b, cell_b, any(map(is_open, key_b)),
-               any(map(has_x, key_b)))
-              for b, (key_b, cell_b) in enumerate(table_b.items())]
+    side_b = [(b, key_b, any(map(is_open, key_b)), any(map(has_x, key_b)))
+              for b, key_b in enumerate(table_b)]
     # Where a finished X is doomed, a side holding one pairs with nothing:
     # not with a side holding X (below), nor with an X-free one, which
     # would make a key holding a finished X.
     if doomed:
-        side_b = [side for side in side_b if side[3] or not side[4]]
-    out: dict = {}
-    for a, (key_a, cell_a) in enumerate(table_a.items()):
+        side_b = [side for side in side_b if side[2] or not side[3]]
+    steps = []
+    for a, key_a in enumerate(table_a):
         open_a, x_a = any(map(is_open, key_a)), any(map(has_x, key_a))
         if doomed and x_a and not open_a:
             continue
         rows = list(map(getitem, rels, key_a))
-        for b, key_b, cell_b, open_b, x_b in side_b:
+        for b, key_b, open_b, x_b in side_b:
             # A side whose X has no open class is a finished connected X; it
             # can never link up, so it may only pair with a side without X.
             if x_a and x_b and not (open_a and open_b):
@@ -731,13 +679,8 @@ def srd_union(ctx: DomContext, table_a: dict, pres_a: int,
             key = tuple(map(getitem, rows, key_b))
             if None in key or up is not None and not up[key[up_i]][key[up_j]]:
                 continue
-            if steps is not None:
-                steps.append((a, b, key))
-            # every cell in ``out`` is one this union made, so it merges in place
-            cell = join_sets(cell_a, cell_b, out.get(key))
-            if cell:
-                out[key] = cell
-    return out
+            steps.append((a, b, key, 0, 0))
+    return dp.build(plan, steps, (join_sets,), table_a, table_b)
 
 
 def _solve(expr: CwExpression, spec: SigmaRhoSpec, with_witness: bool,

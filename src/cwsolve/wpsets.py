@@ -11,10 +11,11 @@ Insertion keeps the set normalized: one entry per partition, largest weight,
 and on a tie the entry inserted first.  Insertion order is deterministic, so
 the same input always keeps the same witness.
 
-A cell is never mutated once a table holds it, as tables share cells: adds,
-relabels and retirement store cells with :func:`put`, which merges into a
-copy, and :func:`proj` with nothing to drop returns its input.  A union
-owns every cell of the table it builds, so it merges each join into the cell
+A cell is never mutated once a table holds it, as tables share cells:
+:func:`cwsolve.dp.build`, which makes the cells of adds, relabels and
+retirement, stores them with :func:`put`, which merges into a copy, and
+:func:`proj` with nothing to drop returns its input.  A union owns every
+cell of the table it builds, so ``build`` merges each join into the cell
 already at its key (the ``into`` of :func:`join_sets` and :func:`acjoin`).
 :func:`link` is the adds' and relabels' one cell step: the join with the
 edge cell of two labels and the projection after it, in one pass.

@@ -26,6 +26,7 @@ from cwsolve.sigma_rho import (MAX, MIN, DomContext, MuSet, NATURALS,
 from cwsolve.wpsets import InvariantError
 
 from conftest import random_expression, random_graph
+from test_plans import _unmarked
 
 SPECS = {name: preset_spec(name) for name in ("cds", "ctds", "perfect-cds",
                                               "cvc")}
@@ -246,7 +247,9 @@ def test_the_reference_path_takes_no_verdict():
             call()
 
 
-def test_the_driver_hands_the_verdict_to_the_named_positions_alone():
+def test_the_driver_hands_the_verdict_to_the_named_positions_alone(
+        monkeypatch):
+    _unmarked(monkeypatch)  # the fake makes no table with dp.build
     expr = fixture("path", 6)
     named = {0, 2, len(expr.program.op) - 2}
     verdicts = []

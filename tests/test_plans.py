@@ -1,5 +1,6 @@
-"""Key plans: a node whose context repeats replays the cell steps its
-transition recorded at the first such node (``dp.run``)."""
+"""Key plans: at a node whose context repeats, the driver replays the cell
+steps the transition recorded at the first such node (``dp.run``,
+``dp.build``)."""
 
 import gc
 import random
@@ -12,12 +13,13 @@ import cwsolve.fvs
 import cwsolve.sigma_rho
 from cwsolve import cli, fixture, naive_expression
 from cwsolve.cwexpr import FIXTURE_KINDS, evaluate, future_degrees, serialize
-from cwsolve.dp import Plan, SolveStats, capped_degrees, run
+from cwsolve.dp import Plan, SolveStats, build, capped_degrees, run
 from cwsolve.fvs import fvs_add, fvs_leaf, fvs_ren, fvs_union, solve_fvs
-from cwsolve.sigma_rho import (DomContext, preset_spec,
+from cwsolve.partitions import iter_partitions
+from cwsolve.sigma_rho import (COMPLETE, DomContext, _complete, preset_spec,
                                solve_connected_sigma_rho, solve_steiner,
                                srd_add, srd_leaf)
-from cwsolve.wpsets import InvariantError, WPSet
+from cwsolve.wpsets import InvariantError, WPSet, acjoin, link, proj
 
 from conftest import expression, random_expression, random_graph
 
@@ -40,9 +42,29 @@ def _unmarked(monkeypatch):
                         lambda program, *args: [None] * len(program.op))
 
 
+def _replays(monkeypatch, seen):
+    """Have ``seen(plan, table)`` see each table the driver replays from a
+    key plan: the calls of ``dp.build`` without a plan whose steps are a
+    recorded plan's."""
+    build = cwsolve.dp.build
+    plans = {}  # id of a recorded plan's steps -> the plan
+
+    def watched(plan, steps, *args):
+        out = build(plan, steps, *args)
+        if plan is not None:
+            plans[id(steps)] = plan
+        else:
+            recorded = plans.get(id(steps))
+            if recorded is not None and recorded.steps is steps:
+                seen(recorded, out)
+        return out
+    monkeypatch.setattr(cwsolve.dp, "build", watched)
+
+
 def _recorded(monkeypatch, solve, marked):
     """The result of ``solve()`` and every table its transitions and
-    retirements built, in the order they were built."""
+    retirements built or the driver replayed, in the order they were
+    built."""
     tables = []
 
     def recording(fn):
@@ -56,6 +78,7 @@ def _recorded(monkeypatch, solve, marked):
         for module, names in TRANSITIONS.items():
             for name in names:
                 patch.setattr(module, name, recording(getattr(module, name)))
+        _replays(patch, lambda plan, out: tables.append(_contents(out)))
         if not marked:
             _unmarked(patch)
         return solve(), tables
@@ -127,23 +150,29 @@ def _anchored_leaf(label, name, weight, fut, **kw):
 
 
 def test_a_replayed_step_that_comes_out_empty_renumbers_the_table():
+    names = {}  # id of a plan -> the transition that recorded it
     short = []  # replays whose keys are not the plan's
 
     def watched(fn):
         def call(*args, plan=None, **kw):
             out = fn(*args, plan=plan, **kw)
-            if plan is not None and plan.keys is not None \
-                    and tuple(out) != plan.keys:
-                short.append(fn.__name__)
+            if plan is not None:
+                names[id(plan)] = fn.__name__
             tables.append(_contents(out))
             return out
         return call
+
+    def replayed(plan, out):
+        if tuple(out) != plan.keys:
+            short.append(names[id(plan)])
+        tables.append(_contents(out))
 
     runs = []
     for marked in (True, False):
         tables = []
         stats = SolveStats()
         with pytest.MonkeyPatch.context() as patch:
+            _replays(patch, replayed)
             if not marked:
                 _unmarked(patch)
             root = run(TWINS, stats, None, _anchored_leaf, watched(fvs_ren),
@@ -157,15 +186,33 @@ def test_the_transitions_get_a_plan_only_where_the_context_repeats():
     expr = fixture("path", 12)
     got = []
 
-    def transition(*args, plan=None, **kw):
-        got.append(plan is not None)
-        return {(0,): WPSet(0)}
+    def transition(args, *inputs):  # empty tables: one plan per context
+        def call(*_, plan=None, **kw):
+            got.append(plan is not None)
+            return build(plan, [], args, *inputs)
+        return call
 
-    run(expr, SolveStats(), None, *[transition] * 4)
+    unary = transition((0, 0, False, None), {})
+    run(expr, SolveStats(), None, unary, unary, unary,
+        transition((None,), {}, {}))
     fut, dead = capped_degrees(expr, None)
     marks = cwsolve.dp.repeated_contexts(expr.program, fut, [None] * len(fut), ())
-    assert got == [mark is not None for mark in marks]
+    # a call without a plan where no context repeats, one with a plan at the
+    # first position of each repeated context (its mark), none at the others
+    assert got == [mark is not None for p, mark in enumerate(marks)
+                   if mark in (None, p)]
     assert any(got) and not all(got)
+    assert len(got) < len(marks)
+
+
+def test_a_call_given_a_plan_must_build_its_table_with_dp_build():
+    expr = fixture("path", 12)
+
+    def transition(*args, plan=None, **kw):  # ignores its plan
+        return {}
+
+    with pytest.raises(InvariantError, match="dp.build"):
+        run(expr, SolveStats(), None, *[transition] * 4)
 
 
 def test_naive_expressions_record_no_plan():
@@ -231,6 +278,39 @@ def test_the_reference_path_refuses_a_lookahead_or_verdict_on_replay():
                                  plan=plan)):
         with pytest.raises(InvariantError):
             call()
+
+
+def _weighted(rng, ground):
+    """A cell with every partition of ``ground``, random weights and a
+    witness of its own per entry."""
+    return WPSet.from_pairs([(p, rng.randint(0, 9), f"w{n}") for n, p
+                             in enumerate(iter_partitions(ground))], ground)
+
+
+def test_build_makes_each_cell_as_its_step_says():
+    # A live call and its replays run the same build, so only this pins
+    # what each step does, against the kernel call it stands for.
+    rng = random.Random(2727)
+    a, b, c = (_weighted(rng, ground) for ground in (0b0111, 0b1011, 0b0011))
+    linked = link(a, 2, 3, 0b100, acyclic=True)  # over b's ground
+    merged = linked.copy()
+    merged.merge(b)
+    got = build(None, [("a", "linked", 0b100), ("b", "linked", None),
+                       ("b", "projected", ~0b10), ("c", "kept", None)],
+                (2, 3, True, proj), {"a": a, "b": b, "c": c})
+    assert _contents(got) == _contents(
+        {"linked": merged, "projected": proj(b, 0b10), "kept": c})
+    assert got["kept"] is c
+    got = build(None, [("a", "done", COMPLETE), ("c", "linked", 0)],
+                (1, 3, False, _complete), {"a": a, "c": c})
+    assert _contents(got) == _contents({"done": _complete(a),
+                                        "linked": link(c, 1, 3, 0)})
+    # a union projects each side's drop out, then joins into the key's cell
+    joined = acjoin(proj(a, 0b100), proj(b, 0b1000))
+    got = build(None, [(0, 0, "j", 0b100, 0b1000), (0, 1, "j", 0b100, 0)],
+                (acjoin,), {"a": a}, {"b": b, "c": c})
+    assert _contents(got) == _contents(
+        {"j": acjoin(proj(a, 0b100), c, joined)})
 
 
 def _old_capped_degrees(expr, cap):

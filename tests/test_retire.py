@@ -26,6 +26,7 @@ from cwsolve.sigma_rho import (MAX, DomContext, MuSet, SigmaRhoSpec,
 from cwsolve.wpsets import WPSet
 
 from conftest import random_expression, random_graph
+from test_plans import _unmarked
 
 PROBLEMS = ("fvs", "mif", "cds", "ctds", "perfect-cds", "cvc", "d-regular:2",
             "steiner")
@@ -71,11 +72,15 @@ def instances():
 
 
 def _without_retirement(run):
-    """``dp.run`` with the solver's prune minus its retirement rule."""
+    """``dp.run`` with the solver's prune minus its retirement rule, which
+    makes no table with ``dp.build``, so no position is marked for a key
+    plan."""
     def run_unretired(expr, stats, prune, *transitions):
         if prune is not None:
             prune = prune._replace(retire=lambda table, dead, plan=None: table)
-        return run(expr, stats, prune, *transitions)
+        with pytest.MonkeyPatch.context() as patch:
+            _unmarked(patch)
+            return run(expr, stats, prune, *transitions)
     return run_unretired
 
 
