@@ -132,14 +132,21 @@ def repeated_contexts(program, fut: list, aheads: list, doomed) -> list:
 class Plan:
     """A key plan (:func:`run`): the cell steps, in order, by which one call
     of a transition or retirement made its table from its input's, with the
-    arguments of those steps (:func:`build` keeps both), and the ``keys``
-    that table got, numbered by ``shape``, which the driver sets when the
-    call returns.  A plan with keys is replayed, not recorded."""
+    arguments of those steps (:func:`build` keeps both).  The driver keys it
+    by the call's context and its input tables' key sequences."""
 
-    __slots__ = ("steps", "args", "keys", "shape")
+    __slots__ = ("steps", "args")
 
     def __init__(self):
-        self.steps = self.args = self.keys = self.shape = None
+        self.steps = self.args = None
+
+
+def check_recorded(plan: Plan) -> None:
+    """Raise :class:`~cwsolve.wpsets.InvariantError` unless the call given
+    ``plan``, which has returned, made its table with :func:`build`."""
+    if plan.steps is None:
+        raise InvariantError("a call given a key plan did not make its table "
+                             "with dp.build")
 
 
 def build(plan: Plan | None, steps: list, args: tuple, table: dict,
@@ -250,23 +257,20 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     the first node, the driver marks the positions whose context
     (:func:`repeated_contexts`) another position shares.  Only there does a
     transition, and the retirement after it, get the keyword ``plan``: a
-    :class:`Plan` for the context and the shapes of its input tables, a
-    shape being the number of a table's key sequence.  At the first such
-    call the plan is empty, and :func:`build` keeps the call's steps in it;
-    a call that leaves it without steps raises
-    :class:`~cwsolve.wpsets.InvariantError`.  At every later one the driver
-    calls no transition: it runs :func:`build` over the plan's steps and
-    its own input's cells.  The output gets the plan's shape if its keys
-    are the recorded ones, else the number of its own keys; a table from an
-    unmarked position is numbered when a marked parent needs it.  Sound: a
-    transition's steps depend only on its context and its inputs' key
-    sequences, never on their cells, and a live call and its replays run
-    the same :func:`build` over the same steps, so they make the same
-    cells, witnesses and ties; only a step that comes out empty on other
-    cells can drop a key, which the shape check sees.  The reduction after
-    a call changes no key.  Where no context repeats, as on naive
-    expressions, nothing is recorded.  The plans live for one run;
-    ``stats`` counts those recorded and replayed.
+    :class:`Plan` keyed by the context and its input tables' key sequences,
+    both children's at a union.  At the first such call the plan is empty,
+    and :func:`build` keeps the call's steps in it; a call that leaves it
+    without steps raises :class:`~cwsolve.wpsets.InvariantError`.  At every
+    later one the driver calls no transition: it runs :func:`build` over
+    the plan's steps and its own input's cells.  Sound: a transition's
+    steps depend only on its context and its inputs' key sequences, never
+    on their cells, and a live call and its replays run the same
+    :func:`build` over the same steps, so they make the same cells,
+    witnesses and ties.  A step that comes out empty on other cells drops
+    its key, and the shorter table then keys its parent's lookup as any
+    other does.  The reduction after a call changes no key.  Where no
+    context repeats, as on naive expressions, nothing is recorded.  The
+    plans live for one run; ``stats`` counts those recorded and replayed.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
@@ -283,30 +287,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     marks = repeated_contexts(program, fut, aheads, doomed)
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
-    shapes: dict[int, int] = {}  # position -> its table's shape, where known
-    plans: dict[tuple, Plan] = {}  # (context, input shapes) -> its plan
-    numbers: dict[tuple, int] = {}  # key sequence -> shape
-    number = numbers.setdefault
-
-    def planned(memo_key: tuple, kw: dict) -> Plan:  # also the call's keyword
-        plan = kw["plan"] = plans.get(memo_key)
-        if plan is None:
-            plan = kw["plan"] = plans[memo_key] = Plan()
-        else:
-            stats.plans_replayed += 1
-        return plan
-
-    def shape_of(table: dict, plan: Plan) -> int:  # after the plan's call
-        keys = tuple(table)
-        if plan.keys is None:  # recorded
-            if plan.steps is None:
-                raise InvariantError("a call given a key plan did not make "
-                                     "its table with dp.build")
-            plan.keys, plan.shape = keys, number(keys, len(numbers))
-        elif keys != plan.keys:  # a replayed cell step came out empty
-            return number(keys, len(numbers))
-        return plan.shape
-
+    plans: dict[tuple, Plan] = {}  # (context, input key sequences) -> plan
     MERGE_MEMO.clear()
     try:
         for p, (op, i, j, left, name, weight, mask, vec, dying, ahead,
@@ -316,18 +297,16 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                                        dead, aheads, marks)):
             extra = () if ahead is None else (ahead,)
             kw = {"doomed": True} if p in doomed else {}
-            if mark is not None:  # the child shapes, numbered on demand
-                shape = shapes.get(p - 1)
-                if shape is None:
-                    shape = number(tuple(tables[-1]), len(numbers))
-                if op == UNION:
-                    first = shapes.get(left)
-                    if first is None:
-                        first = number(tuple(tables[-2]), len(numbers))
-                    plan = planned((mark, first, shape), kw)
+            plan = None
+            if mark is not None:  # a union reads both children's keys
+                inputs = (mark, *map(tuple, tables[-2:] if op == UNION
+                                     else tables[-1:]))
+                plan = plans.get(inputs)
+                if plan is None:
+                    kw["plan"] = plans[inputs] = Plan()
                 else:
-                    plan = planned((mark, shape), kw)
-            if mark is not None and plan.keys is not None:  # replayed
+                    stats.plans_replayed += 1
+            if plan is not None:  # replayed
                 if op == UNION:
                     right = tables.pop()
                     table = build(None, plan.steps, plan.args, tables.pop(),
@@ -344,19 +323,21 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 table = (ren if op == REN else add)(tables.pop(), child, i, j,
                                                     vec, *extra, **kw)
             child = mask
-            if mark is None:
-                if dying & touched(op, i, j):
+            if "plan" in kw:
+                check_recorded(kw["plan"])
+            if dying & touched(op, i, j):
+                if mark is None:
                     table = prune.retire(table, dying)
-            else:
-                shape = shape_of(table, plan)
-                if dying & touched(op, i, j):
-                    kw = {}  # ~mark < 0 keys the retirement's plans apart
-                    plan = planned((~mark, shape), kw)
-                    table = (prune.retire(table, dying, **kw)
-                             if plan.keys is None
-                             else build(None, plan.steps, plan.args, table))
-                    shape = shape_of(table, plan)
-                shapes[p] = shape
+                else:  # ~mark < 0 keys the retirement's plans apart
+                    inputs = (~mark, tuple(table))
+                    plan = plans.get(inputs)
+                    if plan is None:
+                        plan = plans[inputs] = Plan()
+                        table = prune.retire(table, dying, plan=plan)
+                        check_recorded(plan)
+                    else:
+                        stats.plans_replayed += 1
+                        table = build(None, plan.steps, plan.args, table)
             biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
                 for key, cell in table.items():

@@ -43,8 +43,8 @@ Each transition but the leaf's, and :func:`fvs_retire`, only plans keys: it
 lists a cell step per key it makes, and :func:`~cwsolve.dp.build` makes the
 cells, linking with ``acyclic`` and projecting with ``proj``, and a union's
 with ``acjoin``.  Where a node's context repeats, the driver keeps the first
-call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and replays them
-from the second on, without calling the transition.
+call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and replays them on
+the same input keys, without calling the transition.
 """
 
 from __future__ import annotations

@@ -149,36 +149,67 @@ def _anchored_leaf(label, name, weight, fut, **kw):
     return table
 
 
-def test_a_replayed_step_that_comes_out_empty_renumbers_the_table():
-    names = {}  # id of a plan -> the transition that recorded it
-    short = []  # replays whose keys are not the plan's
-
-    def watched(fn):
-        def call(*args, plan=None, **kw):
-            out = fn(*args, plan=plan, **kw)
-            if plan is not None:
-                names[id(plan)] = fn.__name__
-            tables.append(_contents(out))
-            return out
-        return call
-
-    def replayed(plan, out):
-        if tuple(out) != plan.keys:
-            short.append(names[id(plan)])
-        tables.append(_contents(out))
-
-    runs = []
+def _twin_runs(leaf):
+    """``TWINS`` on the reference path with ``leaf``, with plans and then
+    without: per run, its tables in the order they were built, its root's
+    and its stats; and the marked run's log of its non-leaf tables, each
+    ``(transition, replayed, keys as recorded)``, a replayed one under the
+    transition that recorded its plan."""
+    runs, logs = [], []
     for marked in (True, False):
-        tables = []
+        tables, log = [], []
+        names, keys = {}, {}  # id of a plan -> its transition, the keys made
+
+        def watched(fn):
+            def call(*args, plan=None, **kw):
+                out = fn(*args, plan=plan, **kw)
+                if plan is not None:
+                    names[id(plan)], keys[id(plan)] = fn.__name__, tuple(out)
+                log.append((fn.__name__, False, True))
+                tables.append(_contents(out))
+                return out
+            return call
+
+        def replayed(plan, out):
+            log.append((names[id(plan)], True, tuple(out) == keys[id(plan)]))
+            tables.append(_contents(out))
+
         stats = SolveStats()
         with pytest.MonkeyPatch.context() as patch:
             _replays(patch, replayed)
             if not marked:
                 _unmarked(patch)
-            root = run(TWINS, stats, None, _anchored_leaf, watched(fvs_ren),
+            root = run(TWINS, stats, None, leaf, watched(fvs_ren),
                        watched(fvs_add), watched(fvs_union))
         runs.append((tables, _contents(root), _stats(stats)))
+        logs.append(log)
+    return runs, logs[0]
+
+
+def test_a_short_replay_keys_its_parents_lookup_by_its_own_keys():
+    runs, log = _twin_runs(_anchored_leaf)
+    short = [name for name, replay, same in log if not same]
     assert short == ["fvs_add"]
+    # no plan was recorded for the keys the short add made, so every node
+    # above it, up to the union of the twins, is called live
+    above = log[log.index(("fvs_add", True, False)) + 1:]
+    assert above == [("fvs_ren", False, True)] * 2 + [("fvs_union", False, True)]
+    assert runs[0] == runs[1]
+
+
+def _reversed_leaf(label, name, weight, fut, **kw):
+    """``fvs_leaf``, except that x and y list the same keys in reverse
+    order."""
+    table = fvs_leaf(3, True, label, name, weight, fut)
+    return dict(reversed(table.items())) if name in ("x", "y") else table
+
+
+def test_a_plan_is_keyed_by_the_order_of_its_input_keys():
+    runs, log = _twin_runs(_reversed_leaf)
+    # the second twin's union reads the first's keys in another order, and
+    # its plan's steps name cells by position: it must not replay
+    assert [(name, replay) for name, replay, _ in log
+            if name == "fvs_union"] == [("fvs_union", False)] * 3
     assert runs[0] == runs[1]
 
 
@@ -271,7 +302,6 @@ def test_the_reference_path_refuses_a_lookahead_or_verdict_on_replay():
     table = srd_leaf(ctx, 1, "a", 1)
     plan = Plan()
     srd_add(ctx, table, 0b10, 1, 2, plan=plan)
-    plan.keys, plan.shape = (), 0  # as the driver closes a recording
     for call in (lambda: srd_add(ctx, table, 0b10, 1, 2, None,
                                  (1, 2, 0b110, None), plan=plan),
                  lambda: srd_add(ctx, table, 0b10, 1, 2, doomed=True,
