@@ -243,6 +243,7 @@ def _cmd_bench(args) -> int:
         print(f"{key},{value}")
     print(f"plans_recorded,{stats.plans_recorded}")
     print(f"plans_replayed,{stats.plans_replayed}")
+    print(f"entry_replays,{stats.entry_replays}")
     return 0
 
 

@@ -7,24 +7,26 @@ The driver owns the one switch for pruning (a :class:`Prune`, or None on the
 reference path), the retirement of dead labels and the rank-bound reduction.
 A non-leaf transition, and a retirement, only plans keys: it lists the cell
 step by which each key it makes comes from its input's cells, and
-:func:`build` makes every cell, live or replayed from a key plan.  The
-domination transitions leave out the slot states that the future degrees
-the driver hands them rule out, and the keys holding a finished X where the
-driver's verdict says none survives.
+:func:`build` makes every cell, live or replayed from a key plan, but where
+a replay runs the plan's entry program (:func:`replay`).  The domination
+transitions leave out the slot states that the future degrees the driver
+hands them rule out, and the keys holding a finished X where the driver's
+verdict says none survives.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, count
-from operator import ne
+from itertools import accumulate, chain, compress, count
+from operator import itemgetter, ne
 from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
                      future_degrees)
 from .wpsets import (MERGE_MEMO, NEG_INF, POS_INF, InvariantError, WPSet,
-                     check_size, link, proj, put, witness_names)
+                     check_size, combine_witness, link, proj, put,
+                     witness_names)
 
 
 @dataclass
@@ -39,6 +41,7 @@ class SolveStats:
     node_kinds: Counter = field(default_factory=Counter)
     plans_recorded: int = 0  # key plans (:func:`run`); not in as_dict
     plans_replayed: int = 0
+    entry_replays: int = 0  # replays by a plan's entry program
 
     def as_dict(self) -> dict:
         return {
@@ -133,12 +136,14 @@ class Plan:
     """A key plan (:func:`run`): the cell steps, in order, by which one call
     of a transition or retirement made its table from its input's, with the
     arguments of those steps (:func:`build` keeps both).  The driver keys it
-    by the call's context and its input tables' key sequences."""
+    by the call's context and its input tables' key sequences.  From its
+    first replay on, it holds that replay's input cells' partition sequences
+    and the entry program made for them (:func:`compile_entries`)."""
 
-    __slots__ = ("steps", "args")
+    __slots__ = ("steps", "args", "parts", "program")
 
     def __init__(self):
-        self.steps = self.args = None
+        self.steps = self.args = self.parts = self.program = None
 
 
 def check_recorded(plan: Plan) -> None:
@@ -192,6 +197,119 @@ def build(plan: Plan | None, steps: list, args: tuple, table: dict,
             cell = join(cell_a, cell_b, out.get(key))
             if cell:
                 out[key] = cell
+    return out
+
+
+def _projected(cell: WPSet, drop: int, base: int):
+    """Per partition of ``proj(cell, drop)``, in order: a one-entry cell of
+    it and the flat indices of the entries ``proj`` maps to it."""
+    groups: dict = {}
+    for x, (part, entry) in enumerate(cell.items(), base):
+        got = proj(WPSet.from_pairs([(part, *entry)], cell.ground), drop)
+        if got:
+            groups.setdefault(tuple(got), (got, []))[1].append(x)
+    return groups.values()
+
+
+def compile_entries(plan: Plan, out: dict, table: dict,
+                    table_b: dict | None = None) -> tuple:
+    """``plan``'s entry program for ``table``'s cells (a union's and
+    ``table_b``'s), of which :func:`build` made ``out``: whether it reads an
+    entry, and per key of ``out`` ``(key, source, ground, items)``: None
+    items where ``out`` shares the input cell at ``source``, else per
+    partition ``(partition, first, more)``, the flat indices of the input
+    entries (pairs at a union) ``build`` weighs for it, in its order.  The
+    partitions come from the kernel on one-entry cells, and must be
+    ``out``'s, or :class:`~cwsolve.wpsets.InvariantError` is raised."""
+    cells = list(table.values())
+    bases = [0, *accumulate(map(len, cells))]
+    rows = []  # (key, input position, (step, order), partition, entry)
+    if table_b is None:
+        i, j, acyclic, other = plan.args
+        position = {key: p for p, key in enumerate(table)}
+        for s, (source, key, step) in enumerate(plan.steps):
+            p, first = position[source], {}
+            for x, (part, entry) in enumerate(cells[p].items(), bases[p]):
+                one = WPSet.from_pairs([(part, *entry)], cells[p].ground)
+                for got in (one if step is None else other(one, ~step)
+                            if step < 0 else link(one, i, j, step, acyclic)):
+                    # where link drops both labels, ties go by the entry
+                    # its joined partition first came from, as in link
+                    rows.append((key, p, (s, first.setdefault(
+                        tuple(link(one, i, j, 0, acyclic)), x)
+                        if step == 1 << i | 1 << j else 0), got, x))
+    else:
+        (join,) = plan.args
+        cells_b = list(table_b.values())
+        bases_b = [0, *accumulate(map(len, cells_b))]
+        rows = [(key, None, (s, 0), got, (x, y))
+                for s, (a, b, key, drop_a, drop_b) in enumerate(plan.steps)
+                for one_a, xs in _projected(cells[a], drop_a, bases[a])
+                for one_b, ys in _projected(cells_b[b], drop_b, bases_b[b])
+                for got in join(one_a, one_b) for x in xs for y in ys]
+    made, sources = {}, {}  # per key: {partition: entries}, positions
+    for key, p, _, part, _ in rows:
+        made.setdefault(key, {}).setdefault(part, [])
+        sources.setdefault(key, set()).add(p)
+    for key, _, _, part, x in sorted(rows, key=itemgetter(2)):  # stable
+        made[key][part].append(x)
+    if list(made) != list(out) or any(
+            list(parts) != list(out[key]) for key, parts in made.items()):
+        raise InvariantError("an entry program does not make the table "
+                             "dp.build made")
+    program = []
+    for key, parts in made.items():
+        p, *others = sources[key]
+        if table_b is None and not others and out[key] is cells[p]:
+            program.append((key, p, None, None))
+        else:
+            program.append((key, None, out[key].ground, tuple(
+                (part, xs[0], tuple(xs[1:])) for part, xs in parts.items())))
+    return any(items for *_, items in program), tuple(program)
+
+
+def replay(plan: Plan, stats: SolveStats, table: dict,
+           table_b: dict | None = None) -> dict:
+    """The table ``plan`` makes of ``table``'s cells (a union's and
+    ``table_b``'s), counted in ``stats``: by its entry program where the
+    cells' partitions are those it was compiled for, else by :func:`build`."""
+    stats.plans_replayed += 1
+    cells = list(table.values())
+    cells_b = () if table_b is None else list(table_b.values())
+    parts = [*map(tuple, cells), *map(tuple, cells_b)]
+    if parts != plan.parts:
+        out = build(None, plan.steps, plan.args, table, table_b)
+        if plan.parts is None:
+            plan.program = compile_entries(plan, out, table, table_b)
+            plan.parts = parts
+        return out
+    stats.entry_replays += 1
+    reads, program = plan.program
+    entries = reads and list(chain.from_iterable(map(dict.values, cells)))
+    out = {}
+    if table_b is None:
+        for key, source, ground, items in program:
+            if items is None:
+                out[key] = cells[source]
+                continue
+            cell = out[key] = WPSet(ground)
+            for part, x, more in items:
+                entry = entries[x]
+                for y in more:  # the first of the heaviest
+                    if entries[y][0] > entry[0]:
+                        entry = entries[y]
+                cell[part] = entry
+        return out
+    entries_b = list(chain.from_iterable(map(dict.values, cells_b)))
+    for key, _, ground, items in program:
+        cell = out[key] = WPSet(ground)
+        for part, (a, b), more in items:
+            weight = entries[a][0] + entries_b[b][0]
+            for x, y in more:  # the first of the heaviest sums
+                if entries[x][0] + entries_b[y][0] > weight:
+                    a, b, weight = x, y, entries[x][0] + entries_b[y][0]
+            cell[part] = (weight, combine_witness(entries[a][1],
+                                                  entries_b[b][1]))
     return out
 
 
@@ -261,16 +379,26 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     both children's at a union.  At the first such call the plan is empty,
     and :func:`build` keeps the call's steps in it; a call that leaves it
     without steps raises :class:`~cwsolve.wpsets.InvariantError`.  At every
-    later one the driver calls no transition: it runs :func:`build` over
-    the plan's steps and its own input's cells.  Sound: a transition's
-    steps depend only on its context and its inputs' key sequences, never
-    on their cells, and a live call and its replays run the same
-    :func:`build` over the same steps, so they make the same cells,
+    later one the driver calls no transition: it replays the plan over its
+    own input's cells (:func:`replay`).  Sound: a transition's steps
+    depend only on its context and its inputs' key sequences, never on
+    their cells, and a live call and a replay by :func:`build` run the
+    same :func:`build` over the same steps, so they make the same cells,
     witnesses and ties.  A step that comes out empty on other cells drops
     its key, and the shorter table then keys its parent's lookup as any
     other does.  The reduction after a call changes no key.  Where no
     context repeats, as on naive expressions, nothing is recorded.  The
     plans live for one run; ``stats`` counts those recorded and replayed.
+
+    Entry plans.  A plan's first replay compiles an entry program for its
+    input cells' partitions (:func:`compile_entries`); a later replay
+    whose input cells hold the same partition sequences runs it, counted
+    in ``stats.entry_replays``, and any other runs :func:`build`.  Sound:
+    a join's, link's or projection's output partitions and their order
+    depend only on the input partitions and the labels, and weights flow
+    only through + and max, so each output entry is the first of a fixed
+    list of input entries, or pairs, with the largest weight or sum: the
+    entry, and so the witness, that :func:`build` keeps.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
@@ -304,19 +432,12 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 plan = plans.get(inputs)
                 if plan is None:
                     kw["plan"] = plans[inputs] = Plan()
-                else:
-                    stats.plans_replayed += 1
+            right = tables.pop() if op == UNION else None
             if plan is not None:  # replayed
-                if op == UNION:
-                    right = tables.pop()
-                    table = build(None, plan.steps, plan.args, tables.pop(),
-                                  right)
-                else:
-                    table = build(None, plan.steps, plan.args, tables.pop())
+                table = replay(plan, stats, tables.pop(), right)
             elif op == LEAF:
                 table = leaf(i, name, weight, vec, *extra, **kw)
             elif op == UNION:
-                right = tables.pop()
                 table = union(tables.pop(), program.present[left], right,
                               child, vec, *extra, **kw)
             else:
@@ -336,8 +457,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                         table = prune.retire(table, dying, plan=plan)
                         check_recorded(plan)
                     else:
-                        stats.plans_replayed += 1
-                        table = build(None, plan.steps, plan.args, table)
+                        table = replay(plan, stats, table)
             biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
                 for key, cell in table.items():

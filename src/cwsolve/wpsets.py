@@ -17,6 +17,9 @@ retirement, stores them with :func:`put`, which merges into a copy, and
 :func:`proj` with nothing to drop returns its input.  A union owns every
 cell of the table it builds, so ``build`` merges each join into the cell
 already at its key (the ``into`` of :func:`join_sets` and :func:`acjoin`).
+A replay by a plan's entry program (:func:`cwsolve.dp.replay`) makes each
+cell anew from its input entries, or shares an input cell where ``build``
+would.
 :func:`link` is the adds' and relabels' one cell step: the join with the
 edge cell of two labels and the projection after it, in one pass.
 

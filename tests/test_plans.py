@@ -1,6 +1,7 @@
 """Key plans: at a node whose context repeats, the driver replays the cell
 steps the transition recorded at the first such node (``dp.run``,
-``dp.build``)."""
+``dp.build``), and from the plan's second replay on, where the input
+partitions repeat too, its entry program (``dp.replay``)."""
 
 import gc
 import random
@@ -13,13 +14,14 @@ import cwsolve.fvs
 import cwsolve.sigma_rho
 from cwsolve import cli, fixture, naive_expression
 from cwsolve.cwexpr import FIXTURE_KINDS, evaluate, future_degrees, serialize
-from cwsolve.dp import Plan, SolveStats, build, capped_degrees, run
+from cwsolve.dp import Plan, SolveStats, build, capped_degrees, replay, run
 from cwsolve.fvs import fvs_add, fvs_leaf, fvs_ren, fvs_union, solve_fvs
 from cwsolve.partitions import iter_partitions
 from cwsolve.sigma_rho import (COMPLETE, DomContext, _complete, preset_spec,
                                solve_connected_sigma_rho, solve_steiner,
                                srd_add, srd_leaf)
-from cwsolve.wpsets import InvariantError, WPSet, acjoin, link, proj
+from cwsolve.wpsets import (InvariantError, WPSet, acjoin, combine_witness,
+                            join_sets, link, proj)
 
 from conftest import expression, random_expression, random_graph
 
@@ -44,21 +46,15 @@ def _unmarked(monkeypatch):
 
 def _replays(monkeypatch, seen):
     """Have ``seen(plan, table)`` see each table the driver replays from a
-    key plan: the calls of ``dp.build`` without a plan whose steps are a
-    recorded plan's."""
-    build = cwsolve.dp.build
-    plans = {}  # id of a recorded plan's steps -> the plan
+    key plan, by its entry program or by ``dp.build``: the calls of
+    ``dp.replay``."""
+    replay = cwsolve.dp.replay
 
-    def watched(plan, steps, *args):
-        out = build(plan, steps, *args)
-        if plan is not None:
-            plans[id(steps)] = plan
-        else:
-            recorded = plans.get(id(steps))
-            if recorded is not None and recorded.steps is steps:
-                seen(recorded, out)
+    def watched(plan, *args):
+        out = replay(plan, *args)
+        seen(plan, out)
         return out
-    monkeypatch.setattr(cwsolve.dp, "build", watched)
+    monkeypatch.setattr(cwsolve.dp, "replay", watched)
 
 
 def _recorded(monkeypatch, solve, marked):
@@ -257,20 +253,43 @@ def test_naive_expressions_record_no_plan():
 
 
 def test_the_plans_are_freed_when_the_run_returns(monkeypatch):
-    plans = []
+    plans, cells, pairs = [], [], []
 
     class Spy(Plan):  # without slots, so a weak reference can watch it
         def __init__(self):
             super().__init__()
             plans.append(weakref.ref(self))
 
+    class Cell(WPSet):
+        def __init__(self, ground):
+            super().__init__(ground)
+            cells.append(weakref.ref(self))
+
+    class Pair(list):  # a witness pair a weak reference can watch
+        pass
+
+    def combine(a, b):
+        got = combine_witness(a, b)
+        if type(got) is tuple and got:
+            got = Pair(got)
+            pairs.append(weakref.ref(got))
+        return got
+
     monkeypatch.setattr(cwsolve.dp, "Plan", Spy)
+    for module in (cwsolve.dp, cwsolve.fvs, cwsolve.wpsets):
+        monkeypatch.setattr(module, "WPSet", Cell)
+    for module in (cwsolve.dp, cwsolve.wpsets):
+        monkeypatch.setattr(module, "combine_witness", combine)
     enabled = gc.isenabled()
     gc.disable()  # what frees them must be their reference counts
     try:
         res = solve_fvs(fixture("path", 20), with_witness=True)
         assert len(plans) == res.stats.plans_recorded > 0
-        assert all(ref() is None for ref in plans)
+        assert res.stats.entry_replays > 0 and res.forest_witness
+        # nor does any cell or witness pair the run made, entry programs
+        # included
+        assert len(cells) > len(plans) and len(pairs) > len(plans)
+        assert all(ref() is None for ref in plans + cells + pairs)
     finally:
         if enabled:
             gc.enable()
@@ -297,17 +316,76 @@ def test_a_domination_context_is_freed_when_the_solve_returns(monkeypatch):
             gc.enable()
 
 
-def test_the_reference_path_refuses_a_lookahead_or_verdict_on_replay():
+def test_the_reference_path_refuses_a_lookahead_or_verdict():
     ctx = DomContext(preset_spec("cds"), 2)  # unpruned
     table = srd_leaf(ctx, 1, "a", 1)
-    plan = Plan()
-    srd_add(ctx, table, 0b10, 1, 2, plan=plan)
     for call in (lambda: srd_add(ctx, table, 0b10, 1, 2, None,
-                                 (1, 2, 0b110, None), plan=plan),
-                 lambda: srd_add(ctx, table, 0b10, 1, 2, doomed=True,
-                                 plan=plan)):
+                                 (1, 2, 0b110, None)),
+                 lambda: srd_add(ctx, table, 0b10, 1, 2, doomed=True)):
         with pytest.raises(InvariantError):
             call()
+
+
+def _reordered_leaf(k, with_witness, label, name, weight, fut=None):
+    """``fvs_leaf``, except that every other vertex from v5 on lists the
+    two partitions of its two-entry cell the other way round, the first
+    one heavier."""
+    table = fvs_leaf(k, with_witness, label, name, weight, fut)
+    if int(name[1:]) >= 5 and int(name[1:]) % 2:
+        for key, cell in table.items():
+            if len(cell) == 2:
+                (p, (w, wit)), (q, _) = cell.items()
+                table[key] = WPSet.from_pairs([(q, w + 1, wit), (p, w, wit)],
+                                              cell.ground)
+    return table
+
+
+def test_a_replay_on_other_partitions_runs_build(monkeypatch):
+    # the union that takes in a reordered vertex meets the partitions of
+    # the entry program its plan compiled in the other order, so it must
+    # build its table, and so may the nodes above it
+    monkeypatch.setattr(cwsolve.fvs, "fvs_leaf", _reordered_leaf)
+    fallbacks = []
+    replay = cwsolve.dp.replay
+
+    def watched(plan, stats, *tables):
+        compiled, ran = plan.parts is not None, stats.entry_replays
+        out = replay(plan, stats, *tables)
+        if compiled and stats.entry_replays == ran:
+            fallbacks.append(plan)
+        return out
+    monkeypatch.setattr(cwsolve.dp, "replay", watched)
+    solve = _solver("fvs", fixture("path", 24), use_reduce=True)  # pruned
+    res, tables = _recorded(monkeypatch, solve, marked=True)
+    ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
+    assert fallbacks and res.stats.entry_replays > 0
+    assert tables == ref_tables
+    assert _stats(res.stats) == _stats(ref.stats)
+
+
+def test_an_entry_program_keeps_the_witness_build_keeps_on_a_tie():
+    # a link dropping both labels: p and q both reach {a}{b} at weight 5,
+    # and q wins, as its joined partition {a, i, j}{b} first came from r,
+    # before p's {a}{b, i, j} (a = 3, b = 4, i = 1, j = 2)
+    cell = WPSet.from_pairs([((4, 10, 16), 1, "r"), ((4, 8, 18), 5, "p"),
+                             ((2, 12, 16), 5, "q")], 0b11110)
+    # a union whose two steps join into one partition at equal sums: the
+    # first step wins, though it reads the second input cell
+    a0 = WPSet.from_pairs([((2, 4), 3, "a0")], 0b110)
+    a1 = WPSet.from_pairs([((6,), 3, "a1")], 0b110)
+    b = WPSet.from_pairs([((14,), 0, "b")], 0b1110)
+    cases = [([("c", "k", 0b110)], (1, 2, True, proj), ({"c": cell}, None),
+              (8, 16), (5, "q")),
+             ([(1, 0, "k", 0, 0), (0, 0, "k", 0, 0)], (join_sets,),
+              ({"a0": a0, "a1": a1}, {"b": b}), (14,), (3, ("a1", "b")))]
+    for steps, args, tables, part, entry in cases:
+        plan, stats = Plan(), SolveStats()
+        want = build(plan, steps, args, *tables)
+        assert want["k"][part] == entry
+        # the first replay compiles the entry program, the later ones run it
+        for _ in range(3):
+            assert _contents(replay(plan, stats, *tables)) == _contents(want)
+        assert stats.entry_replays == 2
 
 
 def _weighted(rng, ground):
@@ -373,6 +451,8 @@ def test_bench_prints_the_plan_counts_and_solve_json_does_not(tmp_path, capsys):
                 for line in capsys.readouterr().out.strip().splitlines())
     assert int(rows["plans_recorded"]) > 0
     assert int(rows["plans_replayed"]) > int(rows["plans_recorded"])
+    assert 0 < int(rows["entry_replays"]) <= int(rows["plans_replayed"])
     assert cli.run(["solve", "--problem", "cds", "--json", "--expr",
                     str(path)]) == 0
-    assert "plans" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "plans" not in out and "entry" not in out
