@@ -244,6 +244,7 @@ def _cmd_bench(args) -> int:
     print(f"plans_recorded,{stats.plans_recorded}")
     print(f"plans_replayed,{stats.plans_replayed}")
     print(f"entry_replays,{stats.entry_replays}")
+    print(f"shape_replays,{stats.shape_replays}")
     return 0
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count
-from operator import itemgetter, ne
+from itertools import accumulate, chain, compress, count, repeat
+from operator import and_, is_not, itemgetter, lshift, mul, ne, or_
 from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
@@ -42,6 +42,7 @@ class SolveStats:
     plans_recorded: int = 0  # key plans (:func:`run`); not in as_dict
     plans_replayed: int = 0
     entry_replays: int = 0  # replays by a plan's entry program
+    shape_replays: int = 0  # of those, the ones found by shape id
 
     def as_dict(self) -> dict:
         return {
@@ -93,10 +94,13 @@ def capped_degrees(expr: CwExpression, cap: int | None) -> tuple[list, list]:
     return fut, dead
 
 
-def touched(op: int, i: int, j: int) -> int:
-    """The labels whose slots a node sets (bit l for label l): the leaf's
-    label i (its j is 0, no label), none at a union, and i and j otherwise."""
-    return 0 if op == UNION else 1 << i | 1 << j
+def touched(program: Program) -> list:
+    """Per position, the labels whose slots the node sets (bit l for label
+    l): the leaf's label i, none at a union, and i and j otherwise.  A
+    leaf's j and a union's i and j are 0, and bit 0 is no label's, so at
+    every position that is ``1 << i | 1 << j``."""
+    return list(map(or_, map(lshift, repeat(1), program.i),
+                    map(lshift, repeat(1), program.j)))
 
 
 def lookaheads(program, fut: list, dead: list) -> list:
@@ -104,10 +108,10 @@ def lookaheads(program, fut: list, dead: list) -> list:
     its child's mask of nonempty labels and its future degrees, or None where
     the parent is no add or this node retires one of the add's labels."""
     out = [None] * len(program.op)
-    op, i, j = program.op, program.i, program.j
+    op, i, j, sets = program.op, program.i, program.j, touched(program)
     for p in range(1, len(op)):
         c = p - 1  # an add's child comes right before it
-        if op[p] == ADD and not (dead[c] & touched(op[c], i[c], j[c])
+        if op[p] == ADD and not (dead[c] & sets[c]
                                  and dead[c] & (1 << i[p] | 1 << j[p])):
             out[c] = (i[p], j[p], program.present[c], fut[p])
     return out
@@ -138,12 +142,16 @@ class Plan:
     arguments of those steps (:func:`build` keeps both).  The driver keys it
     by the call's context and its input tables' key sequences.  From its
     first replay on, it holds that replay's input cells' partition sequences
-    and the entry program made for them (:func:`compile_entries`)."""
+    and the entry program made for them (:func:`compile_entries`); where
+    :func:`run` compiled it, also the shape id of the program's output
+    (:func:`shape`) and the output's largest cell, taken from the table
+    :func:`build` made and the program was checked against."""
 
-    __slots__ = ("steps", "args", "parts", "program")
+    __slots__ = ("steps", "args", "parts", "program", "made", "biggest")
 
     def __init__(self):
         self.steps = self.args = self.parts = self.program = None
+        self.made = self.biggest = None
 
 
 def check_recorded(plan: Plan) -> None:
@@ -269,20 +277,26 @@ def compile_entries(plan: Plan, out: dict, table: dict,
 
 
 def replay(plan: Plan, stats: SolveStats, table: dict,
-           table_b: dict | None = None) -> dict:
+           table_b: dict | None = None, known: bool = False) -> dict:
     """The table ``plan`` makes of ``table``'s cells (a union's and
     ``table_b``'s), counted in ``stats``: by its entry program where the
-    cells' partitions are those it was compiled for, else by :func:`build`."""
+    cells' partitions are those it was compiled for, else by :func:`build`.
+    Where ``known``, the caller has found ``plan`` by its input's shape ids,
+    which are those of the input it was compiled for, and the program runs
+    unchecked."""
     stats.plans_replayed += 1
     cells = list(table.values())
     cells_b = () if table_b is None else list(table_b.values())
-    parts = [*map(tuple, cells), *map(tuple, cells_b)]
-    if parts != plan.parts:
-        out = build(None, plan.steps, plan.args, table, table_b)
-        if plan.parts is None:
-            plan.program = compile_entries(plan, out, table, table_b)
-            plan.parts = parts
-        return out
+    if known:
+        stats.shape_replays += 1
+    else:
+        parts = [*map(tuple, cells), *map(tuple, cells_b)]
+        if parts != plan.parts:
+            out = build(None, plan.steps, plan.args, table, table_b)
+            if plan.parts is None:
+                plan.program = compile_entries(plan, out, table, table_b)
+                plan.parts = parts
+            return out
     stats.entry_replays += 1
     reads, program = plan.program
     entries = reads and list(chain.from_iterable(map(dict.values, cells)))
@@ -311,6 +325,11 @@ def replay(plan: Plan, stats: SolveStats, table: dict,
             cell[part] = (weight, combine_witness(entries[a][1],
                                                   entries_b[b][1]))
     return out
+
+
+def shape(table: dict) -> tuple:
+    """A table's shape: its keys and its cells' partitions, in order."""
+    return tuple(table), tuple(map(tuple, table.values()))
 
 
 def live_width(present, dead) -> int:
@@ -400,71 +419,146 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     list of input entries, or pairs, with the largest weight or sum: the
     entry, and so the witness, that :func:`build` keeps.
 
+    Shape ids.  A table's shape is its keys and its cells' partitions, in
+    order (:func:`shape`); the driver interns each shape it meets once per
+    run, so two shapes are equal exactly when their ids are.  It holds an
+    id for a table where it knows the shape: a leaf a marked parent reads,
+    and the output of a replay that compiled or ran an entry program.  A
+    table made live or by :func:`build`, retired live or reduced has none.
+    A compile files its plan under the context and the ids of its inputs;
+    at a marked position whose inputs all have ids the driver looks the
+    plan up by them (a retirement by ``~context`` and the id) before the
+    key lookup, and a hit runs the program with no key tuple and no
+    partition check, counted in ``stats.shape_replays``.  Sound: a hit's
+    inputs have the shapes the program was compiled for, so their keys
+    give the same plan and their partitions pass the check; a program's
+    output keys and partitions are fixed by its input's, so the output id
+    and largest cell kept at the compile are exact for every run.
+
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
     label counts.
     """
     program = expr.program
+    ops, n = program.op, len(program.op)
     doom = prune is not None and prune.doomed
     degrees = future_degrees(expr) if doom else None
     fut, dead = capped_degrees(expr, None if prune is None else prune.cap)
     aheads = (lookaheads(program, fut, dead)
-              if prune is not None and prune.lookahead else [None] * len(fut))
+              if prune is not None and prune.lookahead else [None] * n)
     doomed = prune.doomed(program, degrees) if doom and degrees else ()
     del degrees  # one tuple per position: free it before the tables grow
     marks = repeated_contexts(program, fut, aheads, doomed)
+    # per position, once and in bulk: its dead labels where the node sets a
+    # dead slot, else 0, the verdict as keywords, and whether a marked
+    # parent reads the node's table
+    retiring = list(map(mul, dead, map(bool, map(and_, dead,
+                                                 touched(program)))))
+    kws = [{}] * n  # shared: the driver never writes to one
+    for p in doomed:
+        kws[p] = {"doomed": True}
+    named = [False] * n
+    for p in compress(count(), map(is_not, marks, repeat(None))):
+        named[p - 1] = True
+        if ops[p] == UNION:
+            named[program.left[p]] = True
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
     plans: dict[tuple, Plan] = {}  # (context, input key sequences) -> plan
+    shapes: dict[tuple, int] = {}  # a table's shape -> its id
+    ids = [None] * n  # per position: its table's shape id, where known
+    compiled: dict[tuple, Plan] = {}  # (context, input shape ids) -> plan
+
+    def intern(table):
+        return shapes.setdefault(shape(table), len(shapes))
+
+    def replayed(context, plan, table, right=None):
+        """The replay of ``plan`` by :func:`replay`, with its output's shape
+        id and largest cell where it compiled or ran the entry program; a
+        compile files the plan under its input's shape ids."""
+        fresh, ran = plan.parts is None, stats.entry_replays
+        out = replay(plan, stats, table, right)
+        if fresh:
+            plan.made = intern(out)
+            plan.biggest = max(map(len, out.values()), default=0)
+            compiled[(context, intern(table)) if right is None
+                     else (context, intern(table), intern(right))] = plan
+        elif stats.entry_replays == ran:  # built
+            return out, None, None
+        return out, plan.made, plan.biggest
+
     MERGE_MEMO.clear()
     try:
-        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead,
-                mark) in enumerate(zip(program.op, program.i, program.j,
+        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead, kw,
+                mark) in enumerate(zip(ops, program.i, program.j,
                                        program.left, program.name,
                                        program.weight, program.present, fut,
-                                       dead, aheads, marks)):
+                                       retiring, aheads, kws, marks)):
             extra = () if ahead is None else (ahead,)
-            kw = {"doomed": True} if p in doomed else {}
-            plan = None
-            if mark is not None:  # a union reads both children's keys
-                inputs = (mark, *map(tuple, tables[-2:] if op == UNION
-                                     else tables[-1:]))
-                plan = plans.get(inputs)
-                if plan is None:
-                    kw["plan"] = plans[inputs] = Plan()
-            right = tables.pop() if op == UNION else None
-            if plan is not None:  # replayed
-                table = replay(plan, stats, tables.pop(), right)
-            elif op == LEAF:
-                table = leaf(i, name, weight, vec, *extra, **kw)
-            elif op == UNION:
-                table = union(tables.pop(), program.present[left], right,
-                              child, vec, *extra, **kw)
-            else:
-                table = (ren if op == REN else add)(tables.pop(), child, i, j,
-                                                    vec, *extra, **kw)
-            child = mask
-            if "plan" in kw:
-                check_recorded(kw["plan"])
-            if dying & touched(op, i, j):
-                if mark is None:
-                    table = prune.retire(table, dying)
-                else:  # ~mark < 0 keys the retirement's plans apart
-                    inputs = (~mark, tuple(table))
+            made = biggest = plan = None  # made: the shape id of table
+            if mark is not None:
+                plan = compiled.get((mark, ids[left], ids[p - 1])
+                                    if op == UNION else (mark, ids[p - 1]))
+                if plan is not None:
+                    made = plan.made
+                else:  # a union reads both children's keys
+                    inputs = (mark, *map(tuple, tables[-2:] if op == UNION
+                                         else tables[-1:]))
                     plan = plans.get(inputs)
                     if plan is None:
-                        plan = plans[inputs] = Plan()
-                        table = prune.retire(table, dying, plan=plan)
-                        check_recorded(plan)
+                        plans[inputs] = record = Plan()
+                        kw = {**kw, "plan": record}
+            right = tables.pop() if op == UNION else None
+            if plan is None:
+                if op == LEAF:
+                    table = leaf(i, name, weight, vec, *extra, **kw)
+                    if named[p]:
+                        made = intern(table)
+                elif op == UNION:
+                    table = union(tables.pop(), program.present[left], right,
+                                  child, vec, *extra, **kw)
+                else:
+                    table = (ren if op == REN else add)(
+                        tables.pop(), child, i, j, vec, *extra, **kw)
+                if mark is not None:
+                    check_recorded(record)
+            elif made is not None:  # found by the input's shape ids
+                table = replay(plan, stats, tables.pop(), right, True)
+                biggest = plan.biggest
+            else:
+                table, made, biggest = replayed(mark, plan, tables.pop(),
+                                                right)
+            child = mask
+            if dying:
+                if mark is None:
+                    table, made = prune.retire(table, dying), None
+                else:  # ~mark < 0 keys the retirement's plans apart
+                    plan = compiled.get((~mark, made))
+                    if plan is not None:
+                        table = replay(plan, stats, table, None, True)
+                        made, biggest = plan.made, plan.biggest
                     else:
-                        table = replay(plan, stats, table)
-            biggest = max(map(len, table.values()), default=0)
+                        inputs = (~mark, tuple(table))
+                        plan = plans.get(inputs)
+                        if plan is None:
+                            plan = plans[inputs] = Plan()
+                            table = prune.retire(table, dying, plan=plan)
+                            check_recorded(plan)
+                            made = biggest = None
+                        else:
+                            table, made, biggest = replayed(~mark, plan,
+                                                            table)
+            if biggest is None:
+                biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
                 for key, cell in table.items():
                     if len(cell) > bound:
                         table[key] = check_size(prune.reducer(cell), bound)
                         stats.reduce_calls += 1
                 biggest = max(map(len, table.values()))
+                made = None  # the reduced table's shape is unknown
+            if made is not None:
+                ids[p] = made
             tables.append(table)
             states.append(len(table))
             cells.append(biggest)

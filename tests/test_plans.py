@@ -125,6 +125,72 @@ def test_a_replay_builds_the_table_its_transition_would(
     assert replayed > 0
 
 
+def _shape_replays(patch, seen):
+    """Have ``seen(held, actual)`` see each replay the driver finds by its
+    input's shape ids (numbered as the driver numbers them, as it names
+    every shape through ``dp.shape``): what the driver holds, the ids of the
+    input shapes the plan's program was compiled for, by which it found the
+    plan, and the plan's output id and largest cell, against the ids of the
+    actual input and output tables' shapes and the output's largest cell."""
+    shape, replay = cwsolve.dp.shape, cwsolve.dp.replay
+    ids, compiled = {}, {}  # a shape -> its id; a plan -> its input shapes
+
+    def named(table):
+        got = shape(table)
+        ids.setdefault(got, len(ids))
+        return got
+
+    def watched(plan, stats, table, table_b=None, known=False):
+        fresh = plan.parts is None
+        out = replay(plan, stats, table, table_b, known)
+        inputs = [shape(t) for t in (table, table_b) if t is not None]
+        if fresh:
+            compiled[plan] = inputs
+        if known:
+            seen(([ids[got] for got in compiled[plan]], plan.made,
+                  plan.biggest),
+                 ([ids.get(got) for got in inputs], ids.get(shape(out)),
+                  max(map(len, out.values()), default=0)))
+        return out
+    patch.setattr(cwsolve.dp, "shape", named)
+    patch.setattr(cwsolve.dp, "replay", watched)
+
+
+@pytest.mark.parametrize("use_reduce", [True, False], ids=["pruned", "reference"])
+@pytest.mark.parametrize("name", ["fvs", "cds", "cvc", "steiner", "perfect-cds"])
+def test_a_shape_id_is_the_id_of_the_table_it_is_held_for(
+        instances, name, use_reduce, monkeypatch):
+    # a replay found by shape id runs its program unchecked
+    found = 0
+    for expr in instances:
+        exact = []
+        with monkeypatch.context() as patch:
+            _shape_replays(patch, lambda held, actual: exact.append(
+                held == actual))
+            res = _solver(name, expr, use_reduce)()
+        assert all(exact) and len(exact) == res.stats.shape_replays
+        found += len(exact)
+    assert found > 0
+
+
+@pytest.mark.parametrize("kind", ["clique", "path", "cycle", "star"])
+def test_shape_ids_carry_a_chain_past_its_first_replays(kind):
+    # Along these chains the contexts and shapes repeat, so every replay
+    # that runs its program finds it by the shape ids the driver holds,
+    # apart from a few near the start: a chain twice as long checks no
+    # more partitions.  An id lost or wrong on the way up checks them again
+    # at the next replay, once per node.  (The reference path of fvs on a
+    # cycle runs no program: its cells grow along the chain.)
+    for name in ("fvs", "cds", "cvc", "steiner", "perfect-cds"):
+        for use_reduce in (True, False):
+            short, long = (_solver(name, fixture(kind, n, seed=1),
+                                   use_reduce)().stats for n in (40, 80))
+            assert (long.shape_replays > short.shape_replays
+                    or long.entry_replays == 0)
+            assert (long.entry_replays - long.shape_replays
+                    == short.entry_replays - short.shape_replays)
+
+
 # Two copies of one subexpression: every node of the second has the context
 # of its twin in the first, so the reference path replays the first's plans.
 TWINS = expression(3, "(u (ren 2 3 (ren 1 3 (add 1 2 (u (v a) (ren 1 2 (v b))))))"
@@ -363,6 +429,45 @@ def test_a_replay_on_other_partitions_runs_build(monkeypatch):
     assert _stats(res.stats) == _stats(ref.stats)
 
 
+def _first_heaviest(cell):
+    """A reducer to one entry: ``cell``'s heaviest, the first on a tie."""
+    part, (weight, wit) = max(cell.items(), key=lambda item: item[1][0])
+    return WPSet.from_pairs([(part, weight, wit)], cell.ground)
+
+
+def test_a_reduced_table_drops_its_shape_id(monkeypatch):
+    # Under a bound of two entries the driver reduces cells at replayed
+    # positions, found by shape id or not, after the replay gave the table
+    # the program's output id; the reduced table must not keep it, so each
+    # replay found by shape id above it still reads the shapes its program
+    # was compiled for, and every table is the unmarked run's.
+    run, replayed, reduced = cwsolve.dp.run, [], []
+
+    def seen(plan, out):  # the last replayed table's cells
+        replayed[:] = out.values()
+
+    def reducer(cell):  # whether it reduces a cell a replay made
+        reduced.append(any(cell is got for got in replayed))
+        return _first_heaviest(cell)
+
+    def small(expr, stats, prune, *transitions):
+        return run(expr, stats, prune._replace(bound=2, reducer=reducer),
+                   *transitions)
+    monkeypatch.setattr(cwsolve.dp, "run", small)
+    exact = []
+    _shape_replays(monkeypatch, lambda held, actual: exact.append(
+        held == actual))
+    _replays(monkeypatch, seen)
+    solve = _solver("fvs", fixture("path", 24), use_reduce=True)  # pruned
+    res, tables = _recorded(monkeypatch, solve, marked=True)
+    assert any(reduced) and exact and all(exact)
+    assert len(exact) == res.stats.shape_replays
+    ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
+    assert tables == ref_tables
+    assert _stats(res.stats) == _stats(ref.stats)
+    assert res.stats.reduce_calls > 0
+
+
 def test_an_entry_program_keeps_the_witness_build_keeps_on_a_tie():
     # a link dropping both labels: p and q both reach {a}{b} at weight 5,
     # and q wins, as its joined partition {a, i, j}{b} first came from r,
@@ -452,7 +557,9 @@ def test_bench_prints_the_plan_counts_and_solve_json_does_not(tmp_path, capsys):
     assert int(rows["plans_recorded"]) > 0
     assert int(rows["plans_replayed"]) > int(rows["plans_recorded"])
     assert 0 < int(rows["entry_replays"]) <= int(rows["plans_replayed"])
+    assert 0 < int(rows["shape_replays"]) <= int(rows["entry_replays"])
     assert cli.run(["solve", "--problem", "cds", "--json", "--expr",
                     str(path)]) == 0
     out = capsys.readouterr().out
     assert "plans" not in out and "entry" not in out
+    assert "shape" not in out
