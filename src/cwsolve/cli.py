@@ -245,6 +245,7 @@ def _cmd_bench(args) -> int:
     print(f"plans_replayed,{stats.plans_replayed}")
     print(f"entry_replays,{stats.entry_replays}")
     print(f"shape_replays,{stats.shape_replays}")
+    print(f"fused_replays,{stats.fused_replays}")
     return 0
 
 

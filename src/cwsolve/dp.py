@@ -8,7 +8,9 @@ reference path), the retirement of dead labels and the rank-bound reduction.
 A non-leaf transition, and a retirement, only plans keys: it lists the cell
 step by which each key it makes comes from its input's cells, and
 :func:`build` makes every cell, live or replayed from a key plan, but where
-a replay runs the plan's entry program (:func:`replay`).  The domination
+a replay runs the plan's entry program (:func:`replay`), and where a
+repeated vertex step (a leaf, its union and the marked nodes above it) runs
+as one (max, +) program (:func:`compose`, :func:`fuse`).  The domination
 transitions leave out the slot states that the future degrees the driver
 hands them rule out, and the keys holding a finished X where the driver's
 verdict says none survives.
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
-from operator import and_, is_not, itemgetter, lshift, mul, ne, or_
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import and_, eq, is_not, itemgetter, lshift, mul, ne, or_
 from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
@@ -43,6 +45,7 @@ class SolveStats:
     plans_replayed: int = 0
     entry_replays: int = 0  # replays by a plan's entry program
     shape_replays: int = 0  # of those, the ones found by shape id
+    fused_replays: int = 0  # vertex steps run as one program
 
     def as_dict(self) -> dict:
         return {
@@ -136,6 +139,26 @@ def repeated_contexts(program, fut: list, aheads: list, doomed) -> list:
     return list(map(shared.get, contexts))
 
 
+def vertex_steps(program, marks: list) -> list:
+    """Per position: ``(key, q, chained)`` at a leaf p that starts a vertex
+    step (its parent, a marked union with left child p - 1, and the marked
+    relabels and adds above it, up to q), else None; ``key`` numbers the
+    marks of p + 1..q, and ``chained`` says if the leaf q + 1 starts one."""
+    op, n = program.op, len(program.op)
+    out, keys = [None] * n, {}
+    # a union whose left child is r - 2 has the leaf r - 1 as its right one
+    for r in reversed([*compress(count(), map(eq, program.left,
+                                              range(-2, n - 2)))]):
+        if marks[r] is None or r < 2:  # 1 is no union's
+            continue
+        q = r
+        while q + 1 < n and marks[q + 1] is not None and op[q + 1] != UNION:
+            q += 1
+        out[r - 1] = (keys.setdefault(tuple(marks[r:q + 1]), len(keys)), q,
+                      q + 1 < n and out[q + 1] is not None)
+    return out
+
+
 class Plan:
     """A key plan (:func:`run`): the cell steps, in order, by which one call
     of a transition or retirement made its table from its input's, with the
@@ -226,9 +249,10 @@ def compile_entries(plan: Plan, out: dict, table: dict,
     entry, and per key of ``out`` ``(key, source, ground, items)``: None
     items where ``out`` shares the input cell at ``source``, else per
     partition ``(partition, first, more)``, the flat indices of the input
-    entries (pairs at a union) ``build`` weighs for it, in its order.  The
-    partitions come from the kernel on one-entry cells, and must be
-    ``out``'s, or :class:`~cwsolve.wpsets.InvariantError` is raised."""
+    entries ``build`` weighs for it, in its order.  A union's program is in
+    the form :func:`compose` gives, over pairs of entries.  The partitions
+    come from the kernel on one-entry cells, and must be ``out``'s, or
+    :class:`~cwsolve.wpsets.InvariantError` is raised."""
     cells = list(table.values())
     bases = [0, *accumulate(map(len, cells))]
     rows = []  # (key, input position, (step, order), partition, entry)
@@ -265,10 +289,15 @@ def compile_entries(plan: Plan, out: dict, table: dict,
             list(parts) != list(out[key]) for key, parts in made.items()):
         raise InvariantError("an entry program does not make the table "
                              "dp.build made")
+    if table_b is not None:  # a program as compose makes them
+        return True, (tuple((key, out[key].ground, tuple(parts))
+                            for key, parts in made.items()),
+                      tuple((*xs[0], tuple(xs[1:])) for parts in made.values()
+                            for xs in parts.values()))
     program = []
     for key, parts in made.items():
         p, *others = sources[key]
-        if table_b is None and not others and out[key] is cells[p]:
+        if not others and out[key] is cells[p]:
             program.append((key, p, None, None))
         else:
             program.append((key, None, out[key].ground, tuple(
@@ -299,32 +328,77 @@ def replay(plan: Plan, stats: SolveStats, table: dict,
             return out
     stats.entry_replays += 1
     reads, program = plan.program
-    entries = reads and list(chain.from_iterable(map(dict.values, cells)))
+    if table_b is not None:
+        return unflatten(program[0], fuse(program[1], flat(table),
+                                          flat(table_b)))
+    entries = reads and flat(table)
     out = {}
-    if table_b is None:
-        for key, source, ground, items in program:
-            if items is None:
-                out[key] = cells[source]
-                continue
-            cell = out[key] = WPSet(ground)
-            for part, x, more in items:
-                entry = entries[x]
-                for y in more:  # the first of the heaviest
-                    if entries[y][0] > entry[0]:
-                        entry = entries[y]
-                cell[part] = entry
-        return out
-    entries_b = list(chain.from_iterable(map(dict.values, cells_b)))
-    for key, _, ground, items in program:
+    for key, source, ground, items in program:
+        if items is None:
+            out[key] = cells[source]
+            continue
         cell = out[key] = WPSet(ground)
-        for part, (a, b), more in items:
-            weight = entries[a][0] + entries_b[b][0]
-            for x, y in more:  # the first of the heaviest sums
-                if entries[x][0] + entries_b[y][0] > weight:
-                    a, b, weight = x, y, entries[x][0] + entries_b[y][0]
-            cell[part] = (weight, combine_witness(entries[a][1],
-                                                  entries_b[b][1]))
+        for part, x, more in items:
+            entry = entries[x]
+            for y in more:  # the first of the heaviest
+                if entries[y][0] > entry[0]:
+                    entry = entries[y]
+            cell[part] = entry
     return out
+
+
+def compose(plans: list) -> tuple:
+    """The one program a union's entry program and the unary ones after it
+    make: the output's ``(key, ground, partitions)`` and per output entry
+    ``(a, b, more)``, the input pairs whose first heaviest sum it is, as
+    :func:`compile_entries` gives a union's.  A unary step lists its
+    candidates' pairs outer first, then inner, so the first of the heaviest
+    is the entry the nested choice keeps."""
+    skeleton, items = plans[0].program[1]
+    items = [[(a, b), *more] for a, b, more in items]
+    for plan in plans[1:]:
+        starts = [0, *accumulate(len(parts) for *_, parts in skeleton)]
+        made, out = [], []
+        for key, source, ground, parts in plan.program[1]:
+            if parts is None:  # the input cell at source, as it is
+                _, ground, parts = skeleton[source]
+                out += items[starts[source]:starts[source + 1]]
+            else:
+                out += ([y for x in (first, *more) for y in items[x]]
+                        for _, first, more in parts)
+                parts = tuple(map(itemgetter(0), parts))
+            made.append((key, ground, parts))
+        skeleton, items = made, out
+    return tuple(skeleton), tuple((*pairs[0], tuple(pairs[1:]))
+                                  for pairs in items)
+
+
+def fuse(items: tuple, entries: list, entries_b: list) -> list:
+    """The output entries of a program :func:`compose` made, over the flat
+    input entries of a union's two children."""
+    out = []
+    for a, b, more in items:
+        weight = entries[a][0] + entries_b[b][0]
+        for x, y in more:  # the first of the heaviest sums
+            if entries[x][0] + entries_b[y][0] > weight:
+                a, b, weight = x, y, entries[x][0] + entries_b[y][0]
+        out.append((weight, combine_witness(entries[a][1], entries_b[b][1])))
+    return out
+
+
+def unflatten(skeleton: tuple, entries: list) -> dict:
+    """The table of ``skeleton``'s keys, grounds and partitions, holding
+    ``entries`` in order."""
+    out, entries = {}, iter(entries)
+    for key, ground, parts in skeleton:
+        cell = out[key] = WPSet(ground)
+        cell.update(zip(parts, entries))
+    return out
+
+
+def flat(table: dict) -> list:
+    """A table's entries, cell by cell, in order."""
+    return list(chain.from_iterable(map(dict.values, table.values())))
 
 
 def shape(table: dict) -> tuple:
@@ -435,6 +509,19 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     output keys and partitions are fixed by its input's, so the output id
     and largest cell kept at the compile are exact for every run.
 
+    Fused steps.  Where a vertex step (:func:`vertex_steps`) runs node by
+    node and every node keeps an id, the driver composes the programs it
+    ran (:func:`compose`), checks the result once against the table the
+    nodes made (:class:`~cwsolve.wpsets.InvariantError`), and files it
+    under the step's marks and its input ids, with the output's id and the
+    states and largest cells of p..q.  A later hit skips p + 1..q and runs
+    it (:func:`fuse`), counted in ``stats.fused_replays`` and, per program
+    it stands for, in the replay counts; along a run of hits the output
+    stays a flat entry list, made a table where the run ends.  Sound: each
+    node's program is fixed by its context and input ids, and its output
+    id by the program, so the key fixes every shape, states count and
+    largest cell, and as no node of a filed step was reduced, no hit is.
+
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
     label counts.
@@ -468,6 +555,10 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     shapes: dict[tuple, int] = {}  # a table's shape -> its id
     ids = [None] * n  # per position: its table's shape id, where known
     compiled: dict[tuple, Plan] = {}  # (context, input shape ids) -> plan
+    steps = vertex_steps(program, marks)
+    fused: dict[tuple, tuple] = {}  # (step key, input shape ids) -> record
+    held = pending = None  # a fused run's output entries; a step to file
+    until, programs = -1, 0  # its end; the programs the fused steps ran
 
     def intern(table):
         return shapes.setdefault(shape(table), len(shapes))
@@ -487,13 +578,35 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
             return out, None, None
         return out, plan.made, plan.biggest
 
+    def file_step(key, p, top, leaf_table, table):
+        """File the vertex step from the leaf at p, run node by node from
+        ``top`` and ``leaf_table`` to ``table`` (see Fused steps)."""
+        q, run = until, []  # a node made live, built or reduced has no id
+        for r in range(p + 1, q + 1):
+            plan = compiled.get((marks[r], ids[p - 1], ids[p]) if r == p + 1
+                                else (marks[r], ids[r - 1]))
+            if plan is not None and retiring[r]:
+                run.append(plan)
+                plan = compiled.get((~marks[r], plan.made))
+            if plan is None:
+                return
+            run.append(plan)
+        skeleton, items = compose(run)
+        if skeleton != tuple((k, cell.ground, tuple(cell))
+                             for k, cell in table.items()) or fuse(
+                items, flat(top), flat(leaf_table)) != flat(table):
+            raise InvariantError("a fused vertex step does not make the "
+                                 "table its nodes made")
+        fused[(key, ids[p - 1], ids[p])] = (
+            items, skeleton, ids[q], states[p:q + 1], cells[p:q + 1], len(run))
+
     MERGE_MEMO.clear()
     try:
+        rows = enumerate(zip(ops, program.i, program.j, program.left,
+                             program.name, program.weight, program.present,
+                             fut, retiring, aheads, kws, marks, steps))
         for p, (op, i, j, left, name, weight, mask, vec, dying, ahead, kw,
-                mark) in enumerate(zip(ops, program.i, program.j,
-                                       program.left, program.name,
-                                       program.weight, program.present, fut,
-                                       retiring, aheads, kws, marks)):
+                mark, step) in rows:
             extra = () if ahead is None else (ahead,)
             made = biggest = plan = None  # made: the shape id of table
             if mark is not None:
@@ -548,6 +661,26 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                         else:
                             table, made, biggest = replayed(~mark, plan,
                                                             table)
+            if step is not None:  # a leaf that starts a vertex step
+                fusion = fused.get((step[0], ids[p - 1], made))
+                if fusion is not None:  # the ids fix p..q's states and cells
+                    q, chained = step[1], step[2]
+                    items, skeleton, ids[q], its_states, its_cells, m = fusion
+                    held = fuse(items, flat(tables.pop()) if held is None
+                                else held, flat(table))
+                    states += its_states
+                    cells += its_cells
+                    programs += m
+                    stats.fused_replays += 1
+                    next(islice(rows, q - p, q - p), None)  # skip p + 1..q
+                    child = program.present[q]
+                    if not chained:
+                        tables.append(unflatten(skeleton, held))
+                        held = None
+                    continue
+                if held is not None:  # the run of fused steps ends
+                    tables.append(unflatten(skeleton, held))
+                    held = None
             if biggest is None:
                 biggest = max(map(len, table.values()), default=0)
             if biggest > bound:
@@ -557,14 +690,22 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                         stats.reduce_calls += 1
                 biggest = max(map(len, table.values()))
                 made = None  # the reduced table's shape is unknown
-            if made is not None:
-                ids[p] = made
             tables.append(table)
             states.append(len(table))
             cells.append(biggest)
+            if made is not None:
+                ids[p] = made
+                if p == until:
+                    file_step(*pending, table)
+                    pending = None
+                elif step is not None and ids[p - 1] is not None:
+                    until, pending = step[1], (step[0], p, tables[-2], table)
     finally:
         MERGE_MEMO.clear()
     stats.plans_recorded += len(plans)
+    stats.plans_replayed += programs
+    stats.entry_replays += programs
+    stats.shape_replays += programs
     stats.node_kinds.update(map(KIND_NAMES.__getitem__, program.op))
     stats.dp_nodes = stats.node_kinds.total()
     stats.total_states += sum(states)

@@ -210,6 +210,80 @@ def test_root_optimum_keeps_the_first_best_entry():
     assert root_optimum([]) == (NEG_INF, None)
 
 
+# the partitions of {1, 2, 3} (bits 1..3): a finest one, and one per label
+FINEST = (0b10, 0b100, 0b1000)
+LABEL_PARTS = ((0b1110,), (0b10, 0b1100), (0b100, 0b1010), (0b110, 0b1000))
+
+
+class MergingProblem:
+    """A fake problem whose transitions make their tables with ``dp.build``,
+    so they record and replay key plans, with every cell over one ground set
+    and of one entry, apart from one: a relabel or add whose node retires a
+    label also merges every label's cell into one more at the key "m", and
+    the retirement drops that key.  So the retirement makes a table whose
+    largest cell is smaller than the transition's, and the run's largest
+    cell is 1 (:func:`run`).  The key 0 holds the finest partition at weight
+    0, so that a union that joins each cell of one side with it copies both
+    sides' cells."""
+
+    GROUND = 0b1110
+
+    def leaf(self, label, name, weight, fut, **kw):
+        cell = WPSet.from_pairs([(LABEL_PARTS[label % 4], weight, name)],
+                                self.GROUND)
+        return {0: WPSet.from_pairs([(FINEST, 0, ())], self.GROUND),
+                label: cell}
+
+    def ren(self, table, present, i, j, fut, *, plan=None):
+        steps = [(key, key, None) for key in table]
+        if not (fut[i - 1] and fut[j - 1]):  # the node retires a label
+            steps += [(key, "m", None) for key in table if key != 0]
+        return cwsolve.dp.build(plan, steps, (i, j, False, None), table)
+
+    add = ren
+
+    def union(self, table_a, pres_a, table_b, pres_b, fut, *, plan=None):
+        zero_a, zero_b = list(table_a).index(0), list(table_b).index(0)
+        steps = [(a, zero_b, key, 0, 0) for a, key in enumerate(table_a)]
+        steps += [(zero_a, b, key, 0, 0) for b, key in enumerate(table_b)
+                  if key != 0]
+        return cwsolve.dp.build(plan, steps, (join_sets,), table_a, table_b)
+
+    def retire(self, table, dead, plan=None):
+        return cwsolve.dp.build(plan, [(key, key, None) for key in table
+                                       if key != "m"], (0, 0, False, None),
+                                table)
+
+    def run(self, expr):
+        stats = SolveStats()
+        run(expr, stats, Prune(1, 1000, _refuse, self.retire), self.leaf,
+            self.ren, self.add, self.union)
+        return stats
+
+
+def test_the_largest_cell_after_a_retirement_is_the_retirements(monkeypatch):
+    # A retirement found by shape id, or fused into a vertex step, must give
+    # its position the largest cell of the table it made, not the one the
+    # transition made before it; the bound is above every cell, so only
+    # max_cell_entries shows it.
+    from test_plans import _unfused
+    problem = MergingProblem()
+    for kind in ("path", "cycle", "clique", "star"):
+        expr = fixture(kind, 30, seed=1)
+        fused = problem.run(expr)
+        with monkeypatch.context() as patch:
+            _unfused(patch)
+            unfused = problem.run(expr)
+        with monkeypatch.context() as patch:
+            _unmarked(patch)
+            ref = problem.run(expr)
+        assert ref.max_cell_entries == 1
+        assert unfused.shape_replays > 0 and fused.fused_replays > 0
+        for stats in (fused, unfused):
+            assert stats.as_dict() | {"elapsed_ms": 0} == \
+                ref.as_dict() | {"elapsed_ms": 0}
+
+
 class JoiningProblem(FakeProblem):
     """A fake problem whose transitions also join two cells, filling the
     merge memo, and record the memo's size when they start."""

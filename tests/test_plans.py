@@ -6,6 +6,7 @@ partitions repeat too, its entry program (``dp.replay``)."""
 import gc
 import random
 import weakref
+from collections import deque
 
 import pytest
 
@@ -14,7 +15,8 @@ import cwsolve.fvs
 import cwsolve.sigma_rho
 from cwsolve import cli, fixture, naive_expression
 from cwsolve.cwexpr import FIXTURE_KINDS, evaluate, future_degrees, serialize
-from cwsolve.dp import Plan, SolveStats, build, capped_degrees, replay, run
+from cwsolve.dp import (Plan, SolveStats, build, capped_degrees, compose,
+                        flat, fuse, replay, run, unflatten)
 from cwsolve.fvs import fvs_add, fvs_leaf, fvs_ren, fvs_union, solve_fvs
 from cwsolve.partitions import iter_partitions
 from cwsolve.sigma_rho import (COMPLETE, DomContext, _complete, preset_spec,
@@ -42,6 +44,13 @@ def _unmarked(monkeypatch):
     """No position is marked: every transition runs without a plan."""
     monkeypatch.setattr(cwsolve.dp, "repeated_contexts",
                         lambda program, *args: [None] * len(program.op))
+
+
+def _unfused(monkeypatch):
+    """No vertex step is fused: the driver runs every position, so that a
+    test can see the table each one makes."""
+    monkeypatch.setattr(cwsolve.dp, "vertex_steps",
+                        lambda program, marks: [None] * len(program.op))
 
 
 def _replays(monkeypatch, seen):
@@ -113,6 +122,7 @@ def instances():
 @pytest.mark.parametrize("name", ["fvs", "cds", "cvc", "steiner", "perfect-cds"])
 def test_a_replay_builds_the_table_its_transition_would(
         instances, name, use_reduce, monkeypatch):
+    _unfused(monkeypatch)
     replayed = 0
     for expr in instances:
         solve = _solver(name, expr, use_reduce)
@@ -161,6 +171,7 @@ def _shape_replays(patch, seen):
 def test_a_shape_id_is_the_id_of_the_table_it_is_held_for(
         instances, name, use_reduce, monkeypatch):
     # a replay found by shape id runs its program unchecked
+    _unfused(monkeypatch)
     found = 0
     for expr in instances:
         exact = []
@@ -493,6 +504,170 @@ def test_an_entry_program_keeps_the_witness_build_keeps_on_a_tie():
         assert stats.entry_replays == 2
 
 
+def test_a_fused_step_keeps_the_witness_build_keeps_on_a_tie():
+    # Elements 1 (i), 2 (j), 3 and 4.  The union joins three cells of one
+    # side with b's: q = {1}{2, 3}{4} comes from each, at 3, 5 and 5, and
+    # the second wins the tie.  The link dropping both labels maps r, q and
+    # p to {3}{4}: q and p tie at 5, and q wins, as its joined partition
+    # {1, 2, 3}{4} first came from r.  Listed inner-first, the flat list
+    # would weigh p before q's second pair.
+    ground_a = 0b11010
+    table_a = {"a0": WPSet.from_pairs([((10, 16), 1, "ar"),
+                                       ((2, 8, 16), 3, "aq0")], ground_a),
+               "a1": WPSet.from_pairs([((2, 8, 16), 5, "aq1")], ground_a),
+               "a2": WPSet.from_pairs([((2, 8, 16), 5, "aq2"),
+                                       ((8, 18), 5, "ap")], ground_a)}
+    table_b = {"b": WPSet.from_pairs([((4, 8), 0, "bs"), ((12,), 0, "bq")],
+                                     0b1100)}
+    union, linked, stats = Plan(), Plan(), SolveStats()
+    made = build(union, [(a, 0, "k", 0, 0) for a in range(3)], (join_sets,),
+                 table_a, table_b)
+    want = build(linked, [("k", "k", 0b110)], (1, 2, True, proj), made)
+    assert want["k"][(8, 16)] == (5, ("aq1", "bq"))
+    replay(union, stats, table_a, table_b)  # the first replays compile
+    replay(linked, stats, made)
+    skeleton, items = compose([union, linked])
+    got = unflatten(skeleton, fuse(items, flat(table_a), flat(table_b)))
+    assert _contents(got) == _contents(want)
+
+
+def _by_position(solve, monkeypatch):
+    """The result of ``solve()``, with one run of ``dp.run``, and per
+    position the table the driver made there (after its retirement), or
+    None where it made none: inside a fused vertex step, and at its end
+    where the next step is fused too.  A run end is the table
+    ``dp.unflatten`` makes when a run of fused steps ends.  Read off the
+    order of the calls: per position its transition or replay, then its
+    retirement's where it retires, and at a leaf that starts a step, a
+    ``dp.fuse`` call where the step is fused.  A call made inside a logged
+    one, as a union's replay makes, is not logged."""
+    events, seen, depth = deque(), {}, [0]
+    dp = cwsolve.dp
+
+    def logged(kind, fn):
+        def call(*args, **kw):
+            depth[0] += 1
+            try:
+                out = fn(*args, **kw)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                events.append((kind, out))
+            return out
+        return call
+
+    def running(expr, stats, prune, *transitions):
+        seen["expr"], seen["prune"] = expr, prune
+        return run(expr, stats, prune, *transitions)
+
+    def steps(program, marks, vertex_steps=dp.vertex_steps):
+        seen["steps"] = vertex_steps(program, marks)
+        return seen["steps"]
+
+    with monkeypatch.context() as patch:
+        for module, names in TRANSITIONS.items():
+            for name in names:
+                patch.setattr(module, name,
+                              logged("call", getattr(module, name)))
+        for name in ("replay", "fuse", "unflatten", "compose"):
+            patch.setattr(dp, name, logged(name, getattr(dp, name)))
+        patch.setattr(dp, "vertex_steps", steps)
+        patch.setattr(dp, "run", running)
+        res = solve()
+    program, prune = seen["expr"].program, seen["prune"]
+    _, dead = capped_degrees(seen["expr"], prune and prune.cap)
+    retiring = [d & t for d, t in zip(dead, dp.touched(program))]
+    tables, ends, held, p = [None] * len(program.op), [], None, 0
+
+    def end(q):  # the table a run of fused steps ends with, at q
+        assert events[0][0] == "unflatten"
+        tables[q] = _contents(events.popleft()[1])
+        ends.append(q)
+
+    while p < len(program.op):
+        table = events.popleft()[1]
+        if retiring[p]:
+            table = events.popleft()[1]
+        tables[p] = _contents(table)
+        step = seen["steps"][p]
+        if step is not None and events and events[0][0] == "fuse":
+            events.popleft()
+            held = step[1] if step[2] else end(step[1])
+            p = step[1] + 1
+            continue
+        if step is not None and held is not None:  # a miss ends the run
+            held = end(held)
+        while events and events[0][0] == "compose":  # a step filed, checked
+            for _ in range(2):  # compose, fuse
+                events.popleft()
+        p += 1
+    assert not events
+    return res, tables, ends
+
+
+def _all_stats(stats):
+    """Every stat but the elapsed time and the fused step count."""
+    return {name: value for name, value in vars(stats).items()
+            if name not in ("elapsed_ms", "fused_replays")}
+
+
+@pytest.mark.parametrize("use_reduce", [True, False], ids=["pruned", "reference"])
+@pytest.mark.parametrize("name", ["fvs", "cds", "cvc", "steiner", "perfect-cds"])
+def test_a_fused_run_makes_the_unmarked_runs_table_where_it_makes_one(
+        instances, name, use_reduce, monkeypatch):
+    # A fused vertex step makes no table inside it, so the comparison with
+    # the unmarked run is made at every position the fused run makes a
+    # table, every run end included; its stats are the node-by-node run's.
+    fused = ends = unmade = 0
+    for expr in instances:
+        solve = _solver(name, expr, use_reduce)
+        res, tables, run_ends = _by_position(solve, monkeypatch)
+        with monkeypatch.context() as patch:
+            _unmarked(patch)
+            ref, ref_tables, _ = _by_position(solve, patch)
+        with monkeypatch.context() as patch:
+            _unfused(patch)
+            unfused = solve()
+        assert None not in ref_tables
+        assert all(got is None or got == want
+                   for got, want in zip(tables, ref_tables))
+        assert _all_stats(res.stats) == _all_stats(unfused.stats)
+        assert _stats(res.stats) == _stats(ref.stats)
+        fused += res.stats.fused_replays
+        ends += len(run_ends)
+        unmade += tables.count(None)
+    assert fused > 0 and ends > 0 and unmade > 0
+
+
+def test_a_fused_run_end_holds_the_id_of_the_table_it_makes(monkeypatch):
+    # Where a run of fused steps ends, the driver makes the table at its
+    # last step's end q and holds the output id that step was filed with.
+    # A replay found by shape id that reads the table must find the program
+    # compiled for that table's shape.
+    exact, read = [], []
+    for kind in FIXTURE_KINDS:
+        for name in ("fvs", "cds", "cvc", "steiner", "perfect-cds"):
+            ends = []
+            with monkeypatch.context() as patch:  # shapes numbered per run
+                _shape_replays(patch, lambda held, actual: exact.append(
+                    held == actual))
+                unflatten, replay = cwsolve.dp.unflatten, cwsolve.dp.replay
+
+                def ending(skeleton, entries):
+                    ends.append(unflatten(skeleton, entries))
+                    return ends[-1]
+
+                def reading(plan, stats, table, table_b=None, known=False):
+                    if known:
+                        read.append(any(got is table or got is table_b
+                                        for got in ends))
+                    return replay(plan, stats, table, table_b, known)
+                patch.setattr(cwsolve.dp, "unflatten", ending)
+                patch.setattr(cwsolve.dp, "replay", reading)
+                _solver(name, fixture(kind, 40, seed=1), True)()
+    assert exact and all(exact) and any(read)
+
+
 def _weighted(rng, ground):
     """A cell with every partition of ``ground``, random weights and a
     witness of its own per entry."""
@@ -558,8 +733,9 @@ def test_bench_prints_the_plan_counts_and_solve_json_does_not(tmp_path, capsys):
     assert int(rows["plans_replayed"]) > int(rows["plans_recorded"])
     assert 0 < int(rows["entry_replays"]) <= int(rows["plans_replayed"])
     assert 0 < int(rows["shape_replays"]) <= int(rows["entry_replays"])
+    assert 0 < int(rows["fused_replays"]) < int(rows["shape_replays"])
     assert cli.run(["solve", "--problem", "cds", "--json", "--expr",
                     str(path)]) == 0
     out = capsys.readouterr().out
     assert "plans" not in out and "entry" not in out
-    assert "shape" not in out
+    assert "shape" not in out and "fused" not in out
