@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import and_, eq, is_not, itemgetter, lshift, mul, ne, or_
+from operator import and_, eq, itemgetter, lshift, mul, ne, or_
 from typing import Callable, NamedTuple
 
 from .cwexpr import (ADD, LEAF, REN, UNION, CwExpression, Program,
@@ -44,7 +44,6 @@ class SolveStats:
     plans_recorded: int = 0  # key plans (:func:`run`); not in as_dict
     plans_replayed: int = 0
     entry_replays: int = 0  # replays by a plan's entry program
-    shape_replays: int = 0  # of those, the ones found by shape id
     fused_replays: int = 0  # vertex steps run as one program
 
     def as_dict(self) -> dict:
@@ -164,17 +163,17 @@ class Plan:
     of a transition or retirement made its table from its input's, with the
     arguments of those steps (:func:`build` keeps both).  The driver keys it
     by the call's context and its input tables' key sequences.  From its
-    first replay on, it holds that replay's input cells' partition sequences
-    and the entry program made for them (:func:`compile_entries`); where
-    :func:`run` compiled it, also the shape id of the program's output
-    (:func:`shape`) and the output's largest cell, taken from the table
-    :func:`build` made and the program was checked against."""
+    first replay on, it holds the entry program made for that replay's
+    input (:func:`compile_entries`); where :func:`run` compiled it, also the
+    shape id of the program's output (:func:`shape`) and the output's
+    largest cell, taken from the table :func:`build` made and the program
+    was checked against."""
 
-    __slots__ = ("steps", "args", "parts", "program", "made", "biggest")
+    __slots__ = ("steps", "args", "program", "made", "biggest")
 
     def __init__(self):
-        self.steps = self.args = self.parts = self.program = None
-        self.made = self.biggest = None
+        self.steps = self.args = self.program = self.made = None
+        self.biggest = None
 
 
 def check_recorded(plan: Plan) -> None:
@@ -308,31 +307,23 @@ def compile_entries(plan: Plan, out: dict, table: dict,
 def replay(plan: Plan, stats: SolveStats, table: dict,
            table_b: dict | None = None, known: bool = False) -> dict:
     """The table ``plan`` makes of ``table``'s cells (a union's and
-    ``table_b``'s), counted in ``stats``: by its entry program where the
-    cells' partitions are those it was compiled for, else by :func:`build`.
-    Where ``known``, the caller has found ``plan`` by its input's shape ids,
-    which are those of the input it was compiled for, and the program runs
-    unchecked."""
+    ``table_b``'s), counted in ``stats``.  Where ``known``, the caller has
+    found ``plan`` by its input's shape ids, which are those of the input
+    its entry program was compiled for, and the program makes it; else
+    :func:`build` does, and a plan without a program compiles one for this
+    input (:func:`compile_entries`)."""
     stats.plans_replayed += 1
-    cells = list(table.values())
-    cells_b = () if table_b is None else list(table_b.values())
-    if known:
-        stats.shape_replays += 1
-    else:
-        parts = [*map(tuple, cells), *map(tuple, cells_b)]
-        if parts != plan.parts:
-            out = build(None, plan.steps, plan.args, table, table_b)
-            if plan.parts is None:
-                plan.program = compile_entries(plan, out, table, table_b)
-                plan.parts = parts
-            return out
+    if not known:
+        out = build(None, plan.steps, plan.args, table, table_b)
+        if plan.program is None:
+            plan.program = compile_entries(plan, out, table, table_b)
+        return out
     stats.entry_replays += 1
     reads, program = plan.program
     if table_b is not None:
         return unflatten(program[0], fuse(program[1], flat(table),
                                           flat(table_b)))
-    entries = reads and flat(table)
-    out = {}
+    cells, entries, out = list(table.values()), reads and flat(table), {}
     for key, source, ground, items in program:
         if items is None:
             out[key] = cells[source]
@@ -483,44 +474,41 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     context repeats, as on naive expressions, nothing is recorded.  The
     plans live for one run; ``stats`` counts those recorded and replayed.
 
-    Entry plans.  A plan's first replay compiles an entry program for its
-    input cells' partitions (:func:`compile_entries`); a later replay
-    whose input cells hold the same partition sequences runs it, counted
-    in ``stats.entry_replays``, and any other runs :func:`build`.  Sound:
-    a join's, link's or projection's output partitions and their order
-    depend only on the input partitions and the labels, and weights flow
-    only through + and max, so each output entry is the first of a fixed
-    list of input entries, or pairs, with the largest weight or sum: the
-    entry, and so the witness, that :func:`build` keeps.
-
-    Shape ids.  A table's shape is its keys and its cells' partitions, in
-    order (:func:`shape`); the driver interns each shape it meets once per
-    run, so two shapes are equal exactly when their ids are.  It holds an
-    id for a table where it knows the shape: a leaf a marked parent reads,
-    and the output of a replay that compiled or ran an entry program.  A
-    table made live or by :func:`build`, retired live or reduced has none.
-    A compile files its plan under the context and the ids of its inputs;
-    at a marked position whose inputs all have ids the driver looks the
-    plan up by them (a retirement by ``~context`` and the id) before the
-    key lookup, and a hit runs the program with no key tuple and no
-    partition check, counted in ``stats.shape_replays``.  Sound: a hit's
-    inputs have the shapes the program was compiled for, so their keys
-    give the same plan and their partitions pass the check; a program's
-    output keys and partitions are fixed by its input's, so the output id
-    and largest cell kept at the compile are exact for every run.
+    Entry programs and shape ids.  A table's shape is its keys and its
+    cells' partitions, in order (:func:`shape`), interned once per run, so
+    two shapes are equal exactly when their ids are.  A table gets its id
+    when a marked node or retirement, or a leaf that starts a vertex step,
+    first reads it; the output of a replay that compiles or runs an entry
+    program gets the program's output id as it is made.  A plan's first
+    replay runs :func:`build` and compiles an entry program
+    (:func:`compile_entries`), filed under the context and the input ids (a
+    retirement's under ``~context``).  A marked node looks a program up by
+    them before the key lookup; a hit runs it with no key tuple, counted in
+    ``stats.entry_replays``, and any other replay runs :func:`build`.
+    Sound: a join's, link's or projection's output partitions and their
+    order depend only on the input partitions and the labels, and weights
+    flow only through + and max, so each output entry is the first of a
+    fixed list of input entries, or pairs, with the largest weight or sum:
+    the entry, and so the witness, that :func:`build` keeps.  A hit's input
+    has the shape its program was compiled for, and so the plan's keys; and
+    as the output's keys and partitions are fixed by the input's, the
+    output id and largest cell taken from the table :func:`build` made at
+    the compile, which the program was checked against, are exact for
+    every run.
 
     Fused steps.  Where a vertex step (:func:`vertex_steps`) runs node by
-    node and every node keeps an id, the driver composes the programs it
-    ran (:func:`compose`), checks the result once against the table the
-    nodes made (:class:`~cwsolve.wpsets.InvariantError`), and files it
-    under the step's marks and its input ids, with the output's id and the
-    states and largest cells of p..q.  A later hit skips p + 1..q and runs
-    it (:func:`fuse`), counted in ``stats.fused_replays`` and, per program
-    it stands for, in the replay counts; along a run of hits the output
-    stays a flat entry list, made a table where the run ends.  Sound: each
-    node's program is fixed by its context and input ids, and its output
-    id by the program, so the key fixes every shape, states count and
-    largest cell, and as no node of a filed step was reduced, no hit is.
+    node and each node above its leaf holds its program's output, the
+    driver composes the programs (:func:`compose`), checks the result once
+    against the nodes' table (:class:`~cwsolve.wpsets.InvariantError`), and
+    files it under the step's marks and its input ids, with the output's id
+    and the states and largest cells of p..q.  A later hit skips p + 1..q
+    and runs it (:func:`fuse`), counted in ``stats.fused_replays`` and, per
+    program it stands for, in the replay counts; along a run of hits the
+    output stays a flat entry list, made a table where the run ends.
+    Sound: each node's program is fixed by its context and input ids, and
+    its output id by the program, so the key fixes every shape, states
+    count and largest cell, and as no node of a filed step was reduced (a
+    reduced table's id is not its program's), no hit is.
 
     ``stats.live_width`` is the most nonempty labels any node has that are
     not dead (:func:`live_width`); on the reference path every nonempty
@@ -537,23 +525,17 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     del degrees  # one tuple per position: free it before the tables grow
     marks = repeated_contexts(program, fut, aheads, doomed)
     # per position, once and in bulk: its dead labels where the node sets a
-    # dead slot, else 0, the verdict as keywords, and whether a marked
-    # parent reads the node's table
+    # dead slot, else 0, and the verdict as keywords
     retiring = list(map(mul, dead, map(bool, map(and_, dead,
                                                  touched(program)))))
     kws = [{}] * n  # shared: the driver never writes to one
     for p in doomed:
         kws[p] = {"doomed": True}
-    named = [False] * n
-    for p in compress(count(), map(is_not, marks, repeat(None))):
-        named[p - 1] = True
-        if ops[p] == UNION:
-            named[program.left[p]] = True
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
     plans: dict[tuple, Plan] = {}  # (context, input key sequences) -> plan
     shapes: dict[tuple, int] = {}  # a table's shape -> its id
-    ids = [None] * n  # per position: its table's shape id, where known
+    ids = [None] * n  # per position: its table's shape id, once read
     compiled: dict[tuple, Plan] = {}  # (context, input shape ids) -> plan
     steps = vertex_steps(program, marks)
     fused: dict[tuple, tuple] = {}  # (step key, input shape ids) -> record
@@ -563,32 +545,35 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     def intern(table):
         return shapes.setdefault(shape(table), len(shapes))
 
-    def replayed(context, plan, table, right=None):
-        """The replay of ``plan`` by :func:`replay`, with its output's shape
-        id and largest cell where it compiled or ran the entry program; a
-        compile files the plan under its input's shape ids."""
-        fresh, ran = plan.parts is None, stats.entry_replays
+    def name(r, at):
+        """Position r's shape id, interned from ``tables[at]`` if unnamed."""
+        if ids[r] is None:
+            ids[r] = intern(tables[at])
+        return ids[r]
+
+    def replayed(found, plan, table, right=None):
+        """The replay of ``plan`` by :func:`build`, with its output's shape
+        id and largest cell where it compiled the entry program, which it
+        then files under ``found``, its context and input shape ids."""
+        if plan.program is not None:
+            return replay(plan, stats, table, right), None, None
         out = replay(plan, stats, table, right)
-        if fresh:
-            plan.made = intern(out)
-            plan.biggest = max(map(len, out.values()), default=0)
-            compiled[(context, intern(table)) if right is None
-                     else (context, intern(table), intern(right))] = plan
-        elif stats.entry_replays == ran:  # built
-            return out, None, None
+        plan.made = intern(out)
+        plan.biggest = max(map(len, out.values()), default=0)
+        compiled[found] = plan
         return out, plan.made, plan.biggest
 
     def file_step(key, p, top, leaf_table, table):
         """File the vertex step from the leaf at p, run node by node from
         ``top`` and ``leaf_table`` to ``table`` (see Fused steps)."""
-        q, run = until, []  # a node made live, built or reduced has no id
+        q, run = until, []
         for r in range(p + 1, q + 1):
             plan = compiled.get((marks[r], ids[p - 1], ids[p]) if r == p + 1
                                 else (marks[r], ids[r - 1]))
             if plan is not None and retiring[r]:
                 run.append(plan)
                 plan = compiled.get((~marks[r], plan.made))
-            if plan is None:
+            if plan is None or plan.made != ids[r]:  # r was reduced
                 return
             run.append(plan)
         skeleton, items = compose(run)
@@ -605,13 +590,14 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         rows = enumerate(zip(ops, program.i, program.j, program.left,
                              program.name, program.weight, program.present,
                              fut, retiring, aheads, kws, marks, steps))
-        for p, (op, i, j, left, name, weight, mask, vec, dying, ahead, kw,
+        for p, (op, i, j, left, vertex, weight, mask, vec, dying, ahead, kw,
                 mark, step) in rows:
             extra = () if ahead is None else (ahead,)
             made = biggest = plan = None  # made: the shape id of table
             if mark is not None:
-                plan = compiled.get((mark, ids[left], ids[p - 1])
-                                    if op == UNION else (mark, ids[p - 1]))
+                found = ((mark, name(left, -2), name(p - 1, -1))
+                         if op == UNION else (mark, name(p - 1, -1)))
+                plan = compiled.get(found)
                 if plan is not None:
                     made = plan.made
                 else:  # a union reads both children's keys
@@ -624,9 +610,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
             right = tables.pop() if op == UNION else None
             if plan is None:
                 if op == LEAF:
-                    table = leaf(i, name, weight, vec, *extra, **kw)
-                    if named[p]:
-                        made = intern(table)
+                    table = leaf(i, vertex, weight, vec, *extra, **kw)
                 elif op == UNION:
                     table = union(tables.pop(), program.present[left], right,
                                   child, vec, *extra, **kw)
@@ -639,14 +623,15 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 table = replay(plan, stats, tables.pop(), right, True)
                 biggest = plan.biggest
             else:
-                table, made, biggest = replayed(mark, plan, tables.pop(),
+                table, made, biggest = replayed(found, plan, tables.pop(),
                                                 right)
             child = mask
             if dying:
                 if mark is None:
                     table, made = prune.retire(table, dying), None
                 else:  # ~mark < 0 keys the retirement's plans apart
-                    plan = compiled.get((~mark, made))
+                    found = (~mark, intern(table) if made is None else made)
+                    plan = compiled.get(found)
                     if plan is not None:
                         table = replay(plan, stats, table, None, True)
                         made, biggest = plan.made, plan.biggest
@@ -659,10 +644,11 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                             check_recorded(plan)
                             made = biggest = None
                         else:
-                            table, made, biggest = replayed(~mark, plan,
+                            table, made, biggest = replayed(found, plan,
                                                             table)
             if step is not None:  # a leaf that starts a vertex step
-                fusion = fused.get((step[0], ids[p - 1], made))
+                made = intern(table)
+                fusion = fused.get((step[0], name(p - 1, -1), made))
                 if fusion is not None:  # the ids fix p..q's states and cells
                     q, chained = step[1], step[2]
                     items, skeleton, ids[q], its_states, its_cells, m = fusion
@@ -689,7 +675,7 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                         table[key] = check_size(prune.reducer(cell), bound)
                         stats.reduce_calls += 1
                 biggest = max(map(len, table.values()))
-                made = None  # the reduced table's shape is unknown
+                made = None  # named by its own shape where it is read
             tables.append(table)
             states.append(len(table))
             cells.append(biggest)
@@ -698,14 +684,13 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 if p == until:
                     file_step(*pending, table)
                     pending = None
-                elif step is not None and ids[p - 1] is not None:
+                elif step is not None:
                     until, pending = step[1], (step[0], p, tables[-2], table)
     finally:
         MERGE_MEMO.clear()
     stats.plans_recorded += len(plans)
     stats.plans_replayed += programs
     stats.entry_replays += programs
-    stats.shape_replays += programs
     stats.node_kinds.update(map(KIND_NAMES.__getitem__, program.op))
     stats.dp_nodes = stats.node_kinds.total()
     stats.total_states += sum(states)

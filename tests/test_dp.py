@@ -278,7 +278,7 @@ def test_the_largest_cell_after_a_retirement_is_the_retirements(monkeypatch):
             _unmarked(patch)
             ref = problem.run(expr)
         assert ref.max_cell_entries == 1
-        assert unfused.shape_replays > 0 and fused.fused_replays > 0
+        assert unfused.entry_replays > 0 and fused.fused_replays > 0
         for stats in (fused, unfused):
             assert stats.as_dict() | {"elapsed_ms": 0} == \
                 ref.as_dict() | {"elapsed_ms": 0}

@@ -1,8 +1,10 @@
 """Key plans: at a node whose context repeats, the driver replays the cell
 steps the transition recorded at the first such node (``dp.run``,
-``dp.build``), and from the plan's second replay on, where the input
-partitions repeat too, its entry program (``dp.replay``)."""
+``dp.build``), and where its input's shape ids are those the plan's entry
+program was compiled for at its first replay, that program
+(``dp.replay``)."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -151,7 +153,7 @@ def _shape_replays(patch, seen):
         return got
 
     def watched(plan, stats, table, table_b=None, known=False):
-        fresh = plan.parts is None
+        fresh = plan.program is None
         out = replay(plan, stats, table, table_b, known)
         inputs = [shape(t) for t in (table, table_b) if t is not None]
         if fresh:
@@ -179,7 +181,7 @@ def test_a_shape_id_is_the_id_of_the_table_it_is_held_for(
             _shape_replays(patch, lambda held, actual: exact.append(
                 held == actual))
             res = _solver(name, expr, use_reduce)()
-        assert all(exact) and len(exact) == res.stats.shape_replays
+        assert all(exact) and len(exact) == res.stats.entry_replays
         found += len(exact)
     assert found > 0
 
@@ -187,19 +189,19 @@ def test_a_shape_id_is_the_id_of_the_table_it_is_held_for(
 @pytest.mark.parametrize("kind", ["clique", "path", "cycle", "star"])
 def test_shape_ids_carry_a_chain_past_its_first_replays(kind):
     # Along these chains the contexts and shapes repeat, so every replay
-    # that runs its program finds it by the shape ids the driver holds,
-    # apart from a few near the start: a chain twice as long checks no
-    # more partitions.  An id lost or wrong on the way up checks them again
-    # at the next replay, once per node.  (The reference path of fvs on a
-    # cycle runs no program: its cells grow along the chain.)
+    # finds its program by the shape ids the driver holds, apart from a few
+    # near the start: a chain twice as long makes no more replays by
+    # dp.build.  An id lost or wrong on the way up builds again at the next
+    # replay, once per node.  (The reference path of fvs on a cycle runs no
+    # program: its cells grow along the chain.)
     for name in ("fvs", "cds", "cvc", "steiner", "perfect-cds"):
         for use_reduce in (True, False):
             short, long = (_solver(name, fixture(kind, n, seed=1),
                                    use_reduce)().stats for n in (40, 80))
-            assert (long.shape_replays > short.shape_replays
-                    or long.entry_replays == 0)
-            assert (long.entry_replays - long.shape_replays
-                    == short.entry_replays - short.shape_replays)
+            if long.entry_replays:
+                assert long.entry_replays > short.entry_replays
+                assert (long.plans_replayed - long.entry_replays
+                        == short.plans_replayed - short.entry_replays)
 
 
 # Two copies of one subexpression: every node of the second has the context
@@ -426,7 +428,7 @@ def test_a_replay_on_other_partitions_runs_build(monkeypatch):
     replay = cwsolve.dp.replay
 
     def watched(plan, stats, *tables):
-        compiled, ran = plan.parts is not None, stats.entry_replays
+        compiled, ran = plan.program is not None, stats.entry_replays
         out = replay(plan, stats, *tables)
         if compiled and stats.entry_replays == ran:
             fallbacks.append(plan)
@@ -446,12 +448,14 @@ def _first_heaviest(cell):
     return WPSet.from_pairs([(part, weight, wit)], cell.ground)
 
 
-def test_a_reduced_table_drops_its_shape_id(monkeypatch):
+def test_a_reduced_table_is_named_by_its_own_shape(monkeypatch):
     # Under a bound of two entries the driver reduces cells at replayed
     # positions, found by shape id or not, after the replay gave the table
-    # the program's output id; the reduced table must not keep it, so each
-    # replay found by shape id above it still reads the shapes its program
-    # was compiled for, and every table is the unmarked run's.
+    # the program's output id; the reduced table must be named by its own
+    # shape, so each replay found by shape id above it still reads the
+    # shapes its program was compiled for, and every table is the unmarked
+    # run's.  Unfused, every program run is a replay the test sees.
+    _unfused(monkeypatch)
     run, replayed, reduced = cwsolve.dp.run, [], []
 
     def seen(plan, out):  # the last replayed table's cells
@@ -472,7 +476,7 @@ def test_a_reduced_table_drops_its_shape_id(monkeypatch):
     solve = _solver("fvs", fixture("path", 24), use_reduce=True)  # pruned
     res, tables = _recorded(monkeypatch, solve, marked=True)
     assert any(reduced) and exact and all(exact)
-    assert len(exact) == res.stats.shape_replays
+    assert len(exact) == res.stats.entry_replays
     ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
     assert tables == ref_tables
     assert _stats(res.stats) == _stats(ref.stats)
@@ -498,9 +502,11 @@ def test_an_entry_program_keeps_the_witness_build_keeps_on_a_tie():
         plan, stats = Plan(), SolveStats()
         want = build(plan, steps, args, *tables)
         assert want["k"][part] == entry
-        # the first replay compiles the entry program, the later ones run it
-        for _ in range(3):
-            assert _contents(replay(plan, stats, *tables)) == _contents(want)
+        # the first replay compiles the entry program, and the later ones,
+        # found by their input's shape ids, run it
+        for known in (False, True, True):
+            assert _contents(replay(plan, stats, *tables, known)) == \
+                _contents(want)
         assert stats.entry_replays == 2
 
 
@@ -668,6 +674,46 @@ def test_a_fused_run_end_holds_the_id_of_the_table_it_makes(monkeypatch):
     assert exact and all(exact) and any(read)
 
 
+def _answer(res):
+    """A result's optimum and witness: all of it but its stats."""
+    return dataclasses.replace(res, stats=None)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_a_fused_run_under_a_binding_bound_is_the_unmarked_runs(
+        bound, monkeypatch):
+    # A vertex step is filed only where every node above its leaf holds the
+    # output of its program; a reduced node holds another table, and a step
+    # filed over it would skip that reduction at every hit.  Under bounds
+    # that reduce, the fused run's answer and stats are the unmarked run's,
+    # and its plan counts the unfused run's.
+    run = cwsolve.dp.run
+
+    def small(expr, stats, prune, *transitions):
+        return run(expr, stats, prune._replace(bound=bound,
+                                               reducer=_first_heaviest),
+                   *transitions)
+    monkeypatch.setattr(cwsolve.dp, "run", small)
+    both = 0
+    for kind in FIXTURE_KINDS:
+        for n in (24, 40):
+            expr = fixture(kind, n, seed=1)
+            for name in ("fvs", "cds", "cvc"):
+                solve = _solver(name, expr, use_reduce=True)
+                res = solve()
+                with monkeypatch.context() as patch:
+                    _unfused(patch)
+                    unfused = solve()
+                with monkeypatch.context() as patch:
+                    _unmarked(patch)
+                    ref = solve()
+                assert _answer(res) == _answer(ref)
+                assert _stats(res.stats) == _stats(ref.stats)
+                assert _all_stats(res.stats) == _all_stats(unfused.stats)
+                both += bool(res.stats.fused_replays and res.stats.reduce_calls)
+    assert both
+
+
 def _weighted(rng, ground):
     """A cell with every partition of ``ground``, random weights and a
     witness of its own per entry."""
@@ -732,8 +778,7 @@ def test_bench_prints_the_plan_counts_and_solve_json_does_not(tmp_path, capsys):
     assert int(rows["plans_recorded"]) > 0
     assert int(rows["plans_replayed"]) > int(rows["plans_recorded"])
     assert 0 < int(rows["entry_replays"]) <= int(rows["plans_replayed"])
-    assert 0 < int(rows["shape_replays"]) <= int(rows["entry_replays"])
-    assert 0 < int(rows["fused_replays"]) < int(rows["shape_replays"])
+    assert 0 < int(rows["fused_replays"]) < int(rows["entry_replays"])
     assert cli.run(["solve", "--problem", "cds", "--json", "--expr",
                     str(path)]) == 0
     out = capsys.readouterr().out
