@@ -7,13 +7,13 @@ The driver owns the one switch for pruning (a :class:`Prune`, or None on the
 reference path), the retirement of dead labels and the rank-bound reduction.
 A non-leaf transition, and a retirement, only plans keys: it lists the cell
 step by which each key it makes comes from its input's cells, and
-:func:`build` makes every cell, live or replayed from a key plan, but where
-a replay runs the plan's entry program (:func:`replay`), and where a
-repeated vertex step (a leaf, its union and the marked nodes above it) runs
-as one (max, +) program (:func:`compose`, :func:`fuse`).  The domination
-transitions leave out the slot states that the future degrees the driver
-hands them rule out, and the keys holding a finished X where the driver's
-verdict says none survives.
+:func:`build` makes every cell, live or replayed from a key plan keyed by
+the node's context and its input's shape ids, but where a replay runs the
+plan's entry program (:func:`replay`), and where a repeated vertex step (a
+leaf, its union and the marked nodes above it) runs as one (max, +) program
+(:func:`compose`, :func:`fuse`).  The domination transitions leave out the
+slot states that the future degrees the driver hands them rule out, and the
+keys holding a finished X where the driver's verdict says none survives.
 """
 
 from __future__ import annotations
@@ -162,12 +162,11 @@ class Plan:
     """A key plan (:func:`run`): the cell steps, in order, by which one call
     of a transition or retirement made its table from its input's, with the
     arguments of those steps (:func:`build` keeps both).  The driver keys it
-    by the call's context and its input tables' key sequences.  From its
-    first replay on, it holds the entry program made for that replay's
-    input (:func:`compile_entries`); where :func:`run` compiled it, also the
-    shape id of the program's output (:func:`shape`) and the output's
-    largest cell, taken from the table :func:`build` made and the program
-    was checked against."""
+    by the call's context and its input tables' shape ids (:func:`shape`).
+    From its first replay on, it holds the entry program made for its input
+    shape (:func:`compile_entries`), the shape id of the program's output
+    and the output's largest cell, taken from the table :func:`build` made
+    and the program was checked against."""
 
     __slots__ = ("steps", "args", "program", "made", "biggest")
 
@@ -305,18 +304,16 @@ def compile_entries(plan: Plan, out: dict, table: dict,
 
 
 def replay(plan: Plan, stats: SolveStats, table: dict,
-           table_b: dict | None = None, known: bool = False) -> dict:
+           table_b: dict | None = None) -> dict:
     """The table ``plan`` makes of ``table``'s cells (a union's and
-    ``table_b``'s), counted in ``stats``.  Where ``known``, the caller has
-    found ``plan`` by its input's shape ids, which are those of the input
-    its entry program was compiled for, and the program makes it; else
-    :func:`build` does, and a plan without a program compiles one for this
-    input (:func:`compile_entries`)."""
+    ``table_b``'s), which have the shape it was recorded for, counted in
+    ``stats``: at its first replay by :func:`build`, which then compiles the
+    plan's entry program for this input (:func:`compile_entries`), and at
+    every later one by that program."""
     stats.plans_replayed += 1
-    if not known:
+    if plan.program is None:
         out = build(None, plan.steps, plan.args, table, table_b)
-        if plan.program is None:
-            plan.program = compile_entries(plan, out, table, table_b)
+        plan.program = compile_entries(plan, out, table, table_b)
         return out
     stats.entry_replays += 1
     reads, program = plan.program
@@ -454,47 +451,42 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
     The verdict's rule argues its own soundness; like the lookahead, it
     drops only keys with no root descendant.
 
-    Key plans, on both paths.  Every non-leaf transition and retirement
-    lists its cell steps and makes its table with :func:`build`.  Before
-    the first node, the driver marks the positions whose context
-    (:func:`repeated_contexts`) another position shares.  Only there does a
-    transition, and the retirement after it, get the keyword ``plan``: a
-    :class:`Plan` keyed by the context and its input tables' key sequences,
-    both children's at a union.  At the first such call the plan is empty,
-    and :func:`build` keeps the call's steps in it; a call that leaves it
-    without steps raises :class:`~cwsolve.wpsets.InvariantError`.  At every
-    later one the driver calls no transition: it replays the plan over its
-    own input's cells (:func:`replay`).  Sound: a transition's steps
-    depend only on its context and its inputs' key sequences, never on
-    their cells, and a live call and a replay by :func:`build` run the
-    same :func:`build` over the same steps, so they make the same cells,
-    witnesses and ties.  A step that comes out empty on other cells drops
-    its key, and the shorter table then keys its parent's lookup as any
-    other does.  The reduction after a call changes no key.  Where no
-    context repeats, as on naive expressions, nothing is recorded.  The
-    plans live for one run; ``stats`` counts those recorded and replayed.
-
-    Entry programs and shape ids.  A table's shape is its keys and its
-    cells' partitions, in order (:func:`shape`), interned once per run, so
-    two shapes are equal exactly when their ids are.  A table gets its id
-    when a marked node or retirement, or a leaf that starts a vertex step,
-    first reads it; the output of a replay that compiles or runs an entry
-    program gets the program's output id as it is made.  A plan's first
-    replay runs :func:`build` and compiles an entry program
-    (:func:`compile_entries`), filed under the context and the input ids (a
-    retirement's under ``~context``).  A marked node looks a program up by
-    them before the key lookup; a hit runs it with no key tuple, counted in
-    ``stats.entry_replays``, and any other replay runs :func:`build`.
-    Sound: a join's, link's or projection's output partitions and their
-    order depend only on the input partitions and the labels, and weights
-    flow only through + and max, so each output entry is the first of a
-    fixed list of input entries, or pairs, with the largest weight or sum:
-    the entry, and so the witness, that :func:`build` keeps.  A hit's input
-    has the shape its program was compiled for, and so the plan's keys; and
-    as the output's keys and partitions are fixed by the input's, the
-    output id and largest cell taken from the table :func:`build` made at
-    the compile, which the program was checked against, are exact for
-    every run.
+    Key plans, entry programs and shape ids, on both paths.  Every
+    non-leaf transition and retirement lists its cell steps and makes its
+    table with :func:`build`.  Before the first node, the driver marks the
+    positions whose context (:func:`repeated_contexts`) another position
+    shares.  A table's shape is its keys and its cells' partitions, in
+    order (:func:`shape`), interned once per run, so two shapes are equal
+    exactly when their ids are.  A table gets its id when a marked node or
+    retirement, or a leaf that starts a vertex step, first reads it; a
+    replay's output gets its plan's output id as it is made.  A
+    :class:`Plan` is keyed by a marked node's context and input ids, both
+    children's at a union, and a marked retirement's by ``~context`` and
+    its input's id.  Where the key is new, the transition, or the
+    retirement, gets the keyword ``plan``: an empty plan, in which
+    :func:`build` keeps the call's steps; a call that leaves it without
+    steps raises :class:`~cwsolve.wpsets.InvariantError`.  At every later
+    hit the driver calls no transition but replays the plan
+    (:func:`replay`): the first replay runs :func:`build` and compiles the
+    plan's entry program (:func:`compile_entries`), and every later one
+    runs that program, counted in ``stats.entry_replays``.  Sound: a
+    transition's steps depend only on its context and its inputs' keys, in
+    order, never on their cells, and a live call and a replay by
+    :func:`build` run the same :func:`build` over the same steps, so they
+    make the same cells, witnesses and ties.  A join's, link's or
+    projection's output partitions and their order depend only on the
+    input partitions and the labels, and weights flow only through + and
+    max, so each output entry is the first of a fixed list of input
+    entries, or pairs, with the largest weight or sum: the entry, and so
+    the witness, that :func:`build` keeps.  A hit's input has the shape
+    its plan was recorded and its program compiled for; and as the
+    output's keys and partitions are fixed by the input's, the output id
+    and largest cell taken from the table :func:`build` made at the
+    compile, which the program was checked against, are exact for every
+    run.  The reduction after a call changes no key, and a reduced table
+    is named by its own shape where it is read.  Where no context repeats,
+    as on naive expressions, nothing is recorded.  The plans live for one
+    run; ``stats`` counts those recorded and replayed.
 
     Fused steps.  Where a vertex step (:func:`vertex_steps`) runs node by
     node and each node above its leaf holds its program's output, the
@@ -533,10 +525,9 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         kws[p] = {"doomed": True}
     bound = POS_INF if prune is None else prune.bound
     tables, states, cells = [], [], []
-    plans: dict[tuple, Plan] = {}  # (context, input key sequences) -> plan
+    plans: dict[tuple, Plan] = {}  # (context, input shape ids) -> plan
     shapes: dict[tuple, int] = {}  # a table's shape -> its id
     ids = [None] * n  # per position: its table's shape id, once read
-    compiled: dict[tuple, Plan] = {}  # (context, input shape ids) -> plan
     steps = vertex_steps(program, marks)
     fused: dict[tuple, tuple] = {}  # (step key, input shape ids) -> record
     held = pending = None  # a fused run's output entries; a step to file
@@ -551,16 +542,14 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
             ids[r] = intern(tables[at])
         return ids[r]
 
-    def replayed(found, plan, table, right=None):
-        """The replay of ``plan`` by :func:`build`, with its output's shape
-        id and largest cell where it compiled the entry program, which it
-        then files under ``found``, its context and input shape ids."""
-        if plan.program is not None:
-            return replay(plan, stats, table, right), None, None
+    def replayed(plan, table, right=None):
+        """The replay of ``plan``, with its output's shape id and largest
+        cell, taken from the table its first replay made by :func:`build`."""
+        first = plan.program is None
         out = replay(plan, stats, table, right)
-        plan.made = intern(out)
-        plan.biggest = max(map(len, out.values()), default=0)
-        compiled[found] = plan
+        if first:
+            plan.made = intern(out)
+            plan.biggest = max(map(len, out.values()), default=0)
         return out, plan.made, plan.biggest
 
     def file_step(key, p, top, leaf_table, table):
@@ -568,12 +557,12 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
         ``top`` and ``leaf_table`` to ``table`` (see Fused steps)."""
         q, run = until, []
         for r in range(p + 1, q + 1):
-            plan = compiled.get((marks[r], ids[p - 1], ids[p]) if r == p + 1
-                                else (marks[r], ids[r - 1]))
+            plan = plans.get((marks[r], ids[p - 1], ids[p]) if r == p + 1
+                             else (marks[r], ids[r - 1]))
             if plan is not None and retiring[r]:
                 run.append(plan)
-                plan = compiled.get((~marks[r], plan.made))
-            if plan is None or plan.made != ids[r]:  # r was reduced
+                plan = plans.get((~marks[r], plan.made))
+            if plan is None or plan.made != ids[r]:  # uncompiled or reduced
                 return
             run.append(plan)
         skeleton, items = compose(run)
@@ -594,19 +583,13 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                 mark, step) in rows:
             extra = () if ahead is None else (ahead,)
             made = biggest = plan = None  # made: the shape id of table
-            if mark is not None:
+            if mark is not None:  # a union reads both children's ids
                 found = ((mark, name(left, -2), name(p - 1, -1))
                          if op == UNION else (mark, name(p - 1, -1)))
-                plan = compiled.get(found)
-                if plan is not None:
-                    made = plan.made
-                else:  # a union reads both children's keys
-                    inputs = (mark, *map(tuple, tables[-2:] if op == UNION
-                                         else tables[-1:]))
-                    plan = plans.get(inputs)
-                    if plan is None:
-                        plans[inputs] = record = Plan()
-                        kw = {**kw, "plan": record}
+                plan = plans.get(found)
+                if plan is None:
+                    plans[found] = record = Plan()
+                    kw = {**kw, "plan": record}
             right = tables.pop() if op == UNION else None
             if plan is None:
                 if op == LEAF:
@@ -619,33 +602,22 @@ def run(expr: CwExpression, stats: SolveStats, prune: Prune | None,
                         tables.pop(), child, i, j, vec, *extra, **kw)
                 if mark is not None:
                     check_recorded(record)
-            elif made is not None:  # found by the input's shape ids
-                table = replay(plan, stats, tables.pop(), right, True)
-                biggest = plan.biggest
             else:
-                table, made, biggest = replayed(found, plan, tables.pop(),
-                                                right)
+                table, made, biggest = replayed(plan, tables.pop(), right)
             child = mask
             if dying:
                 if mark is None:
                     table, made = prune.retire(table, dying), None
                 else:  # ~mark < 0 keys the retirement's plans apart
                     found = (~mark, intern(table) if made is None else made)
-                    plan = compiled.get(found)
-                    if plan is not None:
-                        table = replay(plan, stats, table, None, True)
-                        made, biggest = plan.made, plan.biggest
+                    plan = plans.get(found)
+                    if plan is None:
+                        plan = plans[found] = Plan()
+                        table = prune.retire(table, dying, plan=plan)
+                        check_recorded(plan)
+                        made = biggest = None
                     else:
-                        inputs = (~mark, tuple(table))
-                        plan = plans.get(inputs)
-                        if plan is None:
-                            plan = plans[inputs] = Plan()
-                            table = prune.retire(table, dying, plan=plan)
-                            check_recorded(plan)
-                            made = biggest = None
-                        else:
-                            table, made, biggest = replayed(found, plan,
-                                                            table)
+                        table, made, biggest = replayed(plan, table)
             if step is not None:  # a leaf that starts a vertex step
                 made = intern(table)
                 fusion = fused.get((step[0], name(p - 1, -1), made))

@@ -44,7 +44,7 @@ lists a cell step per key it makes, and :func:`~cwsolve.dp.build` makes the
 cells, linking with ``acyclic`` and projecting with ``proj``, and a union's
 with ``acjoin``.  Where a node's context repeats, the driver keeps the first
 call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and replays them on
-the same input keys, without calling the transition.
+inputs of the same shape, without calling the transition.
 """
 
 from __future__ import annotations

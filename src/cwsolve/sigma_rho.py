@@ -58,7 +58,7 @@ lists a cell step per key it makes, and :func:`~cwsolve.dp.build` makes the
 cells, with ``link``, :func:`_complete` for the step :data:`COMPLETE`, and a
 union's with ``join_sets``.  Where a node's context repeats, the driver
 keeps the first call's steps in a key plan (:class:`~cwsolve.dp.Plan`) and
-replays them on the same input keys, without calling the transition.
+replays them on inputs of the same shape, without calling the transition.
 """
 
 from __future__ import annotations

@@ -58,6 +58,27 @@ def present_masks(expr) -> list[int]:
             for text in subtree_texts(expr)]
 
 
+def grid(w: int, length: int):
+    """The w-row, ``length``-column grid, built column by column at k = w + 3
+    (vertex ``c{c}r{r}`` at column c, row r, weight 1).  A new vertex comes
+    in at label w + 1 and is joined to its row's old vertex, at label r,
+    which then moves to the dead label w + 3; the vertex above it waits at
+    label w + 2, is joined to it and moves to its row label."""
+    new, above, dead = w + 1, w + 2, w + 3
+    body = None
+    for c in range(1, length + 1):
+        for r in range(1, w + 1):
+            leaf = f"(ren 1 {new} (v c{c}r{r}))"
+            body = leaf if body is None else f"(u {body} {leaf})"
+            if c > 1:
+                body = f"(ren {r} {dead} (add {new} {r} {body}))"
+            if r > 1:
+                body = f"(ren {above} {r - 1} (add {new} {above} {body}))"
+            body = f"(ren {new} {above} {body})"
+        body = f"(ren {above} {w} {body})"
+    return expression(w + 3, body)
+
+
 def random_graph(n: int, rng: random.Random, max_weight: int = 10) -> LabeledGraph:
     names = [f"v{i}" for i in range(1, n + 1)]
     weights = {v: rng.randint(0, max_weight) for v in names}

@@ -1,7 +1,7 @@
-"""Key plans: at a node whose context repeats, the driver replays the cell
-steps the transition recorded at the first such node (``dp.run``,
-``dp.build``), and where its input's shape ids are those the plan's entry
-program was compiled for at its first replay, that program
+"""Key plans: at a node whose context and input shape ids repeat, the driver
+replays the cell steps the transition recorded at the first such node
+(``dp.run``, ``dp.build``): by ``dp.build`` at the plan's first replay,
+which compiles its entry program, and by that program at every later one
 (``dp.replay``)."""
 
 import dataclasses
@@ -20,6 +20,7 @@ from cwsolve.cwexpr import FIXTURE_KINDS, evaluate, future_degrees, serialize
 from cwsolve.dp import (Plan, SolveStats, build, capped_degrees, compose,
                         flat, fuse, replay, run, unflatten)
 from cwsolve.fvs import fvs_add, fvs_leaf, fvs_ren, fvs_union, solve_fvs
+from cwsolve.oracle import brute_min_fvs, brute_sigma_rho
 from cwsolve.partitions import iter_partitions
 from cwsolve.sigma_rho import (COMPLETE, DomContext, _complete, preset_spec,
                                solve_connected_sigma_rho, solve_steiner,
@@ -27,7 +28,7 @@ from cwsolve.sigma_rho import (COMPLETE, DomContext, _complete, preset_spec,
 from cwsolve.wpsets import (InvariantError, WPSet, acjoin, combine_witness,
                             join_sets, link, proj)
 
-from conftest import expression, random_expression, random_graph
+from conftest import expression, grid, random_expression, random_graph
 
 TRANSITIONS = {
     cwsolve.fvs: ("fvs_leaf", "fvs_add", "fvs_ren", "fvs_union", "fvs_retire"),
@@ -138,12 +139,13 @@ def test_a_replay_builds_the_table_its_transition_would(
 
 
 def _shape_replays(patch, seen):
-    """Have ``seen(held, actual)`` see each replay the driver finds by its
-    input's shape ids (numbered as the driver numbers them, as it names
-    every shape through ``dp.shape``): what the driver holds, the ids of the
-    input shapes the plan's program was compiled for, by which it found the
-    plan, and the plan's output id and largest cell, against the ids of the
-    actual input and output tables' shapes and the output's largest cell."""
+    """Have ``seen(held, actual)`` see each replay that runs its plan's
+    entry program, one the plan held before the call (shapes numbered as
+    the driver numbers them, as it names every shape through ``dp.shape``):
+    what the driver holds, the ids of the input shapes the program was
+    compiled for, under which the driver found the plan, and the plan's
+    output id and largest cell, against the ids of the actual input and
+    output tables' shapes and the output's largest cell."""
     shape, replay = cwsolve.dp.shape, cwsolve.dp.replay
     ids, compiled = {}, {}  # a shape -> its id; a plan -> its input shapes
 
@@ -152,13 +154,13 @@ def _shape_replays(patch, seen):
         ids.setdefault(got, len(ids))
         return got
 
-    def watched(plan, stats, table, table_b=None, known=False):
-        fresh = plan.program is None
-        out = replay(plan, stats, table, table_b, known)
+    def watched(plan, stats, table, table_b=None):
+        ran = plan.program is not None
+        out = replay(plan, stats, table, table_b)
         inputs = [shape(t) for t in (table, table_b) if t is not None]
-        if fresh:
+        if not ran:
             compiled[plan] = inputs
-        if known:
+        else:
             seen(([ids[got] for got in compiled[plan]], plan.made,
                   plan.biggest),
                  ([ids.get(got) for got in inputs], ids.get(shape(out)),
@@ -172,7 +174,7 @@ def _shape_replays(patch, seen):
 @pytest.mark.parametrize("name", ["fvs", "cds", "cvc", "steiner", "perfect-cds"])
 def test_a_shape_id_is_the_id_of_the_table_it_is_held_for(
         instances, name, use_reduce, monkeypatch):
-    # a replay found by shape id runs its program unchecked
+    # a replay by an entry program runs it unchecked
     _unfused(monkeypatch)
     found = 0
     for expr in instances:
@@ -228,8 +230,10 @@ def _twin_runs(leaf):
     """``TWINS`` on the reference path with ``leaf``, with plans and then
     without: per run, its tables in the order they were built, its root's
     and its stats; and the marked run's log of its non-leaf tables, each
-    ``(transition, replayed, keys as recorded)``, a replayed one under the
-    transition that recorded its plan."""
+    ``(transition, replayed, planned)``: a replayed one under the
+    transition that recorded its plan, and a live one with whether it was
+    given a plan to record.  A replay must make the keys its plan's call
+    made."""
     runs, logs = [], []
     for marked in (True, False):
         tables, log = [], []
@@ -240,13 +244,14 @@ def _twin_runs(leaf):
                 out = fn(*args, plan=plan, **kw)
                 if plan is not None:
                     names[id(plan)], keys[id(plan)] = fn.__name__, tuple(out)
-                log.append((fn.__name__, False, True))
+                log.append((fn.__name__, False, plan is not None))
                 tables.append(_contents(out))
                 return out
             return call
 
         def replayed(plan, out):
-            log.append((names[id(plan)], True, tuple(out) == keys[id(plan)]))
+            assert tuple(out) == keys[id(plan)]
+            log.append((names[id(plan)], True, True))
             tables.append(_contents(out))
 
         stats = SolveStats()
@@ -261,14 +266,17 @@ def _twin_runs(leaf):
     return runs, logs[0]
 
 
-def test_a_short_replay_keys_its_parents_lookup_by_its_own_keys():
+def test_twins_on_other_partitions_share_no_plan():
+    # The anchored leaves hold the keys of the first twin's leaves on other
+    # partitions, so each node of the second twin reads shape ids no plan
+    # was recorded for: every one is called live with a plan of its own,
+    # and none replays one of the first twin's (whose add would drop every
+    # entry of the (ONE, ONE) cell on these cells).  The union of the twins
+    # is the one context that does not repeat.
     runs, log = _twin_runs(_anchored_leaf)
-    short = [name for name, replay, same in log if not same]
-    assert short == ["fvs_add"]
-    # no plan was recorded for the keys the short add made, so every node
-    # above it, up to the union of the twins, is called live
-    above = log[log.index(("fvs_add", True, False)) + 1:]
-    assert above == [("fvs_ren", False, True)] * 2 + [("fvs_union", False, True)]
+    twin = [(name, False, True)
+            for name in ("fvs_union", "fvs_add", "fvs_ren", "fvs_ren")]
+    assert log == twin * 2 + [("fvs_union", False, False)]
     assert runs[0] == runs[1]
 
 
@@ -419,27 +427,110 @@ def _reordered_leaf(k, with_witness, label, name, weight, fut=None):
     return table
 
 
-def test_a_replay_on_other_partitions_runs_build(monkeypatch):
-    # the union that takes in a reordered vertex meets the partitions of
-    # the entry program its plan compiled in the other order, so it must
-    # build its table, and so may the nodes above it
-    monkeypatch.setattr(cwsolve.fvs, "fvs_leaf", _reordered_leaf)
-    fallbacks = []
-    replay = cwsolve.dp.replay
+def test_a_node_on_other_partitions_records_a_new_plan(monkeypatch):
+    # The union that takes in a reordered vertex reads the keys of a plan
+    # recorded for the other order, on other partitions: it must record a
+    # plan of its own, live, and no replay may run a program compiled for
+    # other input ids.
+    reordered, fresh = set(), []
 
-    def watched(plan, stats, *tables):
-        compiled, ran = plan.program is not None, stats.entry_replays
-        out = replay(plan, stats, *tables)
-        if compiled and stats.entry_replays == ran:
-            fallbacks.append(plan)
-        return out
-    monkeypatch.setattr(cwsolve.dp, "replay", watched)
+    def leaf(*args):
+        table = _reordered_leaf(*args)
+        if table != fvs_leaf(*args):
+            reordered.add(id(table))
+        return table
+
+    def union(table_a, pres_a, table_b, *args, plan=None, **kw):
+        fresh.append(plan is not None and id(table_b) in reordered)
+        return fvs_union(table_a, pres_a, table_b, *args, plan=plan, **kw)
+    monkeypatch.setattr(cwsolve.fvs, "fvs_leaf", leaf)
+    monkeypatch.setattr(cwsolve.fvs, "fvs_union", union)
+    exact = []
+    _unfused(monkeypatch)  # each program run is a replay the test sees
+    _shape_replays(monkeypatch, lambda held, actual: exact.append(
+        held == actual))
     solve = _solver("fvs", fixture("path", 24), use_reduce=True)  # pruned
     res, tables = _recorded(monkeypatch, solve, marked=True)
     ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
-    assert fallbacks and res.stats.entry_replays > 0
+    assert any(fresh) and exact and all(exact)
+    assert len(exact) == res.stats.entry_replays > 0
     assert tables == ref_tables
     assert _stats(res.stats) == _stats(ref.stats)
+
+
+def _varied_leaf(k, with_witness, label, name, weight, fut=None):
+    """``fvs_leaf``, except that its two-entry cell holds, by the vertex's
+    number mod 4, its first partition, its second, both, or both the other
+    way round: the keys stay, the partitions change from vertex to
+    vertex."""
+    table = fvs_leaf(k, with_witness, label, name, weight, fut)
+    for key, cell in table.items():
+        if len(cell) == 2:
+            items = [(part, *entry) for part, entry in cell.items()]
+            table[key] = WPSet.from_pairs(
+                (items[:1], items[1:], items, items[::-1])[int(name[1:]) % 4],
+                cell.ground)
+    return table
+
+
+@pytest.mark.parametrize("use_reduce", [True, False], ids=["pruned", "reference"])
+@pytest.mark.parametrize("kind", FIXTURE_KINDS)
+def test_a_plan_whose_partitions_change_at_every_repeat_compiles_nothing(
+        kind, use_reduce, monkeypatch):
+    # On five vertices, v2..v5 each hold other partitions, so no marked
+    # node ever reads the input shapes of an earlier one: each records a
+    # plan, live, and no entry program is compiled, as none would run.
+    # Keyed by its input's keys, a plan would replay by dp.build and
+    # compile for partitions that never come back.
+    monkeypatch.setattr(cwsolve.fvs, "fvs_leaf", _varied_leaf)
+    compile_entries, compiles = cwsolve.dp.compile_entries, []
+
+    def counted(*args):
+        compiles.append(args)
+        return compile_entries(*args)
+    monkeypatch.setattr(cwsolve.dp, "compile_entries", counted)
+    solve = _solver("fvs", fixture(kind, 5), use_reduce)
+    res, tables = _recorded(monkeypatch, solve, marked=True)
+    ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
+    assert res.stats.plans_recorded > 0 and not compiles
+    assert tables == ref_tables
+    assert _stats(res.stats) == _stats(ref.stats)
+
+
+@pytest.mark.parametrize("use_reduce", [True, False], ids=["pruned", "reference"])
+@pytest.mark.parametrize("name", ["fvs", "cds"])
+@pytest.mark.parametrize("w", [3, 4, 5])
+def test_a_grid_replays_the_tables_its_transitions_would(
+        w, name, use_reduce, monkeypatch):
+    # A grid's columns repeat their contexts, on partitions that settle
+    # only column by column, and for cds at w >= 4 not at these lengths:
+    # its plans are recorded and never replayed.  Node by node, the marked
+    # run makes the unmarked run's tables; fused, its answer and stats; and
+    # on at most 8 vertices its optimum is the oracle's.  (The reference
+    # path of cds at w = 5 runs 3 columns: 4 take about a second a solve.)
+    recorded = replayed = 0
+    long = 8 if w < 5 else 3 if name == "cds" and not use_reduce else 6
+    for length in (2, long):
+        expr = grid(w, length)
+        graph = evaluate(expr)
+        assert len(graph.edges) == w * (length - 1) + (w - 1) * length
+        solve = _solver(name, expr, use_reduce)
+        ref, ref_tables = _recorded(monkeypatch, solve, marked=False)
+        res = solve()
+        assert _answer(res) == _answer(ref)
+        assert _stats(res.stats) == _stats(ref.stats)
+        with monkeypatch.context() as patch:
+            _unfused(patch)
+            unfused, tables = _recorded(patch, solve, marked=True)
+        assert tables == ref_tables
+        assert _stats(unfused.stats) == _stats(ref.stats)
+        recorded += res.stats.plans_recorded
+        replayed += res.stats.plans_replayed
+        if len(graph.weights) <= 8:
+            assert (res.fvs_weight == brute_min_fvs(graph)[0] if name == "fvs"
+                    else res.optimum == brute_sigma_rho(
+                        graph, preset_spec(name))[0])
+    assert recorded > 0 and (replayed > 0 or name == "cds" and w >= 4)
 
 
 def _first_heaviest(cell):
@@ -502,11 +593,10 @@ def test_an_entry_program_keeps_the_witness_build_keeps_on_a_tie():
         plan, stats = Plan(), SolveStats()
         want = build(plan, steps, args, *tables)
         assert want["k"][part] == entry
-        # the first replay compiles the entry program, and the later ones,
-        # found by their input's shape ids, run it
-        for known in (False, True, True):
-            assert _contents(replay(plan, stats, *tables, known)) == \
-                _contents(want)
+        # the first replay builds and compiles the entry program, and the
+        # later ones run it
+        for _ in range(3):
+            assert _contents(replay(plan, stats, *tables)) == _contents(want)
         assert stats.entry_replays == 2
 
 
@@ -648,8 +738,8 @@ def test_a_fused_run_makes_the_unmarked_runs_table_where_it_makes_one(
 def test_a_fused_run_end_holds_the_id_of_the_table_it_makes(monkeypatch):
     # Where a run of fused steps ends, the driver makes the table at its
     # last step's end q and holds the output id that step was filed with.
-    # A replay found by shape id that reads the table must find the program
-    # compiled for that table's shape.
+    # A replay by an entry program that reads the table must find the
+    # program compiled for that table's shape.
     exact, read = [], []
     for kind in FIXTURE_KINDS:
         for name in ("fvs", "cds", "cvc", "steiner", "perfect-cds"):
@@ -663,11 +753,11 @@ def test_a_fused_run_end_holds_the_id_of_the_table_it_makes(monkeypatch):
                     ends.append(unflatten(skeleton, entries))
                     return ends[-1]
 
-                def reading(plan, stats, table, table_b=None, known=False):
-                    if known:
+                def reading(plan, stats, table, table_b=None):
+                    if plan.program is not None:
                         read.append(any(got is table or got is table_b
                                         for got in ends))
-                    return replay(plan, stats, table, table_b, known)
+                    return replay(plan, stats, table, table_b)
                 patch.setattr(cwsolve.dp, "unflatten", ending)
                 patch.setattr(cwsolve.dp, "replay", reading)
                 _solver(name, fixture(kind, 40, seed=1), True)()
